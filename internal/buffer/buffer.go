@@ -48,6 +48,7 @@ var (
 type Frame struct {
 	Page *page.Page
 
+	pool  *Pool
 	pid   page.PageID
 	pins  atomic.Int32
 	dirty atomic.Bool
@@ -79,8 +80,17 @@ type Frame struct {
 // Dirty reports whether the frame has been marked dirty.
 func (f *Frame) Dirty() bool { return f.dirty.Load() }
 
-// MarkDirty marks the frame to be written back on eviction or flush.
-func (f *Frame) MarkDirty() { f.dirty.Store(true) }
+// MarkDirty marks the frame to be written back on eviction or flush. The
+// clean→dirty transition puts the frame on its pool's dirty list, which is
+// all FlushAll looks at.
+func (f *Frame) MarkDirty() {
+	if f.dirty.Load() || !f.dirty.CompareAndSwap(false, true) {
+		return
+	}
+	f.pool.dirtyMu.Lock()
+	f.pool.dirtyFrames = append(f.pool.dirtyFrames, f)
+	f.pool.dirtyMu.Unlock()
+}
 
 // Pinned reports whether the frame is pinned.
 func (f *Frame) Pinned() bool { return f.pins.Load() > 0 }
@@ -150,6 +160,13 @@ type Pool struct {
 	// faultMu guards the per-page singleflight table.
 	faultMu  sync.Mutex
 	inflight map[page.PageID]*faultCall
+
+	// dirtyMu (a leaf lock) guards dirtyFrames: the frames marked dirty
+	// since the last FlushAll. An entry goes out of date when something else
+	// ships the frame first (eviction, Flush, Refresh), and a frame dirtied
+	// again after that is listed twice; the dirty bit decides at flush time.
+	dirtyMu     sync.Mutex
+	dirtyFrames []*Frame
 }
 
 // New returns a pool of the given capacity (in frames) served by srv,
@@ -453,7 +470,7 @@ func (p *Pool) unreserve() {
 
 // install publishes a new frame, consuming one reservation.
 func (p *Pool) install(pid page.PageID, pg *page.Page, prefetched bool) *Frame {
-	f := &Frame{Page: pg, pid: pid, gone: make(chan struct{})}
+	f := &Frame{Page: pg, pool: p, pid: pid, gone: make(chan struct{})}
 	f.prefetched.Store(prefetched)
 	f.epoch.Store(p.epoch.Load())
 	p.clockMu.Lock()
@@ -703,7 +720,7 @@ func (p *Pool) MarkDirty(pid page.PageID) error {
 	if f == nil {
 		return fmt.Errorf("%w: %v", ErrNotHeld, pid)
 	}
-	f.dirty.Store(true)
+	f.MarkDirty()
 	return nil
 }
 
@@ -777,19 +794,61 @@ func (p *Pool) allFrames() []*Frame {
 }
 
 // FlushAll writes every dirty page back to the server, keeping all pages
-// buffered (commit leaves pages hot, §4.1.2). Pages are written in
-// installation order so the server-side write sequence is deterministic.
+// buffered (commit leaves pages hot, §4.1.2). It visits the dirty list
+// only, so a commit costs what was written, not what is buffered. Pages
+// are written in installation order so the server-side write sequence is
+// deterministic. If a write fails, the frames not yet shipped go back on
+// the list and the next FlushAll ships them.
 func (p *Pool) FlushAll() error {
 	p.evictMu.Lock()
 	defer p.evictMu.Unlock()
-	for _, f := range p.allFrames() {
-		if f.dirty.Load() {
-			if err := p.writeBack(f.pid, f); err != nil {
-				return err
-			}
+	batch := p.takeDirty()
+	if len(batch) == 0 {
+		return nil
+	}
+	sort.Slice(batch, func(i, j int) bool { return batch[i].seq < batch[j].seq })
+	for i, f := range batch {
+		if !f.dirty.Load() {
+			continue // shipped since it was listed, or listed twice
+		}
+		if err := p.writeBack(f.pid, f); err != nil {
+			p.dirtyMu.Lock()
+			p.dirtyFrames = append(p.dirtyFrames, batch[i:]...)
+			p.dirtyMu.Unlock()
+			return err
 		}
 	}
 	return nil
+}
+
+// takeDirty detaches the dirty list and hands it to the caller, so
+// MarkDirty can keep appending while the caller works through it.
+func (p *Pool) takeDirty() []*Frame {
+	p.dirtyMu.Lock()
+	defer p.dirtyMu.Unlock()
+	batch := p.dirtyFrames
+	p.dirtyFrames = nil
+	return batch
+}
+
+// UnlistedDirty returns the buffered pages whose frame has the dirty bit
+// but is missing from the dirty list, which FlushAll would therefore not
+// ship: none, unless a write path bypassed MarkDirty. It is the full scan
+// FlushAll used to make, kept as a check for core.OM.Verify and tests.
+func (p *Pool) UnlistedDirty() []page.PageID {
+	p.dirtyMu.Lock()
+	listed := make(map[*Frame]struct{}, len(p.dirtyFrames))
+	for _, f := range p.dirtyFrames {
+		listed[f] = struct{}{}
+	}
+	p.dirtyMu.Unlock()
+	var out []page.PageID
+	for _, f := range p.allFrames() {
+		if _, ok := listed[f]; f.dirty.Load() && !ok {
+			out = append(out, f.pid)
+		}
+	}
+	return out
 }
 
 // DropAll evicts every page (hook + write-back included), oldest first.
@@ -804,6 +863,7 @@ func (p *Pool) DropAll() error {
 		}
 	}
 	p.evictMu.Unlock()
+	p.takeDirty() // every frame was shipped on its way out
 	// Cooling the buffer must also cool the readahead staging area, or a
 	// "cold" run would consume pages prefetched by the previous one.
 	if p.ra != nil {
@@ -828,6 +888,7 @@ func (p *Pool) Discard() {
 	p.free = nil
 	p.hand = 0
 	p.clockMu.Unlock()
+	p.takeDirty()
 	if p.ra != nil {
 		p.ra.discardAll(p.obs)
 	}

@@ -91,13 +91,21 @@ func (vs *varSet) snapshot() []*Var {
 	return out
 }
 
-func (vs *varSet) clear() {
+// drain empties the registry in place and returns the variables that were
+// live. Both ends of every transaction call it, mostly with nothing live,
+// and an empty shard then costs its uncontended lock and nothing else.
+func (vs *varSet) drain() []*Var {
+	var out []*Var
 	for i := range vs.shards {
 		s := &vs.shards[i]
 		s.mu.Lock()
-		s.m = make(map[*Var]struct{})
+		for v := range s.m {
+			out = append(out, v)
+		}
+		clear(s.m)
 		s.mu.Unlock()
 	}
+	return out
 }
 
 // fastViable reports whether fast paths may run at all. Pagewise RRLs and
@@ -118,10 +126,10 @@ func (om *OM) fastResolve(r object.Ref, strat swizzle.Strategy) (*object.MemObje
 	if r.IsNil() {
 		return nil, ErrNilRef, true
 	}
-	if r.State == object.RefOID && strat.Swizzles() {
+	if r.State() == object.RefOID && strat.Swizzles() {
 		return nil, nil, false // variable itself wants (re)swizzling
 	}
-	switch r.State {
+	switch r.State() {
 	case object.RefDirect:
 		obj := r.Ptr()
 		if obj.Stale {
@@ -135,11 +143,11 @@ func (om *OM) fastResolve(r object.Ref, strat swizzle.Strategy) (*object.MemObje
 		}
 		return obj, nil, true
 	default: // RefOID under no-swizzling
-		e := om.rot.Lookup(r.OID())
-		if e == nil || e.Obj.Stale {
+		obj := om.rot.Lookup(r.OID())
+		if obj == nil || obj.Stale {
 			return nil, nil, false
 		}
-		return e.Obj, nil, true
+		return obj, nil, true
 	}
 }
 
@@ -186,7 +194,7 @@ func (om *OM) fastDeref(v *Var) (error, bool) {
 	}
 	v.score.Inc(metrics.ScoreDeref)
 	if rerr == nil {
-		om.fastChargeHome(h, r.State, v.strategy.Lazy())
+		om.fastChargeHome(h, r.State(), v.strategy.Lazy())
 	}
 	om.meter.SharedAdd(h, sim.CntDeref, 1)
 	return rerr, true
@@ -213,7 +221,7 @@ func (om *OM) fastReadInt(v *Var, field string) (int64, error, bool) {
 		return 0, rerr, true
 	}
 	fi, ferr := om.field(obj, field, object.KindInt)
-	om.fastChargeHome(h, r.State, v.strategy.Lazy())
+	om.fastChargeHome(h, r.State(), v.strategy.Lazy())
 	if ferr != nil {
 		return 0, ferr, true
 	}
@@ -247,7 +255,7 @@ func (om *OM) fastReadStr(v *Var, field string) (string, error, bool) {
 		return "", rerr, true
 	}
 	fi, ferr := om.field(obj, field, object.KindString)
-	om.fastChargeHome(h, r.State, v.strategy.Lazy())
+	om.fastChargeHome(h, r.State(), v.strategy.Lazy())
 	if ferr != nil {
 		return "", ferr, true
 	}
@@ -281,7 +289,7 @@ func (om *OM) fastCard(v *Var, field string) (int, error, bool) {
 		return 0, rerr, true
 	}
 	fi, ferr := om.field(obj, field, object.KindRefSet)
-	om.fastChargeHome(h, r.State, v.strategy.Lazy())
+	om.fastChargeHome(h, r.State(), v.strategy.Lazy())
 	if ferr != nil {
 		return 0, ferr, true
 	}
@@ -314,7 +322,7 @@ func (om *OM) fastTypeOf(v *Var) (*object.Type, error, bool) {
 	if rerr != nil {
 		return nil, rerr, true
 	}
-	om.fastChargeHome(h, r.State, v.strategy.Lazy())
+	om.fastChargeHome(h, r.State(), v.strategy.Lazy())
 	return obj.Type, nil, true
 }
 
@@ -341,7 +349,7 @@ func (om *OM) fastWriteInt(v *Var, field string, val int64) (error, bool) {
 		return rerr, true
 	}
 	fi, ferr := om.field(obj, field, object.KindInt)
-	om.fastChargeHome(h, r.State, v.strategy.Lazy())
+	om.fastChargeHome(h, r.State(), v.strategy.Lazy())
 	if ferr != nil {
 		return ferr, true
 	}
@@ -351,8 +359,16 @@ func (om *OM) fastWriteInt(v *Var, field string, val int64) (error, bool) {
 	lt := om.latches.For(obj.OID)
 	lt.Lock()
 	obj.SetInt(fi, val)
+	enlist := !obj.Dirty
 	obj.Dirty = true
 	lt.Unlock()
+	if enlist {
+		// Under the latch only this goroutine saw the transition; dirtyMu
+		// orders it against the first writers of other objects.
+		om.dirtyMu.Lock()
+		om.dirty = append(om.dirty, obj)
+		om.dirtyMu.Unlock()
+	}
 	return nil, true
 }
 
@@ -365,24 +381,24 @@ func (om *OM) fastAssignPlan(dst *Var, src object.Ref) (target *object.MemObject
 		return nil, true
 	}
 	want := dst.strategy.TargetState()
-	if dst.strategy.Lazy() && src.State == object.RefOID {
+	if dst.strategy.Lazy() && src.State() == object.RefOID {
 		want = object.RefOID
 	}
 	if want != object.RefDirect {
 		return nil, true
 	}
-	switch src.State {
+	switch src.State() {
 	case object.RefDirect:
 		return src.Ptr(), true
 	case object.RefIndirect:
 		t := src.Desc().Ptr
 		return t, t != nil
 	default: // RefOID: the target must already be resident and current
-		e := om.rot.Lookup(src.OID())
-		if e == nil || e.Obj.Stale {
+		obj := om.rot.Lookup(src.OID())
+		if obj == nil || obj.Stale {
 			return nil, false
 		}
-		return e.Obj, true
+		return obj, true
 	}
 }
 
@@ -399,11 +415,11 @@ func (om *OM) fastAssignCommit(dst *Var, src object.Ref, target *object.MemObjec
 		dst.ref = object.NilRef
 	default:
 		want := dst.strategy.TargetState()
-		if dst.strategy.Lazy() && src.State == object.RefOID {
+		if dst.strategy.Lazy() && src.State() == object.RefOID {
 			want = object.RefOID
 		}
 		switch {
-		case src.State == want:
+		case src.State() == want:
 			dst.ref = src
 			switch want {
 			case object.RefDirect:
@@ -417,7 +433,7 @@ func (om *OM) fastAssignCommit(dst *Var, src object.Ref, target *object.MemObjec
 			om.meter.SharedEvent(h, sim.CntTranslate, costs.TranslateSwizzledToOID)
 			dst.ref = object.OIDRef(src.TargetOID())
 		case want == object.RefDirect:
-			if src.State == object.RefOID {
+			if src.State() == object.RefOID {
 				om.meter.SharedEvent(h, sim.CntTranslate, costs.TranslateOIDToSwizzled)
 			} else {
 				om.meter.SharedEvent(h, sim.CntTranslate, costs.TranslateSwizzled)
@@ -425,7 +441,7 @@ func (om *OM) fastAssignCommit(dst *Var, src object.Ref, target *object.MemObjec
 			dst.ref = object.DirectRef(target)
 			om.fastRegisterVarDirect(object.VarSlot(&dst.ref), target)
 		default: // want == RefIndirect
-			if src.State == object.RefOID {
+			if src.State() == object.RefOID {
 				om.meter.SharedEvent(h, sim.CntTranslate, costs.TranslateOIDToSwizzled)
 			} else {
 				om.meter.SharedEvent(h, sim.CntTranslate, costs.TranslateSwizzled)
@@ -435,7 +451,7 @@ func (om *OM) fastAssignCommit(dst *Var, src object.Ref, target *object.MemObjec
 		}
 	}
 
-	switch old.State {
+	switch old.State() {
 	case object.RefDirect:
 		om.fastUnregisterVarDirect(object.VarSlot(&dst.ref), old.Ptr())
 	case object.RefIndirect:
@@ -474,15 +490,10 @@ func (om *OM) fastUnregisterVarDirect(slot object.Slot, target *object.MemObject
 // incremented, allocating (and charging) one under descMu if none exists.
 func (om *OM) fastDescriptorFor(id oid.OID, h int) *object.Descriptor {
 	om.descMu.Lock()
-	d := om.descs[id]
+	d, target := om.findDescriptor(id)
 	created := d == nil
 	if created {
-		d = &object.Descriptor{OID: id}
-		if e := om.rot.Lookup(id); e != nil {
-			d.Ptr = e.Obj
-			e.Obj.Desc = d
-		}
-		om.descs[id] = d
+		d = om.newDescriptor(id, target)
 	}
 	d.FanIn++
 	om.descMu.Unlock()
@@ -499,10 +510,7 @@ func (om *OM) fastReleaseDescriptor(d *object.Descriptor, h int) {
 	d.FanIn--
 	reclaim := d.FanIn <= 0 && !om.retainDescriptors
 	if reclaim {
-		delete(om.descs, d.OID)
-		if d.Ptr != nil {
-			d.Ptr.Desc = nil
-		}
+		om.dropDescriptor(d)
 	}
 	om.descMu.Unlock()
 	if reclaim {
@@ -535,12 +543,12 @@ func (om *OM) fastReadRef(v *Var, field string, dst *Var) (error, bool) {
 	}
 	lazy := v.strategy.Lazy()
 	if err := dst.valid(om); err != nil {
-		om.fastChargeHome(h, r.State, lazy)
+		om.fastChargeHome(h, r.State(), lazy)
 		return err, true
 	}
 	fi, ferr := om.field(obj, field, object.KindRef)
 	if ferr != nil {
-		om.fastChargeHome(h, r.State, lazy)
+		om.fastChargeHome(h, r.State(), lazy)
 		return ferr, true
 	}
 	slot := object.FieldSlot(obj, fi)
@@ -552,7 +560,7 @@ func (om *OM) fastReadRef(v *Var, field string, dst *Var) (error, bool) {
 	if !planOK {
 		return nil, false
 	}
-	om.fastChargeHome(h, r.State, lazy)
+	om.fastChargeHome(h, r.State(), lazy)
 	costs := om.meter.Costs()
 	om.obs.Inc(metrics.CtrRead)
 	om.slotScore(slot).Inc(metrics.ScoreDeref)
@@ -583,16 +591,16 @@ func (om *OM) fastReadElem(v *Var, field string, i int, dst *Var) (error, bool) 
 	}
 	lazy := v.strategy.Lazy()
 	if err := dst.valid(om); err != nil {
-		om.fastChargeHome(h, r.State, lazy)
+		om.fastChargeHome(h, r.State(), lazy)
 		return err, true
 	}
 	fi, ferr := om.field(obj, field, object.KindRefSet)
 	if ferr != nil {
-		om.fastChargeHome(h, r.State, lazy)
+		om.fastChargeHome(h, r.State(), lazy)
 		return ferr, true
 	}
 	if i < 0 || i >= obj.SetLen(fi) {
-		om.fastChargeHome(h, r.State, lazy)
+		om.fastChargeHome(h, r.State(), lazy)
 		return fmt.Errorf("core: %s.%s[%d] out of range (%d elements)",
 			obj.Type.Name, field, i, obj.SetLen(fi)), true
 	}
@@ -605,7 +613,7 @@ func (om *OM) fastReadElem(v *Var, field string, i int, dst *Var) (error, bool) 
 	if !planOK {
 		return nil, false
 	}
-	om.fastChargeHome(h, r.State, lazy)
+	om.fastChargeHome(h, r.State(), lazy)
 	costs := om.meter.Costs()
 	om.obs.Inc(metrics.CtrRead)
 	om.slotScore(slot).Inc(metrics.ScoreDeref)
@@ -618,7 +626,7 @@ func (om *OM) fastReadElem(v *Var, field string, i int, dst *Var) (error, bool) 
 // place (lazy swizzling upon discovery, ops.go discover) — a structural
 // mutation of a shared object, so the sequential path must do it.
 func (om *OM) fastNeedsDiscovery(slot object.Slot, src object.Ref) bool {
-	if src.State != object.RefOID {
+	if src.State() != object.RefOID {
 		return false
 	}
 	strat := om.spec.ForSlot(slot)
@@ -681,7 +689,7 @@ func (om *OM) fastSame(a, b *Var) (bool, error) {
 		return false, err
 	}
 	ar, br := a.ref, b.ref
-	if ar.State != br.State {
+	if ar.State() != br.State() {
 		om.meter.SharedEvent(h, sim.CntTranslate, om.meter.Costs().TranslateSwizzledToOID)
 	}
 	return ar.SameTarget(&br), nil
@@ -697,7 +705,7 @@ func (om *OM) fastFreeVar(v *Var) bool {
 		return false
 	}
 	r := v.ref
-	switch r.State {
+	switch r.State() {
 	case object.RefDirect:
 		om.fastUnregisterVarDirect(object.VarSlot(&v.ref), r.Ptr())
 	case object.RefIndirect:

@@ -75,7 +75,8 @@ func (om *OM) create(typ *object.Type, seg uint16, v, neighbor *Var) error {
 	}
 
 	obj := object.New(typ, id)
-	e := om.rot.Register(obj, addr)
+	obj.Page, obj.Slot = addr.Page, addr.Slot
+	om.rot.Register(obj)
 	if om.cache != nil {
 		if err := om.cache.Put(obj); err != nil {
 			om.rot.Unregister(id)
@@ -89,7 +90,6 @@ func (om *OM) create(typ *object.Type, seg uint16, v, neighbor *Var) error {
 		}
 		om.byPage[addr.Page] = append(om.byPage[addr.Page], obj)
 	}
-	_ = e
 
 	om.unregisterSlot(object.VarSlot(&v.ref))
 	v.ref = object.OIDRef(id)

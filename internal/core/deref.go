@@ -8,7 +8,6 @@ import (
 	"gom/internal/objcache"
 	"gom/internal/object"
 	"gom/internal/oid"
-	"gom/internal/rot"
 	"gom/internal/sim"
 	"gom/internal/storage"
 	"gom/internal/swizzle"
@@ -37,7 +36,7 @@ func (om *OM) deref(slot object.Slot, strat swizzle.Strategy, score *metrics.Sco
 	if strat.Lazy() {
 		om.meter.Charge(costs.LazyCheck)
 	}
-	if r.State == object.RefOID && strat.Swizzles() {
+	if r.State() == object.RefOID && strat.Swizzles() {
 		// A swizzled-strategy slot holding an OID: not yet discovered, or
 		// unswizzled when its target was displaced. (Re-)swizzle it; the
 		// slot is updated in place, so the switch below sees the new state.
@@ -45,7 +44,7 @@ func (om *OM) deref(slot object.Slot, strat swizzle.Strategy, score *metrics.Sco
 			return nil, err
 		}
 	}
-	switch r.State {
+	switch r.State() {
 	case object.RefDirect:
 		obj := r.Ptr()
 		if obj.Stale {
@@ -87,19 +86,19 @@ func (om *OM) deref(slot object.Slot, strat swizzle.Strategy, score *metrics.Sco
 		// No-swizzling: consult the ROT on every access (§3.1).
 		om.obs.Inc(metrics.CtrROTLookup)
 		om.meter.Event(sim.CntROTLookup, costs.ROTLookup)
-		e := om.rot.Lookup(r.OID())
-		if e == nil {
+		obj := om.rot.Lookup(r.OID())
+		if obj == nil {
 			om.meter.Add(sim.CntROTMiss, 1)
 			score.Inc(metrics.ScoreFault)
 			return om.objectFault(r.OID())
 		}
 		om.meter.Add(sim.CntROTHit, 1)
-		if e.Obj.Stale {
-			if err := om.fixRepresentation(e.Obj); err != nil {
+		if obj.Stale {
+			if err := om.fixRepresentation(obj); err != nil {
 				return nil, err
 			}
 		}
-		return e.Obj, nil
+		return obj, nil
 	}
 	return nil, ErrNilRef
 }
@@ -108,12 +107,11 @@ func (om *OM) deref(slot object.Slot, strat swizzle.Strategy, score *metrics.Sco
 // faults performed inside fn cannot displace it while slots into it are
 // being manipulated.
 func (om *OM) withPinned(obj *object.MemObject, fn func() error) error {
-	e := om.rot.Lookup(obj.OID)
-	if e == nil || e.Obj != obj {
+	if om.rot.Lookup(obj.OID) != obj {
 		return fn()
 	}
-	om.pinEntry(e)
-	defer om.unpinEntry(e)
+	om.pinResident(obj)
+	defer om.unpinResident(obj)
 	return fn()
 }
 
@@ -121,13 +119,13 @@ func (om *OM) withPinned(obj *object.MemObject, fn func() error) error {
 // needed. It does not charge a ROT lookup; callers that model one charge
 // it themselves.
 func (om *OM) ensureResident(id oid.OID) (*object.MemObject, error) {
-	if e := om.rot.Lookup(id); e != nil {
-		if e.Obj.Stale {
-			if err := om.fixRepresentation(e.Obj); err != nil {
+	if obj := om.rot.Lookup(id); obj != nil {
+		if obj.Stale {
+			if err := om.fixRepresentation(obj); err != nil {
 				return nil, err
 			}
 		}
-		return e.Obj, nil
+		return obj, nil
 	}
 	return om.objectFault(id)
 }
@@ -204,7 +202,8 @@ func (om *OM) materialize(id oid.OID, addr storage.PAddr) (*object.MemObject, er
 // revalidation, and the eager swizzling scan.
 func (om *OM) registerFault(obj *object.MemObject, addr storage.PAddr) (*object.MemObject, error) {
 	id := obj.OID
-	entry := om.rot.Register(obj, addr)
+	obj.Page, obj.Slot = addr.Page, addr.Slot
+	om.rot.Register(obj)
 	if om.cache != nil {
 		if err := om.cache.Put(obj); err != nil {
 			om.rot.Unregister(id)
@@ -217,15 +216,17 @@ func (om *OM) registerFault(obj *object.MemObject, addr storage.PAddr) (*object.
 		om.byPage[addr.Page] = append(om.byPage[addr.Page], obj)
 	}
 	// Revalidate an existing descriptor: indirect references swizzled
-	// while the object was absent resolve again (Fig. 3).
+	// while the object was absent resolve again (Fig. 3). The object carries
+	// it from here on.
 	if d := om.descs[id]; d != nil {
+		delete(om.descs, id)
 		d.Ptr = obj
 		obj.Desc = d
 	}
 	// Eager swizzling: scan through the object (§3.2.1). The home is
 	// pinned so the recursive loading of EDS granules (the snowball)
 	// cannot displace it mid-scan.
-	if err := om.eagerScan(entry); err != nil {
+	if err := om.eagerScan(obj); err != nil {
 		return nil, err
 	}
 	return obj, nil
@@ -233,11 +234,10 @@ func (om *OM) registerFault(obj *object.MemObject, addr storage.PAddr) (*object.
 
 // eagerScan swizzles every eager-granule reference of a freshly faulted
 // (or representation-fixed) object.
-func (om *OM) eagerScan(e *rot.Entry) error {
-	obj := e.Obj
+func (om *OM) eagerScan(obj *object.MemObject) error {
 	var slots []object.Slot
 	obj.Refs(func(s object.Slot) {
-		if !s.Ref().IsNil() && s.Ref().State == object.RefOID && om.spec.ForSlot(s).Eager() {
+		if !s.Ref().IsNil() && s.Ref().State() == object.RefOID && om.spec.ForSlot(s).Eager() {
 			slots = append(slots, s)
 		}
 	})
@@ -245,13 +245,13 @@ func (om *OM) eagerScan(e *rot.Entry) error {
 		return nil
 	}
 	om.primeHints(slots)
-	om.pinEntry(e)
-	defer om.unpinEntry(e)
+	om.pinResident(obj)
+	defer om.unpinResident(obj)
 	for _, s := range slots {
 		// A previous iteration's snowball may have displaced nothing from
 		// this pinned object, but the slot may have been swizzled as part
 		// of a cycle; skip it then.
-		if s.Ref().State != object.RefOID {
+		if s.Ref().State() != object.RefOID {
 			continue
 		}
 		if err := om.swizzleSlot(s, om.spec.ForSlot(s), om.slotScore(s)); err != nil {
@@ -301,22 +301,22 @@ func (om *OM) primeHints(slots []object.Slot) {
 	}
 }
 
-// pinEntry pins the object (copy architecture) or its page (page
+// pinResident pins a resident object (copy architecture) or its page (page
 // architecture) against replacement.
-func (om *OM) pinEntry(e *rot.Entry) {
+func (om *OM) pinResident(obj *object.MemObject) {
 	if om.cache != nil {
-		e.Obj.Pin()
+		obj.Pin()
 		return
 	}
-	_ = om.pool.Pin(e.Addr.Page)
+	_ = om.pool.Pin(obj.Page)
 }
 
-func (om *OM) unpinEntry(e *rot.Entry) {
+func (om *OM) unpinResident(obj *object.MemObject) {
 	if om.cache != nil {
-		e.Obj.Unpin()
+		obj.Unpin()
 		return
 	}
-	_ = om.pool.Unpin(e.Addr.Page)
+	_ = om.pool.Unpin(obj.Page)
 }
 
 // swizzleSlot converts an unswizzled slot to the strategy's representation
@@ -326,7 +326,7 @@ func (om *OM) unpinEntry(e *rot.Entry) {
 // a descriptor and never loads.
 func (om *OM) swizzleSlot(slot object.Slot, strat swizzle.Strategy, score *metrics.Score) error {
 	r := slot.Ref()
-	if r.State != object.RefOID || !strat.Swizzles() {
+	if r.State() != object.RefOID || !strat.Swizzles() {
 		return nil
 	}
 	id := r.OID()
@@ -427,19 +427,46 @@ func (om *OM) unregisterDirect(slot object.Slot, target *object.MemObject) {
 	}
 }
 
+// findDescriptor returns the descriptor for an OID, or nil, and the target
+// if it is resident: a resident object carries its descriptor, the table
+// holds the others.
+func (om *OM) findDescriptor(id oid.OID) (*object.Descriptor, *object.MemObject) {
+	if obj := om.rot.Lookup(id); obj != nil {
+		return obj.Desc, obj
+	}
+	return om.descs[id], nil
+}
+
+// newDescriptor allocates the descriptor for an OID and files it where
+// findDescriptor looks: on the resident target (nil if there is none),
+// linked and valid, or in the table.
+func (om *OM) newDescriptor(id oid.OID, target *object.MemObject) *object.Descriptor {
+	d := &object.Descriptor{OID: id, Ptr: target}
+	if target != nil {
+		target.Desc = d
+	} else {
+		om.descs[id] = d
+	}
+	return d
+}
+
+// dropDescriptor removes a reclaimed descriptor from wherever it is filed.
+func (om *OM) dropDescriptor(d *object.Descriptor) {
+	if d.Ptr != nil {
+		d.Ptr.Desc = nil
+	} else {
+		delete(om.descs, d.OID)
+	}
+}
+
 // descriptorFor returns the descriptor for an OID, allocating one if none
 // exists. A resident target gets linked immediately.
 func (om *OM) descriptorFor(id oid.OID) *object.Descriptor {
-	if d := om.descs[id]; d != nil {
-		return d
+	d, target := om.findDescriptor(id)
+	if d == nil {
+		d = om.newDescriptor(id, target)
+		om.meter.Event(sim.CntDescAlloc, om.meter.Costs().DescAlloc)
 	}
-	d := &object.Descriptor{OID: id}
-	if e := om.rot.Lookup(id); e != nil {
-		d.Ptr = e.Obj
-		e.Obj.Desc = d
-	}
-	om.descs[id] = d
-	om.meter.Event(sim.CntDescAlloc, om.meter.Costs().DescAlloc)
 	return d
 }
 
@@ -451,10 +478,7 @@ func (om *OM) releaseDescriptor(d *object.Descriptor) {
 	if d.FanIn > 0 || om.retainDescriptors {
 		return
 	}
-	delete(om.descs, d.OID)
-	if d.Ptr != nil {
-		d.Ptr.Desc = nil
-	}
+	om.dropDescriptor(d)
 	om.meter.Event(sim.CntDescFree, om.meter.Costs().DescFree)
 }
 
@@ -463,7 +487,7 @@ func (om *OM) releaseDescriptor(d *object.Descriptor) {
 func (om *OM) unswizzleSlot(slot object.Slot) {
 	r := slot.Ref()
 	costs := om.meter.Costs()
-	switch r.State {
+	switch r.State() {
 	case object.RefDirect:
 		target := r.Ptr()
 		om.unregisterDirect(slot, target)
@@ -484,7 +508,7 @@ func (om *OM) unswizzleSlot(slot object.Slot) {
 // freed variable, a displaced home object).
 func (om *OM) unregisterSlot(slot object.Slot) {
 	r := slot.Ref()
-	switch r.State {
+	switch r.State() {
 	case object.RefDirect:
 		om.unregisterDirect(slot, r.Ptr())
 	case object.RefIndirect:
@@ -510,7 +534,7 @@ func (om *OM) assignRef(dst object.Slot, dstStrat swizzle.Strategy, src *object.
 			return nil
 		}
 		want := dstStrat.TargetState()
-		if dstStrat.Lazy() && src.State == object.RefOID {
+		if dstStrat.Lazy() && src.State() == object.RefOID {
 			// Lazy destinations adopt an unswizzled source as-is;
 			// swizzling happens upon discovery.
 			want = object.RefOID
@@ -519,7 +543,7 @@ func (om *OM) assignRef(dst object.Slot, dstStrat swizzle.Strategy, src *object.
 			// Swizzle table full: degrade the destination to an OID.
 			want = object.RefOID
 		}
-		if src.State == want {
+		if src.State() == want {
 			// Same layout: copy, then register the new slot.
 			v := *src // copy first: src may alias dst
 			*dst.Ref() = v
@@ -537,14 +561,14 @@ func (om *OM) assignRef(dst object.Slot, dstStrat swizzle.Strategy, src *object.
 			om.meter.Event(sim.CntTranslate, costs.TranslateSwizzledToOID)
 			*dst.Ref() = object.OIDRef(src.TargetOID())
 		case object.RefDirect:
-			switch src.State {
+			switch src.State() {
 			case object.RefOID:
 				om.meter.Event(sim.CntTranslate, costs.TranslateOIDToSwizzled)
 			default:
 				om.meter.Event(sim.CntTranslate, costs.TranslateSwizzled)
 			}
 			var target *object.MemObject
-			if src.State == object.RefIndirect && src.Desc().Valid() {
+			if src.State() == object.RefIndirect && src.Desc().Valid() {
 				target = src.Desc().Ptr
 			} else {
 				var err error
@@ -561,7 +585,7 @@ func (om *OM) assignRef(dst object.Slot, dstStrat swizzle.Strategy, src *object.
 			om.registerDirect(dst, target)
 			*dst.Ref() = object.DirectRef(target)
 		case object.RefIndirect:
-			if src.State == object.RefOID {
+			if src.State() == object.RefOID {
 				om.meter.Event(sim.CntTranslate, costs.TranslateOIDToSwizzled)
 			} else {
 				om.meter.Event(sim.CntTranslate, costs.TranslateSwizzled)
@@ -578,7 +602,7 @@ func (om *OM) assignRef(dst object.Slot, dstStrat swizzle.Strategy, src *object.
 	// Release the old value's bookkeeping. The RRL entry is matched by the
 	// slot tuple, so removal works although the slot now holds the new
 	// value.
-	switch old.State {
+	switch old.State() {
 	case object.RefDirect:
 		om.unregisterDirect(dst, old.Ptr())
 	case object.RefIndirect:

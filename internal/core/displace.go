@@ -9,7 +9,6 @@ import (
 	"gom/internal/object"
 	"gom/internal/oid"
 	"gom/internal/page"
-	"gom/internal/rot"
 	"gom/internal/sim"
 	"gom/internal/storage"
 	"gom/internal/swizzle"
@@ -93,17 +92,16 @@ func (om *OM) displace(obj *object.MemObject, fromHook bool) error {
 	if om.displacing[obj.OID] {
 		return nil
 	}
-	e := om.rot.Lookup(obj.OID)
-	if e == nil || e.Obj != obj {
+	if om.rot.Lookup(obj.OID) != obj {
 		return nil // already displaced (or a re-registered successor exists)
 	}
 	om.displacing[obj.OID] = true
 	defer delete(om.displacing, obj.OID)
 	om.obs.Inc(metrics.CtrDisplacement)
-	om.obs.Trace(metrics.CtrDisplacement, uint64(obj.OID), uint64(e.Addr.Page))
+	om.obs.Trace(metrics.CtrDisplacement, uint64(obj.OID), uint64(obj.Page))
 
 	if obj.Dirty {
-		if _, err := om.writeBack(e); err != nil {
+		if _, err := om.writeBack(obj); err != nil {
 			return err
 		}
 	}
@@ -137,7 +135,7 @@ func (om *OM) displace(obj *object.MemObject, fromHook bool) error {
 	}
 	for _, s := range incoming {
 		r := s.Ref()
-		if r.State != object.RefDirect || r.Ptr() != obj {
+		if r.State() != object.RefDirect || r.Ptr() != obj {
 			continue // slot was rewritten; stale entry
 		}
 		if om.pagewise {
@@ -161,10 +159,11 @@ func (om *OM) displace(obj *object.MemObject, fromHook bool) error {
 	}
 
 	// (4) Descriptor invalidation.
-	if obj.Desc != nil {
-		obj.Desc.Ptr = nil
+	if d := obj.Desc; d != nil {
+		d.Ptr = nil
 		om.meter.Add(sim.CntDescInvalidate, 1)
-		obj.Desc = nil // the descriptor table retains it by OID
+		obj.Desc = nil
+		om.descs[obj.OID] = d // the table keeps it until the next fault
 	}
 
 	// (5) Unregister.
@@ -175,7 +174,7 @@ func (om *OM) displace(obj *object.MemObject, fromHook bool) error {
 		}
 	} else {
 		om.meter.Add(sim.CntObjectEvict, 1)
-		om.removeFromPage(e.Addr.Page, obj)
+		om.removeFromPage(obj.Page, obj)
 	}
 
 	// Reverse snowball: eager-direct homes must not stay registered with
@@ -183,19 +182,16 @@ func (om *OM) displace(obj *object.MemObject, fromHook bool) error {
 	// reference was unswizzled above and is repaired on next access (the
 	// softened invariant the access path of deref handles).
 	for _, home := range cascade {
-		he := om.rot.Lookup(home.OID)
-		if he == nil || he.Obj != home || home.Pinned() {
+		if om.rot.Lookup(home.OID) != home || home.Pinned() {
 			continue
 		}
-		if om.cache == nil && om.pool.Peek(he.Addr.Page) != nil && om.pool.Peek(he.Addr.Page).Pinned() {
-			continue
+		if om.cache == nil {
+			if f := om.pool.Peek(home.Page); f != nil && f.Pinned() {
+				continue
+			}
 		}
 		if err := om.displace(home, false); err != nil {
 			return err
-		}
-		if om.cache != nil {
-			// displace(false) already removed it from the cache.
-			continue
 		}
 	}
 	return nil
@@ -225,33 +221,33 @@ func (om *OM) removeFromPage(pid page.PageID, obj *object.MemObject) {
 // the page architecture a relocated object's new page is not buffered, so
 // callers that keep the object resident must displace it (it refaults
 // from its new page on next access).
-func (om *OM) writeBack(e *rot.Entry) (relocated bool, err error) {
-	rec, err := object.Encode(e.Obj)
+func (om *OM) writeBack(obj *object.MemObject) (relocated bool, err error) {
+	rec, err := object.Encode(obj)
 	if err != nil {
 		return false, err
 	}
 	costs := om.meter.Costs()
-	frame := om.pool.Peek(e.Addr.Page)
+	frame := om.pool.Peek(obj.Page)
 	if frame == nil {
 		// No buffered copy of the page (the common case in the copy
 		// architecture once the page cycled out): rewrite server-side. In
 		// the page architecture a resident object's page is always
 		// buffered, so this is purely defensive there.
-		addr, err := om.srv.UpdateObject(e.Obj.OID, rec)
+		addr, err := om.srv.UpdateObject(obj.OID, rec)
 		if err != nil {
 			return false, err
 		}
 		om.meter.Event(sim.CntPageWrite, costs.PageIO)
 		om.meter.Add(sim.CntServerRoundTrip, 1)
-		moved := addr != e.Addr
-		om.relocateResident(e, addr)
-		e.Obj.Dirty = false
+		moved := addr != storage.PAddr{Page: obj.Page, Slot: obj.Slot}
+		om.relocateResident(obj, addr)
+		obj.Dirty = false
 		return moved, nil
 	}
-	uerr := frame.Page.Update(int(e.Addr.Slot), rec)
+	uerr := frame.Page.Update(int(obj.Slot), rec)
 	if uerr == nil {
 		frame.MarkDirty()
-		e.Obj.Dirty = false
+		obj.Dirty = false
 		return false, nil
 	}
 	if !errors.Is(uerr, page.ErrPageFull) {
@@ -259,12 +255,12 @@ func (om *OM) writeBack(e *rot.Entry) (relocated bool, err error) {
 	}
 	// The record outgrew its page: ship our copy of the page, relocate
 	// server-side, then refresh the affected buffered pages.
-	oldPage := e.Addr.Page
+	oldPage := obj.Page
 	frame.MarkDirty()
 	if err := om.pool.Flush(oldPage); err != nil {
 		return false, err
 	}
-	addr, err := om.srv.UpdateObject(e.Obj.OID, rec)
+	addr, err := om.srv.UpdateObject(obj.OID, rec)
 	if err != nil {
 		return false, err
 	}
@@ -278,17 +274,17 @@ func (om *OM) writeBack(e *rot.Entry) (relocated bool, err error) {
 			return false, err
 		}
 	}
-	om.relocateResident(e, addr)
-	e.Obj.Dirty = false
+	om.relocateResident(obj, addr)
+	obj.Dirty = false
 	return addr.Page != oldPage, nil
 }
 
 // relocateResident moves the residency bookkeeping of an object whose
 // physical address changed.
-func (om *OM) relocateResident(e *rot.Entry, addr storage.PAddr) {
+func (om *OM) relocateResident(obj *object.MemObject, addr storage.PAddr) {
 	if om.cache == nil {
-		om.removeFromPage(e.Addr.Page, e.Obj)
-		om.byPage[addr.Page] = append(om.byPage[addr.Page], e.Obj)
+		om.removeFromPage(obj.Page, obj)
+		om.byPage[addr.Page] = append(om.byPage[addr.Page], obj)
 	}
 	if om.pagewise {
 		// Incoming references to the object were registered under its old
@@ -297,22 +293,22 @@ func (om *OM) relocateResident(e *rot.Entry, addr storage.PAddr) {
 		// direct references are registered under the old page as the home
 		// side — re-register them under the new page.
 		var outgoing []object.Slot
-		e.Obj.Refs(func(s object.Slot) {
-			if s.Ref().State == object.RefDirect {
+		obj.Refs(func(s object.Slot) {
+			if s.Ref().State() == object.RefDirect {
 				outgoing = append(outgoing, s)
 			}
 		})
 		for _, s := range outgoing {
 			om.pageUnregisterDirect(s, s.Ref().Ptr())
 		}
-		om.pageMergeHints(e.Addr.Page, addr.Page)
-		e.Addr = addr
+		om.pageMergeHints(obj.Page, addr.Page)
+		obj.Page, obj.Slot = addr.Page, addr.Slot
 		for _, s := range outgoing {
 			om.pageRegisterDirect(s, s.Ref().Ptr())
 		}
 		return
 	}
-	e.Addr = addr
+	obj.Page, obj.Slot = addr.Page, addr.Slot
 }
 
 // DisplaceObject displaces one resident object by OID (exposed for tests
@@ -327,9 +323,9 @@ func (om *OM) DisplaceObject(id oid.OID) error {
 	if err := om.takeDeferredErr(); err != nil {
 		return err
 	}
-	e := om.rot.Lookup(id)
-	if e == nil {
+	obj := om.rot.Lookup(id)
+	if obj == nil {
 		return fmt.Errorf("core: %v not resident", id)
 	}
-	return om.displace(e.Obj, false)
+	return om.displace(obj, false)
 }

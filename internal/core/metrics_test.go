@@ -208,3 +208,91 @@ func benchDeref(b *testing.B, reg *metrics.Registry, tr *trace.Tracer) {
 		}
 	}
 }
+
+// TestVisitAllocs pins what one traversal visit — two NewVars, ReadElem,
+// ReadRef, three field reads, two FreeVars — may allocate with the
+// always-on stack installed (scoreboard and an unsampled tracer), under the
+// swizzled and the unswizzled strategy the benchmark's hot_traverse runs.
+// The two Vars are the floor. NewVar used to add three allocations each
+// (the "$name" context, the scoreboard key, the boxed strategy label) and a
+// scoreboard shard lock; it now resolves them once per (name, type) per
+// spec. This is the per-layer metric core.allocs_per_visit.
+func TestVisitAllocs(t *testing.T) {
+	for _, strat := range []swizzle.Strategy{swizzle.EDS, swizzle.NOS} {
+		b := buildBase(t, 10)
+		om := b.om(t, Options{Metrics: metrics.New(), Trace: trace.New(1<<30, 64)})
+		om.BeginApplication(appSpec(strat))
+		p := om.NewVar("p", b.part)
+		if err := om.Load(p, b.parts[0]); err != nil {
+			t.Fatal(err)
+		}
+		visit := func() {
+			cv, pv := om.NewVar("tconn", b.conn), om.NewVar("tpart", b.part)
+			err := om.ReadElem(p, "connTo", 0, cv)
+			if err == nil {
+				err = om.ReadRef(cv, "to", pv)
+			}
+			if err == nil {
+				_, err = om.ReadInt(pv, "x")
+			}
+			if err == nil {
+				_, err = om.ReadInt(pv, "y")
+			}
+			if err == nil {
+				_, err = om.ReadStr(pv, "type")
+			}
+			om.FreeVar(pv)
+			om.FreeVar(cv)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		visit() // fault and swizzle
+		if allocs := testing.AllocsPerRun(200, visit); allocs > 2 {
+			t.Errorf("%v: a traversal visit allocates %.1f objects, want the 2 Vars", strat, allocs)
+		}
+	}
+}
+
+// TestNewVarFollowsSpec: what NewVar caches per (name, type) is dropped
+// when the spec changes, and only then — a variable declared under the
+// next application resolves, and is labelled on the scoreboard, by the
+// spec that is active.
+func TestNewVarFollowsSpec(t *testing.T) {
+	b := buildBase(t, 10)
+	reg := metrics.New()
+	om := b.om(t, Options{Metrics: reg})
+	label := func() string {
+		for _, row := range reg.ScoreRows() {
+			if row.Context == "$p" {
+				return row.Strategy
+			}
+		}
+		return ""
+	}
+	for _, step := range []struct {
+		spec *swizzle.Spec
+		want swizzle.Strategy
+	}{
+		{appSpec(swizzle.EDS), swizzle.EDS},
+		{appSpec(swizzle.EDS), swizzle.EDS}, // equal spec, other pointer
+		{appSpec(swizzle.EDS).WithVar("p", swizzle.LIS), swizzle.LIS},
+		{appSpec(swizzle.NOS).WithType("Part", swizzle.EIS), swizzle.EIS},
+		{appSpec(swizzle.NOS), swizzle.NOS},
+	} {
+		om.BeginApplication(step.spec)
+		for i := 0; i < 2; i++ { // resolved, then cached
+			v := om.NewVar("p", b.part)
+			if v.Strategy() != step.want || label() != step.want.String() {
+				t.Errorf("%v: variable resolves %v, labelled %q, want %v", step.spec, v.Strategy(), label(), step.want)
+			}
+			if err := om.Load(v, b.parts[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := om.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		mustVerify(t, om)
+	}
+}

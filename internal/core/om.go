@@ -137,17 +137,30 @@ type OM struct {
 	// an authoritative Lookup if one proves stale).
 	addrHints map[oid.OID]storage.PAddr
 
-	// descs is the descriptor table: OID → descriptor, for descriptors of
-	// resident and non-resident objects alike (§3.2.2).
+	// descs is the descriptor table (§3.2.2) for the targets that are not
+	// resident. A resident object carries its descriptor itself (Desc), so
+	// the table costs nothing per cached object: displacement moves the
+	// descriptor in, the next fault moves it out (findDescriptor, deref.go).
 	descs map[oid.OID]*object.Descriptor
 	// byPage tracks, in the page architecture, which resident objects were
 	// materialized from each buffered page, so page eviction can displace
 	// them.
 	byPage map[page.PageID][]*object.MemObject
+	// dirty lists the objects whose Dirty bit was set since the last
+	// Commit, which drains it instead of searching the ROT. An entry goes
+	// out of date when its object is displaced and written back first.
+	// Appended under the writer lock, or under dirtyMu by fastWriteInt.
+	dirty   []*object.MemObject
+	dirtyMu sync.Mutex
 	// vars is the registry of live program variables (the "run-time
 	// stack" the displacement logic must reach, §5.3), sharded so
 	// concurrent NewVar/FreeVar don't contend on one lock.
 	vars *varSet
+	// varCtxs caches what NewVar resolves per (name, declared type) under
+	// the active spec and registry: read lock-free, replaced copy-on-write
+	// under varCtxMu, emptied when either changes.
+	varCtxs  atomic.Pointer[map[varKey]varCtx]
+	varCtxMu sync.Mutex
 	// displacing guards displacement cascades against cycles.
 	displacing map[oid.OID]bool
 	// pagewise selects page-level reverse references (§5.3); pageRRL maps
@@ -167,9 +180,6 @@ type OM struct {
 	scoreTab map[*object.Type][]*metrics.Score
 
 	tracer Tracer
-	// specEpoch increments on every application switch that changes the
-	// spec; used only for diagnostics.
-	specEpoch int
 	// lazyUponDereference switches lazy swizzling from the default
 	// upon-discovery behaviour to upon-dereference (§3.2.1) — implemented
 	// for the ablation study; GOM and EXODUS use upon-discovery.
@@ -285,6 +295,7 @@ func (om *OM) SetMetrics(r *metrics.Registry) {
 	om.pool.SetMetrics(r)
 	om.buildScoreTab()
 	om.labelScoreStrategies()
+	om.varCtxs.Store(new(map[varKey]varCtx))
 }
 
 // Schema returns the schema.
@@ -341,36 +352,51 @@ func (om *OM) BeginApplication(spec *swizzle.Spec) {
 	if spec == nil {
 		spec = swizzle.NewSpec("default", swizzle.NOS)
 	}
-	if !spec.Equal(om.spec) {
-		om.specEpoch++
-		om.rot.Range(func(e *rot.Entry) bool {
-			e.Obj.Stale = true
-			if e.Obj.Desc != nil {
-				e.Obj.Desc.Stale = true
-			}
-			return true
-		})
+	if spec.Equal(om.spec) {
+		om.spec = spec // resolves identically: nothing cached needs touching
+		return
 	}
+	om.rot.Range(func(obj *object.MemObject) bool {
+		obj.Stale = true
+		if obj.Desc != nil {
+			obj.Desc.Stale = true
+		}
+		return true
+	})
 	om.spec = spec
 	om.labelScoreStrategies()
+	om.varCtxs.Store(new(map[varKey]varCtx))
 }
 
 // releaseVars unregisters every live variable's swizzling bookkeeping and
 // invalidates the variables (transient state does not survive the
 // application, §3.2.2).
 func (om *OM) releaseVars() {
-	for _, v := range om.vars.snapshot() {
+	for _, v := range om.vars.drain() {
 		om.unregisterSlot(object.VarSlot(&v.ref))
 		v.ref = object.NilRef
 		v.om = nil
 	}
-	om.vars.clear()
 }
 
-// Commit ends the current application: all dirty objects are written back
-// into their pages, dirty pages are shipped to the server, and every
-// buffered page and cached object remains resident for subsequent
-// applications (§4.1.2).
+// markDirty sets the object's dirty bit and, on the clean→dirty
+// transition, enlists the object for the next Commit. The caller holds the
+// writer lock (or the manager is sequential); fastWriteInt does the same
+// under the object's latch and dirtyMu.
+func (om *OM) markDirty(obj *object.MemObject) {
+	if !obj.Dirty {
+		obj.Dirty = true
+		om.dirty = append(om.dirty, obj)
+	}
+}
+
+// Commit ends the current application: the objects written since the last
+// commit are written back into their pages, the pages dirtied thereby are
+// shipped to the server, and every buffered page and cached object remains
+// resident for subsequent applications (§4.1.2). It costs what the
+// application wrote, not what is cached: the object manager and the pool
+// both list what is dirty. If a write-back fails, what has not been
+// shipped stays listed and a second Commit ships it.
 func (om *OM) Commit() error {
 	sp, prev := om.startOp(spanCommit)
 	defer om.endOp(sp, prev)
@@ -379,31 +405,26 @@ func (om *OM) Commit() error {
 		defer om.mu.Unlock()
 	}
 	om.releaseVars()
-	var err error
 	var relocated []*object.MemObject
-	om.rot.Range(func(e *rot.Entry) bool {
-		if e.Obj.Dirty {
-			moved, werr := om.writeBack(e)
-			if werr != nil {
-				err = werr
-				return false
-			}
-			if moved {
-				relocated = append(relocated, e.Obj)
-			}
+	for i, obj := range om.dirty {
+		if !obj.Dirty || om.rot.Lookup(obj.OID) != obj {
+			continue // displaced and written back since it was enlisted
 		}
-		return true
-	})
-	if err != nil {
-		return err
+		moved, err := om.writeBack(obj)
+		if err != nil {
+			om.dirty = om.dirty[i:]
+			return err
+		}
+		if moved && om.cache == nil {
+			relocated = append(relocated, obj)
+		}
 	}
+	clear(om.dirty) // do not keep displaced objects reachable
+	om.dirty = om.dirty[:0]
 	// A relocated object's new page is not buffered; displace it so the
 	// page-architecture invariant (resident ⇒ page buffered) holds — it
 	// refaults from its new location on next access.
 	for _, obj := range relocated {
-		if om.cache != nil {
-			continue // copy architecture has no such invariant
-		}
 		if err := om.displace(obj, false); err != nil {
 			return err
 		}
@@ -432,13 +453,15 @@ func (om *OM) Reset() error {
 	}
 	// Page-architecture page drops displace their objects; anything left
 	// (defensively) is displaced now.
-	for _, id := range om.rot.OIDs() {
-		if e := om.rot.Lookup(id); e != nil {
-			if err := om.displace(e.Obj, false); err != nil {
-				return err
-			}
-		}
+	var err error
+	om.rot.Range(func(obj *object.MemObject) bool {
+		err = om.displace(obj, false)
+		return err == nil
+	})
+	if err != nil {
+		return err
 	}
+	om.dirty = nil // every object was written back on its way out
 	om.descs = make(map[oid.OID]*object.Descriptor)
 	om.byPage = make(map[page.PageID][]*object.MemObject)
 	om.addrHints = make(map[oid.OID]storage.PAddr)
@@ -458,12 +481,12 @@ func (om *OM) Discard() {
 		om.mu.Lock()
 		defer om.mu.Unlock()
 	}
-	for _, v := range om.vars.snapshot() {
+	for _, v := range om.vars.drain() {
 		v.ref = object.NilRef
 		v.om = nil
 	}
-	om.vars.clear()
 	om.rot = rot.New()
+	om.dirty = nil
 	om.descs = make(map[oid.OID]*object.Descriptor)
 	om.byPage = make(map[page.PageID][]*object.MemObject)
 	om.displacing = make(map[oid.OID]bool)
@@ -513,13 +536,47 @@ func (om *OM) NewVar(name string, typ *object.Type) *Var {
 		rs := om.mu.RLock(int(v.slot))
 		defer om.mu.RUnlock(rs)
 	}
-	v.strategy = om.spec.ForVar(name, typ.Name)
-	if om.obs != nil {
-		v.score = om.obs.Score(typ.Name, "$"+name)
-		v.score.SetStrategy(v.strategy.String())
-	}
+	c := om.varContext(varKey{name, typ})
+	v.strategy, v.score = c.strategy, c.score
 	om.vars.add(v)
 	return v
+}
+
+// varKey identifies a variable context: all its resolution depends on.
+type varKey struct {
+	name string
+	typ  *object.Type
+}
+
+// varCtx is what NewVar resolves for it: strategy and scoreboard handle.
+type varCtx struct {
+	strategy swizzle.Strategy
+	score    *metrics.Score
+}
+
+// varContext resolves a variable context, from the cache when it has been
+// resolved under the active spec before: NewVar runs twice per visited
+// object in a traversal, and building the scoreboard key and taking its
+// shard lock each time was most of its cost.
+func (om *OM) varContext(k varKey) varCtx {
+	if c, ok := (*om.varCtxs.Load())[k]; ok {
+		return c
+	}
+	c := varCtx{strategy: om.spec.ForVar(k.name, k.typ.Name)}
+	if om.obs != nil {
+		c.score = om.obs.Score(k.typ.Name, "$"+k.name)
+		c.score.SetStrategy(c.strategy.String())
+	}
+	om.varCtxMu.Lock()
+	defer om.varCtxMu.Unlock()
+	old := *om.varCtxs.Load()
+	next := make(map[varKey]varCtx, len(old)+1)
+	for ok, oc := range old {
+		next[ok] = oc
+	}
+	next[k] = c
+	om.varCtxs.Store(&next)
+	return c
 }
 
 // FreeVar releases a variable before the application ends (leaving a
@@ -593,7 +650,7 @@ func (om *OM) Same(a, b *Var) (bool, error) {
 		return false, err
 	}
 	costs := om.meter.Costs()
-	if a.ref.State != b.ref.State {
+	if a.ref.State() != b.ref.State() {
 		// One side must be translated to compare.
 		om.meter.Event(sim.CntTranslate, costs.TranslateSwizzledToOID)
 	}

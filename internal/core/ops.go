@@ -224,7 +224,7 @@ func (om *OM) discover(slot object.Slot) error {
 	if !strat.Lazy() || om.lazyUponDereference {
 		return nil
 	}
-	if slot.Ref().State != object.RefOID {
+	if slot.Ref().State() != object.RefOID {
 		return nil
 	}
 	return om.swizzleSlot(slot, strat, om.slotScore(slot))
@@ -279,7 +279,7 @@ func (om *OM) WriteInt(v *Var, field string, val int64) error {
 	om.meter.Event(sim.CntUpdateInt, costs.FieldAccess+costs.MarkDirty)
 	om.trace(obj.OID, field, true)
 	obj.SetInt(fi, val)
-	obj.Dirty = true
+	om.markDirty(obj)
 	return nil
 }
 
@@ -304,7 +304,7 @@ func (om *OM) WriteStr(v *Var, field string, val string) error {
 	om.meter.Event(sim.CntUpdateInt, costs.FieldAccess+costs.MarkDirty)
 	om.trace(obj.OID, field, true)
 	obj.SetStr(fi, val)
-	obj.Dirty = true
+	om.markDirty(obj)
 	return om.reaccount(obj)
 }
 
@@ -340,7 +340,7 @@ func (om *OM) WriteRef(v *Var, field string, src *Var) error {
 	}); err != nil {
 		return err
 	}
-	obj.Dirty = true
+	om.markDirty(obj)
 	return nil
 }
 
@@ -397,7 +397,7 @@ func (om *OM) AppendElem(v *Var, field string, src *Var) error {
 	}); err != nil {
 		return err
 	}
-	obj.Dirty = true
+	om.markDirty(obj)
 	return om.reaccount(obj)
 }
 
@@ -434,7 +434,7 @@ func (om *OM) WriteElem(v *Var, field string, i int, src *Var) error {
 	}); err != nil {
 		return err
 	}
-	obj.Dirty = true
+	om.markDirty(obj)
 	return nil
 }
 
@@ -467,7 +467,7 @@ func (om *OM) RemoveElem(v *Var, field string, i int) error {
 	if moved >= 0 {
 		// The moved element's registration names the old index; every
 		// bookkeeping mode that records slot identities must follow it.
-		if r := obj.Elem(fi, i); r.State == object.RefDirect {
+		if r := obj.Elem(fi, i); r.State() == object.RefDirect {
 			if t := r.Ptr(); t.RRL != nil {
 				t.RRL.ShiftElem(obj, fi, moved, i)
 			}
@@ -476,7 +476,7 @@ func (om *OM) RemoveElem(v *Var, field string, i int) error {
 			}
 		}
 	}
-	obj.Dirty = true
+	om.markDirty(obj)
 	return om.reaccount(obj)
 }
 

@@ -24,11 +24,10 @@ import (
 
 // pageOf returns the buffered page an object was materialized from.
 func (om *OM) pageOf(obj *object.MemObject) (page.PageID, bool) {
-	e := om.rot.Lookup(obj.OID)
-	if e == nil || e.Obj != obj {
+	if om.rot.Lookup(obj.OID) != obj {
 		return page.NilPage, false
 	}
-	return e.Addr.Page, true
+	return obj.Page, true
 }
 
 // pageRegisterDirect records the page-level reverse reference for a
@@ -107,7 +106,7 @@ func (om *OM) pageIncomingSlots(obj *object.MemObject) []object.Slot {
 		o.Refs(func(s object.Slot) {
 			scanned++
 			r := s.Ref()
-			if r.State == object.RefDirect && r.Ptr() == obj {
+			if r.State() == object.RefDirect && r.Ptr() == obj {
 				out = append(out, s)
 			}
 		})
@@ -127,7 +126,7 @@ func (om *OM) pageIncomingSlots(obj *object.MemObject) []object.Slot {
 	}
 	for _, v := range om.vars.snapshot() {
 		scanned++
-		if v.ref.State == object.RefDirect && v.ref.Ptr() == obj {
+		if v.ref.State() == object.RefDirect && v.ref.Ptr() == obj {
 			out = append(out, object.VarSlot(&v.ref))
 		}
 	}

@@ -32,8 +32,8 @@ func (om *OM) fixRepresentation(obj *object.MemObject) error {
 		om.meter.Event(sim.CntFetchCall, om.meter.Costs().FetchCall)
 	}
 
-	e := om.rot.Lookup(obj.OID)
-	if e == nil {
+	res := om.rot.Lookup(obj.OID)
+	if res == nil {
 		return nil
 	}
 	var slots []object.Slot
@@ -45,13 +45,13 @@ func (om *OM) fixRepresentation(obj *object.MemObject) error {
 	if len(slots) == 0 {
 		return nil
 	}
-	om.pinEntry(e)
-	defer om.unpinEntry(e)
+	om.pinResident(res)
+	defer om.unpinResident(res)
 
 	for _, s := range slots {
 		desired := om.spec.ForSlot(s)
 		r := s.Ref()
-		switch r.State {
+		switch r.State() {
 		case object.RefOID:
 			if desired.Eager() {
 				if err := om.swizzleSlot(s, desired, om.slotScore(s)); err != nil {
@@ -80,7 +80,7 @@ func (om *OM) fixRepresentation(obj *object.MemObject) error {
 			}
 		}
 		// Direct pointers cannot trap: their targets must be fixed now.
-		if r := s.Ref(); r.State == object.RefDirect && r.Ptr().Stale {
+		if r := s.Ref(); r.State() == object.RefDirect && r.Ptr().Stale {
 			if err := om.fixRepresentation(r.Ptr()); err != nil {
 				return err
 			}

@@ -69,14 +69,14 @@ func (om *OM) tableIncomingSlots(obj *object.MemObject) []object.Slot {
 	var out []object.Slot
 	for _, s := range om.swizzleTable {
 		r := s.Ref()
-		if r.State == object.RefDirect && r.Ptr() == obj {
+		if r.State() == object.RefDirect && r.Ptr() == obj {
 			out = append(out, s)
 		}
 	}
 	nvars := 0
 	for _, v := range om.vars.snapshot() {
 		nvars++
-		if v.ref.State == object.RefDirect && v.ref.Ptr() == obj {
+		if v.ref.State() == object.RefDirect && v.ref.Ptr() == obj {
 			out = append(out, object.VarSlot(&v.ref))
 		}
 	}

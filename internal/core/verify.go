@@ -6,7 +6,6 @@ import (
 
 	"gom/internal/object"
 	"gom/internal/oid"
-	"gom/internal/rot"
 )
 
 // Verify checks the object manager's structural invariants and returns an
@@ -19,7 +18,9 @@ import (
 //   - a descriptor's fan-in equals the number of indirectly swizzled
 //     references naming it, and it is valid iff its object is resident;
 //   - in the page architecture, every resident object's page is buffered
-//     and the object is tracked in the page's residency list.
+//     and the object is tracked in the page's residency list;
+//   - every resident object with the dirty bit is on the object manager's
+//     dirty list and every dirty frame on the pool's, so Commit ships it.
 //
 // Softened eager invariant: eager-granule slots may transiently hold OIDs
 // after a pinned home survived a displacement cascade; deref repairs them.
@@ -41,8 +42,8 @@ func (om *OM) Verify() error {
 		ref  *object.Ref
 	}
 	var slots []slotInfo
-	om.rot.Range(func(e *rot.Entry) bool {
-		e.Obj.Refs(func(s object.Slot) {
+	om.rot.Range(func(obj *object.MemObject) bool {
+		obj.Refs(func(s object.Slot) {
 			slots = append(slots, slotInfo{s, s.Ref()})
 		})
 		return true
@@ -52,19 +53,18 @@ func (om *OM) Verify() error {
 	}
 
 	directCount := make(map[*object.MemObject][]object.Slot)
-	fanIn := make(map[*object.Descriptor]int)
+	fanIn := make(map[*object.Descriptor]int32)
 	for _, si := range slots {
-		switch si.ref.State {
+		switch si.ref.State() {
 		case object.RefDirect:
 			target := si.ref.Ptr()
-			e := om.rot.Lookup(target.OID)
-			if e == nil || e.Obj != target {
+			if om.rot.Lookup(target.OID) != target {
 				report("direct ref %v in %v points at non-resident object", target.OID, describeSlot(si.slot))
 			}
 			directCount[target] = append(directCount[target], si.slot)
 		case object.RefIndirect:
 			d := si.ref.Desc()
-			if om.descs[d.OID] != d {
+			if filed, _ := om.findDescriptor(d.OID); filed != d {
 				report("indirect ref to %v uses a descriptor missing from the table", d.OID)
 			}
 			fanIn[d]++
@@ -77,7 +77,7 @@ func (om *OM) Verify() error {
 		// match exactly.
 		want := make(map[[2]uint64]int)
 		for _, si := range slots {
-			if si.ref.State != object.RefDirect || si.slot.IsVar() {
+			if si.ref.State() != object.RefDirect || si.slot.IsVar() {
 				continue
 			}
 			hp, ok1 := om.pageOf(si.slot.Home)
@@ -113,13 +113,13 @@ func (om *OM) Verify() error {
 		inTable := make(map[string]int)
 		for _, s := range om.swizzleTable {
 			r := s.Ref()
-			if r.State != object.RefDirect {
+			if r.State() != object.RefDirect {
 				report("swizzle table entry %v is not directly swizzled", describeSlot(s))
 			}
 			inTable[describeSlot(s)]++
 		}
 		for _, si := range slots {
-			if si.ref.State != object.RefDirect || si.slot.IsVar() {
+			if si.ref.State() != object.RefDirect || si.slot.IsVar() {
 				continue
 			}
 			if inTable[describeSlot(si.slot)] != 1 {
@@ -133,15 +133,14 @@ func (om *OM) Verify() error {
 	// live direct slot. (Precise mode only — pagewise and table modes keep
 	// no per-object lists.)
 	if !om.pagewise && om.swizzleTableCap == 0 {
-		om.rot.Range(func(e *rot.Entry) bool {
-			obj := e.Obj
+		om.rot.Range(func(obj *object.MemObject) bool {
 			want := directCount[obj]
 			if obj.RRL.Len() != len(want) {
 				report("object %v: RRL has %d entries, %d direct refs exist", obj.OID, obj.RRL.Len(), len(want))
 			}
 			for _, s := range obj.RRL.Entries() {
 				r := s.Ref()
-				if r.State != object.RefDirect || r.Ptr() != obj {
+				if r.State() != object.RefDirect || r.Ptr() != obj {
 					report("object %v: RRL entry %v does not resolve to a direct ref to it", obj.OID, describeSlot(s))
 				}
 			}
@@ -161,10 +160,11 @@ func (om *OM) Verify() error {
 		})
 	}
 
-	// Descriptors: table consistency, fan-in, validity ⇔ residency.
-	for id, d := range om.descs {
+	// Descriptors: filed in exactly one place (on the resident target, else
+	// in the table), fan-in, validity ⇔ residency.
+	checkDesc := func(id oid.OID, d *object.Descriptor) {
 		if d.OID != id {
-			report("descriptor table key %v holds descriptor for %v", id, d.OID)
+			report("descriptor filed under %v is for %v", id, d.OID)
 		}
 		if d.FanIn != fanIn[d] {
 			report("descriptor %v: fan-in %d, but %d indirect refs exist", id, d.FanIn, fanIn[d])
@@ -175,56 +175,68 @@ func (om *OM) Verify() error {
 		if d.FanIn < 0 {
 			report("descriptor %v has negative fan-in %d", id, d.FanIn)
 		}
-		e := om.rot.Lookup(id)
-		switch {
-		case e != nil && d.Ptr != e.Obj:
-			report("descriptor %v: object resident but descriptor invalid or stale pointer", id)
-		case e == nil && d.Ptr != nil:
+	}
+	for id, d := range om.descs {
+		checkDesc(id, d)
+		if om.rot.Lookup(id) != nil {
+			report("descriptor %v: object resident but its descriptor is still in the table", id)
+		}
+		if d.Ptr != nil {
 			report("descriptor %v: object not resident but descriptor valid", id)
 		}
-		if e != nil && e.Obj.Desc != d {
-			report("object %v does not link its descriptor", id)
-		}
 	}
-	// Any indirect ref must use a table descriptor (checked above); also no
-	// resident object may link a descriptor missing from the table.
-	om.rot.Range(func(e *rot.Entry) bool {
-		if e.Obj.Desc != nil && om.descs[e.Obj.OID] != e.Obj.Desc {
-			report("object %v links descriptor not in table", e.Obj.OID)
+	// Commit and FlushAll look only at the two dirty lists, so the full
+	// scans they used to make are the specification the lists are held to:
+	// a write site that sets a dirty bit without enlisting loses the update.
+	listed := make(map[*object.MemObject]bool, len(om.dirty))
+	for _, obj := range om.dirty {
+		listed[obj] = true
+	}
+	om.rot.Range(func(obj *object.MemObject) bool {
+		if d := obj.Desc; d != nil {
+			checkDesc(obj.OID, d)
+			if d.Ptr != obj {
+				report("descriptor %v: object resident but descriptor invalid or stale pointer", obj.OID)
+			}
+		}
+		if obj.Dirty && !listed[obj] {
+			report("object %v is dirty but not on the dirty list", obj.OID)
 		}
 		return true
 	})
+	for _, pid := range om.pool.UnlistedDirty() {
+		report("page %v is dirty but not on the pool's dirty list", pid)
+	}
 
 	// Page-architecture residency bookkeeping.
 	if om.cache == nil {
-		om.rot.Range(func(e *rot.Entry) bool {
-			if !om.pool.Contains(e.Addr.Page) {
-				report("object %v resident but its page %v is not buffered", e.Obj.OID, e.Addr.Page)
+		om.rot.Range(func(obj *object.MemObject) bool {
+			if !om.pool.Contains(obj.Page) {
+				report("object %v resident but its page %v is not buffered", obj.OID, obj.Page)
 			}
 			found := false
-			for _, o := range om.byPage[e.Addr.Page] {
-				if o == e.Obj {
+			for _, o := range om.byPage[obj.Page] {
+				if o == obj {
 					found = true
 					break
 				}
 			}
 			if !found {
-				report("object %v missing from page residency list %v", e.Obj.OID, e.Addr.Page)
+				report("object %v missing from page residency list %v", obj.OID, obj.Page)
 			}
 			return true
 		})
 		for pid, objs := range om.byPage {
 			for _, o := range objs {
-				e := om.rot.Lookup(o.OID)
-				if e == nil || e.Obj != o {
+				if om.rot.Lookup(o.OID) != o {
 					report("page %v residency list holds displaced object %v", pid, o.OID)
 				}
 			}
 		}
 	} else {
-		om.rot.Range(func(e *rot.Entry) bool {
-			if !om.cache.Contains(e.Obj.OID) {
-				report("object %v resident but not in the object cache", e.Obj.OID)
+		om.rot.Range(func(obj *object.MemObject) bool {
+			if !om.cache.Contains(obj.OID) {
+				report("object %v resident but not in the object cache", obj.OID)
 			}
 			return true
 		})
@@ -251,7 +263,14 @@ func describeSlot(s object.Slot) string {
 
 // ResidentOIDs returns the OIDs of all ROT-registered objects (test and
 // diagnostic helper).
-func (om *OM) ResidentOIDs() []oid.OID { return om.rot.OIDs() }
+func (om *OM) ResidentOIDs() []oid.OID {
+	out := make([]oid.OID, 0, om.rot.Len())
+	om.rot.Range(func(obj *object.MemObject) bool {
+		out = append(out, obj.OID)
+		return true
+	})
+	return out
+}
 
 // IsResident reports whether the object is registered in the ROT.
 func (om *OM) IsResident(id oid.OID) bool { return om.rot.Lookup(id) != nil }
@@ -263,7 +282,14 @@ func (om *OM) DescriptorCount() int {
 		om.mu.Lock()
 		defer om.mu.Unlock()
 	}
-	return len(om.descs)
+	n := len(om.descs)
+	om.rot.Range(func(obj *object.MemObject) bool {
+		if obj.Desc != nil {
+			n++
+		}
+		return true
+	})
+	return n
 }
 
 // RRLStats returns the total number of RRL entries and allocated blocks
@@ -273,9 +299,9 @@ func (om *OM) RRLStats() (entries, blocks int) {
 		om.mu.Lock()
 		defer om.mu.Unlock()
 	}
-	om.rot.Range(func(e *rot.Entry) bool {
-		entries += e.Obj.RRL.Len()
-		blocks += e.Obj.RRL.Blocks()
+	om.rot.Range(func(obj *object.MemObject) bool {
+		entries += obj.RRL.Len()
+		blocks += obj.RRL.Blocks()
 		return true
 	})
 	return entries, blocks

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"gom/internal/oid"
 )
@@ -105,7 +106,7 @@ func Decode(s *Schema, id oid.OID, rec []byte) (*MemObject, error) {
 			if err := need(n); err != nil {
 				return nil, err
 			}
-			o.strs[ord] = string(rec[p : p+n])
+			o.strs[ord] = s.strs.get(rec[p : p+n])
 			p += n
 		case KindRef:
 			if err := need(8); err != nil {
@@ -134,6 +135,52 @@ func Decode(s *Schema, id oid.OID, rec []byte) (*MemObject, error) {
 		return nil, err
 	}
 	return o, nil
+}
+
+// Interning limits: strings up to internMaxLen bytes are shared, and the
+// table stops admitting new values at internMaxValues, so a base whose
+// short strings are all distinct (names, keys) costs one bounded table, not
+// a second copy of itself.
+const (
+	internMaxLen    = 16
+	internMaxValues = 1024
+)
+
+// internTable shares decoded string values between the objects of one
+// schema. Enumeration-like attributes (OO1's part type has ten values)
+// would otherwise be allocated once per resident object. Strings are
+// immutable, so sharing is invisible to callers.
+type internTable struct {
+	mu sync.RWMutex
+	m  map[string]string
+}
+
+// get returns b as a string, shared with earlier equal values when short.
+func (t *internTable) get(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if len(b) > internMaxLen {
+		return string(b)
+	}
+	t.mu.RLock()
+	v, ok := t.m[string(b)] // no allocation: the compiler elides the conversion
+	full := len(t.m) >= internMaxValues
+	t.mu.RUnlock()
+	if ok {
+		return v
+	}
+	v = string(b)
+	if full {
+		return v
+	}
+	t.mu.Lock()
+	if t.m == nil {
+		t.m = make(map[string]string)
+	}
+	t.m[v] = v
+	t.mu.Unlock()
+	return v
 }
 
 // DecodeTypeID peeks at the type id of a record without decoding it.

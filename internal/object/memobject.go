@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"gom/internal/oid"
+	"gom/internal/page"
 )
 
 // MemObject is the in-memory representation of a persistent object. Field
@@ -19,6 +20,12 @@ type MemObject struct {
 	refs []Ref
 	sets [][]Ref
 
+	// Page and Slot are the physical address the persistent record was
+	// loaded from, maintained by the object manager while the object is
+	// registered in the ROT. They share two words with the flags and the pin
+	// count below, which keeps the header in the 144-byte size class.
+	Page page.PageID
+	Slot uint16
 	// Dirty marks the object modified since load; it is written back on
 	// commit or eviction.
 	Dirty bool
@@ -28,7 +35,7 @@ type MemObject struct {
 	Stale bool
 	// pins counts nested pin requests; a pinned object cannot be
 	// displaced (an operation holding slots into it is under way).
-	pins int
+	pins int32
 
 	// RRL registers the directly swizzled references pointing at this
 	// object; nil until the first one appears.

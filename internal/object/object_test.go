@@ -1,7 +1,9 @@
 package object
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -116,16 +118,16 @@ func TestRefStates(t *testing.T) {
 	target := New(part, oid.MustNew(1, 9))
 
 	r := OIDRef(target.OID)
-	if r.State != RefOID || r.TargetOID() != target.OID || r.Swizzled() {
+	if r.State() != RefOID || r.TargetOID() != target.OID || r.Swizzled() {
 		t.Errorf("oid ref: %v", r)
 	}
 	d := DirectRef(target)
-	if d.State != RefDirect || d.TargetOID() != target.OID || !d.Swizzled() {
+	if d.State() != RefDirect || d.TargetOID() != target.OID || !d.Swizzled() {
 		t.Errorf("direct ref: %v", d)
 	}
 	desc := &Descriptor{OID: target.OID, Ptr: target, FanIn: 1}
 	ir := IndirectRef(desc)
-	if ir.State != RefIndirect || ir.TargetOID() != target.OID || !ir.Swizzled() {
+	if ir.State() != RefIndirect || ir.TargetOID() != target.OID || !ir.Swizzled() {
 		t.Errorf("indirect ref: %v", ir)
 	}
 	if !d.SameTarget(&ir) || !r.SameTarget(&d) {
@@ -281,7 +283,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if q.SetLen(5) != 2 || q.Elem(5, 0).TargetOID() != oid.MustNew(1, 50) {
 		t.Error("set mismatch")
 	}
-	if q.Elem(5, 0).State != RefOID {
+	if q.Elem(5, 0).State() != RefOID {
 		t.Error("decoded ref not unswizzled")
 	}
 
@@ -316,14 +318,14 @@ func TestEncodeSwizzledObjectStoresOIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.Ref(0).State != RefOID || c2.Ref(0).TargetOID() != p.OID {
+	if c2.Ref(0).State() != RefOID || c2.Ref(0).TargetOID() != p.OID {
 		t.Errorf("direct ref persisted as %v", c2.Ref(0))
 	}
 	if c2.Ref(1).TargetOID() != oid.MustNew(1, 77) {
 		t.Errorf("indirect ref persisted as %v", c2.Ref(1))
 	}
 	// Encoding must not have unswizzled the in-memory object.
-	if c.Ref(0).State != RefDirect || c.Ref(1).State != RefIndirect {
+	if c.Ref(0).State() != RefDirect || c.Ref(1).State() != RefIndirect {
 		t.Error("encode disturbed in-memory representation")
 	}
 }
@@ -440,7 +442,7 @@ func TestCloneValues(t *testing.T) {
 	if cl.OID != c.OID || cl.Str(2) != "edge" {
 		t.Error("values not cloned")
 	}
-	if cl.Ref(0).State != RefOID || cl.Ref(0).TargetOID() != p.OID {
+	if cl.Ref(0).State() != RefOID || cl.Ref(0).TargetOID() != p.OID {
 		t.Errorf("clone ref = %v", cl.Ref(0))
 	}
 	if cl.Ref(1).TargetOID() != oid.MustNew(1, 33) {
@@ -486,5 +488,54 @@ func TestPersistSizeMatchesPaper(t *testing.T) {
 	c.SetStr(2, "0123456789")
 	if got := c.PersistSize(); got != 33 {
 		t.Errorf("conn size = %d, want 33", got)
+	}
+}
+
+// TestResidentFootprint pins the sizes the per-resident-object budget in
+// DESIGN.md ("Transaction boundary") is computed from: the object header
+// stays in the 144-byte size class with the physical address folded in, a
+// reference is three words, a descriptor the paper's 24 bytes.
+func TestResidentFootprint(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		got  uintptr
+		want uintptr
+	}{
+		{"MemObject", reflect.TypeOf(MemObject{}).Size(), 144},
+		{"Ref", reflect.TypeOf(Ref{}).Size(), 24},
+		{"Descriptor", reflect.TypeOf(Descriptor{}).Size(), 24},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("sizeof(%s) = %d, want %d", tc.name, tc.got, tc.want)
+		}
+	}
+}
+
+// TestDecodeInternsShortStrings: enumeration-like string attributes are
+// materialized once per schema, not once per object; long strings and
+// values beyond the table's bound are plain copies.
+func TestDecodeInternsShortStrings(t *testing.T) {
+	var tab internTable
+	short, long := []byte("part-type3"), []byte("a string longer than sixteen bytes")
+	if got := tab.get(short); got != "part-type3" {
+		t.Fatalf("get = %q", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = tab.get(short) }); n != 0 {
+		t.Errorf("a repeated short string allocates %.0f times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = tab.get(long) }); n != 1 {
+		t.Errorf("a long string allocates %.0f times, want its copy", n)
+	}
+	if tab.get(nil) != "" {
+		t.Error("empty value")
+	}
+	for i := 0; i < 2*internMaxValues; i++ {
+		v := fmt.Sprintf("k%d", i)
+		if got := tab.get([]byte(v)); got != v {
+			t.Fatalf("get(%q) = %q", v, got)
+		}
+	}
+	if len(tab.m) != internMaxValues {
+		t.Errorf("table holds %d values, bound is %d", len(tab.m), internMaxValues)
 	}
 }

@@ -40,40 +40,48 @@ func (s RefState) String() string {
 }
 
 // Ref is a reference slot: a field of an object, an element of a set, or a
-// program variable. Exactly one of the payload fields is meaningful,
-// selected by State. Like the paper's 8-byte references, a Ref does not
-// remember its OID while directly swizzled — the OID is recovered from the
-// target object on unswizzling.
+// program variable. At most one of the payload fields is set, and which one
+// is the slot's state: a Ref carries no separate tag, which keeps it at
+// three words (every resident object holds several). Like the paper's
+// 8-byte references, a Ref does not remember its OID while directly
+// swizzled — the OID is recovered from the target object on unswizzling.
 type Ref struct {
-	State RefState
-	id    oid.OID     // RefOID
-	ptr   *MemObject  // RefDirect
-	desc  *Descriptor // RefIndirect
+	id   oid.OID     // RefOID
+	ptr  *MemObject  // RefDirect
+	desc *Descriptor // RefIndirect
 }
 
 // NilRef is the null reference value.
-var NilRef = Ref{State: RefNil}
+var NilRef = Ref{}
 
 // OIDRef returns an unswizzled reference to id (nil if id is nil).
-func OIDRef(id oid.OID) Ref {
-	if id.IsNil() {
-		return NilRef
-	}
-	return Ref{State: RefOID, id: id}
-}
+func OIDRef(id oid.OID) Ref { return Ref{id: id} }
 
 // DirectRef returns a directly swizzled reference to a resident object.
-func DirectRef(obj *MemObject) Ref { return Ref{State: RefDirect, ptr: obj} }
+func DirectRef(obj *MemObject) Ref { return Ref{ptr: obj} }
 
 // IndirectRef returns an indirectly swizzled reference through a
 // descriptor.
-func IndirectRef(d *Descriptor) Ref { return Ref{State: RefIndirect, desc: d} }
+func IndirectRef(d *Descriptor) Ref { return Ref{desc: d} }
+
+// State returns the representation state of the slot.
+func (r *Ref) State() RefState {
+	switch {
+	case r.ptr != nil:
+		return RefDirect
+	case r.desc != nil:
+		return RefIndirect
+	case r.id != oid.Nil:
+		return RefOID
+	}
+	return RefNil
+}
 
 // IsNil reports whether the reference is null.
-func (r *Ref) IsNil() bool { return r.State == RefNil }
+func (r *Ref) IsNil() bool { return *r == Ref{} }
 
 // Swizzled reports whether the reference is in a swizzled representation.
-func (r *Ref) Swizzled() bool { return r.State == RefDirect || r.State == RefIndirect }
+func (r *Ref) Swizzled() bool { return r.ptr != nil || r.desc != nil }
 
 // OID returns the stored OID; it must only be called in state RefOID.
 func (r *Ref) OID() oid.OID { return r.id }
@@ -90,7 +98,7 @@ func (r *Ref) Desc() *Descriptor { return r.desc }
 // reference becomes an index key or is compared (§3.4.2, Table 8); the
 // caller charges the translation cost.
 func (r *Ref) TargetOID() oid.OID {
-	switch r.State {
+	switch r.State() {
 	case RefOID:
 		return r.id
 	case RefDirect:
@@ -107,7 +115,7 @@ func (r *Ref) SameTarget(o *Ref) bool { return r.TargetOID() == o.TargetOID() }
 
 // String renders the reference for diagnostics.
 func (r *Ref) String() string {
-	switch r.State {
+	switch r.State() {
 	case RefNil:
 		return "ref(nil)"
 	case RefOID:

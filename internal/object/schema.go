@@ -3,9 +3,9 @@
 // references are OIDs there, §3.1), and the in-memory object format
 // (MemObject, whose reference slots may be swizzled).
 //
-// The in-memory representation of a reference is the tagged slot Ref: it
-// holds an OID (unswizzled), a direct pointer to the target MemObject
-// (directly swizzled), or a pointer to a Descriptor (indirectly swizzled).
+// The in-memory representation of a reference is the slot Ref: it holds an
+// OID (unswizzled), a direct pointer to the target MemObject (directly
+// swizzled), or a pointer to a Descriptor (indirectly swizzled).
 // This is the GC-safe Go equivalent of the paper's 8-byte reference that is
 // either an OID or a main-memory address: a program dereferencing a
 // swizzled Ref touches no table, exactly as in the paper; only the
@@ -176,6 +176,8 @@ func (t *Type) PersistSize(strLens []int, setLens []int) int {
 type Schema struct {
 	byName map[string]*Type
 	byID   []*Type // index = type id
+	// strs shares the short string values Decode materializes (encode.go).
+	strs internTable
 }
 
 // ErrBadType reports schema violations.
@@ -262,11 +264,12 @@ func (s *Schema) Types() []*Type { return s.byID }
 // descriptor holds the target's main-memory address when the target is
 // resident and is marked invalid when the target is displaced. FanIn counts
 // the indirectly swizzled references naming this descriptor so it can be
-// reclaimed when it drops to zero.
+// reclaimed when it drops to zero. FanIn and Stale share a word, which makes
+// the descriptor the paper's 24 bytes (§5.3).
 type Descriptor struct {
 	OID   oid.OID
 	Ptr   *MemObject // nil while the target is not resident (invalid)
-	FanIn int
+	FanIn int32
 	// Stale marks the descriptor of an object cached across a commit whose
 	// representation must be fixed on first access (§4.1.2).
 	Stale bool

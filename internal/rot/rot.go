@@ -12,15 +12,7 @@ import (
 
 	"gom/internal/object"
 	"gom/internal/oid"
-	"gom/internal/storage"
 )
-
-// Entry is one resident object: its in-memory representation and the
-// physical address its persistent record was loaded from.
-type Entry struct {
-	Obj  *object.MemObject
-	Addr storage.PAddr
-}
 
 // numShards is the number of lock shards. OIDs are allocated sequentially
 // per volume, so the low serial bits spread hot working sets evenly; 64
@@ -30,7 +22,7 @@ const numShards = 64
 
 type shard struct {
 	mu sync.RWMutex
-	m  map[oid.OID]*Entry
+	m  map[oid.OID]*object.MemObject
 	// Pad to a cache line so neighbouring shard locks do not false-share.
 	_ [40]byte
 }
@@ -47,7 +39,7 @@ type Table struct {
 func New() *Table {
 	t := &Table{}
 	for i := range t.shards {
-		t.shards[i].m = make(map[oid.OID]*Entry)
+		t.shards[i].m = make(map[oid.OID]*object.MemObject)
 	}
 	return t
 }
@@ -56,30 +48,29 @@ func (t *Table) shard(id oid.OID) *shard {
 	return &t.shards[uint64(id)&(numShards-1)]
 }
 
-// Register records a resident object. Registering an already-registered
-// OID replaces the entry (the caller is responsible for having displaced
+// Register records a resident object; the object itself carries the
+// physical address it was loaded from. Registering an already-registered
+// OID replaces the object (the caller is responsible for having displaced
 // the old representation).
-func (t *Table) Register(obj *object.MemObject, addr storage.PAddr) *Entry {
-	e := &Entry{Obj: obj, Addr: addr}
+func (t *Table) Register(obj *object.MemObject) {
 	s := t.shard(obj.OID)
 	s.mu.Lock()
 	if _, present := s.m[obj.OID]; !present {
 		t.count.Add(1)
 	}
-	s.m[obj.OID] = e
+	s.m[obj.OID] = obj
 	s.mu.Unlock()
-	return e
 }
 
-// Lookup returns the entry for an OID, or nil (an object fault, §3.2.1 —
-// note the object's page may still be buffered; residency here means
-// "registered in the ROT").
-func (t *Table) Lookup(id oid.OID) *Entry {
+// Lookup returns the resident object for an OID, or nil (an object fault,
+// §3.2.1 — note the object's page may still be buffered; residency here
+// means "registered in the ROT").
+func (t *Table) Lookup(id oid.OID) *object.MemObject {
 	s := t.shard(id)
 	s.mu.RLock()
-	e := s.m[id]
+	obj := s.m[id]
 	s.mu.RUnlock()
-	return e
+	return obj
 }
 
 // Unregister removes an object.
@@ -96,39 +87,26 @@ func (t *Table) Unregister(id oid.OID) {
 // Len returns the number of resident objects.
 func (t *Table) Len() int { return int(t.count.Load()) }
 
-// Range calls fn for every entry until fn returns false. Entries are
-// snapshotted per shard before fn runs, so fn may mutate the table
+// Range calls fn for every resident object until fn returns false. Objects
+// are snapshotted per shard before fn runs, so fn may mutate the table
 // (register, unregister, displace); it observes the table as of the
-// moment its shard was visited.
-func (t *Table) Range(fn func(*Entry) bool) {
-	var batch []*Entry
+// moment its shard was visited. It costs O(resident objects): the object
+// manager keeps it off the transaction path (Verify, spec-change stale
+// marking, Reset).
+func (t *Table) Range(fn func(*object.MemObject) bool) {
+	var batch []*object.MemObject
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.RLock()
 		batch = batch[:0]
-		for _, e := range s.m {
-			batch = append(batch, e)
+		for _, obj := range s.m {
+			batch = append(batch, obj)
 		}
 		s.mu.RUnlock()
-		for _, e := range batch {
-			if !fn(e) {
+		for _, obj := range batch {
+			if !fn(obj) {
 				return
 			}
 		}
 	}
-}
-
-// OIDs returns all resident OIDs (safe to displace while iterating the
-// returned slice).
-func (t *Table) OIDs() []oid.OID {
-	out := make([]oid.OID, 0, t.Len())
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		for id := range s.m {
-			out = append(out, id)
-		}
-		s.mu.RUnlock()
-	}
-	return out
 }

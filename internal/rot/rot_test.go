@@ -6,7 +6,6 @@ import (
 	"gom/internal/object"
 	"gom/internal/oid"
 	"gom/internal/page"
-	"gom/internal/storage"
 )
 
 func testObj(serial uint64) *object.MemObject {
@@ -18,12 +17,9 @@ func testObj(serial uint64) *object.MemObject {
 func TestRegisterLookupUnregister(t *testing.T) {
 	tab := New()
 	obj := testObj(1)
-	addr := storage.PAddr{Page: page.NewPageID(0, 3), Slot: 7}
-	e := tab.Register(obj, addr)
-	if e.Obj != obj || e.Addr != addr {
-		t.Fatal("entry mismatch")
-	}
-	if got := tab.Lookup(obj.OID); got != e {
+	obj.Page, obj.Slot = page.NewPageID(0, 3), 7
+	tab.Register(obj)
+	if got := tab.Lookup(obj.OID); got != obj || got.Page != page.NewPageID(0, 3) || got.Slot != 7 {
 		t.Fatal("lookup mismatch")
 	}
 	if tab.Lookup(oid.MustNew(1, 99)) != nil {
@@ -42,9 +38,10 @@ func TestRegisterReplaces(t *testing.T) {
 	tab := New()
 	a := testObj(1)
 	b := testObj(1) // same OID, new representation
-	tab.Register(a, storage.PAddr{})
-	tab.Register(b, storage.PAddr{Slot: 1})
-	if e := tab.Lookup(a.OID); e.Obj != b || e.Addr.Slot != 1 {
+	b.Slot = 1
+	tab.Register(a)
+	tab.Register(b)
+	if got := tab.Lookup(a.OID); got != b || got.Slot != 1 {
 		t.Error("replacement did not take effect")
 	}
 	if tab.Len() != 1 {
@@ -55,19 +52,21 @@ func TestRegisterReplaces(t *testing.T) {
 func TestRangeAndOIDs(t *testing.T) {
 	tab := New()
 	for i := uint64(1); i <= 5; i++ {
-		tab.Register(testObj(i), storage.PAddr{})
+		tab.Register(testObj(i))
+	}
+	oids := map[oid.OID]int{}
+	tab.Range(func(obj *object.MemObject) bool { oids[obj.OID]++; return true })
+	if len(oids) != 5 {
+		t.Errorf("range saw OIDs %v", oids)
+	}
+	for id, n := range oids {
+		if n != 1 {
+			t.Errorf("range visited %v %d times", id, n)
+		}
 	}
 	seen := 0
-	tab.Range(func(e *Entry) bool { seen++; return true })
-	if seen != 5 {
-		t.Errorf("range saw %d", seen)
-	}
-	seen = 0
-	tab.Range(func(e *Entry) bool { seen++; return false })
+	tab.Range(func(*object.MemObject) bool { seen++; return false })
 	if seen != 1 {
 		t.Error("range did not stop")
-	}
-	if got := tab.OIDs(); len(got) != 5 {
-		t.Errorf("oids = %v", got)
 	}
 }
