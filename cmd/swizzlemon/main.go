@@ -267,7 +267,11 @@ func printObsSnapshot(label string, s metrics.Snapshot) {
 			label, merged, s.CoalesceRatio())
 	}
 	if zc := s.Count(metrics.CtrPageZeroCopyHit); zc > 0 {
-		fmt.Printf("  read path (%s): zero_copy_hits=%d\n", label, zc)
+		fmt.Printf("  read path (%s): zero_copy_hits=%d page_dir_extents=%d\n",
+			label, zc, s.Count(metrics.CtrPageDirExtents))
+	}
+	if local, rpc := s.Count(metrics.CtrObjectFaultLocal), s.Count(metrics.CtrObjectFaultRPC); local+rpc > 0 {
+		fmt.Printf("  fault resolution (%s): from buffered pages=%d by rpc=%d\n", label, local, rpc)
 	}
 	if s.Gauges[metrics.GaugeVersionPages] != 0 || s.GaugePeaks[metrics.GaugeVersionPages] != 0 {
 		fmt.Printf("  version store (%s): pages=%d (peak %d) bytes=%d (peak %d) snapshot_lag=%d\n",

@@ -48,6 +48,11 @@ var (
 type Frame struct {
 	Page *page.Page
 
+	// dir is the directory the server shipped with the image in Page
+	// (empty when it shipped none); guarded by the pool's dirs.mu and
+	// replaced, with Page, only through dirIndex.setDir (pagedir.go).
+	dir page.Directory
+
 	pool  *Pool
 	pid   page.PageID
 	pins  atomic.Int32
@@ -76,6 +81,9 @@ type Frame struct {
 	seq  uint64
 	slot int
 }
+
+// PageID returns the id of the page the frame holds.
+func (f *Frame) PageID() page.PageID { return f.pid }
 
 // Dirty reports whether the frame has been marked dirty.
 func (f *Frame) Dirty() bool { return f.dirty.Load() }
@@ -167,6 +175,9 @@ type Pool struct {
 	// again after that is listed twice; the dirty bit decides at flush time.
 	dirtyMu     sync.Mutex
 	dirtyFrames []*Frame
+
+	// dirs indexes the directories of the buffered frames (pagedir.go).
+	dirs dirIndex
 }
 
 // New returns a pool of the given capacity (in frames) served by srv,
@@ -336,7 +347,7 @@ func (p *Pool) refreshStale(pid page.PageID, f *Frame, e uint64) error {
 	if err != nil {
 		return err
 	}
-	pg, err := page.FromImage(img)
+	pg, dir, err := splitRead(img)
 	if err != nil {
 		return err
 	}
@@ -351,6 +362,7 @@ func (p *Pool) refreshStale(pid page.PageID, f *Frame, e uint64) error {
 	}
 	f.Page = pg
 	sh.mu.Unlock()
+	p.dirs.setDir(f, dir)
 	f.epoch.Store(e)
 	p.obs.Inc(metrics.CtrBufferStaleRefresh)
 	h := int(pid)
@@ -435,12 +447,12 @@ func (p *Pool) faultLeader(pid page.PageID) (*Frame, error) {
 		p.meter.SharedAdd(h, sim.CntPageRead, 1)
 		p.meter.SharedAdd(h, sim.CntServerRoundTrip, 1)
 	}
-	pg, err := page.FromImage(img)
+	pg, dir, err := splitRead(img)
 	if err != nil {
 		p.unreserve()
 		return nil, err
 	}
-	f := p.install(pid, pg, false)
+	f := p.install(pid, pg, dir, false)
 	if p.ra != nil {
 		p.noteMiss(pid)
 	}
@@ -468,8 +480,9 @@ func (p *Pool) unreserve() {
 	p.resMu.Unlock()
 }
 
-// install publishes a new frame, consuming one reservation.
-func (p *Pool) install(pid page.PageID, pg *page.Page, prefetched bool) *Frame {
+// install publishes a new frame, consuming one reservation, and files the
+// directory its image arrived with.
+func (p *Pool) install(pid page.PageID, pg *page.Page, dir page.Directory, prefetched bool) *Frame {
 	f := &Frame{Page: pg, pool: p, pid: pid, gone: make(chan struct{})}
 	f.prefetched.Store(prefetched)
 	f.epoch.Store(p.epoch.Load())
@@ -489,6 +502,7 @@ func (p *Pool) install(pid page.PageID, pg *page.Page, prefetched bool) *Frame {
 	sh.mu.Lock()
 	sh.m[pid] = f
 	sh.mu.Unlock()
+	p.dirs.setDir(f, dir)
 	p.count.Add(1)
 	p.unreserve()
 	return f
@@ -648,6 +662,7 @@ func (p *Pool) evictFrame(f *Frame) error {
 			return err
 		}
 	}
+	p.dirs.setDir(f, nil)
 	p.clockMu.Lock()
 	p.ring[f.slot] = nil
 	p.free = append(p.free, f.slot)
@@ -763,7 +778,7 @@ func (p *Pool) Refresh(pid page.PageID) error {
 	if err != nil {
 		return err
 	}
-	pg, err := page.FromImage(img)
+	pg, dir, err := splitRead(img)
 	if err != nil {
 		return err
 	}
@@ -771,6 +786,7 @@ func (p *Pool) Refresh(pid page.PageID) error {
 	sh.mu.Lock()
 	f.Page = pg
 	sh.mu.Unlock()
+	p.dirs.setDir(f, dir)
 	h := int(pid)
 	p.meter.SharedAdd(h, sim.CntPageRead, 1)
 	p.meter.SharedAdd(h, sim.CntServerRoundTrip, 1)
@@ -888,6 +904,7 @@ func (p *Pool) Discard() {
 	p.free = nil
 	p.hand = 0
 	p.clockMu.Unlock()
+	p.dirs.reset()
 	p.takeDirty()
 	if p.ra != nil {
 		p.ra.discardAll(p.obs)

@@ -141,7 +141,7 @@ func (p *Pool) tryPromote(pid page.PageID, img []byte) bool {
 	}
 	p.reserved++
 	p.resMu.Unlock()
-	pg, err := page.FromImage(img)
+	pg, dir, err := splitRead(img)
 	if err != nil {
 		p.unreserve()
 		return false
@@ -155,7 +155,7 @@ func (p *Pool) tryPromote(pid page.PageID, img []byte) bool {
 		p.unreserve()
 		return false
 	}
-	p.install(pid, pg, true)
+	p.install(pid, pg, dir, true)
 	p.faultMu.Unlock()
 	return true
 }

@@ -12,8 +12,8 @@
 package coherence_test
 
 import (
-	"encoding/binary"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"

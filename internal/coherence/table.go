@@ -125,12 +125,18 @@ func (t *Table) Register(pid page.PageID, cid ClientID) []Eviction {
 		t.remove(head.pid, head.cid)
 		evicted = append(evicted, Eviction{Client: head.cid, Page: head.pid})
 	}
-	// Compact the queue before stale entries dominate it.
-	if len(t.queue) > 4*t.cap {
+	// Every re-registration leaves a stale entry behind. Compact once they
+	// outnumber the live ones: the queue then never exceeds twice the live
+	// registrations (plus the slack), and a compaction's pass over it is
+	// paid for by the appends that made it necessary.
+	if len(t.queue) > 2*t.size+queueSlack {
 		t.compact()
 	}
 	return evicted
 }
+
+// queueSlack keeps a small table from compacting on every registration.
+const queueSlack = 64
 
 // lookup reports cid's registration sequence for pid. Caller holds mu.
 func (t *Table) lookup(pid page.PageID, cid ClientID) (uint64, bool) {
@@ -164,10 +170,11 @@ func (t *Table) remove(pid page.PageID, cid ClientID) {
 	t.size--
 }
 
-// compact rewrites the eviction queue with only live entries. Caller
-// holds mu.
+// compact rewrites the eviction queue with only live entries, into a
+// fresh slice sized for them: reslicing the old array would keep every
+// popped head and every stale entry it ever held alive. Caller holds mu.
 func (t *Table) compact() {
-	live := t.queue[:0]
+	live := make([]pair, 0, 2*t.size+queueSlack+1)
 	for _, p := range t.queue {
 		if cur, ok := t.lookup(p.pid, p.cid); ok && cur == p.seq {
 			live = append(live, p)
@@ -246,4 +253,13 @@ func (t *Table) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.size
+}
+
+// Sizes returns the number of live registrations and the length of the
+// eviction queue, which also holds the stale entries re-registrations
+// left behind since the last compaction.
+func (t *Table) Sizes() (live, queue int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.size, len(t.queue)
 }

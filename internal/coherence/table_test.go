@@ -124,23 +124,37 @@ func TestTableNeverEvictsOwnRegistration(t *testing.T) {
 	}
 }
 
-// TestTableQueueCompaction churns re-registrations far past the compaction
-// threshold and checks the stale-entry bookkeeping stays consistent.
+// TestTableQueueCompaction re-registers a fixed set of pages a hundred
+// thousand times: the eviction queue must stay within twice the live
+// registrations (plus the slack) however many page reads the table has
+// seen, and no registration may get lost in a compaction.
 func TestTableQueueCompaction(t *testing.T) {
-	tb := NewTable(4)
-	for i := 0; i < 1000; i++ {
-		tb.Register(page.PageID(i%4+1), 10)
+	const pages = 1000
+	tb := NewTable(0)
+	for i := 0; i < 100_000; i++ {
+		tb.Register(page.PageID(i%pages+1), 10)
+		if live, queue := tb.Sizes(); queue > 2*live+queueSlack {
+			t.Fatalf("after %d registrations the queue holds %d entries for %d live ones", i+1, queue, live)
+		}
 	}
-	if got := tb.Len(); got != 4 {
-		t.Fatalf("Len = %d, want 4", got)
+	if got := tb.Len(); got != pages {
+		t.Fatalf("Len = %d, want %d", got, pages)
 	}
-	if got := len(tb.queue); got > 4*tb.cap+1 {
-		t.Fatalf("queue grew to %d entries, compaction not applied", got)
+	if got := cap(tb.queue); got > 2*(2*pages+queueSlack+1) {
+		t.Fatalf("queue array holds %d entries for %d live ones: compaction does not release it", got, pages)
 	}
-	for pid := page.PageID(1); pid <= 4; pid++ {
+	for pid := page.PageID(1); pid <= pages; pid++ {
 		if !tb.StillRegistered(pid, 10) {
 			t.Fatalf("page %d lost its registration during churn", pid)
 		}
+	}
+	// Past capacity the oldest registrations still go first.
+	small := NewTable(4)
+	for i := 0; i < 1000; i++ {
+		small.Register(page.PageID(i%4+1), 10)
+	}
+	if ev := small.Register(5, 10); len(ev) != 1 || ev[0].Page != 1 {
+		t.Fatalf("evicted %v, want the oldest registration (page 1)", ev)
 	}
 }
 

@@ -81,10 +81,12 @@ func (om *OM) applyInvalidations() {
 		// Locally dirty frames survive (they are newer than the server,
 		// not older); everything else — staged prefetches included — goes.
 		om.pool.InvalidateAllPrefetch()
+		clear(om.addrHints)
 		pids = append(om.pool.Pages(), pids...)
 	}
 	var requeue []page.PageID
 	for _, pid := range pids {
+		om.dropHints(pid) // whether or not the page is buffered
 		done, err := om.pool.Invalidate(pid)
 		if err != nil {
 			om.deferredErr = errors.Join(om.deferredErr, err)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"gom/internal/buffer"
 	"gom/internal/metrics"
 	"gom/internal/objcache"
 	"gom/internal/object"
@@ -131,10 +132,17 @@ func (om *OM) ensureResident(id oid.OID) (*object.MemObject, error) {
 }
 
 // objectFault brings an object into the client (§3.2.1): resolve the OID
-// at the server, fault the page into the buffer pool, materialize the
-// in-memory object (copying it into the object cache in the copy
-// architecture), register it in the ROT, revalidate its descriptor, and —
-// under eager granules — scan through it and swizzle its references.
+// to its physical address, fault the page into the buffer pool,
+// materialize the in-memory object (copying it into the object cache in
+// the copy architecture), register it in the ROT, revalidate its
+// descriptor, and — under eager granules — scan through it and swizzle
+// its references.
+//
+// The address comes from the directory of a buffered page when one names
+// the object (DESIGN.md "Page directories": no server interaction at all),
+// else from a batched-lookup hint, else from a Lookup at the server. A
+// server that ships no directories leaves the pool's index empty, and
+// every fault takes the Lookup.
 func (om *OM) objectFault(id oid.OID) (*object.MemObject, error) {
 	if sp := om.spans.StartChild(spanObjectFault, om.TraceContext()); sp.Sampled() {
 		sp.SetArgs(uint64(id), 0)
@@ -152,47 +160,77 @@ func (om *OM) objectFault(id oid.OID) (*object.MemObject, error) {
 		// The late-bound type-specific fetch procedure (§4.2.2, FC).
 		om.meter.Event(sim.CntFetchCall, om.meter.Costs().FetchCall)
 	}
+	frame, slot, ok, err := om.pool.Locate(id)
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		obj, err := om.decodeAt(id, frame, slot)
+		if err != nil {
+			return nil, err
+		}
+		om.obs.Inc(metrics.CtrObjectFaultLocal)
+		return om.registerFault(obj, storage.PAddr{Page: frame.PageID(), Slot: uint16(slot)})
+	}
 	addr, hinted := om.addrHints[id]
 	if hinted {
 		// A batched lookup already resolved this OID: no per-object
-		// round-trip. A stale hint (the object moved since) surfaces as a
-		// materialization failure and falls back to the authoritative
-		// lookup below.
+		// round-trip. A stale hint (the object moved since) is refused by
+		// materialize and falls back to the authoritative lookup below.
 		delete(om.addrHints, id)
 	} else {
-		var err error
 		addr, err = om.srv.Lookup(id)
 		if err != nil {
 			return nil, err
 		}
 		om.meter.Add(sim.CntServerRoundTrip, 1)
 	}
-	obj, err := om.materialize(id, addr)
+	obj, err := om.materialize(id, addr, hinted)
 	if err != nil && hinted {
 		addr, err = om.srv.Lookup(id)
 		if err != nil {
 			return nil, err
 		}
 		om.meter.Add(sim.CntServerRoundTrip, 1)
-		obj, err = om.materialize(id, addr)
+		obj, err = om.materialize(id, addr, false)
 	}
 	if err != nil {
 		return nil, err
 	}
+	om.obs.Inc(metrics.CtrObjectFaultRPC)
 	return om.registerFault(obj, addr)
 }
 
+// errStaleHint refuses a batched-lookup hint that the page it points at
+// contradicts.
+var errStaleHint = errors.New("core: stale address hint")
+
 // materialize faults addr's page and decodes the object record, without
 // registering any client state — a failure leaves nothing behind, so a
-// caller holding a possibly-stale address hint can retry safely.
-func (om *OM) materialize(id oid.OID, addr storage.PAddr) (*object.MemObject, error) {
+// caller holding a possibly-stale address hint can retry safely. A hinted
+// address is checked against the page's directory when the page came with
+// one: a slot reused by another object of the same type would otherwise
+// decode silently.
+func (om *OM) materialize(id oid.OID, addr storage.PAddr, hinted bool) (*object.MemObject, error) {
 	frame, err := om.pool.Get(addr.Page)
 	if err != nil {
 		return nil, err
 	}
-	rec, err := frame.Page.Read(int(addr.Slot))
+	if hinted {
+		if dir := om.pool.Directory(frame); len(dir) > 0 {
+			if slot, named := dir.Find(id); !named || slot != int(addr.Slot) {
+				return nil, errStaleHint
+			}
+		}
+	}
+	return om.decodeAt(id, frame, int(addr.Slot))
+}
+
+// decodeAt decodes the object record in a slot of a buffered page.
+func (om *OM) decodeAt(id oid.OID, frame *buffer.Frame, slot int) (*object.MemObject, error) {
+	rec, err := frame.Page.Read(slot)
 	if err != nil {
-		return nil, fmt.Errorf("core: object %v at %v/%d: %w", id, addr.Page, addr.Slot, err)
+		return nil, fmt.Errorf("core: object %v at %v/%d: %w", id, frame.PageID(), slot, err)
 	}
 	return object.Decode(om.schema, id, rec)
 }
@@ -283,6 +321,9 @@ func (om *OM) primeHints(slots []object.Slot) {
 		}
 		if om.rot.Lookup(id) != nil {
 			continue
+		}
+		if _, _, ok := om.pool.Resolve(id); ok {
+			continue // its fault will resolve from a buffered page
 		}
 		want = append(want, id)
 	}

@@ -20,6 +20,7 @@ import (
 // so dirty objects are written back into the very image about to be
 // shipped.
 func (om *OM) onPageEvict(pid page.PageID, _ *buffer.Frame) {
+	om.dropHints(pid)
 	objs := om.byPage[pid]
 	delete(om.byPage, pid)
 	for _, obj := range objs {
@@ -29,6 +30,18 @@ func (om *OM) onPageEvict(pid page.PageID, _ *buffer.Frame) {
 			// call to report.
 			om.deferredErr = errors.Join(om.deferredErr, err)
 			om.hasDeferred.Store(true)
+		}
+	}
+}
+
+// dropHints forgets the batched-lookup hints that point into a page whose
+// buffered image is going away or has been overtaken by a remote write:
+// the image the hinted fault will read is not the one the hint was good
+// for.
+func (om *OM) dropHints(pid page.PageID) {
+	for id, addr := range om.addrHints {
+		if addr.Page == pid {
+			delete(om.addrHints, id)
 		}
 	}
 }

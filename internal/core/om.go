@@ -134,7 +134,11 @@ type OM struct {
 	batcher server.BatchLookuper
 	// addrHints caches physical addresses resolved by batched lookups for
 	// objects not yet resident; objectFault consumes them (falling back to
-	// an authoritative Lookup if one proves stale).
+	// an authoritative Lookup if one proves stale). A hint is as good as
+	// the moment it was taken: it is dropped when its page leaves the
+	// buffer or is refreshed (eviction, invalidation — the page the next
+	// fault reads may be newer than the hint) and at Commit and Discard
+	// (another transaction may move the object once ours is over).
 	addrHints map[oid.OID]storage.PAddr
 
 	// descs is the descriptor table (§3.2.2) for the targets that are not
@@ -421,6 +425,7 @@ func (om *OM) Commit() error {
 	}
 	clear(om.dirty) // do not keep displaced objects reachable
 	om.dirty = om.dirty[:0]
+	clear(om.addrHints)
 	// A relocated object's new page is not buffered; displace it so the
 	// page-architecture invariant (resident ⇒ page buffered) holds — it
 	// refaults from its new location on next access.

@@ -6,6 +6,7 @@ import (
 
 	"gom/internal/object"
 	"gom/internal/oid"
+	"gom/internal/page"
 )
 
 // Verify checks the object manager's structural invariants and returns an
@@ -20,7 +21,10 @@ import (
 //   - in the page architecture, every resident object's page is buffered
 //     and the object is tracked in the page's residency list;
 //   - every resident object with the dirty bit is on the object manager's
-//     dirty list and every dirty frame on the pool's, so Commit ships it.
+//     dirty list and every dirty frame on the pool's, so Commit ships it;
+//   - in the page architecture, where an object's page came with a
+//     directory, the directory places the object where the ROT entry says
+//     it is, and no other buffered page's directory claims it.
 //
 // Softened eager invariant: eager-granule slots may transiently hold OIDs
 // after a pinned home survived a displacement cascade; deref repairs them.
@@ -224,6 +228,7 @@ func (om *OM) Verify() error {
 			if !found {
 				report("object %v missing from page residency list %v", obj.OID, obj.Page)
 			}
+			om.verifyDirectory(obj, report)
 			return true
 		})
 		for pid, objs := range om.byPage {
@@ -248,6 +253,33 @@ func (om *OM) Verify() error {
 	}
 
 	return errors.Join(errs...)
+}
+
+// verifyDirectory holds a resident object's address to the directory its
+// page arrived with: the next fault of the object resolves from there, so
+// drift between the two is a wrong read waiting to happen. A page without
+// a directory (in-process server, lock-step or snapshot read) is not
+// checked, and one more fragmented than the shipping cap may leave the
+// object out.
+func (om *OM) verifyDirectory(obj *object.MemObject, report func(string, ...any)) {
+	f := om.pool.Peek(obj.Page)
+	if f == nil {
+		return // reported above
+	}
+	dir := om.pool.Directory(f)
+	if len(dir) == 0 {
+		return
+	}
+	slot, named := dir.Find(obj.OID)
+	switch {
+	case named && slot != int(obj.Slot):
+		report("object %v resident at %v/%d, its page's directory places it in slot %d", obj.OID, obj.Page, obj.Slot, slot)
+	case !named && dir.Len() < page.MaxShippedExtents:
+		report("object %v resident at %v/%d, which its page's directory does not name", obj.OID, obj.Page, obj.Slot)
+	}
+	if pid, _, ok := om.pool.Resolve(obj.OID); ok && pid != obj.Page {
+		report("object %v resident on page %v, the pool's directory index resolves it to page %v", obj.OID, obj.Page, pid)
+	}
 }
 
 func describeSlot(s object.Slot) string {

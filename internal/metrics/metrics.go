@@ -100,6 +100,14 @@ const (
 	CtrCoherenceAckTimeout
 	CtrCoherencePushDropped
 	CtrCoherenceLeaseExpired
+	// Page directories (DESIGN.md "Page directories"). An object fault is
+	// resolved locally when a buffered page's directory names the object,
+	// and by RPC when the address came from the server (a Lookup, or a
+	// batched-lookup hint); the server counts the extents it ships with
+	// page reads.
+	CtrObjectFaultLocal
+	CtrObjectFaultRPC
+	CtrPageDirExtents
 	NumCounters
 )
 
@@ -159,6 +167,9 @@ var counterNames = [NumCounters]string{
 	"coherence_ack_timeouts",
 	"coherence_push_dropped",
 	"coherence_lease_expired",
+	"object_fault_resolved_local",
+	"object_fault_resolved_rpc",
+	"page_dir_extents",
 }
 
 // String returns the counter's snake_case event name.
@@ -253,6 +264,10 @@ const (
 	// GaugeCoherenceInterest is the number of (page, client) interest
 	// registrations the server's coherence table currently retains.
 	GaugeCoherenceInterest
+	// GaugeCoherenceQueue is the length of the interest table's eviction
+	// FIFO: live registrations plus the stale entries re-registration
+	// leaves behind until the next compaction (at most as many again).
+	GaugeCoherenceQueue
 	NumGauges
 )
 
@@ -263,6 +278,7 @@ var gaugeNames = [NumGauges]string{
 	"version_store_bytes",
 	"snapshot_lag",
 	"coherence_interest_entries",
+	"coherence_interest_queue",
 }
 
 // String returns the gauge's snake_case name.

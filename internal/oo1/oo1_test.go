@@ -534,3 +534,26 @@ func TestForkConcurrentTraversals(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGeneratedBaseDirectories sizes the page directories on the base the
+// end-to-end benchmark generates: clustering allocates consecutive OIDs
+// into consecutive slots, so a page is one extent and the directories of
+// the whole 20k-part base fit in 64 KB.
+func TestGeneratedBaseDirectories(t *testing.T) {
+	db, err := Generate(DefaultConfig().Scaled(20000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := db.Srv.Manager()
+	if err := mgr.VerifyDirectories(); err != nil {
+		t.Fatal(err)
+	}
+	pages, extents, size := mgr.DirectoryStats()
+	t.Logf("%d objects on %d pages: %d extents, %d bytes", mgr.POT().Len(), pages, extents, size)
+	if extents > pages+pages/100+1 {
+		t.Errorf("%d extents for %d pages: clustered pages should be one extent each", extents, pages)
+	}
+	if size > 64<<10 {
+		t.Errorf("directories hold %d bytes, over the 64 KB target", size)
+	}
+}

@@ -196,6 +196,13 @@ func (c *Client) hasBatch() bool { return c.pipelined && c.features&featureBatch
 // (BeginSnapshotTx).
 func (c *Client) HasSnapshot() bool { return c.pipelined && c.features&featureSnapshot != 0 }
 
+// clientFeatures is what this client offers in its hello.
+const clientFeatures = featureBatch | featureTrace | featureSnapshot | featureCoherence | featurePageDir
+
+// hasPageDir reports whether page reads on this connection carry
+// directories.
+func (c *Client) hasPageDir() bool { return c.pipelined && c.features&featurePageDir != 0 }
+
 // hello negotiates the v2 protocol in lock-step framing. An old server
 // rejects the unknown opcode with an error status; that downgrade is not
 // an error — the client just stays in lock-step mode. Only transport
@@ -203,7 +210,7 @@ func (c *Client) HasSnapshot() bool { return c.pipelined && c.features&featureSn
 func (c *Client) hello() error {
 	req := make([]byte, 8)
 	binary.LittleEndian.PutUint32(req, protocolV2)
-	binary.LittleEndian.PutUint32(req[4:], featureBatch|featureTrace|featureSnapshot|featureCoherence)
+	binary.LittleEndian.PutUint32(req[4:], clientFeatures)
 	status, resp, err := c.callLockstepRaw(opHello, req)
 	if err != nil {
 		return err
@@ -215,7 +222,7 @@ func (c *Client) hello() error {
 		return nil
 	}
 	c.pipelined = true
-	c.features = binary.LittleEndian.Uint32(resp[4:]) & (featureBatch | featureTrace | featureSnapshot | featureCoherence)
+	c.features = binary.LittleEndian.Uint32(resp[4:]) & clientFeatures
 	return nil
 }
 
@@ -548,7 +555,11 @@ func (c *Client) Lookup(id oid.OID) (storage.PAddr, error) {
 	return getPAddr(resp), nil
 }
 
-// ReadPage implements Server.
+// ReadPage implements Server. On a connection that negotiated
+// featurePageDir the result is the page image followed by the page's
+// directory (page.SplitImage takes them apart): it travels inside the
+// bytes, not through a side channel, so it survives every wrapper around
+// a Server that forwards ReadPage.
 func (c *Client) ReadPage(pid page.PageID) ([]byte, error) {
 	req := make([]byte, 8)
 	binary.LittleEndian.PutUint64(req, uint64(pid))
@@ -556,10 +567,18 @@ func (c *Client) ReadPage(pid page.PageID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(resp) != page.Size {
+	if !validPageRead(resp, c.hasPageDir()) {
 		return nil, errProtocol
 	}
 	return resp, nil
+}
+
+// validPageRead checks one page as read off the wire: an image, and —
+// only on a connection that negotiated them — a well-formed directory
+// behind it.
+func validPageRead(b []byte, withDir bool) bool {
+	_, dir, err := page.SplitImage(b)
+	return err == nil && (withDir || len(dir) == 0)
 }
 
 // WritePage implements Server.
@@ -709,12 +728,34 @@ func (c *Client) ReadPages(pid page.PageID, n int) ([][]byte, error) {
 		return nil, errProtocol
 	}
 	m := int(binary.LittleEndian.Uint32(resp))
-	if m < 1 || len(resp) != 4+m*page.Size {
+	if m < 1 || m > maxReadRun {
 		return nil, errProtocol
+	}
+	// Each page is its image followed by its directory, whose byte length
+	// the header lists per page when directories were negotiated.
+	var dirLens []byte
+	off := 4
+	if c.hasPageDir() {
+		if len(resp) < 4+2*m {
+			return nil, errProtocol
+		}
+		dirLens = resp[4 : 4+2*m]
+		off += 2 * m
 	}
 	imgs := make([][]byte, m)
 	for i := range imgs {
-		imgs[i] = resp[4+i*page.Size : 4+(i+1)*page.Size : 4+(i+1)*page.Size]
+		end := off + page.Size
+		if dirLens != nil {
+			end += int(binary.LittleEndian.Uint16(dirLens[2*i:]))
+		}
+		if end > len(resp) || !validPageRead(resp[off:end], dirLens != nil) {
+			return nil, errProtocol
+		}
+		imgs[i] = resp[off:end:end]
+		off = end
+	}
+	if off != len(resp) {
+		return nil, errProtocol
 	}
 	return imgs, nil
 }

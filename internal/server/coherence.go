@@ -272,12 +272,16 @@ func (cc *cohConn) clientID() coherence.ClientID {
 // boundary-op paths carry cs, not the endpoint).
 func cohClientID(cs *connState) coherence.ClientID { return cs.coh.clientID() }
 
-// syncInterestGauge settles the interest gauge onto the table's live
-// registration count. Concurrent syncs can transiently disagree; each
-// corrects the last.
+// syncInterestGauge settles the interest gauges onto the table's live
+// registration count and eviction-queue length. Concurrent syncs can
+// transiently disagree; each corrects the last.
 func syncInterestGauge(st *coherenceState, obs *metrics.Registry) {
-	obs.GaugeAdd(metrics.GaugeCoherenceInterest,
-		int64(st.table.Len())-obs.GaugeValue(metrics.GaugeCoherenceInterest))
+	if obs == nil {
+		return
+	}
+	size, queue := st.table.Sizes()
+	obs.GaugeAdd(metrics.GaugeCoherenceInterest, int64(size)-obs.GaugeValue(metrics.GaugeCoherenceInterest))
+	obs.GaugeAdd(metrics.GaugeCoherenceQueue, int64(queue)-obs.GaugeValue(metrics.GaugeCoherenceQueue))
 }
 
 // register records cc's interest in pid, pushing revocations for any
@@ -295,41 +299,45 @@ func (s *TCPServer) register(st *coherenceState, cc *cohConn, pid page.PageID) {
 // whose callback this client already missed — re-register and re-read.
 // Bounded retries keep a pathological commit storm from starving the
 // read; exhaustion surfaces as a transient error the client may retry.
-func (s *TCPServer) readPageCoherent(backend Server, cc *cohConn, pid page.PageID) ([]byte, error) {
+//
+// With withDir the page's directory is read with the image — one
+// published state of the page, inside the same window — so the addresses
+// a client takes from it are invalidated exactly when the image is.
+func (s *TCPServer) readPageCoherent(backend Server, cc *cohConn, pid page.PageID, withDir bool) ([]byte, page.Directory, error) {
 	st := s.coh.Load()
 	if st == nil || cc == nil {
-		return backend.ReadPage(pid)
+		return readPage(backend, pid, withDir)
 	}
 	for attempt := 0; attempt < 8; attempt++ {
 		s.register(st, cc, pid)
-		img, err := backend.ReadPage(pid)
+		img, dir, err := readPage(backend, pid, withDir)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if st.table.StillRegistered(pid, cc.id) {
 			syncInterestGauge(st, s.obs.Load())
-			return img, nil
+			return img, dir, nil
 		}
 	}
-	return nil, fmt.Errorf("%w: coherence registration churned during read", ErrTransient)
+	return nil, nil, fmt.Errorf("%w: coherence registration churned during read", ErrTransient)
 }
 
 // readPagesCoherent is readPageCoherent over a page run (the readahead
 // path): every page of the run — including prefetched pages the client
 // may never deref — is registered before the run is read and validated
 // after, so prefetched frames honor invalidation like demand-read ones.
-func (s *TCPServer) readPagesCoherent(pr PageRunReader, cc *cohConn, pid page.PageID, n int) ([][]byte, error) {
+func (s *TCPServer) readPagesCoherent(pr PageRunReader, cc *cohConn, pid page.PageID, n int, withDir bool) ([][]byte, []page.Directory, error) {
 	st := s.coh.Load()
 	if st == nil || cc == nil {
-		return pr.ReadPages(pid, n)
+		return readPages(pr, pid, n, withDir)
 	}
 	for attempt := 0; attempt < 8; attempt++ {
 		for i := 0; i < n; i++ {
 			s.register(st, cc, pid+page.PageID(i))
 		}
-		imgs, err := pr.ReadPages(pid, n)
+		imgs, dirs, err := readPages(pr, pid, n, withDir)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// Only the pages actually served need to remain registered; the
 		// surplus registrations (a run truncated at end-of-segment) age
@@ -343,10 +351,10 @@ func (s *TCPServer) readPagesCoherent(pr PageRunReader, cc *cohConn, pid page.Pa
 		}
 		if ok {
 			syncInterestGauge(st, s.obs.Load())
-			return imgs, nil
+			return imgs, dirs, nil
 		}
 	}
-	return nil, fmt.Errorf("%w: coherence registration churned during read", ErrTransient)
+	return nil, nil, fmt.Errorf("%w: coherence registration churned during read", ErrTransient)
 }
 
 // revoke pushes revocation invalidations for capacity-evicted

@@ -115,7 +115,7 @@ func TestCoherenceDirectWritePush(t *testing.T) {
 	}
 
 	img, _ := clients[2].ReadPage(pid)
-	if err := clients[2].WritePage(pid, img); err != nil {
+	if err := clients[2].WritePage(pid, imageOf(t, img)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, "invalidations at both readers", func() bool {
@@ -176,7 +176,7 @@ func TestCoherenceTxCommitPush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writer.WritePage(pid, img); err != nil {
+	if err := writer.WritePage(pid, imageOf(t, img)); err != nil {
 		t.Fatal(err)
 	}
 	if got := log.count(pid); got != 0 {
@@ -198,7 +198,7 @@ func TestCoherenceTxCommitPush(t *testing.T) {
 	if _, err := reader.ReadPage(pid); err != nil {
 		t.Fatal(err)
 	}
-	if err := writer.WritePage(pid, img); err != nil {
+	if err := writer.WritePage(pid, imageOf(t, img)); err != nil {
 		t.Fatal(err)
 	}
 	if err := writer.AbortTx(); err != nil {
@@ -246,7 +246,7 @@ func TestCoherenceInterop(t *testing.T) {
 		t.Fatal(err)
 	}
 	img, _ := locked.ReadPage(addr.Page)
-	if err := locked.WritePage(addr.Page, img); err != nil {
+	if err := locked.WritePage(addr.Page, imageOf(t, img)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, "push triggered by lock-step writer", func() bool {
@@ -321,7 +321,7 @@ func TestCoherenceAckTimeout(t *testing.T) {
 
 	img, _ := writer.ReadPage(addr.Page)
 	start := time.Now()
-	if err := writer.WritePage(addr.Page, img); err != nil {
+	if err := writer.WritePage(addr.Page, imageOf(t, img)); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d < 40*time.Millisecond {

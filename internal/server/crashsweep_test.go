@@ -75,6 +75,9 @@ func checkRecoveredPrefix(t *testing.T, logPath string, cut int64, commits []com
 	if got := m.POT().Len(); got != len(want) {
 		t.Fatalf("%s: recovered %d objects, want %d (info: %v)", label, got, len(want), info)
 	}
+	if err := m.VerifyDirectories(); err != nil {
+		t.Fatalf("%s: page directories after recovery: %v", label, err)
+	}
 	for id, rec := range want {
 		got, _, err := m.Read(id)
 		if err != nil {

@@ -37,6 +37,19 @@ func FuzzTCPFrame(f *testing.F) {
 	f.Add(frame(f, opCoherenceAck, append(make([]byte, 8), 3, 0, 0, 0, 0, 0, 0, 0)))
 	f.Add(frame(f, opHello, []byte{protocolV2, 0, 0, 0,
 		featureBatch | featureTrace | featureSnapshot | featureCoherence, 0, 0, 0}))
+	// Page-read responses with directory trailers (featurePageDir): a
+	// well-formed one, then half an extent, an empty extent, a slot past
+	// the page, and a run header whose directory lengths overrun the frame.
+	img := page.New(page.NewPageID(1, 0)).CloneImage()
+	resp := func(trailer ...byte) []byte {
+		return frame(f, statusOK, append(append(make([]byte, 8), img...), trailer...))
+	}
+	f.Add(resp(7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0))
+	f.Add(resp(7, 0, 0, 0, 0, 0))
+	f.Add(resp(7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0))
+	f.Add(resp(7, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 1, 0))
+	f.Add(frame(f, statusOK, append(append(make([]byte, 8), 2, 0, 0, 0, 12, 0, 0xff, 0xff), img...)))
+	f.Add(frame(f, opHello, []byte{protocolV2, 0, 0, 0, clientFeatures, 0, 0, 0}))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})                // zero length
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1}) // absurd length
@@ -62,6 +75,15 @@ func FuzzTCPFrame(f *testing.F) {
 			t.Fatalf("round trip mismatch: code %d->%d, payload %d->%d bytes",
 				code, code2, len(payload), len(payload2))
 		}
+		// Read as a page-read response, the payload past the request ID
+		// either fails the client's check or splits into an image and a
+		// well-formed directory within the shipping cap.
+		if len(payload) >= 8 && validPageRead(payload[8:], true) {
+			img, dir, _ := page.SplitImage(payload[8:])
+			if len(img) != page.Size || dir.Len() > page.MaxShippedExtents || dir.Check() != nil {
+				t.Fatalf("accepted a page read of %d bytes with %d extents", len(payload)-8, dir.Len())
+			}
+		}
 	})
 }
 
@@ -75,8 +97,8 @@ func FuzzInvalidationFrame(f *testing.F) {
 	f.Add(encodeInvalidation(nil, 7, []page.PageID{1, 2, 3}))
 	f.Add(encodeInvalidation(nil, ^uint64(0), []page.PageID{page.PageID(^uint64(0))}))
 	f.Add([]byte{})
-	f.Add(make([]byte, 11))                                   // one byte short of a header
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0, 0})  // count 65535, no pages
+	f.Add(make([]byte, 11))                                        // one byte short of a header
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0, 0})        // count 65535, no pages
 	f.Add(append(encodeInvalidation(nil, 3, []page.PageID{9}), 0)) // trailing garbage
 
 	f.Fuzz(func(t *testing.T, data []byte) {

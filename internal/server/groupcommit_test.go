@@ -291,6 +291,9 @@ func runGroupCommitFaultRound(t *testing.T, seed int64, arm func()) {
 	if info.Committed != len(durable) {
 		t.Fatalf("recovery committed %d transactions, want %d (info: %v)", info.Committed, len(durable), info)
 	}
+	if err := m2.VerifyDirectories(); err != nil {
+		t.Fatalf("page directories after recovery: %v", err)
+	}
 	wantObjects := 0
 	for _, o := range durable {
 		wantObjects += len(o.objs)

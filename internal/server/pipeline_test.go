@@ -245,7 +245,7 @@ func TestPipelinedStress(t *testing.T) {
 					return
 				}
 				reads.add(1)
-				p, err := page.FromImage(img)
+				p, err := pageOf(img)
 				if err != nil {
 					errCh <- err
 					return

@@ -44,10 +44,15 @@ func TestServerReadPageHotZeroAlloc(t *testing.T) {
 	req := make([]byte, 8)
 	binary.LittleEndian.PutUint64(req, uint64(pid))
 
-	// Warm the pools so the measurement sees steady state.
+	// Warm the pools so the measurement sees steady state. The frame
+	// measured is the one with the page's directory attached.
 	for i := 0; i < 16; i++ {
-		if _, err := ServeReadPageFrame(backend, req, false); err != nil {
+		n, err := ServeReadPageFrame(backend, req, false)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if want := 4 + 1 + 8 + page.Size + page.ExtentSize; n != want {
+			t.Fatalf("frame of %d bytes, want %d: header, image and a one-extent directory", n, want)
 		}
 	}
 	allocs := testing.AllocsPerRun(1000, func() {

@@ -27,7 +27,11 @@ type Server interface {
 	// Lookup resolves a logical OID to its physical address by consulting
 	// the server's persistent object table.
 	Lookup(id oid.OID) (storage.PAddr, error)
-	// ReadPage ships one page to the client.
+	// ReadPage ships one page to the client: the page.Size bytes of its
+	// image and, behind them, the page's directory when the server ships
+	// one (the pipelined TCP client does; page.SplitImage takes the two
+	// apart, and a caller that wants only the image takes the first
+	// page.Size bytes).
 	ReadPage(pid page.PageID) ([]byte, error)
 	// WritePage installs a page image shipped back from a client.
 	WritePage(pid page.PageID, img []byte) error
@@ -55,11 +59,24 @@ type BatchLookuper interface {
 
 // PageRunReader is an optional Server extension: ship up to n contiguous
 // pages starting at pid in one round trip, truncated at the end of the
-// segment (at least one page is returned, or an error). The client
-// readahead path type-asserts for it to overlap network/disk with
-// swizzling on sequential scans.
+// segment (at least one page is returned, or an error). Each page is what
+// ReadPage would return for it, directory included. The client readahead
+// path type-asserts for it to overlap network/disk with swizzling on
+// sequential scans.
 type PageRunReader interface {
 	ReadPages(pid page.PageID, n int) ([][]byte, error)
+}
+
+// dirPageReader is how the pipelined TCP path reads pages from the live
+// backends (Local, a 2PL session): each image together with the extent
+// directory the storage manager published with it (DESIGN.md "Page
+// directories"), as separate borrowed pieces for the scatter-gather
+// response. It is deliberately not part of Server: an in-process client
+// gets bare images from ReadPage, and a snapshot session, whose images are
+// past versions, has no directory to give.
+type dirPageReader interface {
+	readPageDir(pid page.PageID) ([]byte, page.Directory, error)
+	readPagesDir(pid page.PageID, n int) ([][]byte, []page.Directory, error)
 }
 
 // Local serves pages directly from a storage manager in the same process.
@@ -107,11 +124,16 @@ func (l *Local) Lookup(id oid.OID) (storage.PAddr, error) {
 
 // ReadPage implements Server.
 func (l *Local) ReadPage(pid page.PageID) ([]byte, error) {
+	img, _, err := l.readPageDir(pid)
+	return img, err
+}
+
+func (l *Local) readPageDir(pid page.PageID) ([]byte, page.Directory, error) {
 	if err := faultpoint.Check(faultpoint.ServerReadPage); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer l.reg().RPCSince(metrics.RPCReadPage, l.reg().Now())
-	return l.mgr.Disk().ReadPage(pid)
+	return l.mgr.Disk().ReadPageDir(pid)
 }
 
 // WritePage implements Server.
@@ -173,14 +195,20 @@ func (l *Local) LookupBatch(ids []oid.OID) ([]storage.PAddr, []bool, error) {
 
 // ReadPages implements PageRunReader.
 func (l *Local) ReadPages(pid page.PageID, n int) ([][]byte, error) {
+	imgs, _, err := l.readPagesDir(pid, n)
+	return imgs, err
+}
+
+func (l *Local) readPagesDir(pid page.PageID, n int) ([][]byte, []page.Directory, error) {
 	if err := faultpoint.Check(faultpoint.ServerReadPages); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer l.reg().RPCSince(metrics.RPCReadPages, l.reg().Now())
-	return l.mgr.Disk().ReadRun(pid, n)
+	return l.mgr.Disk().ReadRunDir(pid, n)
 }
 
 var (
 	_ BatchLookuper = (*Local)(nil)
 	_ PageRunReader = (*Local)(nil)
+	_ dirPageReader = (*Local)(nil)
 )

@@ -37,7 +37,7 @@ func exercise(t *testing.T, s Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := page.FromImage(img)
+	p, err := pageOf(img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func exercise(t *testing.T, s Server) {
 		t.Fatal(err)
 	}
 	img2, _ := s.ReadPage(addr.Page)
-	q, _ := page.FromImage(img2)
+	q, _ := pageOf(img2)
 	rec, _ = q.Read(int(addr.Slot))
 	if string(rec) != "modified!!" {
 		t.Fatalf("after write back = %q", rec)
@@ -98,6 +98,26 @@ func exercise(t *testing.T, s Server) {
 	if _, err := s.NumPages(42); err == nil {
 		t.Error("numpages of missing segment succeeded")
 	}
+}
+
+// pageOf parses what a Server's ReadPage returned: the image, and behind
+// it, over a connection that negotiated page directories, the directory.
+func pageOf(b []byte) (*page.Page, error) {
+	img, _, err := page.SplitImage(b)
+	if err != nil {
+		return nil, err
+	}
+	return page.FromImage(img)
+}
+
+// imageOf is the bare image of a page read, as WritePage wants it back.
+func imageOf(tb testing.TB, b []byte) []byte {
+	tb.Helper()
+	img, _, err := page.SplitImage(b)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return img
 }
 
 func TestLocalServerConformance(t *testing.T) {
@@ -159,7 +179,7 @@ func TestTCPConcurrentClients(t *testing.T) {
 					errs <- err
 					return
 				}
-				p, err := page.FromImage(img)
+				p, err := pageOf(img)
 				if err != nil {
 					errs <- err
 					return

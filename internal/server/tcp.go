@@ -110,6 +110,18 @@ const protocolV2 = 2
 // featureBatch advertises the batch opcodes (opLookupBatch, opReadPages).
 const featureBatch = 1 << 0
 
+// featurePageDir advertises page directories (DESIGN.md "Page
+// directories"): once negotiated, every opReadPage / opReadPages response
+// of a live (non-snapshot) backend carries, behind each page image, the
+// extent directory of that page — which OIDs live in which slots — so
+// the client resolves the addresses of objects on pages it holds without
+// an opLookup. An opReadPage payload is the image followed by the
+// directory (whatever the frame holds past page.Size, a multiple of
+// page.ExtentSize, at most page.MaxShippedExtents extents); an
+// opReadPages payload is the page count, one uint16 directory byte
+// length per page, then each image followed by its directory.
+const featurePageDir = 1 << 4
+
 const (
 	// maxReadRun bounds the pages shipped by one opReadPages response.
 	maxReadRun = 16
@@ -120,9 +132,9 @@ const (
 	pipelineWorkers = 32
 )
 
-// maxMessage bounds a message (a full read-run of pages plus headers is
-// the largest legitimate payload).
-const maxMessage = maxReadRun*page.Size + 4096
+// maxMessage bounds a message (a full read-run of pages, each with its
+// shipped directory, plus headers is the largest legitimate payload).
+const maxMessage = maxReadRun*page.MaxShippedLen + 1024
 
 var errProtocol = errors.New("server: protocol error")
 
@@ -218,14 +230,15 @@ func putBuf(bp *[]byte) {
 type respFrame struct {
 	head   *[]byte  // pooled: length + status + id + inline payload
 	inline []byte   // small payload encoded into head (may alias scratch)
-	pages  [][]byte // borrowed page images, shipped after head
-	// scratch gives fixed-size payloads (counts, LSNs) inline space so
-	// building them does not allocate.
-	scratch [16]byte
+	pages  [][]byte // borrowed page images and directories, shipped after head
+	// scratch gives fixed-size payloads (counts, LSNs, the directory
+	// lengths of a read run) inline space so building them does not
+	// allocate.
+	scratch [4 + 2*maxReadRun]byte
 }
 
 var respFramePool = sync.Pool{
-	New: func() any { return &respFrame{pages: make([][]byte, 0, maxReadRun)} },
+	New: func() any { return &respFrame{pages: make([][]byte, 0, 2*maxReadRun)} },
 }
 
 // getFrame returns an empty pooled response frame.
@@ -549,6 +562,10 @@ type connState struct {
 	// pipelined connection that negotiated featureCoherence. Set once
 	// before dispatch goroutines start, read-only afterwards.
 	coh *cohConn
+	// dirs is set on a pipelined connection that negotiated
+	// featurePageDir: its page reads ship directories. Set once before
+	// dispatch, like coh.
+	dirs bool
 }
 
 // helloResponse validates a client hello payload and returns the server's
@@ -661,6 +678,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 // without ever being re-buffered into a contiguous stream.
 func (s *TCPServer) servePipelined(conn net.Conn, r *bufio.Reader, cs *connState, negotiated uint32) {
 	traceOn := negotiated&featureTrace != 0
+	cs.dirs = negotiated&featurePageDir != 0
 	respCh := make(chan *respFrame, pipelineWorkers*2)
 	if negotiated&featureCoherence != 0 {
 		if st := s.coh.Load(); st != nil {
@@ -821,7 +839,7 @@ func (s *TCPServer) servePipelined(conn net.Conn, r *bufio.Reader, cs *connState
 				start := obs.Now()
 				sp := s.tracer.Load().StartChild(spanName(&serverSpanNames, op), tctx)
 				f := getFrame()
-				herr := s.handleDataFrame(backend, cs.coh, op, req, f)
+				herr := s.handleDataFrame(backend, cs, op, req, f)
 				if sp.Sampled() {
 					sp.SetArgs(uint64(len(req)), uint64(f.payloadLen()))
 					sp.Finish()
@@ -1092,7 +1110,8 @@ func (s *TCPServer) handleData(backend Server, op byte, payload []byte) ([]byte,
 // (the wire bytes are identical — the writer scatter-gathers the pieces).
 // Every other opcode falls through to handleData and rides in the frame's
 // inline payload.
-func (s *TCPServer) handleDataFrame(backend Server, cc *cohConn, op byte, payload []byte, f *respFrame) error {
+func (s *TCPServer) handleDataFrame(backend Server, cs *connState, op byte, payload []byte, f *respFrame) error {
+	cc := cs.coh
 	// Snapshot sessions read at a frozen LSN and are stale by design;
 	// their reads never register coherence interest.
 	if _, snap := backend.(*snapSession); snap {
@@ -1104,11 +1123,14 @@ func (s *TCPServer) handleDataFrame(backend Server, cc *cohConn, op byte, payloa
 			return errProtocol
 		}
 		pid := page.PageID(binary.LittleEndian.Uint64(payload))
-		img, err := s.readPageCoherent(backend, cc, pid)
+		img, dir, err := s.readPageCoherent(backend, cc, pid, cs.dirs)
 		if err != nil {
 			return err
 		}
+		// With featurePageDir the payload is the image, then the shipped
+		// directory: its length is what the frame holds past page.Size.
 		f.pages = append(f.pages, img)
+		s.obs.Load().AddN(metrics.CtrPageDirExtents, int64(f.attachDirectory(dir)/page.ExtentSize))
 		return nil
 	case opReadPages:
 		if len(payload) != 12 {
@@ -1123,13 +1145,31 @@ func (s *TCPServer) handleDataFrame(backend Server, cc *cohConn, op byte, payloa
 		if !ok {
 			return fmt.Errorf("%w: page runs unsupported", errProtocol)
 		}
-		imgs, err := s.readPagesCoherent(pr, cc, pid, int(n))
+		imgs, dirs, err := s.readPagesCoherent(pr, cc, pid, int(n), cs.dirs)
 		if err != nil {
 			return err
 		}
 		binary.LittleEndian.PutUint32(f.scratch[:4], uint32(len(imgs)))
 		f.inline = f.scratch[:4]
-		f.pages = append(f.pages, imgs...)
+		if !cs.dirs {
+			f.pages = append(f.pages, imgs...)
+			return nil
+		}
+		// With featurePageDir the count is followed by one uint16 a page,
+		// the byte length of the directory shipped behind that image.
+		f.inline = f.scratch[:4+2*len(imgs)]
+		shipped := 0
+		for i, img := range imgs {
+			f.pages = append(f.pages, img)
+			var dir page.Directory
+			if dirs != nil {
+				dir = dirs[i]
+			}
+			n := f.attachDirectory(dir)
+			binary.LittleEndian.PutUint16(f.inline[4+2*i:], uint16(n))
+			shipped += n
+		}
+		s.obs.Load().AddN(metrics.CtrPageDirExtents, int64(shipped/page.ExtentSize))
 		return nil
 	default:
 		resp, err := s.handleData(backend, op, payload)
@@ -1144,6 +1184,35 @@ func (s *TCPServer) handleDataFrame(backend Server, cc *cohConn, op byte, payloa
 	}
 }
 
+// attachDirectory appends the shipped part of a page's directory to the
+// frame as one more borrowed piece and returns its byte length.
+func (f *respFrame) attachDirectory(dir page.Directory) int {
+	dir = dir.Shipped()
+	if len(dir) > 0 {
+		f.pages = append(f.pages, dir)
+	}
+	return len(dir)
+}
+
+// readPage reads one page from the backend, with its directory when the
+// connection negotiated one and the backend has one to give.
+func readPage(backend Server, pid page.PageID, withDir bool) ([]byte, page.Directory, error) {
+	if dr, ok := backend.(dirPageReader); ok && withDir {
+		return dr.readPageDir(pid)
+	}
+	img, err := backend.ReadPage(pid)
+	return img, nil, err
+}
+
+// readPages is readPage over a page run; dirs is nil without directories.
+func readPages(pr PageRunReader, pid page.PageID, n int, withDir bool) ([][]byte, []page.Directory, error) {
+	if dr, ok := pr.(dirPageReader); ok && withDir {
+		return dr.readPagesDir(pid, n)
+	}
+	imgs, err := pr.ReadPages(pid, n)
+	return imgs, nil, err
+}
+
 // ServeReadPageFrame drives the server's pipelined ReadPage response path
 // — request decode, page read, frame assembly, release — without a
 // socket, returning the frame's on-wire size. req is the 8-byte ReadPage
@@ -1151,12 +1220,13 @@ func (s *TCPServer) handleDataFrame(backend Server, cc *cohConn, op byte, payloa
 // the pre-zero-copy way, with the page image copied into a contiguous
 // pooled frame; otherwise the image is attached to the frame by
 // reference. Benchmarks and the zero-alloc guard use it to measure the
-// hot read path in isolation.
+// hot read path in isolation. The zero-copy frame is the one a connection
+// with featurePageDir gets: the page's directory rides behind the image.
 func ServeReadPageFrame(backend Server, req []byte, legacyCopy bool) (int, error) {
 	if len(req) != 8 {
 		return 0, errProtocol
 	}
-	img, err := backend.ReadPage(page.PageID(binary.LittleEndian.Uint64(req)))
+	img, dir, err := readPage(backend, page.PageID(binary.LittleEndian.Uint64(req)), !legacyCopy)
 	if err != nil {
 		return 0, err
 	}
@@ -1168,6 +1238,7 @@ func ServeReadPageFrame(backend Server, req []byte, legacyCopy bool) (int, error
 	}
 	f := getFrame()
 	f.pages = append(f.pages, img)
+	f.attachDirectory(dir)
 	f.encode(statusOK, 1)
 	n := f.wireLen()
 	putFrame(f)

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"gom/internal/page"
 	"gom/internal/storage"
 )
 
@@ -50,7 +49,7 @@ func TestTCPTransactionCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _ := page.FromImage(img)
+	p, _ := pageOf(img)
 	rec, err := p.Read(int(addr.Slot))
 	if err != nil || string(rec) != "remote tx" {
 		t.Fatalf("rec = %q, %v", rec, err)
@@ -125,7 +124,7 @@ func TestTCPTransactionIsolationAcrossConnections(t *testing.T) {
 	}
 	addr, _ := a.Lookup(id)
 	img, _ := a.ReadPage(addr.Page)
-	p, _ := page.FromImage(img)
+	p, _ := pageOf(img)
 	rec, _ := p.Read(int(addr.Slot))
 	if string(rec) != "from A!" {
 		t.Errorf("winner = %q", rec)

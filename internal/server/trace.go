@@ -115,6 +115,7 @@ const (
 	FeatureTrace     = featureTrace
 	FeatureSnapshot  = featureSnapshot
 	FeatureCoherence = featureCoherence
+	FeaturePageDir   = featurePageDir
 )
 
 // serverFeatures returns the feature bits this server offers.
@@ -122,7 +123,7 @@ func (s *TCPServer) serverFeatures() uint32 {
 	if v := s.featureOverride.Load(); v&featureMaskValid != 0 {
 		return v &^ featureMaskValid
 	}
-	f := uint32(featureBatch | featureTrace | featureSnapshot)
+	f := uint32(featureBatch | featureTrace | featureSnapshot | featurePageDir)
 	if s.coh.Load() != nil {
 		// Coherence is only offered once EnableCoherence installed the
 		// interest table; clients that skip the bit (or v1 peers) keep

@@ -598,10 +598,15 @@ func (c *txSession) Lookup(id oid.OID) (storage.PAddr, error) {
 
 // ReadPage implements Server under a shared lock.
 func (c *txSession) ReadPage(pid page.PageID) ([]byte, error) {
+	img, _, err := c.readPageDir(pid)
+	return img, err
+}
+
+func (c *txSession) readPageDir(pid page.PageID) ([]byte, page.Directory, error) {
 	if err := c.srv.acquire(c.tx, pid, lockS); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return c.srv.mgr.Disk().ReadPage(pid)
+	return c.srv.mgr.Disk().ReadPageDir(pid)
 }
 
 // WritePage implements Server under an exclusive lock, recording the page
@@ -767,33 +772,39 @@ func (c *txSession) LookupBatch(ids []oid.OID) ([]storage.PAddr, []bool, error) 
 // run is S-locked before the images ship, so the run is as consistent as
 // the equivalent sequence of ReadPage calls.
 func (c *txSession) ReadPages(pid page.PageID, n int) ([][]byte, error) {
+	imgs, _, err := c.readPagesDir(pid, n)
+	return imgs, err
+}
+
+func (c *txSession) readPagesDir(pid page.PageID, n int) ([][]byte, []page.Directory, error) {
 	if n < 1 {
-		return nil, fmt.Errorf("server: read run of %d pages", n)
+		return nil, nil, fmt.Errorf("server: read run of %d pages", n)
 	}
 	// Truncate the run to the segment before locking, so the lock set
 	// matches the pages actually shipped.
 	total, err := c.srv.mgr.Disk().NumPages(pid.Segment())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if pid.No() >= uint64(total) {
-		return nil, fmt.Errorf("%w: %v", storage.ErrNoPage, pid)
+		return nil, nil, fmt.Errorf("%w: %v", storage.ErrNoPage, pid)
 	}
 	if rest := uint64(total) - pid.No(); uint64(n) > rest {
 		n = int(rest)
 	}
 	for i := 0; i < n; i++ {
 		if err := c.srv.acquire(c.tx, page.NewPageID(pid.Segment(), pid.No()+uint64(i)), lockS); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return c.srv.mgr.Disk().ReadRun(pid, n)
+	return c.srv.mgr.Disk().ReadRunDir(pid, n)
 }
 
 var (
 	_ Server        = (*txSession)(nil)
 	_ BatchLookuper = (*txSession)(nil)
 	_ PageRunReader = (*txSession)(nil)
+	_ dirPageReader = (*txSession)(nil)
 )
 
 // snapSession is the Server view of a snapshot transaction: reads resolve

@@ -183,6 +183,10 @@ func TestManagerConcurrentMixedOps(t *testing.T) {
 			t.Fatalf("stable object %d corrupted: %q, %v", i, got, err)
 		}
 	}
+	// And every page's directory is the POT reversed.
+	if err := mgr.VerifyDirectories(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestPOTConcurrentShards drives the sharded POT directly from many

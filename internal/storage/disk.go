@@ -37,10 +37,11 @@ var (
 // serves multiple clients).
 //
 // Reads are lock-free and copy-free. Every page slot holds an atomically
-// published *immutable* image: WritePage allocates a fresh image and
-// atomic-stores it (copy-on-write), so a reader does one atomic load and
-// hands out the reference — no lock, no copy, and any reference obtained
-// earlier keeps observing the bytes it was published with. The price is
+// published *immutable* state — the page image and, beside it, the extent
+// directory of the page's slots (pageState): WritePage allocates a fresh
+// image and atomic-stores it (copy-on-write), so a reader does one atomic
+// load and hands out the reference — no lock, no copy, and any reference
+// obtained earlier keeps observing the bytes it was published with. The price is
 // one page-sized allocation per write instead of one per read, the right
 // trade for a page *server* (reads dominate, and the borrowed image goes
 // straight onto the wire; see DESIGN.md "Zero-copy read path").
@@ -70,9 +71,19 @@ type diskSegment struct {
 	dir atomic.Pointer[[]*pageSlot]
 }
 
-// pageSlot holds the atomically published immutable image of one page.
+// pageSlot holds the atomically published immutable state of one page.
 type pageSlot struct {
-	img atomic.Pointer[[]byte]
+	cur atomic.Pointer[pageState]
+}
+
+// pageState is one published state of a page: its image and the extent
+// directory of its slots (page.Directory; maintained by the Manager, empty
+// on a bare Disk). Both are immutable and published by one store, so a
+// reader's single load is a consistent pair — the directory never names a
+// slot that, in this image, holds another object.
+type pageState struct {
+	img []byte
+	dir page.Directory
 }
 
 // sealReads selects the debug read mode: when set, ReadPage/ReadRun return
@@ -166,8 +177,7 @@ func (d *Disk) AllocPage(seg uint16) (page.PageID, error) {
 	old := *s.dir.Load()
 	id := page.NewPageID(seg, uint64(len(old)))
 	slot := &pageSlot{}
-	img := page.New(id).CloneImage()
-	slot.img.Store(&img)
+	slot.cur.Store(&pageState{img: page.New(id).CloneImage()})
 	next := make([]*pageSlot, len(old)+1)
 	copy(next, old)
 	next[len(old)] = slot
@@ -197,24 +207,37 @@ func (d *Disk) slot(id page.PageID) (*pageSlot, error) {
 // touching this one. With sealed reads on (the `go test` default) a
 // defensive copy is returned instead.
 func (d *Disk) ReadPage(id page.PageID) ([]byte, error) {
+	img, _, err := d.ReadPageDir(id)
+	return img, err
+}
+
+// ReadPageDir is ReadPage plus the page's extent directory, both taken
+// from one published state and both under the borrow contract.
+func (d *Disk) ReadPageDir(id page.PageID) ([]byte, page.Directory, error) {
 	if err := faultpoint.Check(faultpoint.DiskRead); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	slot, err := d.slot(id)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	img := *slot.img.Load()
+	v := slot.cur.Load()
 	r := d.reg()
 	r.Inc(metrics.CtrDiskPageRead)
 	r.AddN(metrics.CtrDiskReadBytes, page.Size)
 	if sealReads.Load() {
-		out := make([]byte, page.Size)
-		copy(out, img)
-		return out, nil
+		img, dir := v.sealed()
+		return img, dir, nil
 	}
 	r.Inc(metrics.CtrPageZeroCopyHit)
-	return img, nil
+	return v.img, v.dir, nil
+}
+
+// sealed returns defensive copies of the state (seal mode).
+func (v *pageState) sealed() ([]byte, page.Directory) {
+	img := make([]byte, page.Size)
+	copy(img, v.img)
+	return img, append(page.Directory(nil), v.dir...)
 }
 
 // ReadRun returns up to n contiguous pages starting at id, truncated at the
@@ -225,31 +248,37 @@ func (d *Disk) ReadPage(id page.PageID) ([]byte, error) {
 // transactional caller wanting cross-page consistency locks the run first
 // (see txSession.ReadPages).
 func (d *Disk) ReadRun(id page.PageID, n int) ([][]byte, error) {
+	imgs, _, err := d.ReadRunDir(id, n)
+	return imgs, err
+}
+
+// ReadRunDir is ReadRun plus each page's extent directory (see
+// ReadPageDir).
+func (d *Disk) ReadRunDir(id page.PageID, n int) ([][]byte, []page.Directory, error) {
 	if n < 1 {
-		return nil, fmt.Errorf("storage: read run of %d pages", n)
+		return nil, nil, fmt.Errorf("storage: read run of %d pages", n)
 	}
 	s := d.segment(id.Segment())
 	if s == nil {
-		return nil, fmt.Errorf("%w: segment %d", ErrNoSegment, id.Segment())
+		return nil, nil, fmt.Errorf("%w: segment %d", ErrNoSegment, id.Segment())
 	}
 	dir := *s.dir.Load()
 	no := id.No()
 	if no >= uint64(len(dir)) {
-		return nil, fmt.Errorf("%w: %v", ErrNoPage, id)
+		return nil, nil, fmt.Errorf("%w: %v", ErrNoPage, id)
 	}
 	if rest := uint64(len(dir)) - no; uint64(n) > rest {
 		n = int(rest)
 	}
 	sealed := sealReads.Load()
 	out := make([][]byte, n)
+	dirs := make([]page.Directory, n)
 	for i := range out {
-		img := *dir[no+uint64(i)].img.Load()
+		v := dir[no+uint64(i)].cur.Load()
+		out[i], dirs[i] = v.img, v.dir
 		if sealed {
-			cp := make([]byte, page.Size)
-			copy(cp, img)
-			img = cp
+			out[i], dirs[i] = v.sealed()
 		}
-		out[i] = img
 	}
 	r := d.reg()
 	r.AddN(metrics.CtrDiskPageRead, int64(n))
@@ -259,14 +288,25 @@ func (d *Disk) ReadRun(id page.PageID, n int) ([][]byte, error) {
 	}
 	r.Inc(metrics.CtrReadRun)
 	r.AddN(metrics.CtrReadRunPages, int64(n))
-	return out, nil
+	return out, dirs, nil
 }
 
 // WritePage replaces the page image, copy-on-write: the bytes are copied
 // into a fresh image which is atomically published, so references handed
 // out by earlier reads keep observing the previous content. img itself is
-// not retained.
+// not retained. The page's directory is kept: a caller that changes which
+// object owns a slot publishes the new directory with the image
+// (writePageDir).
 func (d *Disk) WritePage(id page.PageID, img []byte) error {
+	return d.writePage(id, img, nil, false)
+}
+
+// writePageDir is WritePage publishing a new directory with the image.
+func (d *Disk) writePageDir(id page.PageID, img []byte, dir page.Directory) error {
+	return d.writePage(id, img, dir, true)
+}
+
+func (d *Disk) writePage(id page.PageID, img []byte, dir page.Directory, setDir bool) error {
 	if err := faultpoint.Check(faultpoint.DiskWrite); err != nil {
 		return err
 	}
@@ -277,10 +317,24 @@ func (d *Disk) WritePage(id page.PageID, img []byte) error {
 	if err != nil {
 		return err
 	}
+	if !setDir {
+		dir = slot.cur.Load().dir
+	}
 	fresh := make([]byte, page.Size)
 	copy(fresh, img)
-	slot.img.Store(&fresh)
+	slot.cur.Store(&pageState{img: fresh, dir: dir})
 	d.reg().Inc(metrics.CtrDiskPageWrite)
+	return nil
+}
+
+// setDirectory publishes a new directory with the page's current image
+// (load and recovery, which rebuild directories from the POT).
+func (d *Disk) setDirectory(id page.PageID, dir page.Directory) error {
+	slot, err := d.slot(id)
+	if err != nil {
+		return err
+	}
+	slot.cur.Store(&pageState{img: slot.cur.Load().img, dir: dir})
 	return nil
 }
 
@@ -322,7 +376,7 @@ func (d *Disk) Save(w io.Writer) error {
 			return err
 		}
 		for _, slot := range dir {
-			if _, err := w.Write(*slot.img.Load()); err != nil {
+			if _, err := w.Write(slot.cur.Load().img); err != nil {
 				return err
 			}
 		}
@@ -361,7 +415,7 @@ func LoadDisk(r io.Reader) (*Disk, error) {
 				return nil, err
 			}
 			slot := &pageSlot{}
-			slot.img.Store(&img)
+			slot.cur.Store(&pageState{img: img})
 			dir[j] = slot
 		}
 		s := &diskSegment{}

@@ -177,7 +177,7 @@ func (m *Manager) Allocate(seg uint16, rec []byte) (oid.OID, PAddr, error) {
 	sa, unlock := m.lockSegs(seg, 0, false)
 	defer unlock()
 	id := m.gen.Next()
-	addr, err := m.place(sa, seg, page.NilPage, rec)
+	addr, err := m.place(sa, seg, page.NilPage, id, rec)
 	if err != nil {
 		return oid.Nil, PAddr{}, err
 	}
@@ -198,7 +198,7 @@ func (m *Manager) AllocateNear(seg uint16, neighbor oid.OID, rec []byte) (oid.OI
 	sa, unlock := m.lockSegs(seg, hint.Segment(), hint != page.NilPage)
 	defer unlock()
 	id := m.gen.Next()
-	addr, err := m.place(sa, seg, hint, rec)
+	addr, err := m.place(sa, seg, hint, id, rec)
 	if err != nil {
 		return oid.Nil, PAddr{}, err
 	}
@@ -206,17 +206,17 @@ func (m *Manager) AllocateNear(seg uint16, neighbor oid.OID, rec []byte) (oid.OI
 	return id, addr, nil
 }
 
-// place stores rec in the segment, honoring the page hint when given. The
-// caller holds the segment's allocation lock (and the hint segment's, if
-// different).
-func (m *Manager) place(sa *segAlloc, seg uint16, hint page.PageID, rec []byte) (PAddr, error) {
+// place stores id's record rec in the segment, honoring the page hint when
+// given. The caller holds the segment's allocation lock (and the hint
+// segment's, if different).
+func (m *Manager) place(sa *segAlloc, seg uint16, hint page.PageID, id oid.OID, rec []byte) (PAddr, error) {
 	if hint != page.NilPage {
-		if addr, ok := m.tryInsert(hint, rec); ok {
+		if addr, ok := m.tryInsert(hint, id, rec); ok {
 			return addr, nil
 		}
 	}
 	if sa.fill != page.NilPage {
-		if addr, ok := m.tryInsert(sa.fill, rec); ok {
+		if addr, ok := m.tryInsert(sa.fill, id, rec); ok {
 			return addr, nil
 		}
 	}
@@ -225,16 +225,17 @@ func (m *Manager) place(sa *segAlloc, seg uint16, hint page.PageID, rec []byte) 
 		return PAddr{}, err
 	}
 	sa.fill = pid
-	addr, ok := m.tryInsert(pid, rec)
+	addr, ok := m.tryInsert(pid, id, rec)
 	if !ok {
 		return PAddr{}, fmt.Errorf("storage: record of %d bytes does not fit a fresh page", len(rec))
 	}
 	return addr, nil
 }
 
-// tryInsert attempts to insert rec into the given page; it reports success.
-func (m *Manager) tryInsert(pid page.PageID, rec []byte) (PAddr, bool) {
-	img, err := m.disk.ReadPage(pid)
+// tryInsert attempts to insert id's record into the given page, filing the
+// slot it got in the page's directory; it reports success.
+func (m *Manager) tryInsert(pid page.PageID, id oid.OID, rec []byte) (PAddr, bool) {
+	img, dir, err := m.disk.ReadPageDir(pid)
 	if err != nil {
 		return PAddr{}, false
 	}
@@ -246,7 +247,7 @@ func (m *Manager) tryInsert(pid page.PageID, rec []byte) (PAddr, bool) {
 	if err != nil {
 		return PAddr{}, false
 	}
-	if err := m.disk.WritePage(pid, p.Image()); err != nil {
+	if err := m.disk.writePageDir(pid, p.Image(), dir.With(id, slot)); err != nil {
 		return PAddr{}, false
 	}
 	return PAddr{Page: pid, Slot: uint16(slot)}, true
@@ -318,7 +319,7 @@ func (m *Manager) Update(id oid.OID, rec []byte) (PAddr, error) {
 	if addr, ok = m.pot.Get(id); !ok {
 		return PAddr{}, fmt.Errorf("%w: %v", ErrNoObject, id)
 	}
-	img, err := m.disk.ReadPage(addr.Page)
+	img, dir, err := m.disk.ReadPageDir(addr.Page)
 	if err != nil {
 		return PAddr{}, err
 	}
@@ -336,10 +337,10 @@ func (m *Manager) Update(id oid.OID, rec []byte) (PAddr, error) {
 	if err := p.Delete(int(addr.Slot)); err != nil {
 		return PAddr{}, err
 	}
-	if err := m.disk.WritePage(addr.Page, p.Image()); err != nil {
+	if err := m.disk.writePageDir(addr.Page, p.Image(), dir.Without(id)); err != nil {
 		return PAddr{}, err
 	}
-	naddr, err := m.place(sa, addr.Page.Segment(), page.NilPage, rec)
+	naddr, err := m.place(sa, addr.Page.Segment(), page.NilPage, id, rec)
 	if err != nil {
 		return PAddr{}, err
 	}
@@ -435,6 +436,9 @@ func LoadManager(r io.Reader) (*Manager, error) {
 		}
 		m.pot.Put(oid.OID(id), PAddr{Page: page.PageID(pid), Slot: slot})
 	}
+	if err := m.rebuildDirectories(); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
@@ -451,7 +455,7 @@ func (m *Manager) Delete(id oid.OID) error {
 	if addr, ok = m.pot.Get(id); !ok {
 		return fmt.Errorf("%w: %v", ErrNoObject, id)
 	}
-	img, err := m.disk.ReadPage(addr.Page)
+	img, dir, err := m.disk.ReadPageDir(addr.Page)
 	if err != nil {
 		return err
 	}
@@ -462,7 +466,7 @@ func (m *Manager) Delete(id oid.OID) error {
 	if err := p.Delete(int(addr.Slot)); err != nil {
 		return err
 	}
-	if err := m.disk.WritePage(addr.Page, p.Image()); err != nil {
+	if err := m.disk.writePageDir(addr.Page, p.Image(), dir.Without(id)); err != nil {
 		return err
 	}
 	m.pot.Delete(id)

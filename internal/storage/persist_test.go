@@ -38,6 +38,10 @@ func TestManagerSaveLoadRoundTrip(t *testing.T) {
 	if m2.POT().Len() != 500 {
 		t.Fatalf("reloaded POT has %d entries", m2.POT().Len())
 	}
+	// Directories are not saved: the load rebuilt them from the POT.
+	if err := m2.VerifyDirectories(); err != nil {
+		t.Fatal(err)
+	}
 	for i, id := range ids {
 		rec, _, err := m2.Read(id)
 		if err != nil || string(rec) != fmt.Sprintf("rec-%04d", i) {

@@ -69,9 +69,9 @@ const (
 
 const (
 	walMagic     = "GOMWAL01"
-	walHeaderLen = 16              // magic + epoch
-	walFrameHdr  = 8               // length + crc
-	walMaxRecord = page.Size + 64  // largest legal payload
+	walHeaderLen = 16             // magic + epoch
+	walFrameHdr  = 8              // length + crc
+	walMaxRecord = page.Size + 64 // largest legal payload
 	snapPattern  = "snap-%016d.gom"
 	walPattern   = "wal-%016d.log"
 	snapTmp      = "snap.tmp" // checkpoint staging file
@@ -424,36 +424,34 @@ func (w *WAL) appendCommitBatch(txs []uint64, ph *CommitPhases, exemplar uint64)
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.broken {
-		// Poisoned while our fsync was in flight: the poisoner truncated
-		// the unsynced tail, which may include this batch's records, so
-		// even a successful fsync here proves nothing about them. Report
-		// failure without advancing synced or firing the hook — the
-		// records are gone from the file, so recovery cannot resurrect
-		// these transactions either.
-		return ErrWALBroken
-	}
-	if serr != nil {
-		if end <= w.synced {
-			// A concurrent batch appended after us, fsynced successfully,
-			// and advanced the durable prefix past our records before our
-			// own (failed) fsync verdict arrived. fsync covers the whole
-			// file, so our commit records are provably durable — report
-			// success; failing them here would be the resurrection bug in
-			// reverse (transactions reported failed yet replayed as
-			// committed after a crash). The WAL stays usable: the durable
-			// prefix already covers everything this batch wrote.
-			w.finishCommitBatch(txs, ph, exemplar, start, appendDone, fsyncDone)
-			return nil
+	// covered: a concurrent batch appended after us, fsynced successfully,
+	// and advanced the durable prefix past our records before we got back
+	// here. fsync covers the whole file, so our commit records are provably
+	// durable whatever our own fsync said, and whether or not the WAL has
+	// been poisoned since (poisoning truncates to the durable prefix, which
+	// keeps them) — report success; failing them would be the resurrection
+	// bug in reverse (transactions reported failed yet replayed as
+	// committed after a crash).
+	if covered := end <= w.synced; !covered {
+		if w.broken {
+			// Poisoned while our fsync was in flight: the poisoner
+			// truncated the unsynced tail, which includes this batch's
+			// records, so even a successful fsync here proves nothing
+			// about them. Report failure without advancing synced or
+			// firing the hook — the records are gone from the file, so
+			// recovery cannot resurrect these transactions either.
+			return ErrWALBroken
 		}
-		// First to observe the failure: poison and truncate the unsynced
-		// tail (see poisonLocked) so the batch's commit records — whose
-		// durability is being reported failed right here — can never be
-		// made durable by a later sync.
-		w.poisonLocked()
-		return serr
+		if serr != nil {
+			// First to observe the failure: poison and truncate the
+			// unsynced tail (see poisonLocked) so the batch's commit
+			// records — whose durability is being reported failed right
+			// here — can never be made durable by a later sync.
+			w.poisonLocked()
+			return serr
+		}
 	}
-	if !skip && !nosync {
+	if serr == nil && !skip && !nosync {
 		if end > w.synced {
 			w.synced = end
 		}
@@ -630,15 +628,15 @@ func syncDir(dir string) {
 
 // walRec is one decoded log record.
 type walRec struct {
-	typ     byte
-	tx      uint64
-	seg     uint16
-	count   uint64
-	pid     page.PageID
-	id      oid.OID
-	slot    uint16
-	img     []byte
-	end     int64 // file offset just past this record's frame
+	typ   byte
+	tx    uint64
+	seg   uint16
+	count uint64
+	pid   page.PageID
+	id    oid.OID
+	slot  uint16
+	img   []byte
+	end   int64 // file offset just past this record's frame
 }
 
 // scanWAL decodes the log image in data: header check, then records until
@@ -793,14 +791,14 @@ func ScanLogFile(path string) ([]LogRecordInfo, int64, error) {
 
 // RecoverInfo reports what recovery found and did.
 type RecoverInfo struct {
-	Epoch         uint64 // epoch recovered
-	FromSnapshot  bool   // a snapshot seeded the state
-	Records       int    // valid records scanned
-	Replayed      int    // records applied (system + committed)
-	Committed     int    // committed transactions replayed
-	Skipped       int    // transactions discarded (uncommitted/aborted)
-	TornBytes     int64  // torn-tail bytes truncated from the log
-	TornReason    string // why the scan stopped, "" when the tail was clean
+	Epoch        uint64 // epoch recovered
+	FromSnapshot bool   // a snapshot seeded the state
+	Records      int    // valid records scanned
+	Replayed     int    // records applied (system + committed)
+	Committed    int    // committed transactions replayed
+	Skipped      int    // transactions discarded (uncommitted/aborted)
+	TornBytes    int64  // torn-tail bytes truncated from the log
+	TornReason   string // why the scan stopped, "" when the tail was clean
 }
 
 func (ri RecoverInfo) String() string {
@@ -1005,7 +1003,8 @@ func replayWAL(m *Manager, recs []walRec, info *RecoverInfo) error {
 	if maxSerial >= m.gen.Peek() {
 		m.gen = oid.NewGeneratorAt(m.gen.Volume(), maxSerial+1)
 	}
-	return nil
+	// Replay wrote page images and POT entries directly.
+	return m.rebuildDirectories()
 }
 
 // obs returns the disk's registry (the manager has no registry of its own;

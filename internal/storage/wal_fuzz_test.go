@@ -27,7 +27,7 @@ func fuzzSeedLog(tb testing.TB) []byte {
 	seg(walRecSegCreate, 1, 0)
 	seg(walRecEnsurePages, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0)
 	pot := make([]byte, 26)
-	binary.LittleEndian.PutUint64(pot, 1)                              // tx
+	binary.LittleEndian.PutUint64(pot, 1)                                           // tx
 	binary.LittleEndian.PutUint64(pot[8:], uint64(oid.NewGeneratorAt(1, 1).Next())) // oid
 	binary.LittleEndian.PutUint64(pot[16:], uint64(page.NewPageID(1, 0)))
 	seg(walRecPotPut, pot...)
