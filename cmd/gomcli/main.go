@@ -326,8 +326,8 @@ func cmdServe(args []string) error {
 		}
 		srv.SetMetrics(reg)
 		// Server-side span ring for /debug/trace. Spans record only for
-		// requests whose (v2, featureTrace) client shipped a sampled
-		// context, so this is free for untraced traffic.
+		// requests whose client shipped a sampled context, so this is
+		// free for untraced traffic.
 		srv.SetTracer(trace.New(1, trace.DefaultDepth))
 		dbgAddr, err := srv.StartDebug(*debug)
 		if err != nil {

@@ -114,7 +114,7 @@ func run(workload string, parts, depth, repeat, ops, pages int, seed int64, stat
 	}
 	db.Srv.SetMetrics(reg)
 	trace := monitor.NewTrace()
-	c.OM.SetTracer(trace)
+	c.OM.SetAccessRecorder(trace)
 	c.Begin(swizzle.NewSpec("training", swizzle.NOS))
 	if err := drive(c, reg); err != nil {
 		return err

@@ -46,7 +46,7 @@ func main() {
 		log.Fatal(err)
 	}
 	trace := monitor.NewTrace()
-	trainee.OM.SetTracer(trace)
+	trainee.OM.SetAccessRecorder(trace)
 	trainee.Begin(swizzle.NewSpec("training", swizzle.NOS))
 	if err := workload(trainee); err != nil {
 		log.Fatal(err)

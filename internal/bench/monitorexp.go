@@ -31,7 +31,7 @@ func runFig20(o Opts) (*Result, error) {
 		return nil, err
 	}
 	tr := monitor.NewTrace()
-	c.OM.SetTracer(tr)
+	c.OM.SetAccessRecorder(tr)
 	c.Begin(swizzle.NewSpec("training", swizzle.NOS))
 	// The Fig. 20 example traces a Traversal of depth 1; repeat it a few
 	// times so the profile shows re-referencing.

@@ -148,7 +148,7 @@ func obsReadPair(clients, slices int, slice time.Duration, seed int64) (off, on 
 					pid := page.NewPageID(1, uint64(rng.Intn(npages)))
 					binary.LittleEndian.PutUint64(req, uint64(pid))
 					start := reg.Now()
-					_, serr := server.ServeReadPageFrame(backend, req, false)
+					_, serr := server.ServeReadPageFrame(backend, req)
 					if instrumented {
 						traceID := uint64(0)
 						if n%1024 == 0 {

@@ -14,23 +14,16 @@ import (
 )
 
 func init() {
-	register("readpath", "Server read path: locked copying reads vs lock-free zero-copy frames", runReadpath)
+	register("readpath", "Server read path: lock-free zero-copy frames at increasing client concurrency", runReadpath)
 }
 
 // runReadpath measures the server-side ReadPage response path end to end
 // (request decode, page read, response frame assembly) at increasing
-// client concurrency, comparing two configurations:
+// client concurrency: readers do one atomic load and the published
+// immutable image, with the page's directory, is attached to a pooled
+// scatter-gather frame by reference. No lock, no copy.
 //
-//   - copy: the pre-zero-copy read path — page reads go through a shared
-//     reader/writer lock (the shape of the old Disk mutex), the store
-//     hands out a defensive copy of the page (seal mode), and the
-//     response frame is a contiguous buffer the page is copied into
-//     again. Two copies and a lock acquisition per read.
-//   - zerocopy: the copy-on-write read path — readers do one atomic load
-//     and the published immutable image is attached to a pooled
-//     scatter-gather frame by reference. No lock, no copy.
-//
-// Both cells run in process (no sockets), so the numbers isolate the
+// The cells run in process (no sockets), so the numbers isolate the
 // server path itself rather than kernel TCP behavior; the TCP writer
 // ships the same frames with writev.
 func runReadpath(o Opts) (*Result, error) {
@@ -69,31 +62,23 @@ func runReadpath(o Opts) (*Result, error) {
 
 	res := &Result{
 		ID:     "readpath",
-		Title:  "Server ReadPage path: locked copy vs lock-free zero-copy",
-		Header: []string{"clients", "copy reads/s", "copy MB/s", "zerocopy reads/s", "zerocopy MB/s", "speedup"},
+		Title:  "Server ReadPage path: lock-free zero-copy frames",
+		Header: []string{"clients", "reads/s", "MB/s"},
 		Notes: []string{
 			fmt.Sprintf("in-process response-path cells over %d pages, %v per cell; no sockets, so the numbers isolate the server path", npages, dur),
-			"copy = RWMutex around the read + sealed (copying) page reads + contiguous response frame (two copies/read)",
-			"zerocopy = atomic-load page borrow attached to a pooled scatter-gather frame (no lock, no copy)",
+			"atomic-load page borrow attached to a pooled scatter-gather frame (no lock, no copy)",
 		},
 	}
 
 	for _, clients := range counts {
-		copyCell, err := readpathCell(backend, npages, true, clients, dur, o.Seed)
-		if err != nil {
-			return nil, err
-		}
-		zeroCell, err := readpathCell(backend, npages, false, clients, dur, o.Seed)
+		cell, err := readpathCell(backend, npages, clients, dur, o.Seed)
 		if err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("%d", clients),
-			fmt.Sprintf("%.0f", copyCell.readsPerSec),
-			fmt.Sprintf("%.0f", copyCell.mbPerSec),
-			fmt.Sprintf("%.0f", zeroCell.readsPerSec),
-			fmt.Sprintf("%.0f", zeroCell.mbPerSec),
-			fmt.Sprintf("%.1fx", zeroCell.readsPerSec/copyCell.readsPerSec),
+			fmt.Sprintf("%.0f", cell.readsPerSec),
+			fmt.Sprintf("%.0f", cell.mbPerSec),
 		})
 	}
 	return res, nil
@@ -104,17 +89,14 @@ type readpathCellResult struct {
 	mbPerSec    float64
 }
 
-// readpathCell runs one (mode, clients) cell: `clients` goroutines hammer
-// ServeReadPageFrame over random pages for dur. In legacy mode the reads
-// additionally funnel through a shared RWMutex and use sealed (copying)
-// page reads plus the contiguous copying frame encoder — the pre-COW
-// server read path.
-func readpathCell(backend *server.Local, npages int, legacy bool, clients int, dur time.Duration, seed int64) (readpathCellResult, error) {
-	prevSeal := storage.SetSealReads(legacy)
+// readpathCell runs one cell: `clients` goroutines hammer
+// ServeReadPageFrame over random pages for dur, with borrowed (unsealed)
+// page reads as in production.
+func readpathCell(backend *server.Local, npages int, clients int, dur time.Duration, seed int64) (readpathCellResult, error) {
+	prevSeal := storage.SetSealReads(false)
 	defer storage.SetSealReads(prevSeal)
 
 	var (
-		lock     sync.RWMutex // legacy mode only: the old Disk-wide lock
 		wg       sync.WaitGroup
 		reads    atomic.Int64
 		bytes    atomic.Int64
@@ -139,17 +121,7 @@ func readpathCell(backend *server.Local, npages int, legacy bool, clients int, d
 				}
 				pid := page.NewPageID(1, uint64(rng.Intn(npages)))
 				binary.LittleEndian.PutUint64(req, uint64(pid))
-				var (
-					wire int
-					err  error
-				)
-				if legacy {
-					lock.RLock()
-					wire, err = server.ServeReadPageFrame(backend, req, true)
-					lock.RUnlock()
-				} else {
-					wire, err = server.ServeReadPageFrame(backend, req, false)
-				}
+				wire, err := server.ServeReadPageFrame(backend, req)
 				if err != nil {
 					errMu.Lock()
 					if firstErr == nil {

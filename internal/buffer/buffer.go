@@ -673,7 +673,6 @@ func (p *Pool) evictFrame(f *Frame) error {
 	p.count.Add(-1)
 	p.meter.SharedAdd(int(f.pid), sim.CntPageEvict, 1)
 	p.obs.Inc(metrics.CtrBufferEvict)
-	p.obs.Trace(metrics.CtrBufferEvict, uint64(f.pid), 0)
 	close(f.gone)
 	return nil
 }

@@ -110,12 +110,12 @@ func (vs *varSet) drain() []*Var {
 
 // fastViable reports whether fast paths may run at all. Pagewise RRLs and
 // the bounded swizzle table maintain global structures on every swizzle, and
-// a tracer wants a globally ordered record stream — those configurations
-// serialize every operation behind the writer lock instead. The fields read
-// here change only under the writer lock, which excludes the reader slot the
-// caller holds.
+// an access recorder wants a globally ordered record stream — those
+// configurations serialize every operation behind the writer lock instead.
+// The fields read here change only under the writer lock, which excludes
+// the reader slot the caller holds.
 func (om *OM) fastViable() bool {
-	return om.swizzleTableCap == 0 && !om.pagewise && om.tracer == nil
+	return om.swizzleTableCap == 0 && !om.pagewise && om.recorder == nil
 }
 
 // fastResolve resolves a reference to its resident home object without any

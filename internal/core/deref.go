@@ -154,7 +154,6 @@ func (om *OM) objectFault(id oid.OID) (*object.MemObject, error) {
 		}()
 	}
 	om.obs.Inc(metrics.CtrObjectFault)
-	om.obs.Trace(metrics.CtrObjectFault, uint64(id), 0)
 	om.meter.Add(sim.CntObjectFault, 1)
 	if om.spec.PerObjectCall() {
 		// The late-bound type-specific fetch procedure (§4.2.2, FC).

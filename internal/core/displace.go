@@ -111,7 +111,6 @@ func (om *OM) displace(obj *object.MemObject, fromHook bool) error {
 	om.displacing[obj.OID] = true
 	defer delete(om.displacing, obj.OID)
 	om.obs.Inc(metrics.CtrDisplacement)
-	om.obs.Trace(metrics.CtrDisplacement, uint64(obj.OID), uint64(obj.Page))
 
 	if obj.Dirty {
 		if _, err := om.writeBack(obj); err != nil {

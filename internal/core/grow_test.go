@@ -130,7 +130,7 @@ func TestDerefAndTracerCoverage(t *testing.T) {
 	om := b.om(t, Options{})
 	om.BeginApplication(appSpec(swizzle.LDS))
 	rec := &recordingTracer{}
-	om.SetTracer(rec)
+	om.SetAccessRecorder(rec)
 	v := om.NewVar("v", b.part)
 	if err := om.Load(v, b.parts[0]); err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestDerefAndTracerCoverage(t *testing.T) {
 	if len(rec.events) < 2 { // load entry + x read
 		t.Errorf("tracer saw %d events", len(rec.events))
 	}
-	om.SetTracer(nil)
+	om.SetAccessRecorder(nil)
 	if _, err := om.ReadInt(v, "x"); err != nil {
 		t.Fatal(err)
 	}

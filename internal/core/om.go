@@ -44,9 +44,11 @@ var (
 	ErrNoCapacity = errors.New("core: buffers exhausted (pinned working set too large)")
 )
 
-// Tracer receives one record per object-manager call, in the format the
-// monitoring facility consumes (§7.1, Fig. 20a: OID, attribute, r/w).
-type Tracer interface {
+// AccessRecorder receives one record per object-manager call, in the
+// format the monitoring facility consumes (§7.1, Fig. 20a: OID,
+// attribute, r/w). It is the §7 training hook, unrelated to the request
+// spans of SetTrace.
+type AccessRecorder interface {
 	Record(id oid.OID, attr string, write bool)
 }
 
@@ -98,8 +100,8 @@ type Options struct {
 	ReadaheadPages int
 	// Trace installs the request tracer: entry points open sampled spans
 	// that propagate through buffer faults, readahead, and — when the
-	// server transport supports featureTrace — across the wire, so
-	// server-side storage spans parent under client operations. Nil
+	// server is a TCP client — across the wire, so server-side storage
+	// spans parent under client operations. Nil
 	// disables tracing; an installed-but-unsampled tracer costs two
 	// branches per operation and never allocates.
 	Trace *trace.Tracer
@@ -183,7 +185,7 @@ type OM struct {
 	curCtx   atomic.Pointer[trace.Context]
 	scoreTab map[*object.Type][]*metrics.Score
 
-	tracer Tracer
+	recorder AccessRecorder
 	// lazyUponDereference switches lazy swizzling from the default
 	// upon-discovery behaviour to upon-dereference (§3.2.1) — implemented
 	// for the ablation study; GOM and EXODUS use upon-discovery.
@@ -325,18 +327,18 @@ func (om *OM) Cache() *objcache.Cache { return om.cache }
 // Resident returns the number of ROT-registered objects.
 func (om *OM) Resident() int { return om.rot.Len() }
 
-// SetTracer installs (or removes, with nil) the monitoring hook.
-func (om *OM) SetTracer(t Tracer) {
+// SetAccessRecorder installs (or removes, with nil) the monitoring hook.
+func (om *OM) SetAccessRecorder(r AccessRecorder) {
 	if om.conc {
 		om.mu.Lock()
 		defer om.mu.Unlock()
 	}
-	om.tracer = t
+	om.recorder = r
 }
 
-func (om *OM) trace(id oid.OID, attr string, write bool) {
-	if om.tracer != nil {
-		om.tracer.Record(id, attr, write)
+func (om *OM) recordAccess(id oid.OID, attr string, write bool) {
+	if om.recorder != nil {
+		om.recorder.Record(id, attr, write)
 	}
 }
 

@@ -61,7 +61,7 @@ func (om *OM) Load(v *Var, id oid.OID) error {
 	}
 	// An entry-point record with no attribute: monitoring counts these to
 	// model the per-entry swizzling of program variables (§7.1).
-	om.trace(id, "", false)
+	om.recordAccess(id, "", false)
 	if v.strategy.Swizzles() && !(om.lazyUponDereference && v.strategy.Lazy()) {
 		return om.swizzleSlot(object.VarSlot(&v.ref), v.strategy, v.score)
 	}
@@ -107,7 +107,7 @@ func (om *OM) ReadInt(v *Var, field string) (int64, error) {
 	}
 	om.obs.Inc(metrics.CtrRead)
 	om.meter.Event(sim.CntLookupInt, om.meter.Costs().FieldAccess)
-	om.trace(obj.OID, field, false)
+	om.recordAccess(obj.OID, field, false)
 	return obj.Int(fi), nil
 }
 
@@ -132,7 +132,7 @@ func (om *OM) ReadStr(v *Var, field string) (string, error) {
 	}
 	om.obs.Inc(metrics.CtrRead)
 	om.meter.Event(sim.CntLookupInt, om.meter.Costs().FieldAccess)
-	om.trace(obj.OID, field, false)
+	om.recordAccess(obj.OID, field, false)
 	return obj.Str(fi), nil
 }
 
@@ -164,7 +164,7 @@ func (om *OM) ReadRef(v *Var, field string, dst *Var) error {
 	costs := om.meter.Costs()
 	om.obs.Inc(metrics.CtrRead)
 	om.meter.Event(sim.CntLookupRef, costs.FieldAccess+costs.RefFieldExtra)
-	om.trace(obj.OID, field, false)
+	om.recordAccess(obj.OID, field, false)
 	return om.withPinned(obj, func() error {
 		slot := object.FieldSlot(obj, fi)
 		// The read is a use of the reference in its home context — the
@@ -206,7 +206,7 @@ func (om *OM) ReadElem(v *Var, field string, i int, dst *Var) error {
 	costs := om.meter.Costs()
 	om.obs.Inc(metrics.CtrRead)
 	om.meter.Event(sim.CntLookupRef, costs.FieldAccess+costs.RefFieldExtra)
-	om.trace(obj.OID, field, false)
+	om.recordAccess(obj.OID, field, false)
 	return om.withPinned(obj, func() error {
 		slot := object.ElemSlot(obj, fi, i)
 		om.slotScore(slot).Inc(metrics.ScoreDeref)
@@ -251,7 +251,7 @@ func (om *OM) Card(v *Var, field string) (int, error) {
 	}
 	om.obs.Inc(metrics.CtrRead)
 	om.meter.Event(sim.CntLookupInt, om.meter.Costs().FieldAccess)
-	om.trace(obj.OID, field, false)
+	om.recordAccess(obj.OID, field, false)
 	return obj.SetLen(fi), nil
 }
 
@@ -277,7 +277,7 @@ func (om *OM) WriteInt(v *Var, field string, val int64) error {
 	costs := om.meter.Costs()
 	om.obs.Inc(metrics.CtrWrite)
 	om.meter.Event(sim.CntUpdateInt, costs.FieldAccess+costs.MarkDirty)
-	om.trace(obj.OID, field, true)
+	om.recordAccess(obj.OID, field, true)
 	obj.SetInt(fi, val)
 	om.markDirty(obj)
 	return nil
@@ -302,7 +302,7 @@ func (om *OM) WriteStr(v *Var, field string, val string) error {
 	costs := om.meter.Costs()
 	om.obs.Inc(metrics.CtrWrite)
 	om.meter.Event(sim.CntUpdateInt, costs.FieldAccess+costs.MarkDirty)
-	om.trace(obj.OID, field, true)
+	om.recordAccess(obj.OID, field, true)
 	obj.SetStr(fi, val)
 	om.markDirty(obj)
 	return om.reaccount(obj)
@@ -333,7 +333,7 @@ func (om *OM) WriteRef(v *Var, field string, src *Var) error {
 	costs := om.meter.Costs()
 	om.obs.Inc(metrics.CtrWrite)
 	om.meter.Event(sim.CntUpdateRef, costs.FieldAccess+costs.RefFieldExtra+costs.MarkDirty)
-	om.trace(obj.OID, field, true)
+	om.recordAccess(obj.OID, field, true)
 	if err := om.withPinned(obj, func() error {
 		slot := object.FieldSlot(obj, fi)
 		return om.assignRef(slot, om.spec.ForSlot(slot), &src.ref)
@@ -389,7 +389,7 @@ func (om *OM) AppendElem(v *Var, field string, src *Var) error {
 	costs := om.meter.Costs()
 	om.obs.Inc(metrics.CtrWrite)
 	om.meter.Event(sim.CntUpdateRef, costs.FieldAccess+costs.RefFieldExtra+costs.MarkDirty)
-	om.trace(obj.OID, field, true)
+	om.recordAccess(obj.OID, field, true)
 	if err := om.withPinned(obj, func() error {
 		idx := obj.Append(fi, object.NilRef)
 		slot := object.ElemSlot(obj, fi, idx)
@@ -427,7 +427,7 @@ func (om *OM) WriteElem(v *Var, field string, i int, src *Var) error {
 	costs := om.meter.Costs()
 	om.obs.Inc(metrics.CtrWrite)
 	om.meter.Event(sim.CntUpdateRef, costs.FieldAccess+costs.RefFieldExtra+costs.MarkDirty)
-	om.trace(obj.OID, field, true)
+	om.recordAccess(obj.OID, field, true)
 	if err := om.withPinned(obj, func() error {
 		slot := object.ElemSlot(obj, fi, i)
 		return om.assignRef(slot, om.spec.ForSlot(slot), &src.ref)
@@ -461,7 +461,7 @@ func (om *OM) RemoveElem(v *Var, field string, i int) error {
 	costs := om.meter.Costs()
 	om.obs.Inc(metrics.CtrWrite)
 	om.meter.Event(sim.CntUpdateRef, costs.FieldAccess+costs.RefFieldExtra+costs.MarkDirty)
-	om.trace(obj.OID, field, true)
+	om.recordAccess(obj.OID, field, true)
 	om.unregisterSlot(object.ElemSlot(obj, fi, i))
 	moved := obj.RemoveElem(fi, i)
 	if moved >= 0 {

@@ -11,7 +11,7 @@ import (
 
 // tcpBase serves the base over real TCP with a server-side tracer
 // installed and returns a dialed client plus both tracers.
-func tcpBase(t *testing.T, b *testBase, opts server.DialOptions) (*server.Client, *trace.Tracer, *trace.Tracer, func()) {
+func tcpBase(t *testing.T, b *testBase) (*server.Client, *trace.Tracer, *trace.Tracer, func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -20,7 +20,7 @@ func tcpBase(t *testing.T, b *testBase, opts server.DialOptions) (*server.Client
 	srv := server.Serve(ln, b.srv.Manager())
 	serverTr := trace.New(1, 512)
 	srv.SetTracer(serverTr)
-	client, err := server.DialWith(srv.Addr().String(), opts)
+	client, err := server.Dial(srv.Addr().String())
 	if err != nil {
 		srv.Close()
 		t.Fatal(err)
@@ -66,13 +66,13 @@ func traceWorkload(t *testing.T, b *testBase, client *server.Client, clientTr *t
 	}
 }
 
-// TestTraceSpansNestAcrossTCP is the end-to-end tracing contract: with a
-// v2 connection that negotiated featureTrace, a server-side storage span
-// must be a transitive child of the client-side OM entry-point span that
-// caused it — the trace context crosses the wire.
+// TestTraceSpansNestAcrossTCP is the end-to-end tracing contract: a
+// server-side storage span must be a transitive child of the client-side
+// OM entry-point span that caused it — the trace context crosses the
+// wire.
 func TestTraceSpansNestAcrossTCP(t *testing.T) {
 	b := buildBase(t, 60)
-	client, clientTr, serverTr, done := tcpBase(t, b, server.DialOptions{})
+	client, clientTr, serverTr, done := tcpBase(t, b)
 	defer done()
 	traceWorkload(t, b, client, clientTr)
 
@@ -82,7 +82,7 @@ func TestTraceSpansNestAcrossTCP(t *testing.T) {
 	}
 	serverRecs := serverTr.Records()
 	if len(serverRecs) == 0 {
-		t.Fatal("no server-side spans recorded over a featureTrace connection")
+		t.Fatal("no server-side spans recorded over TCP")
 	}
 
 	// Walk each server span's parent chain through the client's spans up
@@ -110,54 +110,5 @@ func TestTraceSpansNestAcrossTCP(t *testing.T) {
 	}
 	if roots["deref"] == 0 {
 		t.Fatalf("no server span is a transitive child of a client deref span; roots = %v", roots)
-	}
-}
-
-// TestTraceInteropLockstepPeer: against a v1 (lockstep) peer there is no
-// feature negotiation at all; local tracing must still work — client
-// spans are recorded, nothing is shipped, the server records nothing.
-func TestTraceInteropLockstepPeer(t *testing.T) {
-	b := buildBase(t, 60)
-	client, clientTr, serverTr, done := tcpBase(t, b, server.DialOptions{Lockstep: true})
-	defer done()
-	traceWorkload(t, b, client, clientTr)
-
-	if clientTr.Len() == 0 {
-		t.Fatal("local tracing recorded nothing against a v1 peer")
-	}
-	if n := serverTr.Len(); n != 0 {
-		t.Fatalf("server recorded %d spans without featureTrace", n)
-	}
-}
-
-// TestTraceInteropV2NoTracePeer: a v2 server that does not offer
-// featureTrace (emulated via SetFeatures) must still interoperate with a
-// tracing client — pipelining stays on, frames carry no trace suffix,
-// and only client-side spans exist.
-func TestTraceInteropV2NoTracePeer(t *testing.T) {
-	b := buildBase(t, 60)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.Serve(ln, b.srv.Manager())
-	defer srv.Close()
-	srv.SetFeatures(server.FeatureBatch) // v2, batching, no trace propagation
-	serverTr := trace.New(1, 512)
-	srv.SetTracer(serverTr)
-	client, err := server.Dial(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	clientTr := trace.New(1, 512)
-	traceWorkload(t, b, client, clientTr)
-
-	if clientTr.Len() == 0 {
-		t.Fatal("local tracing recorded nothing against a v2-no-trace peer")
-	}
-	if n := serverTr.Len(); n != 0 {
-		t.Fatalf("server recorded %d spans though featureTrace was not offered", n)
 	}
 }

@@ -258,9 +258,8 @@ func (om *OM) Verify() error {
 // verifyDirectory holds a resident object's address to the directory its
 // page arrived with: the next fault of the object resolves from there, so
 // drift between the two is a wrong read waiting to happen. A page without
-// a directory (in-process server, lock-step or snapshot read) is not
-// checked, and one more fragmented than the shipping cap may leave the
-// object out.
+// a directory (in-process server or snapshot read) is not checked, and
+// one more fragmented than the shipping cap may leave the object out.
 func (om *OM) verifyDirectory(obj *object.MemObject, report func(string, ...any)) {
 	f := om.pool.Peek(obj.Page)
 	if f == nil {

@@ -1,7 +1,6 @@
 // Package metrics is the always-on observability layer of the
 // reproduction: a small, dependency-free registry of atomic counters and
-// fixed-bucket latency histograms, plus a bounded ring-buffer event tracer
-// for post-mortem debugging.
+// fixed-bucket latency histograms.
 //
 // It is deliberately distinct from two neighbouring facilities:
 //
@@ -498,7 +497,6 @@ type Registry struct {
 	// direction (0 = received, 1 = sent), maintained by both protocol
 	// ends so either side's /metrics attributes wire traffic to ops.
 	io     [2][NumRPCOps]ioCount
-	tracer *Tracer
 	scores scoreboard
 	drift  atomic.Pointer[DriftSource]
 	slow   atomic.Pointer[SlowLog]
@@ -527,9 +525,9 @@ func (g *gauge) add(delta int64) {
 	}
 }
 
-// New returns a registry with a tracer of DefaultTraceDepth.
+// New returns an empty registry.
 func New() *Registry {
-	return &Registry{start: time.Now(), tracer: NewTracer(DefaultTraceDepth)}
+	return &Registry{start: time.Now()}
 }
 
 // Inc records one occurrence of the counter.
@@ -700,24 +698,6 @@ func (r *Registry) Slow() *SlowLog {
 	return r.slow.Load()
 }
 
-// Trace appends an event to the ring-buffer tracer (no-op when the
-// registry or its tracer is nil). A and B are event-specific arguments —
-// an OID, a page id — kept as raw integers so tracing never allocates.
-func (r *Registry) Trace(kind Counter, a, b uint64) {
-	if r == nil || r.tracer == nil {
-		return
-	}
-	r.tracer.Record(kind, a, b)
-}
-
-// TraceEvents returns the retained trace events, oldest first.
-func (r *Registry) TraceEvents() []Event {
-	if r == nil || r.tracer == nil {
-		return nil
-	}
-	return r.tracer.Events()
-}
-
 // Snapshot captures every counter and histogram for later diffing. Gauges
 // carry their instantaneous level and high-water mark (levels are not
 // differenced by Delta — a level at a point in time is not a rate).
@@ -867,7 +847,6 @@ type jsonSnapshot struct {
 	Derived       map[string]float64   `json:"derived,omitempty"`
 	Scoreboard    []ScoreRow           `json:"scoreboard,omitempty"`
 	Advisor       []Drift              `json:"advisor,omitempty"`
-	Trace         []jsonEvent          `json:"trace,omitempty"`
 }
 
 type jsonRPCIO struct {
@@ -891,14 +870,6 @@ type jsonRPC struct {
 	// TailTraceID is the exemplar of the highest populated bucket — the
 	// trace ID of the last traced observation in the tail, 0 when none.
 	TailTraceID uint64 `json:"tail_trace_id,omitempty"`
-}
-
-type jsonEvent struct {
-	Seq    uint64 `json:"seq"`
-	UnixNS int64  `json:"unix_ns"`
-	Kind   string `json:"kind"`
-	A      uint64 `json:"a"`
-	B      uint64 `json:"b"`
 }
 
 func (r *Registry) jsonValue() jsonSnapshot {
@@ -973,11 +944,6 @@ func (r *Registry) jsonValue() jsonSnapshot {
 	}
 	out.Scoreboard = r.ScoreRows()
 	out.Advisor = r.Drifts()
-	for _, e := range r.TraceEvents() {
-		out.Trace = append(out.Trace, jsonEvent{
-			Seq: e.Seq, UnixNS: e.UnixNS, Kind: e.Kind.String(), A: e.A, B: e.B,
-		})
-	}
 	return out
 }
 

@@ -46,7 +46,6 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	r.AddN(CtrRead, 5)
 	r.ObserveRPC(RPCLookup, time.Millisecond)
 	r.RPCSince(RPCLookup, r.Now())
-	r.Trace(CtrDisplacement, 1, 2)
 	if !r.Now().IsZero() {
 		t.Error("nil registry Now() must be zero so RPCSince skips the observation")
 	}
@@ -55,9 +54,6 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	}
 	if got := r.Snapshot(); got.Count(CtrRead) != 0 {
 		t.Error("nil registry snapshot not zero")
-	}
-	if r.TraceEvents() != nil {
-		t.Error("nil registry has trace events")
 	}
 	if r.String() != "null" {
 		t.Errorf("nil registry String() = %q", r.String())
@@ -129,41 +125,10 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	}
 }
 
-func TestTracerWrapsAndOrders(t *testing.T) {
-	tr := NewTracer(4)
-	for i := 0; i < 10; i++ {
-		tr.Record(CtrDisplacement, uint64(i), 0)
-	}
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("len = %d, want 4", len(evs))
-	}
-	for i, e := range evs {
-		if want := uint64(6 + i); e.Seq != want || e.A != want {
-			t.Errorf("event %d: seq=%d a=%d, want %d", i, e.Seq, e.A, want)
-		}
-	}
-	if tr.Total() != 10 {
-		t.Errorf("total = %d, want 10", tr.Total())
-	}
-
-	short := NewTracer(8)
-	short.Record(CtrPageFault, 1, 2)
-	if evs := short.Events(); len(evs) != 1 || evs[0].Kind != CtrPageFault {
-		t.Errorf("partial ring events = %+v", evs)
-	}
-	disabled := NewTracer(0)
-	disabled.Record(CtrPageFault, 1, 2)
-	if disabled.Events() != nil {
-		t.Error("disabled tracer retained events")
-	}
-}
-
 func TestJSONDumpAndHTTP(t *testing.T) {
 	r := New()
 	r.Inc(CtrObjectFault)
 	r.ObserveRPC(RPCLookup, 250*time.Microsecond)
-	r.Trace(CtrDisplacement, 42, 7)
 
 	var v struct {
 		UptimeSeconds float64          `json:"uptime_seconds"`
@@ -172,10 +137,6 @@ func TestJSONDumpAndHTTP(t *testing.T) {
 			Count  int64 `json:"count"`
 			MeanNS int64 `json:"mean_ns"`
 		} `json:"rpc"`
-		Trace []struct {
-			Kind string `json:"kind"`
-			A    uint64 `json:"a"`
-		} `json:"trace"`
 	}
 	if err := json.Unmarshal([]byte(r.String()), &v); err != nil {
 		t.Fatalf("String() is not JSON: %v\n%s", err, r.String())
@@ -185,9 +146,6 @@ func TestJSONDumpAndHTTP(t *testing.T) {
 	}
 	if v.RPC["lookup"].Count != 1 || v.RPC["lookup"].MeanNS <= 0 {
 		t.Errorf("rpc lookup = %+v", v.RPC["lookup"])
-	}
-	if len(v.Trace) != 1 || v.Trace[0].Kind != "displacement" || v.Trace[0].A != 42 {
-		t.Errorf("trace = %+v", v.Trace)
 	}
 
 	rec := httptest.NewRecorder()
@@ -224,8 +182,8 @@ func TestSnapshotStringAndFormat(t *testing.T) {
 }
 
 // TestConcurrentUse exercises the registry from many goroutines; run with
-// -race this doubles as the data-race proof for the atomic counters, the
-// histograms, and the mutex-guarded tracer.
+// -race this doubles as the data-race proof for the atomic counters and
+// the histograms.
 func TestConcurrentUse(t *testing.T) {
 	r := New()
 	const workers, perWorker = 8, 1000
@@ -238,7 +196,6 @@ func TestConcurrentUse(t *testing.T) {
 				r.Inc(CtrBufferHit)
 				r.ObserveRPC(RPCLookup, time.Duration(i)*time.Nanosecond)
 				if i%100 == 0 {
-					r.Trace(CtrDisplacement, uint64(w), uint64(i))
 					_ = r.Snapshot()
 					_ = r.String()
 				}
@@ -251,8 +208,5 @@ func TestConcurrentUse(t *testing.T) {
 	}
 	if got := r.Snapshot().RPC[RPCLookup].Count; got != workers*perWorker {
 		t.Errorf("rpc lookup count = %d, want %d", got, workers*perWorker)
-	}
-	if got := len(r.TraceEvents()); got != workers*perWorker/100 {
-		t.Errorf("trace retained %d, want %d", got, workers*perWorker/100)
 	}
 }

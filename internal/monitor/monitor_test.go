@@ -23,7 +23,7 @@ func setup(t *testing.T, nParts int) (*oo1.DB, *oo1.Client, *Trace, *StorageReso
 		t.Fatal(err)
 	}
 	tr := NewTrace()
-	c.OM.SetTracer(tr)
+	c.OM.SetAccessRecorder(tr)
 	// Training mode runs under no-swizzling (§7.1).
 	c.Begin(swizzle.NewSpec("training", swizzle.NOS))
 	return db, c, tr, NewStorageResolver(db.Srv, db.Schema)

@@ -21,8 +21,8 @@ type Record struct {
 	Write bool
 }
 
-// Trace accumulates records; it implements the object manager's Tracer
-// hook (core.SetTracer) structurally.
+// Trace accumulates records; it implements the object manager's
+// core.AccessRecorder hook (OM.SetAccessRecorder) structurally.
 type Trace struct {
 	Records []Record
 }

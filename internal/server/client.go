@@ -29,13 +29,9 @@ type DialOptions struct {
 	// Timeouts surface as errors matching ErrRPCTimeout (and implementing
 	// net.Error with Timeout() == true).
 	Timeout time.Duration
-	// DialTimeout bounds connection establishment separately; when zero,
-	// Timeout applies.
+	// DialTimeout bounds connection establishment — the TCP connect and
+	// the hello exchange — separately; when zero, Timeout applies.
 	DialTimeout time.Duration
-	// Lockstep forces the legacy one-request-at-a-time framing even
-	// against a pipelined server (useful for comparison and for tests;
-	// old clients behave exactly like this).
-	Lockstep bool
 	// Metrics, when non-nil, records client-side gauges (in-flight RPCs).
 	Metrics *metrics.Registry
 	// RetryAttempts bounds how often an RPC that fails transiently — a
@@ -64,19 +60,19 @@ type rpcResult struct {
 	err     error
 }
 
+// ErrIncompatiblePeer matches (via errors.Is) a dial refused at the hello
+// exchange: the peer answered the hello with an error, with an older
+// protocol version, or without one of the baseline features.
+var ErrIncompatiblePeer = errors.New("server: peer does not speak the pipelined protocol")
+
 // Client is a TCP client for TCPServer.
 //
-// After Dial it negotiates the pipelined (v2) protocol: requests carry
-// IDs, a writer goroutine streams frames without waiting for responses,
-// and a reader goroutine matches responses (possibly out of order) back
-// to callers. Any number of goroutines may issue RPCs concurrently over
-// the one connection; their requests overlap in the network and on the
-// server instead of queueing behind each other.
-//
-// Against an old server — or with DialOptions.Lockstep — the client falls
-// back to the original lock-step framing: one request in flight, calls
-// serialized by a mutex. Every method works identically in both modes;
-// batch RPCs degrade to per-item calls when the server lacks them.
+// Dial opens the connection with a hello exchange; from then on requests
+// carry IDs, a writer goroutine streams frames without waiting for
+// responses, and a reader goroutine matches responses (possibly out of
+// order) back to callers. Any number of goroutines may issue RPCs
+// concurrently over the one connection; their requests overlap in the
+// network and on the server instead of queueing behind each other.
 type Client struct {
 	conn    net.Conn
 	timeout time.Duration
@@ -85,20 +81,17 @@ type Client struct {
 	retries int
 	backoff time.Duration
 
-	pipelined bool
-	features  uint32
+	// coherent: the hello agreed on invalidation callbacks — the one
+	// feature still negotiated (client_coherence.go).
+	coherent bool
 
 	// spans/spanCtx: client-side RPC tracing (see SetTrace in trace.go).
 	spans   *trace.Tracer
 	spanCtx func() trace.Context
 
-	// Lock-step state; also used for the hello exchange before the
-	// connection upgrades.
-	mu sync.Mutex
-	r  *bufio.Reader
-	w  *bufio.Writer
+	r *bufio.Reader // owned by the read loop once the hello is done
+	w *bufio.Writer // owned by the write loop once the hello is done
 
-	// Pipelined state.
 	nextID   atomic.Uint64
 	pendMu   sync.Mutex
 	pending  map[uint64]chan rpcResult
@@ -120,8 +113,8 @@ type Client struct {
 	leaseFired   atomic.Bool
 }
 
-// Dial connects to a page server with default options: pipelined when the
-// server supports it, no timeouts.
+// Dial connects to a page server with default options: no timeouts, no
+// retries.
 func Dial(addr string) (*Client, error) {
 	return DialWith(addr, DialOptions{})
 }
@@ -160,69 +153,61 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 		r:       bufio.NewReaderSize(conn, page.Size+1024),
 		w:       bufio.NewWriterSize(conn, page.Size+1024),
 	}
-	if !opts.Lockstep {
-		if err := c.hello(); err != nil {
-			conn.Close()
-			return nil, err
-		}
+	if err := c.hello(dt); err != nil {
+		conn.Close()
+		return nil, err
 	}
-	if c.pipelined {
-		c.pending = make(map[uint64]chan rpcResult)
-		c.sendCh = make(chan *[]byte, pipelineWorkers)
-		c.done = make(chan struct{})
-		c.wg.Add(2)
-		go c.writeLoop()
-		go c.readLoop()
-		if c.HasCoherence() {
-			c.leaseTimeout = opts.LeaseTimeout
-			c.lastRecv.Store(time.Now().UnixNano())
-			if c.leaseTimeout > 0 {
-				c.wg.Add(1)
-				go c.leaseLoop()
-			}
+	c.pending = make(map[uint64]chan rpcResult)
+	c.sendCh = make(chan *[]byte, pipelineWorkers)
+	c.done = make(chan struct{})
+	c.wg.Add(2)
+	go c.writeLoop()
+	go c.readLoop()
+	if c.HasCoherence() {
+		c.leaseTimeout = opts.LeaseTimeout
+		c.lastRecv.Store(time.Now().UnixNano())
+		if c.leaseTimeout > 0 {
+			c.wg.Add(1)
+			go c.leaseLoop()
 		}
 	}
 	return c, nil
 }
 
-// Pipelined reports whether the connection negotiated the multiplexed
-// protocol (false means lock-step, by choice or server fallback).
-func (c *Client) Pipelined() bool { return c.pipelined }
-
-// hasBatch reports whether the server offers the batch opcodes.
-func (c *Client) hasBatch() bool { return c.pipelined && c.features&featureBatch != 0 }
-
-// HasSnapshot reports whether the server offers snapshot transactions
-// (BeginSnapshotTx).
-func (c *Client) HasSnapshot() bool { return c.pipelined && c.features&featureSnapshot != 0 }
-
 // clientFeatures is what this client offers in its hello.
-const clientFeatures = featureBatch | featureTrace | featureSnapshot | featureCoherence | featurePageDir
+const clientFeatures = baselineFeatures | featureCoherence
 
-// hasPageDir reports whether page reads on this connection carry
-// directories.
-func (c *Client) hasPageDir() bool { return c.pipelined && c.features&featurePageDir != 0 }
-
-// hello negotiates the v2 protocol in lock-step framing. An old server
-// rejects the unknown opcode with an error status; that downgrade is not
-// an error — the client just stays in lock-step mode. Only transport
-// failures propagate.
-func (c *Client) hello() error {
-	req := make([]byte, 8)
-	binary.LittleEndian.PutUint32(req, protocolV2)
+// hello opens the connection: one exchange in the bare envelope (no
+// request ID yet), bounded by the dial timeout. A peer that refuses it,
+// answers with an older version or lacks a baseline feature fails the
+// dial with ErrIncompatiblePeer; transport failures propagate as they
+// are.
+func (c *Client) hello(timeout time.Duration) error {
+	if timeout > 0 {
+		c.conn.SetDeadline(time.Now().Add(timeout))
+		defer c.conn.SetDeadline(time.Time{})
+	}
+	var req [8]byte
+	binary.LittleEndian.PutUint32(req[:], protocolV2)
 	binary.LittleEndian.PutUint32(req[4:], clientFeatures)
-	status, resp, err := c.callLockstepRaw(opHello, req)
+	if err := writeMsg(c.w, opHello, req[:]); err != nil {
+		return mapNetErr(opHello, timeout, err)
+	}
+	status, resp, err := readMsg(c.r)
 	if err != nil {
-		return err
+		return mapNetErr(opHello, timeout, err)
 	}
-	if status != statusOK || len(resp) < 8 {
-		return nil // old server: stay lock-step
+	if status != statusOK {
+		return fmt.Errorf("%w: hello refused: %s", ErrIncompatiblePeer, resp)
 	}
-	if binary.LittleEndian.Uint32(resp) < protocolV2 {
-		return nil
+	if len(resp) != 8 {
+		return fmt.Errorf("%w: hello response of %d bytes", ErrIncompatiblePeer, len(resp))
 	}
-	c.pipelined = true
-	c.features = binary.LittleEndian.Uint32(resp[4:]) & clientFeatures
+	ver, features := binary.LittleEndian.Uint32(resp), binary.LittleEndian.Uint32(resp[4:])
+	if ver < protocolV2 || features&baselineFeatures != baselineFeatures {
+		return fmt.Errorf("%w: peer version %d, features %#x (baseline %#x)", ErrIncompatiblePeer, ver, features, baselineFeatures)
+	}
+	c.coherent = features&featureCoherence != 0
 	return nil
 }
 
@@ -231,20 +216,17 @@ func (c *Client) hello() error {
 func (c *Client) Close() error {
 	c.closed.Store(true)
 	err := c.conn.Close()
-	if c.pipelined {
-		c.wg.Wait()
-		// Both loops are done; release any frame a caller managed to
-		// enqueue after the write loop's own shutdown drain.
-		for {
-			select {
-			case frame := <-c.sendCh:
-				putBuf(frame)
-			default:
-				return err
-			}
+	c.wg.Wait()
+	// Both loops are done; release any frame a caller managed to enqueue
+	// after the write loop's own shutdown drain.
+	for {
+		select {
+		case frame := <-c.sendCh:
+			putBuf(frame)
+		default:
+			return err
 		}
 	}
-	return err
 }
 
 // fail records the first transport error and tears the connection down so
@@ -405,14 +387,11 @@ func (c *Client) callOnce(op byte, payload []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: request dropped: %w", ErrTransient, err)
 	}
 	// Record a client-side span for the RPC, nested under the caller's
-	// ambient context; its own context goes onto the wire (featureTrace)
-	// so server-side spans nest under it.
+	// ambient context; its own context goes onto the wire so server-side
+	// spans nest under it.
 	sp := c.spans.StartChild(spanName(&clientSpanNames, op), c.traceCtx())
 	if sp.Sampled() {
 		defer func() { sp.Finish() }()
-	}
-	if !c.pipelined {
-		return c.callLockstep(op, payload)
 	}
 	select {
 	case <-c.done:
@@ -433,12 +412,7 @@ func (c *Client) callOnce(op byte, payload []byte) ([]byte, error) {
 		c.pendMu.Unlock()
 	}
 
-	var frame *[]byte
-	if c.hasTrace() {
-		frame = encodeFrameTrace(op, id, payload, sp.Context())
-	} else {
-		frame = encodeFrame(op, id, payload)
-	}
+	frame := encodeRequest(op, id, payload, sp.Context())
 	if rpc := rpcOpOf(op); rpc >= 0 {
 		c.obs.RPCFrame(rpc, true, len(*frame))
 	}
@@ -491,52 +465,12 @@ func (c *Client) finish(op byte, res rpcResult) ([]byte, error) {
 	return res.payload, nil
 }
 
-// callLockstepRaw runs one request/response exchange in the legacy
-// framing, returning the raw status so hello can distinguish a remote
-// rejection from a transport failure.
-func (c *Client) callLockstepRaw(op byte, payload []byte) (byte, []byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.timeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.timeout))
-		defer c.conn.SetDeadline(time.Time{})
-	}
-	if err := writeMsg(c.w, op, payload); err != nil {
-		return 0, nil, c.mapNetErr(op, err)
-	}
-	status, resp, err := readMsg(c.r)
-	if err != nil {
-		return 0, nil, c.mapNetErr(op, err)
-	}
-	return status, resp, nil
-}
-
-func (c *Client) callLockstep(op byte, payload []byte) ([]byte, error) {
-	if rpc := rpcOpOf(op); rpc >= 0 {
-		c.obs.RPCFrame(rpc, true, 5+len(payload))
-	}
-	status, resp, err := c.callLockstepRaw(op, payload)
-	if err != nil {
-		return nil, err
-	}
-	if status == statusTransient {
-		return nil, fmt.Errorf("%w: %s", ErrTransient, resp)
-	}
-	if status != statusOK {
-		return nil, errors.New(string(resp))
-	}
-	if rpc := rpcOpOf(op); rpc >= 0 {
-		c.obs.RPCFrame(rpc, false, 5+len(resp))
-	}
-	return resp, nil
-}
-
 // mapNetErr wraps connection-deadline expiry in the client's canonical
 // timeout error so callers match it with errors.Is(err, ErrRPCTimeout).
-func (c *Client) mapNetErr(op byte, err error) error {
+func mapNetErr(op byte, timeout time.Duration, err error) error {
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
-		return &rpcTimeoutError{op: op, timeout: c.timeout}
+		return &rpcTimeoutError{op: op, timeout: timeout}
 	}
 	return err
 }
@@ -555,11 +489,10 @@ func (c *Client) Lookup(id oid.OID) (storage.PAddr, error) {
 	return getPAddr(resp), nil
 }
 
-// ReadPage implements Server. On a connection that negotiated
-// featurePageDir the result is the page image followed by the page's
-// directory (page.SplitImage takes them apart): it travels inside the
-// bytes, not through a side channel, so it survives every wrapper around
-// a Server that forwards ReadPage.
+// ReadPage implements Server. The result is the page image followed by
+// the page's directory (page.SplitImage takes them apart; a snapshot read
+// ships none): it travels inside the bytes, not through a side channel,
+// so it survives every wrapper around a Server that forwards ReadPage.
 func (c *Client) ReadPage(pid page.PageID) ([]byte, error) {
 	req := make([]byte, 8)
 	binary.LittleEndian.PutUint64(req, uint64(pid))
@@ -567,18 +500,17 @@ func (c *Client) ReadPage(pid page.PageID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !validPageRead(resp, c.hasPageDir()) {
+	if !validPageRead(resp) {
 		return nil, errProtocol
 	}
 	return resp, nil
 }
 
-// validPageRead checks one page as read off the wire: an image, and —
-// only on a connection that negotiated them — a well-formed directory
-// behind it.
-func validPageRead(b []byte, withDir bool) bool {
-	_, dir, err := page.SplitImage(b)
-	return err == nil && (withDir || len(dir) == 0)
+// validPageRead checks one page as read off the wire: an image and a
+// well-formed (possibly empty) directory behind it.
+func validPageRead(b []byte) bool {
+	_, _, err := page.SplitImage(b)
+	return err == nil
 }
 
 // WritePage implements Server.
@@ -650,25 +582,12 @@ func (c *Client) NumPages(seg uint16) (int, error) {
 	return int(binary.LittleEndian.Uint64(resp)), nil
 }
 
-// LookupBatch implements BatchLookuper. Against a server without the
-// batch opcodes it degrades to per-OID Lookup calls (still pipelined when
-// the connection is). Unknown OIDs clear ok[i] rather than failing the
-// batch.
+// LookupBatch implements BatchLookuper. Unknown OIDs clear ok[i] rather
+// than failing the batch.
 func (c *Client) LookupBatch(ids []oid.OID) ([]storage.PAddr, []bool, error) {
 	addrs := make([]storage.PAddr, len(ids))
 	ok := make([]bool, len(ids))
 	if len(ids) == 0 {
-		return addrs, ok, nil
-	}
-	if !c.hasBatch() {
-		for i, id := range ids {
-			a, err := c.Lookup(id)
-			if err == nil {
-				addrs[i], ok[i] = a, true
-			} else if errors.Is(err, ErrRPCTimeout) || errors.Is(err, ErrClientClosed) {
-				return nil, nil, err
-			}
-		}
 		return addrs, ok, nil
 	}
 	for off := 0; off < len(ids); off += maxBatchLookup {
@@ -700,22 +619,14 @@ func (c *Client) LookupBatch(ids []oid.OID) ([]storage.PAddr, []bool, error) {
 	return addrs, ok, nil
 }
 
-// ReadPages implements PageRunReader. Against a server without the batch
-// opcodes it degrades to a single ReadPage (a one-page run). The run may
-// be truncated server-side at the end of the segment.
+// ReadPages implements PageRunReader. The run may be truncated server-side
+// at the end of the segment.
 func (c *Client) ReadPages(pid page.PageID, n int) ([][]byte, error) {
 	if n < 1 {
 		return nil, errProtocol
 	}
 	if n > maxReadRun {
 		n = maxReadRun
-	}
-	if !c.hasBatch() {
-		img, err := c.ReadPage(pid)
-		if err != nil {
-			return nil, err
-		}
-		return [][]byte{img}, nil
 	}
 	req := make([]byte, 12)
 	binary.LittleEndian.PutUint64(req, uint64(pid))
@@ -732,23 +643,16 @@ func (c *Client) ReadPages(pid page.PageID, n int) ([][]byte, error) {
 		return nil, errProtocol
 	}
 	// Each page is its image followed by its directory, whose byte length
-	// the header lists per page when directories were negotiated.
-	var dirLens []byte
-	off := 4
-	if c.hasPageDir() {
-		if len(resp) < 4+2*m {
-			return nil, errProtocol
-		}
-		dirLens = resp[4 : 4+2*m]
-		off += 2 * m
+	// the header lists per page.
+	if len(resp) < 4+2*m {
+		return nil, errProtocol
 	}
+	dirLens := resp[4 : 4+2*m]
+	off := 4 + 2*m
 	imgs := make([][]byte, m)
 	for i := range imgs {
-		end := off + page.Size
-		if dirLens != nil {
-			end += int(binary.LittleEndian.Uint16(dirLens[2*i:]))
-		}
-		if end > len(resp) || !validPageRead(resp[off:end], dirLens != nil) {
+		end := off + page.Size + int(binary.LittleEndian.Uint16(dirLens[2*i:]))
+		if end > len(resp) || !validPageRead(resp[off:end]) {
 			return nil, errProtocol
 		}
 		imgs[i] = resp[off:end:end]
@@ -761,8 +665,8 @@ func (c *Client) ReadPages(pid page.PageID, n int) ([][]byte, error) {
 }
 
 // BeginTx starts a transaction on this connection (the server must have
-// been started with ServeTx). In pipelined mode the server orders the
-// boundary after the connection's outstanding data RPCs.
+// been started with ServeTx). The server orders the boundary after the
+// connection's outstanding data RPCs.
 func (c *Client) BeginTx() (TxID, error) {
 	resp, err := c.call(opTxBegin, nil)
 	if err != nil {
@@ -777,12 +681,8 @@ func (c *Client) BeginTx() (TxID, error) {
 // BeginSnapshotTx starts a read-only snapshot transaction on this
 // connection and returns its id and read-LSN: reads until CommitTx/
 // AbortTx observe the frozen, durable state at that LSN and never block
-// behind server-side writers. Requires a server advertising
-// featureSnapshot (check HasSnapshot).
+// behind server-side writers.
 func (c *Client) BeginSnapshotTx() (TxID, uint64, error) {
-	if !c.HasSnapshot() {
-		return 0, 0, errors.New("server: peer does not support snapshot transactions")
-	}
 	resp, err := c.call(opTxBeginSnapshot, nil)
 	if err != nil {
 		return 0, 0, err

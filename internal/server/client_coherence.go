@@ -27,7 +27,7 @@ import (
 
 // HasCoherence reports whether the connection negotiated invalidation
 // callbacks.
-func (c *Client) HasCoherence() bool { return c.pipelined && c.features&featureCoherence != 0 }
+func (c *Client) HasCoherence() bool { return c.coherent }
 
 // OnInvalidate installs the invalidation handler: called from the read
 // loop with each pushed (epoch, pages) batch, before the push is
@@ -75,12 +75,7 @@ func (c *Client) handleInvalidate(body []byte) {
 	}
 	var ack [8]byte
 	binary.LittleEndian.PutUint64(ack[:], epoch)
-	var frame *[]byte
-	if c.hasTrace() {
-		frame = encodeFrameTrace(opCoherenceAck, 0, ack[:], trace.Context{})
-	} else {
-		frame = encodeFrame(opCoherenceAck, 0, ack[:])
-	}
+	frame := encodeRequest(opCoherenceAck, 0, ack[:], trace.Context{})
 	n := len(*frame) // before the send: the write loop recycles the buffer
 	select {
 	case c.sendCh <- frame:

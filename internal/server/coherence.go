@@ -34,11 +34,6 @@ import (
 // serving cached pages until traffic resumes. Leases, not the callbacks,
 // bound staleness under dropped frames, dead clients, and server crashes.
 
-// featureCoherence advertises the callback/lease coherence extension:
-// opInvalidate pushes and opCoherenceAck acknowledgements. Only offered
-// when the server was started with EnableCoherence.
-const featureCoherence = 1 << 3
-
 // DefaultAckTimeout bounds how long an invalidation round waits for
 // client acknowledgements; it is also the server-side lease horizon (a
 // client silent for this long is presumed lease-expired).
@@ -268,10 +263,6 @@ func (cc *cohConn) clientID() coherence.ClientID {
 	return cc.id
 }
 
-// cohClientID is clientID over the connection state (the lock-step and
-// boundary-op paths carry cs, not the endpoint).
-func cohClientID(cs *connState) coherence.ClientID { return cs.coh.clientID() }
-
 // syncInterestGauge settles the interest gauges onto the table's live
 // registration count and eviction-queue length. Concurrent syncs can
 // transiently disagree; each corrects the last.
@@ -300,17 +291,17 @@ func (s *TCPServer) register(st *coherenceState, cc *cohConn, pid page.PageID) {
 // Bounded retries keep a pathological commit storm from starving the
 // read; exhaustion surfaces as a transient error the client may retry.
 //
-// With withDir the page's directory is read with the image — one
-// published state of the page, inside the same window — so the addresses
-// a client takes from it are invalidated exactly when the image is.
-func (s *TCPServer) readPageCoherent(backend Server, cc *cohConn, pid page.PageID, withDir bool) ([]byte, page.Directory, error) {
+// The page's directory is read with the image — one published state of
+// the page, inside the same window — so the addresses a client takes from
+// it are invalidated exactly when the image is.
+func (s *TCPServer) readPageCoherent(backend Server, cc *cohConn, pid page.PageID) ([]byte, page.Directory, error) {
 	st := s.coh.Load()
 	if st == nil || cc == nil {
-		return readPage(backend, pid, withDir)
+		return readPage(backend, pid)
 	}
 	for attempt := 0; attempt < 8; attempt++ {
 		s.register(st, cc, pid)
-		img, dir, err := readPage(backend, pid, withDir)
+		img, dir, err := readPage(backend, pid)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -326,16 +317,16 @@ func (s *TCPServer) readPageCoherent(backend Server, cc *cohConn, pid page.PageI
 // path): every page of the run — including prefetched pages the client
 // may never deref — is registered before the run is read and validated
 // after, so prefetched frames honor invalidation like demand-read ones.
-func (s *TCPServer) readPagesCoherent(pr PageRunReader, cc *cohConn, pid page.PageID, n int, withDir bool) ([][]byte, []page.Directory, error) {
+func (s *TCPServer) readPagesCoherent(pr PageRunReader, cc *cohConn, pid page.PageID, n int) ([][]byte, []page.Directory, error) {
 	st := s.coh.Load()
 	if st == nil || cc == nil {
-		return readPages(pr, pid, n, withDir)
+		return readPages(pr, pid, n)
 	}
 	for attempt := 0; attempt < 8; attempt++ {
 		for i := 0; i < n; i++ {
 			s.register(st, cc, pid+page.PageID(i))
 		}
-		imgs, dirs, err := readPages(pr, pid, n, withDir)
+		imgs, dirs, err := readPages(pr, pid, n)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -379,8 +370,8 @@ func (s *TCPServer) revoke(st *coherenceState, evicted []coherence.Eviction) {
 // registrations for the written pages, push an opInvalidate frame to each
 // other subscribed connection, and wait — bounded by the ack timeout —
 // until every reachable one acknowledged. writer is the writing
-// connection's coherence ID (0 for a non-coherent writer: v1 peers,
-// v2-without-coherence peers, lock-step connections).
+// connection's coherence ID (0 for a writer that dialed before
+// EnableCoherence and so has no coherence endpoint).
 func (s *TCPServer) coherencePush(pages []page.PageID, writer coherence.ClientID, tctx trace.Context) {
 	st := s.coh.Load()
 	if st == nil || len(pages) == 0 {

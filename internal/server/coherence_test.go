@@ -210,27 +210,25 @@ func TestCoherenceTxCommitPush(t *testing.T) {
 	}
 }
 
-// TestCoherenceInterop: a v1 lock-step client and a v2 client dialed
-// against a server not offering featureCoherence both keep working, and a
-// lock-step writer still triggers callbacks to coherent subscribers.
+// TestCoherenceInterop: a client that dialed before EnableCoherence has
+// no coherence endpoint and keeps working, and its writes (writer ID 0)
+// still call back every coherent subscriber.
 func TestCoherenceInterop(t *testing.T) {
-	srv, _ := coherentServer(t)
-
-	// Lock-step (v1-style) client: full conformance against the
-	// coherence-enabled server.
-	locked, err := DialWith(srv.Addr().String(), DialOptions{Lockstep: true})
+	mgr := newMgr(t)
+	ln, _ := net.Listen("tcp", "127.0.0.1:0")
+	srv := Serve(ln, mgr)
+	defer srv.Close()
+	early, err := Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer locked.Close()
-	if locked.HasCoherence() {
-		t.Error("lock-step client claims coherence")
+	defer early.Close()
+	srv.EnableCoherence(CoherenceOptions{})
+	if early.HasCoherence() {
+		t.Error("a client dialed before EnableCoherence claims coherence")
 	}
-	exercise(t, locked)
+	exercise(t, early)
 
-	// Subscribed coherent reader; the lock-step writer has no coherence
-	// connection (writer ID 0), so its writes must invalidate everyone
-	// interested.
 	reader, err := Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -238,25 +236,25 @@ func TestCoherenceInterop(t *testing.T) {
 	defer reader.Close()
 	log := newInvalLog()
 	log.attach(reader)
-	_, addr, err := locked.Allocate(0, []byte("from v1"))
+	_, addr, err := early.Allocate(0, []byte("from the early client"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reader.ReadPage(addr.Page); err != nil {
 		t.Fatal(err)
 	}
-	img, _ := locked.ReadPage(addr.Page)
-	if err := locked.WritePage(addr.Page, imageOf(t, img)); err != nil {
+	img, _ := early.ReadPage(addr.Page)
+	if err := early.WritePage(addr.Page, imageOf(t, img)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 2*time.Second, "push triggered by lock-step writer", func() bool {
+	waitFor(t, 2*time.Second, "push triggered by a writer without a coherence endpoint", func() bool {
 		return log.count(addr.Page) >= 1
 	})
 }
 
-// TestCoherenceFeatureGated: without EnableCoherence the server must not
-// advertise the feature; with it, a SetFeatures override emulating an
-// older server keeps clients non-coherent and fully functional.
+// TestCoherenceFeatureGated: coherence is negotiated from what the server
+// can observe — a client gets it exactly when EnableCoherence ran before
+// its dial.
 func TestCoherenceFeatureGated(t *testing.T) {
 	mgr := newMgr(t)
 	ln, _ := net.Listen("tcp", "127.0.0.1:0")
@@ -274,16 +272,15 @@ func TestCoherenceFeatureGated(t *testing.T) {
 	plain.Close()
 
 	srv.EnableCoherence(CoherenceOptions{})
-	srv.SetFeatures(FeatureBatch | FeatureTrace | FeatureSnapshot) // emulate down-level peer
-	masked, err := Dial(srv.Addr().String())
+	coherent, err := Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer masked.Close()
-	if masked.HasCoherence() {
-		t.Error("feature override leaked featureCoherence")
+	defer coherent.Close()
+	if !coherent.HasCoherence() {
+		t.Error("client did not negotiate coherence against a server that enabled it")
 	}
-	exercise(t, masked)
+	exercise(t, coherent)
 }
 
 // TestCoherenceAckTimeout: when the reader's acks are suppressed, the

@@ -30,14 +30,14 @@ func FuzzTCPFrame(f *testing.F) {
 	f.Add(frame(f, opTxBegin, nil))
 	f.Add(frame(f, statusOK, []byte("hello")))
 	f.Add(frame(f, opWritePage, make([]byte, page.Size)))
-	// Coherence frames: a push with one page, an ack, and the hello
-	// capability negotiation carrying featureCoherence.
+	// Coherence frames: a push with one page, an ack, and a hello
+	// offering featureCoherence.
 	f.Add(frame(f, opInvalidate, append(make([]byte, 8),
 		encodeInvalidation(nil, 3, []page.PageID{7})...)))
 	f.Add(frame(f, opCoherenceAck, append(make([]byte, 8), 3, 0, 0, 0, 0, 0, 0, 0)))
 	f.Add(frame(f, opHello, []byte{protocolV2, 0, 0, 0,
 		featureBatch | featureTrace | featureSnapshot | featureCoherence, 0, 0, 0}))
-	// Page-read responses with directory trailers (featurePageDir): a
+	// Page-read responses with directory trailers: a
 	// well-formed one, then half an extent, an empty extent, a slot past
 	// the page, and a run header whose directory lengths overrun the frame.
 	img := page.New(page.NewPageID(1, 0)).CloneImage()
@@ -54,6 +54,9 @@ func FuzzTCPFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})                // zero length
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1}) // absurd length
 	f.Add([]byte{10, 0, 0, 0, opLookup})     // truncated body
+	for _, tc := range refusalCases(f) {
+		f.Add(tc.sent)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		code, payload, err := readMsg(bufio.NewReader(bytes.NewReader(data)))
@@ -78,7 +81,7 @@ func FuzzTCPFrame(f *testing.F) {
 		// Read as a page-read response, the payload past the request ID
 		// either fails the client's check or splits into an image and a
 		// well-formed directory within the shipping cap.
-		if len(payload) >= 8 && validPageRead(payload[8:], true) {
+		if len(payload) >= 8 && validPageRead(payload[8:]) {
 			img, dir, _ := page.SplitImage(payload[8:])
 			if len(img) != page.Size || dir.Len() > page.MaxShippedExtents || dir.Check() != nil {
 				t.Fatalf("accepted a page read of %d bytes with %d extents", len(payload)-8, dir.Len())

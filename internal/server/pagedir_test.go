@@ -69,11 +69,9 @@ func checkPageRead(t *testing.T, mgr *storage.Manager, pid page.PageID, got []by
 	}
 }
 
-// TestPageDirectoriesOnTheWire: a pipelined peer that negotiated the
-// feature gets every live page — single or in a run, inside a transaction
-// or outside — with its directory behind the image; a down-level peer, a
-// lock-step peer and a snapshot session get the bare 4,096 bytes, and all
-// of them keep working.
+// TestPageDirectoriesOnTheWire: a client gets every live page — single or
+// in a run, inside a transaction or outside — with its directory behind
+// the image; a snapshot session gets the bare 4,096 bytes.
 func TestPageDirectoriesOnTheWire(t *testing.T) {
 	srv, mgr, ids, addrs := dirFixture(t)
 	reg := metrics.New()
@@ -94,7 +92,7 @@ func TestPageDirectoriesOnTheWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(run) != nPages && c.Pipelined() {
+		if len(run) != nPages {
 			t.Fatalf("run of %d pages, want %d", len(run), nPages)
 		}
 		for i, got := range run {
@@ -113,9 +111,6 @@ func TestPageDirectoriesOnTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer full.Close()
-	if !full.hasPageDir() {
-		t.Fatal("page directories not negotiated")
-	}
 	readAll(t, full, true)
 	if _, err := full.BeginTx(); err != nil {
 		t.Fatal(err)
@@ -129,8 +124,7 @@ func TestPageDirectoriesOnTheWire(t *testing.T) {
 		t.Fatal("page_dir_extents stayed 0 while directories were shipped")
 	}
 
-	// A snapshot session reads past versions: no directory, even on a
-	// connection that negotiated them.
+	// A snapshot session reads past versions: no directory.
 	if _, _, err := full.BeginSnapshotTx(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,27 +132,8 @@ func TestPageDirectoriesOnTheWire(t *testing.T) {
 	if err := full.CommitTx(); err != nil {
 		t.Fatal(err)
 	}
-
-	// A down-level v2 peer (no feature bit) and a lock-step peer.
-	srv.SetFeatures(FeatureBatch | FeatureTrace | FeatureSnapshot | FeatureCoherence)
-	old, err := Dial(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer old.Close()
-	if old.hasPageDir() || !old.Pipelined() {
-		t.Fatal("feature override leaked featurePageDir")
-	}
-	readAll(t, old, false)
-	exercise(t, old)
-	locked, err := DialWith(srv.Addr().String(), DialOptions{Lockstep: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer locked.Close()
-	readAll(t, locked, false)
 	if got := reg.Count(metrics.CtrPageDirExtents); got != shipped {
-		t.Fatalf("page_dir_extents moved from %d to %d on connections that get no directories", shipped, got)
+		t.Fatalf("page_dir_extents moved from %d to %d on a session that gets no directories", shipped, got)
 	}
 }
 
@@ -220,20 +195,17 @@ func TestClientRejectsMalformedPageReads(t *testing.T) {
 	with := func(trailer ...byte) []byte { return append(append([]byte(nil), img...), trailer...) }
 
 	for name, tc := range map[string]struct {
-		b       []byte
-		withDir bool
-		ok      bool
+		b  []byte
+		ok bool
 	}{
-		"bare image, no feature":         {img, false, true},
-		"bare image, feature":            {img, true, true},
-		"one extent":                     {with(ext...), true, true},
-		"directory without the feature":  {with(ext...), false, false},
-		"half an extent":                 {with(ext[:6]...), true, false},
-		"short image":                    {img[:page.Size-1], true, false},
-		"more extents than the cap":      {with(make([]byte, (page.MaxShippedExtents+1)*page.ExtentSize)...), true, false},
-		"an extent that names no object": {with(make([]byte, page.ExtentSize)...), true, false},
+		"bare image":                     {img, true},
+		"one extent":                     {with(ext...), true},
+		"half an extent":                 {with(ext[:6]...), false},
+		"short image":                    {img[:page.Size-1], false},
+		"more extents than the cap":      {with(make([]byte, (page.MaxShippedExtents+1)*page.ExtentSize)...), false},
+		"an extent that names no object": {with(make([]byte, page.ExtentSize)...), false},
 	} {
-		if got := validPageRead(tc.b, tc.withDir); got != tc.ok {
+		if got := validPageRead(tc.b); got != tc.ok {
 			t.Errorf("%s: validPageRead = %v, want %v", name, got, tc.ok)
 		}
 	}

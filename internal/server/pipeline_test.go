@@ -3,8 +3,10 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -14,160 +16,197 @@ import (
 	"gom/internal/oid"
 	"gom/internal/page"
 	"gom/internal/storage"
+	"gom/internal/trace"
 )
 
+// helloPayload is the eight bytes of a hello, either way: version, features.
+func helloPayload(ver, features uint32) []byte {
+	p := make([]byte, 8)
+	binary.LittleEndian.PutUint32(p, ver)
+	binary.LittleEndian.PutUint32(p[4:], features)
+	return p
+}
+
+// sendRaw dials the server without a Client, sends b and returns the
+// connection with a reader over whatever comes back within five seconds.
+func sendRaw(t *testing.T, srv *TCPServer, b []byte) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	return conn, bufio.NewReader(conn)
+}
+
+// TestPipelinedNegotiation holds the server's answer to a well-formed
+// hello: version 2, the baseline, coherence exactly when the server
+// enabled it and the client offered it, and no bit the server does not
+// know.
 func TestPipelinedNegotiation(t *testing.T) {
-	mgr := newMgr(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := Serve(ln, mgr)
+	srv := Serve(ln, newMgr(t))
 	defer srv.Close()
 
-	piped, err := Dial(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	agreed := func(ver, offered uint32) uint32 {
+		t.Helper()
+		conn, r := sendRaw(t, srv, frame(t, opHello, helloPayload(ver, offered)))
+		defer conn.Close()
+		status, resp, err := readMsg(r)
+		if err != nil || status != statusOK || len(resp) != 8 || binary.LittleEndian.Uint32(resp) != protocolV2 {
+			t.Fatalf("hello(%d, %#x) answered status %d, % x, %v", ver, offered, status, resp, err)
+		}
+		return binary.LittleEndian.Uint32(resp[4:])
 	}
-	defer piped.Close()
-	if !piped.Pipelined() {
-		t.Error("default dial did not negotiate the pipelined protocol")
+	if got := agreed(protocolV2, clientFeatures); got != baselineFeatures {
+		t.Errorf("before EnableCoherence the server agreed to %#x, want the baseline %#x", got, baselineFeatures)
 	}
-	exercise(t, piped)
-
-	locked, err := DialWith(srv.Addr().String(), DialOptions{Lockstep: true})
-	if err != nil {
-		t.Fatal(err)
+	srv.EnableCoherence(CoherenceOptions{})
+	if got := agreed(protocolV2, clientFeatures); got != baselineFeatures|featureCoherence {
+		t.Errorf("after EnableCoherence the server agreed to %#x, want baseline and coherence", got)
 	}
-	defer locked.Close()
-	if locked.Pipelined() {
-		t.Error("Lockstep dial negotiated the pipelined protocol")
+	if got := agreed(protocolV2, baselineFeatures); got != baselineFeatures {
+		t.Errorf("a client that does not offer coherence got %#x, want the baseline", got)
 	}
-	exercise(t, locked)
+	if got := agreed(protocolV2+1, 0xffff0000|clientFeatures); got != baselineFeatures|featureCoherence {
+		t.Errorf("a newer client offering unknown bits got %#x, want only what this server knows", got)
+	}
 }
 
-// TestLockstepInteropBatchFallback checks that a lock-step client still
-// offers the batch API by degrading to per-item RPCs.
-func TestLockstepInteropBatchFallback(t *testing.T) {
-	mgr := newMgr(t)
-	ln, _ := net.Listen("tcp", "127.0.0.1:0")
-	srv := Serve(ln, mgr)
-	defer srv.Close()
-	cl, err := DialWith(srv.Addr().String(), DialOptions{Lockstep: true})
+// refusalCase is a byte stream TestHelloRefusals sends (and FuzzTCPFrame is
+// seeded with); established marks the one whose first frame is a valid
+// hello.
+type refusalCase struct {
+	name        string
+	sent        []byte
+	established bool
+}
+
+func refusalCases(tb testing.TB) []refusalCase {
+	hello := helloPayload(protocolV2, clientFeatures)
+	second := encodeRequest(opHello, 9, hello, trace.Context{})
+	defer putBuf(second)
+	return []refusalCase{
+		{"first frame not a hello", frame(tb, opLookup, make([]byte, 8)), false},
+		{"hello of version 1", frame(tb, opHello, helloPayload(1, clientFeatures)), false},
+		{"hello of the wrong length", frame(tb, opHello, make([]byte, 12)), false},
+		{"hello without a baseline bit", frame(tb, opHello, helloPayload(protocolV2, clientFeatures&^featureTrace)), false},
+		{"second hello", append(frame(tb, opHello, hello), *second...), true},
+	}
+}
+
+// TestHelloRefusals: whatever opens a connection other than one
+// well-formed hello — and a second hello on an open connection — gets
+// exactly one statusErr frame and a closed connection, counts as one RPC
+// error, leaks neither a goroutine nor a pooled buffer, and leaves the
+// server serving the next dial.
+func TestHelloRefusals(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
+	srv := Serve(ln, newMgr(t))
+	reg := metrics.New()
+	srv.SetMetrics(reg)
+	defer SetPoolDebug(SetPoolDebug(true))
 
-	var ids []oid.OID
-	var want []storage.PAddr
-	for i := 0; i < 5; i++ {
-		id, addr, err := cl.Allocate(0, []byte(fmt.Sprintf("obj %d", i)))
+	for _, tc := range refusalCases(t) {
+		before := reg.Count(metrics.CtrRPCError)
+		conn, r := sendRaw(t, srv, tc.sent)
+		if tc.established {
+			if status, _, err := readMsg(r); err != nil || status != statusOK {
+				t.Fatalf("%s: the first hello was answered with status %d, %v", tc.name, status, err)
+			}
+		}
+		status, msg, err := readMsg(r)
+		if err != nil || status != statusErr {
+			t.Fatalf("%s: answered with status %d, %v; want one statusErr frame", tc.name, status, err)
+		}
+		if tc.established {
+			// An established connection answers in its own framing.
+			if len(msg) < 8 || binary.LittleEndian.Uint64(msg) != 9 {
+				t.Fatalf("%s: the refusal does not carry the request's ID: %x", tc.name, msg)
+			}
+			msg = msg[8:]
+		}
+		if !bytes.Contains(msg, []byte(errProtocol.Error())) {
+			t.Errorf("%s: refusal says %q, want a protocol error", tc.name, msg)
+		}
+		if _, _, err := readMsg(r); !errors.Is(err, io.EOF) {
+			t.Errorf("%s: after the refusal the connection yields %v, want EOF", tc.name, err)
+		}
+		conn.Close()
+		if got := reg.Count(metrics.CtrRPCError) - before; got != 1 {
+			t.Errorf("%s: server_rpc_error moved by %d, want 1", tc.name, got)
+		}
+		cl, err := Dial(srv.Addr().String())
+		if err != nil {
+			t.Fatalf("%s: the next dial failed: %v", tc.name, err)
+		}
+		if _, err := cl.NumPages(0); err != nil {
+			t.Errorf("%s: the next connection does not serve: %v", tc.name, err)
+		}
+		cl.Close()
+	}
+
+	// Close waits for every connection goroutine; a leaked one hangs here.
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if bufs, frames := PoolOutstanding(); bufs != 0 || frames != 0 {
+		t.Fatalf("pool leak: %d message buffers and %d response frames outstanding after the refusals", bufs, frames)
+	}
+}
+
+// TestOldServerRefused dials peers that cannot hold up the protocol: the
+// dial fails with ErrIncompatiblePeer, promptly, instead of downgrading.
+// Each peer answers every frame with one fixed message; a v1 server's, to
+// an opHello it has never heard of, is statusErr "unknown opcode".
+func TestOldServerRefused(t *testing.T) {
+	for name, answer := range map[string][]byte{
+		"v1 server rejects hello": frame(t, statusErr, []byte("unknown opcode")),
+		"answers with version 1":  frame(t, statusOK, helloPayload(1, clientFeatures)),
+		"lacks the pageDir bit":   frame(t, statusOK, helloPayload(protocolV2, clientFeatures&^featurePageDir)),
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
-		want = append(want, addr)
-	}
-	ids = append(ids, oid.MustNew(9, 99999)) // unknown: ok[i] must clear
-	addrs, ok, err := cl.LookupBatch(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if !ok[i] || addrs[i] != want[i] {
-			t.Errorf("batch[%d] = %v, %v; want %v, true", i, addrs[i], ok[i], want[i])
-		}
-	}
-	if ok[len(ids)-1] {
-		t.Error("unknown OID resolved in batch fallback")
-	}
-
-	imgs, err := cl.ReadPages(page.NewPageID(0, 0), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(imgs) != 1 {
-		t.Errorf("lock-step ReadPages shipped %d pages, want the 1-page fallback", len(imgs))
-	}
-}
-
-// v1Stub speaks the original lock-step protocol only: every opcode it does
-// not know — including opHello — earns a status-error reply, exactly like
-// a pre-pipelining server. It serves opLookup from a fixed table.
-func v1Stub(t *testing.T, addrs map[oid.OID]storage.PAddr) net.Listener {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				r := bufio.NewReader(conn)
-				w := bufio.NewWriter(conn)
-				for {
-					op, payload, err := readMsg(r)
-					if err != nil {
-						return
-					}
-					if op != opLookup || len(payload) != 8 {
-						if writeMsg(w, statusErr, []byte("unknown opcode")) != nil {
-							return
-						}
-						continue
-					}
-					addr, ok := addrs[getOID(payload)]
-					if !ok {
-						if writeMsg(w, statusErr, []byte("no such oid")) != nil {
-							return
-						}
-						continue
-					}
-					out := make([]byte, 10)
-					putPAddr(out, addr)
-					if writeMsg(w, statusOK, out) != nil {
-						return
-					}
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
 				}
-			}(conn)
+				go func() {
+					defer conn.Close()
+					for r := bufio.NewReader(conn); ; {
+						if _, _, err := readMsg(r); err != nil {
+							return
+						}
+						conn.Write(answer)
+					}
+				}()
+			}
+		}()
+		start := time.Now()
+		cl, err := DialWith(ln.Addr().String(), DialOptions{DialTimeout: 2 * time.Second})
+		if err == nil {
+			cl.Close()
+			t.Errorf("%s: dial succeeded", name)
+		} else if !errors.Is(err, ErrIncompatiblePeer) {
+			t.Errorf("%s: dial error %v does not match ErrIncompatiblePeer", name, err)
 		}
-	}()
-	return ln
-}
-
-// TestOldServerFallback dials a v1-only server with a v2 client: the
-// rejected hello must downgrade the connection to lock-step, not kill it.
-func TestOldServerFallback(t *testing.T) {
-	id := oid.MustNew(0, 7)
-	want := storage.PAddr{Page: page.NewPageID(0, 3), Slot: 2}
-	ln := v1Stub(t, map[oid.OID]storage.PAddr{id: want})
-	defer ln.Close()
-
-	cl, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if cl.Pipelined() {
-		t.Fatal("client claims pipelined protocol against a v1 server")
-	}
-	got, err := cl.Lookup(id)
-	if err != nil || got != want {
-		t.Fatalf("lookup via fallback = %v, %v; want %v", got, err, want)
-	}
-	if _, err := cl.Lookup(oid.MustNew(0, 8)); err == nil {
-		t.Error("unknown OID lookup succeeded")
-	}
-	// Batch APIs degrade but work.
-	addrs, ok, err := cl.LookupBatch([]oid.OID{id})
-	if err != nil || !ok[0] || addrs[0] != want {
-		t.Fatalf("batch via fallback = %v, %v, %v", addrs, ok, err)
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: refusal took %v, want well inside the dial timeout", name, d)
+		}
+		ln.Close()
 	}
 }
 
@@ -203,9 +242,6 @@ func TestPipelinedStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if !cl.Pipelined() {
-		t.Fatal("not pipelined")
-	}
 
 	var lookups, reads, writes, allocs atomic64
 	var wg sync.WaitGroup
@@ -407,7 +443,8 @@ func TestPipelinedBatchOpcodes(t *testing.T) {
 }
 
 // TestClientTimeout checks that a hung server surfaces as a distinct,
-// matchable timeout error on both framings.
+// matchable timeout error: the hello exchange itself times out against a
+// mute server, and that must already surface as a timeout at dial.
 func TestClientTimeout(t *testing.T) {
 	// A listener that accepts and then never answers anything.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -434,40 +471,17 @@ func TestClientTimeout(t *testing.T) {
 		}
 	}()
 
-	for _, lockstep := range []bool{true, false} {
-		cl, err := DialWith(ln.Addr().String(), DialOptions{
-			Timeout:  50 * time.Millisecond,
-			Lockstep: lockstep,
-		})
-		if lockstep {
-			if err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			// The hello exchange itself times out against a mute server;
-			// that must already surface as a timeout at dial.
-			if err == nil {
-				cl.Close()
-				t.Fatal("dial against mute server succeeded")
-			}
-			if !errors.Is(err, ErrRPCTimeout) {
-				t.Fatalf("dial error %v does not match ErrRPCTimeout", err)
-			}
-			var ne net.Error
-			if !errors.As(err, &ne) || !ne.Timeout() {
-				t.Fatalf("dial error %v is not a net.Error timeout", err)
-			}
-			continue
-		}
-		_, err = cl.Lookup(oid.MustNew(0, 1))
-		if !errors.Is(err, ErrRPCTimeout) {
-			t.Fatalf("lockstep=%v: error %v does not match ErrRPCTimeout", lockstep, err)
-		}
-		var ne net.Error
-		if !errors.As(err, &ne) || !ne.Timeout() {
-			t.Fatalf("lockstep=%v: error %v is not a net.Error timeout", lockstep, err)
-		}
+	cl, err := DialWith(ln.Addr().String(), DialOptions{Timeout: 50 * time.Millisecond})
+	if err == nil {
 		cl.Close()
+		t.Fatal("dial against mute server succeeded")
+	}
+	if !errors.Is(err, ErrRPCTimeout) {
+		t.Fatalf("dial error %v does not match ErrRPCTimeout", err)
+	}
+	var ne net.Error
+	if !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("dial error %v is not a net.Error timeout", err)
 	}
 }
 
@@ -503,7 +517,7 @@ func TestFrameCodecZeroAlloc(t *testing.T) {
 	var buf bytes.Buffer
 	r := bufio.NewReader(nil)
 	allocs := testing.AllocsPerRun(2000, func() {
-		frame := encodeFrame(opReadPage, 42, payload)
+		frame := encodeRequest(opReadPage, 42, payload, trace.Context{})
 		buf.Reset()
 		buf.Write(*frame)
 		putBuf(frame)
@@ -546,10 +560,10 @@ func benchServer(b *testing.B) (*TCPServer, []oid.OID, []storage.PAddr) {
 
 // latencyProxy relays bytes between client and server, charging a fixed
 // delay per transmission in each direction. Loopback on a small CI box has
-// no propagation delay — every microsecond of an RPC is CPU — so lock-step
-// and pipelined framing are indistinguishable over it. The proxy restores
-// the per-message link latency of a real page-server deployment, which is
-// precisely the wait that pipelining overlaps and coalescing amortizes.
+// no propagation delay — every microsecond of an RPC is CPU. The proxy
+// restores the per-message link latency of a real page-server deployment,
+// which is precisely the wait that pipelining overlaps and coalescing
+// amortizes.
 func latencyProxy(b *testing.B, target string, d time.Duration) string {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -591,53 +605,46 @@ func latencyProxy(b *testing.B, target string, d time.Duration) string {
 	return ln.Addr().String()
 }
 
-// BenchmarkClientThroughput contrasts the lock-step and pipelined clients
-// under concurrent load: ≥ 8 goroutines share ONE connection issuing the
-// mixed Lookup/ReadPage load of the ISSUE's acceptance criterion, over raw
-// loopback and over a simulated LAN link (200µs per transmission).
+// BenchmarkClientThroughput measures the client under concurrent load: ≥ 8
+// goroutines share ONE connection issuing a mixed Lookup/ReadPage load,
+// over raw loopback and over a simulated LAN link (200µs per
+// transmission).
 func BenchmarkClientThroughput(b *testing.B) {
 	for _, link := range []struct {
 		name  string
 		delay time.Duration
 	}{{"loopback", 0}, {"lan200us", 200 * time.Microsecond}} {
 		b.Run(link.name, func(b *testing.B) {
-			for _, mode := range []struct {
-				name     string
-				lockstep bool
-			}{{"lockstep", true}, {"pipelined", false}} {
-				b.Run(mode.name, func(b *testing.B) {
-					srv, ids, addrs := benchServer(b)
-					defer srv.Close()
-					addr := srv.Addr().String()
-					if link.delay > 0 {
-						addr = latencyProxy(b, addr, link.delay)
-					}
-					cl, err := DialWith(addr, DialOptions{Lockstep: mode.lockstep})
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer cl.Close()
-					b.SetParallelism(8) // ≥ 8 goroutines over the one connection
-					b.ResetTimer()
-					b.RunParallel(func(pb *testing.PB) {
-						i := 0
-						for pb.Next() {
-							if i%2 == 0 {
-								if _, err := cl.Lookup(ids[i%len(ids)]); err != nil {
-									b.Error(err)
-									return
-								}
-							} else {
-								if _, err := cl.ReadPage(addrs[i%len(addrs)].Page); err != nil {
-									b.Error(err)
-									return
-								}
-							}
-							i++
-						}
-					})
-				})
+			srv, ids, addrs := benchServer(b)
+			defer srv.Close()
+			addr := srv.Addr().String()
+			if link.delay > 0 {
+				addr = latencyProxy(b, addr, link.delay)
 			}
+			cl, err := Dial(addr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cl.Close()
+			b.SetParallelism(8) // ≥ 8 goroutines over the one connection
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				i := 0
+				for pb.Next() {
+					if i%2 == 0 {
+						if _, err := cl.Lookup(ids[i%len(ids)]); err != nil {
+							b.Error(err)
+							return
+						}
+					} else {
+						if _, err := cl.ReadPage(addrs[i%len(addrs)].Page); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+					i++
+				}
+			})
 		})
 	}
 }

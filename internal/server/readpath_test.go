@@ -47,7 +47,7 @@ func TestServerReadPageHotZeroAlloc(t *testing.T) {
 	// Warm the pools so the measurement sees steady state. The frame
 	// measured is the one with the page's directory attached.
 	for i := 0; i < 16; i++ {
-		n, err := ServeReadPageFrame(backend, req, false)
+		n, err := ServeReadPageFrame(backend, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestServerReadPageHotZeroAlloc(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := ServeReadPageFrame(backend, req, false); err != nil {
+		if _, err := ServeReadPageFrame(backend, req); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -67,9 +67,7 @@ func TestServerReadPageHotZeroAlloc(t *testing.T) {
 
 // BenchmarkServerReadPageHot measures the server-side ReadPage response
 // path in isolation (decode, page read, frame assembly, release — no
-// socket). The legacy variant re-enables the pre-zero-copy behavior:
-// sealed (copying) disk reads plus a contiguous response frame the page
-// is copied into.
+// socket).
 func BenchmarkServerReadPageHot(b *testing.B) {
 	backend, pid := readpathFixture(b)
 	req := make([]byte, 8)
@@ -82,19 +80,7 @@ func BenchmarkServerReadPageHot(b *testing.B) {
 		b.SetBytes(page.Size)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ServeReadPageFrame(backend, req, false); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("legacy-copy", func(b *testing.B) {
-		prev := storage.SetSealReads(true)
-		defer storage.SetSealReads(prev)
-		b.ReportAllocs()
-		b.SetBytes(page.Size)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ServeReadPageFrame(backend, req, true); err != nil {
+			if _, err := ServeReadPageFrame(backend, req); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -123,9 +109,6 @@ func TestPipelinedPoolBalance(t *testing.T) {
 	cl, err := Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !cl.Pipelined() {
-		t.Fatal("client did not negotiate the pipelined protocol")
 	}
 
 	for round := 0; round < 50; round++ {

@@ -389,7 +389,7 @@ func TestSnapshotCrashMidPublish(t *testing.T) {
 // TestSnapshotOverTCP drives the whole stack end to end: a transactional
 // TCP server, a writer connection holding an uncommitted update, and a
 // second connection whose snapshot transaction reads the old content
-// through the v2 wire opcode without blocking.
+// through the wire opcode without blocking.
 func TestSnapshotOverTCP(t *testing.T) {
 	ts, _, _ := durableSetup(t, t.TempDir())
 	setup := ts.Begin()
@@ -425,9 +425,6 @@ func TestSnapshotOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reader.Close()
-	if !reader.HasSnapshot() {
-		t.Fatal("pipelined client did not negotiate the snapshot feature")
-	}
 	if _, readLSN, err := reader.BeginSnapshotTx(); err != nil {
 		t.Fatal(err)
 	} else if readLSN == 0 {
@@ -474,28 +471,5 @@ func TestSnapshotOverTCP(t *testing.T) {
 	}
 	if err := writer.CommitTx(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestSnapshotLockstepClientLacksFeature: a legacy lock-step client must
-// not be offered the snapshot opcode.
-func TestSnapshotLockstepClientLacksFeature(t *testing.T) {
-	ts, _, _ := durableSetup(t, t.TempDir())
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := ServeTx(ln, ts)
-	defer srv.Close()
-	cl, err := DialWith(srv.Addr().String(), DialOptions{Lockstep: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if cl.HasSnapshot() {
-		t.Fatal("lock-step client claims snapshot support")
-	}
-	if _, _, err := cl.BeginSnapshotTx(); err == nil {
-		t.Fatal("BeginSnapshotTx on a lock-step client succeeded")
 	}
 }

@@ -27,21 +27,19 @@ import (
 // Integers are little endian. A status of 0 is success; 1 carries an error
 // string as payload.
 //
-// Two framings share this envelope:
+// A connection opens with one hello exchange in exactly this envelope: the
+// client sends opHello with its protocol version and the feature bits it
+// offers, the server answers with its version and the bits agreed. From
+// then on the connection is pipelined: every request and response payload
+// begins with a uint64 request ID, every request ends in a trace-context
+// suffix, any number of requests may be in flight, the server processes
+// them concurrently per connection, and responses are matched to callers
+// by ID (they may arrive out of order).
 //
-//   - Lock-step (v1, the original protocol): one request in flight per
-//     connection; the next frame on the wire is always the response to the
-//     previous request. Old clients speak only this.
-//   - Pipelined (v2): negotiated by an opHello exchange. Afterwards every
-//     request and response payload begins with a uint64 request ID; any
-//     number of requests may be in flight, the server processes them
-//     concurrently per connection, and responses are matched to callers by
-//     ID (they may arrive out of order).
-//
-// A v2 server answers opHello with its version and feature bits; a v1
-// server answers it with a protocol-error status, which a v2 client takes
-// as the signal to fall back to lock-step framing. Both directions of
-// mixed deployment therefore keep working.
+// There is one protocol. A first frame that is not a hello of version 2
+// or later offering every baseline feature is answered with one statusErr
+// frame and the connection is closed; so is a second hello.
+// testdata/wire_v2.golden pins the bytes.
 const (
 	opLookup = iota + 1
 	opReadPage
@@ -57,13 +55,13 @@ const (
 	opTxBegin
 	opTxCommit
 	opTxAbort
-	// Protocol-negotiation and batch extension (v2). Opcode numbers above
-	// are frozen: v1 servers must keep rejecting these as unknown.
+	// The hello exchange that opens every connection, and the batch
+	// opcodes.
 	opHello
 	opLookupBatch
 	opReadPages
-	// Snapshot extension (featureSnapshot): begins a read-only snapshot
-	// transaction whose reads are lock-free at a frozen read-LSN.
+	// Begins a read-only snapshot transaction whose reads are lock-free at
+	// a frozen read-LSN.
 	opTxBeginSnapshot
 	// Coherence extension (featureCoherence). opInvalidate is a
 	// server→client push (request ID 0, which ordinary request/response
@@ -84,9 +82,7 @@ const (
 	statusOK  = 0
 	statusErr = 1
 	// statusTransient marks a failure the client may safely retry (the
-	// operation did not happen). Old clients treat it like statusErr — any
-	// non-zero status reads as an error string — so the addition is
-	// backward compatible.
+	// operation did not happen).
 	statusTransient = 2
 )
 
@@ -104,23 +100,46 @@ func statusOf(err error) byte {
 	return statusErr
 }
 
-// protocolV2 is the pipelined protocol version carried in opHello.
+// protocolV2 is the protocol version carried in opHello.
 const protocolV2 = 2
 
-// featureBatch advertises the batch opcodes (opLookupBatch, opReadPages).
-const featureBatch = 1 << 0
+// Feature bits of the hello exchange. The numbers are frozen (they are on
+// the wire); every bit but featureCoherence is part of the baseline both
+// sides require, so only coherence is still negotiated — it follows
+// something the server can observe, whether EnableCoherence ran.
+const (
+	// featureBatch: the batch opcodes opLookupBatch and opReadPages.
+	featureBatch = 1 << 0
+	// featureTrace: every request frame ends in a fixed trace.WireLen-byte
+	// suffix encoding the client's span context (zeros when the request is
+	// not part of a sampled trace). The suffix rides after the opcode
+	// payload, so per-opcode encoders and decoders are untouched; the
+	// server strips it before dispatch. Responses are never suffixed — the
+	// client already knows the context it sent.
+	featureTrace = 1 << 1
+	// featureSnapshot: opTxBeginSnapshot opens a read-only snapshot
+	// transaction whose reads are served lock-free at a frozen read-LSN
+	// (MVCC page versions; see txn.go and storage/versions.go).
+	featureSnapshot = 1 << 2
+	// featureCoherence: opInvalidate pushes and opCoherenceAck
+	// acknowledgements (coherence.go). Offered only by a server on which
+	// EnableCoherence ran.
+	featureCoherence = 1 << 3
+	// featurePageDir: page directories (DESIGN.md "Page directories").
+	// Every opReadPage / opReadPages response of a live (non-snapshot)
+	// backend carries, behind each page image, the extent directory of
+	// that page — which OIDs live in which slots — so the client resolves
+	// the addresses of objects on pages it holds without an opLookup. An
+	// opReadPage payload is the image followed by the directory (whatever
+	// the frame holds past page.Size, a multiple of page.ExtentSize, at
+	// most page.MaxShippedExtents extents); an opReadPages payload is the
+	// page count, one uint16 directory byte length per page, then each
+	// image followed by its directory. A snapshot session reads past
+	// versions and ships empty directories.
+	featurePageDir = 1 << 4
 
-// featurePageDir advertises page directories (DESIGN.md "Page
-// directories"): once negotiated, every opReadPage / opReadPages response
-// of a live (non-snapshot) backend carries, behind each page image, the
-// extent directory of that page — which OIDs live in which slots — so
-// the client resolves the addresses of objects on pages it holds without
-// an opLookup. An opReadPage payload is the image followed by the
-// directory (whatever the frame holds past page.Size, a multiple of
-// page.ExtentSize, at most page.MaxShippedExtents extents); an
-// opReadPages payload is the page count, one uint16 directory byte
-// length per page, then each image followed by its directory.
-const featurePageDir = 1 << 4
+	baselineFeatures = featureBatch | featureTrace | featureSnapshot | featurePageDir
+)
 
 const (
 	// maxReadRun bounds the pages shipped by one opReadPages response.
@@ -294,8 +313,8 @@ func (f *respFrame) wireLen() int {
 	return n
 }
 
-// payloadLen is the logical response payload size (what a v1 contiguous
-// response body would have held, excluding the request ID).
+// payloadLen is the logical response payload size (inline payload plus
+// attached pages, excluding the request ID).
 func (f *respFrame) payloadLen() int {
 	n := len(f.inline)
 	for _, p := range f.pages {
@@ -359,27 +378,14 @@ func readMsgPooled(r *bufio.Reader) (byte, *[]byte, error) {
 	return (*body)[0], body, nil
 }
 
-// encodeFrame builds a complete pipelined frame — header, code, request
-// ID, payload — in a pooled buffer; the writer releases it after the
-// bytes are on the wire.
-func encodeFrame(code byte, id uint64, payload []byte) *[]byte {
-	bp := getBuf(4 + 1 + 8 + len(payload))
-	b := *bp
-	binary.LittleEndian.PutUint32(b, uint32(1+8+len(payload)))
-	b[4] = code
-	binary.LittleEndian.PutUint64(b[5:], id)
-	copy(b[13:], payload)
-	return bp
-}
-
-// encodeFrameTrace is encodeFrame plus the featureTrace context suffix
-// (all zeros when ctx is untraced; the fixed length keeps the server's
-// stripping unconditional).
-func encodeFrameTrace(code byte, id uint64, payload []byte, ctx trace.Context) *[]byte {
+// encodeRequest builds a complete request frame — header, opcode, request
+// ID, payload, trace-context suffix (all zeros when ctx is untraced) — in
+// a pooled buffer; the writer releases it after the bytes are on the wire.
+func encodeRequest(op byte, id uint64, payload []byte, ctx trace.Context) *[]byte {
 	bp := getBuf(4 + 1 + 8 + len(payload) + trace.WireLen)
 	b := *bp
 	binary.LittleEndian.PutUint32(b, uint32(1+8+len(payload)+trace.WireLen))
-	b[4] = code
+	b[4] = op
 	binary.LittleEndian.PutUint64(b[5:], id)
 	copy(b[13:], payload)
 	trace.PutWire(b[13+len(payload):], ctx)
@@ -420,9 +426,6 @@ type TCPServer struct {
 	// tracer records server-side request spans (see trace.go); nil when
 	// tracing is off.
 	tracer atomic.Pointer[trace.Tracer]
-	// featureOverride, when its valid bit is set, replaces the advertised
-	// feature mask (SetFeatures test hook).
-	featureOverride atomic.Uint32
 	// coh is the callback/lease coherence machinery; nil until
 	// EnableCoherence (featureCoherence is only advertised once set).
 	coh atomic.Pointer[coherenceState]
@@ -553,38 +556,40 @@ func (s *TCPServer) acceptLoop() {
 }
 
 // connState carries the per-connection transactional state. It is only
-// touched by the connection's reader goroutine (in pipelined mode, data
-// operations receive their backend at dispatch time).
+// touched by the connection's reader goroutine (data operations receive
+// their backend at dispatch time).
 type connState struct {
 	tx   TxID
 	sess Server // the transaction session, or nil outside a transaction
 	// coh is the connection's coherence endpoint: non-nil only on a
-	// pipelined connection that negotiated featureCoherence. Set once
-	// before dispatch goroutines start, read-only afterwards.
+	// connection that negotiated featureCoherence. Set once before
+	// dispatch goroutines start, read-only afterwards.
 	coh *cohConn
-	// dirs is set on a pipelined connection that negotiated
-	// featurePageDir: its page reads ship directories. Set once before
-	// dispatch, like coh.
-	dirs bool
 }
 
-// helloResponse validates a client hello payload and returns the server's
-// reply — the agreed version and feature bits — plus the negotiated mask
-// (the intersection of what the client offered and what this server
-// advertises).
-func (s *TCPServer) helloResponse(payload []byte) ([]byte, uint32, error) {
+// acceptHello checks the frame that opens a connection and returns the
+// feature bits agreed: the baseline, plus coherence when the client offers
+// it and EnableCoherence ran. Anything but a well-formed hello of version
+// 2 or later offering the whole baseline is an error.
+func (s *TCPServer) acceptHello(op byte, payload []byte) (uint32, error) {
+	if op != opHello {
+		return 0, fmt.Errorf("%w: connection must open with hello, got opcode %d", errProtocol, op)
+	}
 	if len(payload) != 8 {
-		return nil, 0, errProtocol
+		return 0, fmt.Errorf("%w: hello payload of %d bytes", errProtocol, len(payload))
 	}
-	ver := binary.LittleEndian.Uint32(payload)
-	if ver < protocolV2 {
-		return nil, 0, fmt.Errorf("%w: client protocol version %d", errProtocol, ver)
+	if ver := binary.LittleEndian.Uint32(payload); ver < protocolV2 {
+		return 0, fmt.Errorf("%w: client protocol version %d", errProtocol, ver)
 	}
-	negotiated := binary.LittleEndian.Uint32(payload[4:]) & s.serverFeatures()
-	out := make([]byte, 8)
-	binary.LittleEndian.PutUint32(out, protocolV2)
-	binary.LittleEndian.PutUint32(out[4:], negotiated)
-	return out, negotiated, nil
+	offered := binary.LittleEndian.Uint32(payload[4:])
+	if offered&baselineFeatures != baselineFeatures {
+		return 0, fmt.Errorf("%w: client features %#x lack the baseline %#x", errProtocol, offered, baselineFeatures)
+	}
+	agreed := uint32(baselineFeatures)
+	if s.coh.Load() != nil {
+		agreed |= offered & featureCoherence
+	}
+	return agreed, nil
 }
 
 func (s *TCPServer) serveConn(conn net.Conn) {
@@ -601,71 +606,34 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	r := bufio.NewReaderSize(conn, page.Size+1024)
-	w := bufio.NewWriterSize(conn, page.Size+1024)
-	// Lock-step phase: the original one-request-at-a-time protocol, which
-	// is also where a v2 client's opHello arrives.
-	for {
-		op, body, err := readMsgPooled(r)
-		if err != nil {
-			return
-		}
-		payload := (*body)[1:]
-		if op == opHello {
-			obs := s.obs.Load()
-			start := obs.Now()
-			resp, negotiated, herr := s.helloResponse(payload)
-			putBuf(body)
-			obs.RPCSince(metrics.RPCHello, start)
-			if herr != nil {
-				if werr := writeMsg(w, statusErr, []byte(herr.Error())); werr != nil {
-					return
-				}
-				continue
-			}
-			if werr := writeMsg(w, statusOK, resp); werr != nil {
-				return
-			}
-			// The connection switches to pipelined framing from here on.
-			// writeMsg flushed the bufio writer, so the pipelined writer
-			// can take over the raw connection for vectored writes.
-			s.servePipelined(conn, r, cs, negotiated)
-			return
-		}
-		obs := s.obs.Load()
-		start := obs.Now()
-		if rpc := rpcOpOf(op); rpc >= 0 {
-			obs.RPCFrame(rpc, false, len(*body)+4)
-		}
-		resp, err := s.handle(cs, op, payload, trace.Context{})
-		if rpc := rpcOpOf(op); rpc >= 0 {
-			d := obs.RPCSince(rpc, start)
-			if op != opTxCommit {
-				s.noteSlow(obs, rpc, d, trace.Context{})
-			}
-			if err == nil {
-				obs.RPCFrame(rpc, true, 5+len(resp))
-			} else {
-				obs.RPCFrame(rpc, true, 5+len(err.Error()))
-			}
-		}
-		if err != nil {
-			obs.Inc(metrics.CtrRPCError)
-			obs.Trace(metrics.CtrRPCError, uint64(op), 0)
-			putBuf(body)
-			if werr := writeMsg(w, statusOf(err), []byte(err.Error())); werr != nil {
-				return
-			}
-			continue
-		}
-		werr := writeMsg(w, statusOK, resp)
-		putBuf(body)
-		if werr != nil {
-			return
-		}
+	op, body, err := readMsgPooled(r)
+	if err != nil {
+		return
 	}
+	obs := s.obs.Load()
+	start := obs.Now()
+	agreed, herr := s.acceptHello(op, (*body)[1:])
+	putBuf(body)
+	obs.RPCSince(metrics.RPCHello, start)
+	w := bufio.NewWriter(conn)
+	if herr != nil {
+		// Refused: one error frame, then the deferred close.
+		obs.Inc(metrics.CtrRPCError)
+		_ = writeMsg(w, statusErr, []byte(herr.Error())) // the peer is being dropped either way
+		return
+	}
+	var resp [8]byte
+	binary.LittleEndian.PutUint32(resp[:], protocolV2)
+	binary.LittleEndian.PutUint32(resp[4:], agreed)
+	if err := writeMsg(w, statusOK, resp[:]); err != nil {
+		return
+	}
+	// writeMsg flushed the bufio writer, so the pipelined writer can take
+	// over the raw connection for vectored writes.
+	s.servePipelined(conn, r, cs, agreed&featureCoherence != 0)
 }
 
-// servePipelined runs the v2 framing on an upgraded connection: the reader
+// servePipelined serves a connection after its hello: the reader
 // dispatches each data request to its own goroutine (bounded by
 // pipelineWorkers), a writer goroutine streams responses back as they
 // complete, and transaction boundaries wait for the connection's
@@ -676,14 +644,10 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 // frame already queued into one net.Buffers vectored write (writev), so a
 // burst of pipelined responses reaches the socket in a single syscall
 // without ever being re-buffered into a contiguous stream.
-func (s *TCPServer) servePipelined(conn net.Conn, r *bufio.Reader, cs *connState, negotiated uint32) {
-	traceOn := negotiated&featureTrace != 0
-	cs.dirs = negotiated&featurePageDir != 0
+func (s *TCPServer) servePipelined(conn net.Conn, r *bufio.Reader, cs *connState, coherent bool) {
 	respCh := make(chan *respFrame, pipelineWorkers*2)
-	if negotiated&featureCoherence != 0 {
-		if st := s.coh.Load(); st != nil {
-			cs.coh = st.attach(conn, respCh)
-		}
+	if coherent {
+		cs.coh = s.coh.Load().attach(conn, respCh)
 	}
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
@@ -771,27 +735,26 @@ func (s *TCPServer) servePipelined(conn net.Conn, r *bufio.Reader, cs *connState
 		}
 		id := binary.LittleEndian.Uint64(payload)
 		req := payload[8:]
-		var tctx trace.Context
-		if traceOn {
-			// Every request frame on a trace-negotiated connection carries
-			// the fixed-size context suffix; strip it before dispatch.
-			if len(req) < trace.WireLen {
-				putBuf(body)
-				break
-			}
-			tctx = trace.FromWire(req[len(req)-trace.WireLen:])
-			req = req[:len(req)-trace.WireLen]
+		// Every request frame carries the fixed-size context suffix; strip
+		// it before dispatch.
+		if len(req) < trace.WireLen {
+			putBuf(body)
+			break
 		}
+		tctx := trace.FromWire(req[len(req)-trace.WireLen:])
+		req = req[:len(req)-trace.WireLen]
 		if rpc := rpcOpOf(op); rpc >= 0 {
 			s.obs.Load().RPCFrame(rpc, false, len(*body)+4)
 		}
-		switch op {
-		case opHello:
-			resp, _, herr := s.helloResponse(req)
+		if op == opHello {
+			// A connection has one hello. A second is refused like a bad
+			// first frame: one error frame (the writer drains it below),
+			// then the connection closes.
 			putBuf(body)
-			f := getFrame()
-			f.inline = resp
-			respond(op, id, f, herr)
+			respond(op, id, getFrame(), fmt.Errorf("%w: hello on an established connection", errProtocol))
+			break
+		}
+		switch op {
 		case opCoherenceAck:
 			// Fire-and-forget acknowledgement of an applied invalidation
 			// round: record the epoch and release any commit waiting on
@@ -809,7 +772,7 @@ func (s *TCPServer) servePipelined(conn net.Conn, r *bufio.Reader, cs *connState
 			obs := s.obs.Load()
 			start := obs.Now()
 			sp := s.tracer.Load().StartChild(spanName(&serverSpanNames, op), tctx)
-			resp, herr := s.handle(cs, op, req, sp.Context())
+			resp, herr := s.handle(cs, op, sp.Context())
 			sp.Finish()
 			if rpc := rpcOpOf(op); rpc >= 0 {
 				d := obs.RPCSinceTrace(rpc, start, tctx.TraceID)
@@ -889,11 +852,12 @@ func (s *TCPServer) noteSlow(obs *metrics.Registry, rpc metrics.RPCOp, d time.Du
 	sl.Note(metrics.SlowEntry{Op: rpc.String(), DurNS: int64(d), TraceID: tctx.TraceID})
 }
 
-// handle executes one framed request. tctx is the server-side span
-// context of the enclosing RPC (zero when tracing is off or the caller
-// is the lock-step path); tx commit threads it into the commit pipeline
-// so per-phase spans nest under the server's tx_commit span.
-func (s *TCPServer) handle(cs *connState, op byte, payload []byte, tctx trace.Context) ([]byte, error) {
+// handle executes one transaction-boundary request: opTxBegin,
+// opTxBeginSnapshot, opTxCommit or opTxAbort. tctx is the server-side span
+// context of the enclosing RPC (zero when tracing is off); commit threads
+// it into the commit pipeline so per-phase spans nest under the server's
+// tx_commit span.
+func (s *TCPServer) handle(cs *connState, op byte, tctx trace.Context) ([]byte, error) {
 	switch op {
 	case opTxBegin:
 		if s.tx == nil {
@@ -927,7 +891,7 @@ func (s *TCPServer) handle(cs *connState, op byte, payload []byte, tctx trace.Co
 		binary.LittleEndian.PutUint64(out, uint64(tx))
 		binary.LittleEndian.PutUint64(out[8:], readLSN)
 		return out, nil
-	case opTxCommit, opTxAbort:
+	default: // opTxCommit, opTxAbort
 		if s.tx == nil || cs.sess == nil {
 			return nil, errors.New("server: no open transaction")
 		}
@@ -943,7 +907,7 @@ func (s *TCPServer) handle(cs *connState, op byte, payload []byte, tctx trace.Co
 			}
 			err = s.tx.CommitCtx(cs.tx, s.tracer.Load(), tctx)
 			if err == nil {
-				s.coherencePush(writeSet, cohClientID(cs), tctx)
+				s.coherencePush(writeSet, cs.coh.clientID(), tctx)
 			}
 		} else {
 			err = s.tx.Abort(cs.tx)
@@ -959,17 +923,11 @@ func (s *TCPServer) handle(cs *connState, op byte, payload []byte, tctx trace.Co
 		cs.tx = 0
 		return nil, err
 	}
-	backend := s.backend(cs)
-	resp, err := s.handleData(backend, op, payload)
-	if err == nil && backend == Server(s.local) {
-		// A non-transactional write is immediately visible; call
-		// interested clients back right away (transactional writes are
-		// pushed at commit from the X-lock set instead).
-		s.pushForWrite(op, payload, resp, cohClientID(cs))
-	}
-	return resp, err
 }
 
+// handleData executes one data request whose response is small enough to
+// ride inline in the frame header; the page-shipping opcodes are
+// handleDataFrame's.
 func (s *TCPServer) handleData(backend Server, op byte, payload []byte) ([]byte, error) {
 	switch op {
 	case opLookup:
@@ -983,12 +941,6 @@ func (s *TCPServer) handleData(backend Server, op byte, payload []byte) ([]byte,
 		out := make([]byte, 10)
 		putPAddr(out, addr)
 		return out, nil
-	case opReadPage:
-		if len(payload) != 8 {
-			return nil, errProtocol
-		}
-		pid := page.PageID(binary.LittleEndian.Uint64(payload))
-		return backend.ReadPage(pid)
 	case opWritePage:
 		if len(payload) != 8+page.Size {
 			return nil, errProtocol
@@ -1076,40 +1028,16 @@ func (s *TCPServer) handleData(backend Server, op byte, payload []byte) ([]byte,
 			}
 		}
 		return out, nil
-	case opReadPages:
-		if len(payload) != 12 {
-			return nil, errProtocol
-		}
-		pid := page.PageID(binary.LittleEndian.Uint64(payload))
-		n := binary.LittleEndian.Uint32(payload[8:])
-		if n == 0 || n > maxReadRun {
-			return nil, errProtocol
-		}
-		pr, ok := backend.(PageRunReader)
-		if !ok {
-			return nil, fmt.Errorf("%w: page runs unsupported", errProtocol)
-		}
-		imgs, err := pr.ReadPages(pid, int(n))
-		if err != nil {
-			return nil, err
-		}
-		out := make([]byte, 4+len(imgs)*page.Size)
-		binary.LittleEndian.PutUint32(out, uint32(len(imgs)))
-		for i, img := range imgs {
-			copy(out[4+i*page.Size:], img)
-		}
-		return out, nil
 	default:
 		return nil, fmt.Errorf("%w: opcode %d", errProtocol, op)
 	}
 }
 
-// handleDataFrame is the zero-copy variant of handleData used by the
-// pipelined path: page-shipping opcodes attach the borrowed page images to
-// the response frame instead of copying them into a contiguous payload
-// (the wire bytes are identical — the writer scatter-gathers the pieces).
-// Every other opcode falls through to handleData and rides in the frame's
-// inline payload.
+// handleDataFrame executes one data request into its response frame. The
+// page-shipping opcodes attach the page images and directories borrowed
+// from the copy-on-write store instead of copying them into a contiguous
+// payload (the writer scatter-gathers the pieces); every other opcode
+// falls through to handleData and rides in the frame's inline payload.
 func (s *TCPServer) handleDataFrame(backend Server, cs *connState, op byte, payload []byte, f *respFrame) error {
 	cc := cs.coh
 	// Snapshot sessions read at a frozen LSN and are stale by design;
@@ -1123,12 +1051,12 @@ func (s *TCPServer) handleDataFrame(backend Server, cs *connState, op byte, payl
 			return errProtocol
 		}
 		pid := page.PageID(binary.LittleEndian.Uint64(payload))
-		img, dir, err := s.readPageCoherent(backend, cc, pid, cs.dirs)
+		img, dir, err := s.readPageCoherent(backend, cc, pid)
 		if err != nil {
 			return err
 		}
-		// With featurePageDir the payload is the image, then the shipped
-		// directory: its length is what the frame holds past page.Size.
+		// The payload is the image, then the shipped directory: its
+		// length is what the frame holds past page.Size.
 		f.pages = append(f.pages, img)
 		s.obs.Load().AddN(metrics.CtrPageDirExtents, int64(f.attachDirectory(dir)/page.ExtentSize))
 		return nil
@@ -1145,18 +1073,13 @@ func (s *TCPServer) handleDataFrame(backend Server, cs *connState, op byte, payl
 		if !ok {
 			return fmt.Errorf("%w: page runs unsupported", errProtocol)
 		}
-		imgs, dirs, err := s.readPagesCoherent(pr, cc, pid, int(n), cs.dirs)
+		imgs, dirs, err := s.readPagesCoherent(pr, cc, pid, int(n))
 		if err != nil {
 			return err
 		}
+		// The count is followed by one uint16 a page, the byte length of
+		// the directory shipped behind that image.
 		binary.LittleEndian.PutUint32(f.scratch[:4], uint32(len(imgs)))
-		f.inline = f.scratch[:4]
-		if !cs.dirs {
-			f.pages = append(f.pages, imgs...)
-			return nil
-		}
-		// With featurePageDir the count is followed by one uint16 a page,
-		// the byte length of the directory shipped behind that image.
 		f.inline = f.scratch[:4+2*len(imgs)]
 		shipped := 0
 		for i, img := range imgs {
@@ -1177,6 +1100,9 @@ func (s *TCPServer) handleDataFrame(backend Server, cs *connState, op byte, payl
 			return err
 		}
 		if backend == Server(s.local) {
+			// A non-transactional write is immediately visible; call
+			// interested clients back right away (transactional writes are
+			// pushed at commit from the X-lock set instead).
 			s.pushForWrite(op, payload, resp, cc.clientID())
 		}
 		f.inline = resp
@@ -1195,9 +1121,9 @@ func (f *respFrame) attachDirectory(dir page.Directory) int {
 }
 
 // readPage reads one page from the backend, with its directory when the
-// connection negotiated one and the backend has one to give.
-func readPage(backend Server, pid page.PageID, withDir bool) ([]byte, page.Directory, error) {
-	if dr, ok := backend.(dirPageReader); ok && withDir {
+// backend has one to give (a snapshot session has none).
+func readPage(backend Server, pid page.PageID) ([]byte, page.Directory, error) {
+	if dr, ok := backend.(dirPageReader); ok {
 		return dr.readPageDir(pid)
 	}
 	img, err := backend.ReadPage(pid)
@@ -1205,36 +1131,26 @@ func readPage(backend Server, pid page.PageID, withDir bool) ([]byte, page.Direc
 }
 
 // readPages is readPage over a page run; dirs is nil without directories.
-func readPages(pr PageRunReader, pid page.PageID, n int, withDir bool) ([][]byte, []page.Directory, error) {
-	if dr, ok := pr.(dirPageReader); ok && withDir {
+func readPages(pr PageRunReader, pid page.PageID, n int) ([][]byte, []page.Directory, error) {
+	if dr, ok := pr.(dirPageReader); ok {
 		return dr.readPagesDir(pid, n)
 	}
 	imgs, err := pr.ReadPages(pid, n)
 	return imgs, nil, err
 }
 
-// ServeReadPageFrame drives the server's pipelined ReadPage response path
-// — request decode, page read, frame assembly, release — without a
-// socket, returning the frame's on-wire size. req is the 8-byte ReadPage
-// request payload (the page ID). With legacyCopy the response is encoded
-// the pre-zero-copy way, with the page image copied into a contiguous
-// pooled frame; otherwise the image is attached to the frame by
-// reference. Benchmarks and the zero-alloc guard use it to measure the
-// hot read path in isolation. The zero-copy frame is the one a connection
-// with featurePageDir gets: the page's directory rides behind the image.
-func ServeReadPageFrame(backend Server, req []byte, legacyCopy bool) (int, error) {
+// ServeReadPageFrame drives the server's ReadPage response path — request
+// decode, page read, frame assembly, release — without a socket,
+// returning the frame's on-wire size. req is the 8-byte ReadPage request
+// payload (the page ID). Benchmarks and the zero-alloc guard use it to
+// measure the hot read path in isolation.
+func ServeReadPageFrame(backend Server, req []byte) (int, error) {
 	if len(req) != 8 {
 		return 0, errProtocol
 	}
-	img, dir, err := readPage(backend, page.PageID(binary.LittleEndian.Uint64(req)), !legacyCopy)
+	img, dir, err := readPage(backend, page.PageID(binary.LittleEndian.Uint64(req)))
 	if err != nil {
 		return 0, err
-	}
-	if legacyCopy {
-		bp := encodeFrame(statusOK, 1, img)
-		n := len(*bp)
-		putBuf(bp)
-		return n, nil
 	}
 	f := getFrame()
 	f.pages = append(f.pages, img)

@@ -3,8 +3,8 @@
 // (a Deref, an object fault, an RPC, a server-side page read); spans form
 // a tree via (trace ID, span ID, parent span ID) triples that propagate
 // from object-manager entry points through buffer-pool faults, readahead,
-// and — with the v2 protocol's featureTrace capability — across the wire,
-// so a server-side storage span parents correctly under the client-side
+// and — in the suffix of every request frame — across the wire, so a
+// server-side storage span parents correctly under the client-side
 // operation that caused it.
 //
 // The tracer is built to be left enabled in production: head-based
@@ -266,10 +266,10 @@ func less(a, b Record) bool {
 	return a.SpanID < b.SpanID
 }
 
-// Wire encoding: when the v2 protocol negotiates featureTrace, every
-// request frame carries a fixed WireLen-byte suffix encoding the
-// client's current context. A fixed length keeps the suffix separable
-// from variable-length payloads without touching per-opcode decoders.
+// Wire encoding: every request frame of the page-server protocol carries
+// a fixed WireLen-byte suffix encoding the client's current context. A
+// fixed length keeps the suffix separable from variable-length payloads
+// without touching per-opcode decoders.
 const WireLen = 17 // [flags][traceID 8][spanID 8], little endian
 
 // PutWire encodes ctx into b, which must hold WireLen bytes. An
