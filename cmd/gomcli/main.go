@@ -452,7 +452,7 @@ func cmdStats(args []string) error {
 		return fmt.Errorf("unknown workload %q", *workload)
 	}
 	fmt.Printf("%s workload under %v:\n", *workload, st)
-	fmt.Print(reg.Snapshot().Format())
+	fmt.Print(c.OM.Metrics().Snapshot().Format())
 	return nil
 }
 

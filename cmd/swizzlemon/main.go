@@ -92,14 +92,15 @@ func run(workload string, parts, depth, repeat, ops, pages int, seed int64, stat
 
 	// drive runs the workload, printing live observability deltas after
 	// every repetition (the always-on metrics layer, not the §7 monitor).
-	drive := func(c *oo1.Client, reg *metrics.Registry) error {
+	drive := func(c *oo1.Client) error {
+		reg := c.OM.Metrics()
 		prev := reg.Snapshot()
 		for r := 0; r < repeat; r++ {
 			c.Reseed(seed)
 			if err := runWorkload(c, workload, depth, ops); err != nil {
 				return err
 			}
-			cur, d := reg.DeltaSince(prev)
+			cur, d := c.OM.Metrics().DeltaSince(prev)
 			fmt.Printf("  rep %d: %s\n", r+1, d)
 			prev = cur
 		}
@@ -116,12 +117,12 @@ func run(workload string, parts, depth, repeat, ops, pages int, seed int64, stat
 	trace := monitor.NewTrace()
 	c.OM.SetAccessRecorder(trace)
 	c.Begin(swizzle.NewSpec("training", swizzle.NOS))
-	if err := drive(c, reg); err != nil {
+	if err := drive(c); err != nil {
 		return err
 	}
 	trainCost := c.OM.Meter().Micros()
 	fmt.Printf("training (NOS): %.1f ms simulated, %d trace records\n", trainCost/1000, trace.Len())
-	printObsSnapshot("training", reg.Snapshot())
+	printObsSnapshot("training", c.OM.Metrics().Snapshot())
 
 	// Analysis: swizzling graph + cost-model decision + greedy EDS pass.
 	res := monitor.NewStorageResolver(db.Srv, db.Schema)
@@ -162,13 +163,13 @@ func run(workload string, parts, depth, repeat, ops, pages int, seed int64, stat
 	}
 	db.Srv.SetMetrics(reg2)
 	c2.Begin(spec)
-	if err := drive(c2, reg2); err != nil {
+	if err := drive(c2); err != nil {
 		return err
 	}
 	tuned := c2.OM.Meter().Micros()
 	fmt.Printf("\ntuned run: %.1f ms simulated (training %.1f ms) — savings %.1f%%\n",
 		tuned/1000, trainCost/1000, (trainCost-tuned)/trainCost*100)
-	printObsSnapshot("tuned", reg2.Snapshot())
+	printObsSnapshot("tuned", c2.OM.Metrics().Snapshot())
 	return nil
 }
 
@@ -444,7 +445,7 @@ func runAdvise(argv []string) error {
 	}
 	fmt.Printf("ran %q x%d under %v: %.1f ms simulated\n",
 		*workload, *repeat, st, c.OM.Meter().Micros()/1000)
-	printObsSnapshot("advise", reg.Snapshot())
+	printObsSnapshot("advise", c.OM.Metrics().Snapshot())
 
 	fmt.Println("\nscoreboard (per-context, always-on):")
 	for _, row := range reg.ScoreRows() {

@@ -14,8 +14,9 @@ import (
 // must never block on — or reenter — the object manager. So the handlers
 // here only queue: NoteInvalidated records the pages and sets an atomic
 // flag, exactly the shape of the existing hasDeferred mirror. Every OM
-// operation checks the flag on entry (takeDeferredErr) and applies the
-// queued invalidations before doing anything else: each page is dropped
+// operation checks the flag on entry (hitViable sends it down the structural
+// path, to takeDeferredErr) and applies the queued invalidations before
+// doing anything else: each page is dropped
 // from the buffer pool through the eviction hook, which displaces the
 // objects materialized from the stale image — un-swizzling references,
 // draining RRLs, invalidating descriptors — so the next dereference
@@ -51,14 +52,6 @@ func (om *OM) NoteLeaseExpired() {
 	om.cohAll = true
 	om.cohFlag.Store(true)
 	om.cohMu.Unlock()
-}
-
-// fastBlocked reports whether lock-free fast paths must divert to the
-// slow path to surface deferred state first: a deferred eviction error,
-// or pending coherence invalidations (a fast deref serving a frame whose
-// invalidation is queued would be a stale read past the ack).
-func (om *OM) fastBlocked() bool {
-	return om.hasDeferred.Load() || om.cohFlag.Load()
 }
 
 // applyInvalidations drains the coherence queue: every queued page (or,

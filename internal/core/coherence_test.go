@@ -36,8 +36,8 @@ func coherentClient(t *testing.T, b *testBase) (*server.TCPServer, *server.Clien
 // TestDerefCoherenceIdleZeroAlloc pins the hot-path cost of the coherence
 // machinery when it is wired but idle — the common case: coherence
 // negotiated, handlers installed, no invalidation pending. A steady-state
-// field read must stay at zero allocations; the only addition to the fast
-// path is one atomic flag load (fastBlocked).
+// field read must stay at zero allocations; the only addition to the hit
+// path is one atomic flag load (hitViable).
 func TestDerefCoherenceIdleZeroAlloc(t *testing.T) {
 	b := buildBase(t, 10)
 	_, client := coherentClient(t, b)

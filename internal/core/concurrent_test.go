@@ -15,9 +15,10 @@ import (
 )
 
 // hotWorkload runs a deterministic single-threaded mix of hot operations:
-// load, dereference, int read/write, set reads, ref reads, assigns,
-// OID/Same translations. It is used to prove that a Concurrent OM charges
-// exactly what a sequential OM charges for the same calls.
+// load, dereference, int and string reads, int writes, cardinalities, set
+// and ref reads, assigns, OID/Same translations, and a variable freed in
+// the middle of its scope. It is used to prove that a Concurrent OM charges
+// and counts exactly what a sequential OM does for the same calls.
 func hotWorkload(t *testing.T, b *testBase, om *OM) {
 	t.Helper()
 	for round := 0; round < 3; round++ {
@@ -55,6 +56,7 @@ func hotWorkload(t *testing.T, b *testBase, om *OM) {
 			if _, err := om.OID(q); err != nil {
 				t.Fatal(err)
 			}
+			om.FreeVar(q) // mid-scope: the variables declared next outlive it
 			c := om.NewVar("c", b.conn)
 			to := om.NewVar("to", b.part)
 			for j := 0; j < n; j++ {
@@ -70,7 +72,6 @@ func hotWorkload(t *testing.T, b *testBase, om *OM) {
 			}
 			om.FreeVar(to)
 			om.FreeVar(c)
-			om.FreeVar(q)
 			om.FreeVar(p)
 		}
 	}
@@ -78,15 +79,18 @@ func hotWorkload(t *testing.T, b *testBase, om *OM) {
 
 // TestConcurrentMatchesSequentialAccounting runs the same single-threaded
 // workload on a sequential and a Concurrent object manager and requires
-// bit-identical simulated costs and counters: the fast paths must charge
-// exactly what the sequential code would, including after a commit marks
-// everything stale (first access bails to the slow path).
+// identical simulated costs, meter counters, registry counters and
+// scoreboards: the hit path must charge and count exactly what the
+// structural path would, in both modes, including after a commit and after a
+// switch of specification marks everything stale (first access takes the
+// structural path, which must not find the hit path's attempt already
+// counted).
 func TestConcurrentMatchesSequentialAccounting(t *testing.T) {
-	for _, strat := range []swizzle.Strategy{swizzle.NOS, swizzle.EDS, swizzle.EIS, swizzle.LDS, swizzle.LIS} {
+	for i, strat := range swizzle.Strategies {
 		for _, cached := range []bool{false, true} {
 			name := fmt.Sprintf("%v/cache=%v", strat, cached)
 			t.Run(name, func(t *testing.T) {
-				var meters [2]*sim.Meter
+				var got [2]string
 				for k, conc := range []bool{false, true} {
 					b := buildBase(t, 24)
 					om := b.om(t, Options{
@@ -104,18 +108,15 @@ func TestConcurrentMatchesSequentialAccounting(t *testing.T) {
 					// invalid variables and (same-spec) non-stale objects.
 					om.BeginApplication(appSpec(strat))
 					hotWorkload(t, b, om)
-					if err := om.Verify(); err != nil {
-						t.Fatal(err)
-					}
-					meters[k] = om.Meter()
+					mustVerify(t, om)
+					// Third: another strategy, so every cached object is stale.
+					om.BeginApplication(appSpec(swizzle.Strategies[(i+2)%len(swizzle.Strategies)]))
+					hotWorkload(t, b, om)
+					mustVerify(t, om)
+					got[k] = accounting(om)
 				}
-				if seqM, concM := meters[0].Micros(), meters[1].Micros(); seqM != concM {
-					t.Errorf("micros diverge: sequential %f, concurrent %f", seqM, concM)
-				}
-				for c := sim.Counter(0); int(c) < sim.NumCounters; c++ {
-					if s, p := meters[0].Count(c), meters[1].Count(c); s != p {
-						t.Errorf("counter %v diverges: sequential %d, concurrent %d", c, s, p)
-					}
+				if got[0] != got[1] {
+					t.Errorf("sequential and concurrent accounting differ: %s", diffLines(got[0], got[1]))
 				}
 			})
 		}

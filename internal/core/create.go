@@ -13,8 +13,7 @@ import (
 // in creating an object" — the subsequent initialization writes are
 // ordinary Updates).
 func (om *OM) Create(typ *object.Type, seg uint16, v *Var) error {
-	sp, prev := om.startOp(spanCreate)
-	defer om.endOp(sp, prev)
+	defer om.endOp(om.startOp(spanCreate))
 	if om.conc {
 		om.mu.Lock()
 		defer om.mu.Unlock()
@@ -25,8 +24,7 @@ func (om *OM) Create(typ *object.Type, seg uint16, v *Var) error {
 // CreateNear is Create with a clustering hint: the new object is placed on
 // the neighbor's page when possible (§6.6.3).
 func (om *OM) CreateNear(typ *object.Type, seg uint16, v, neighbor *Var) error {
-	sp, prev := om.startOp(spanCreate)
-	defer om.endOp(sp, prev)
+	defer om.endOp(om.startOp(spanCreate))
 	if om.conc {
 		om.mu.Lock()
 		defer om.mu.Unlock()
@@ -91,10 +89,11 @@ func (om *OM) create(typ *object.Type, seg uint16, v, neighbor *Var) error {
 		om.byPage[addr.Page] = append(om.byPage[addr.Page], obj)
 	}
 
-	om.unregisterSlot(object.VarSlot(&v.ref))
+	om.unregisterSlot(object.VarSlot(&v.ref), 0)
 	v.ref = object.OIDRef(id)
-	if v.strategy.Swizzles() && !(om.lazyUponDereference && v.strategy.Lazy()) {
-		return om.swizzleSlot(object.VarSlot(&v.ref), v.strategy, v.score)
+	strat := v.ctx.strategy
+	if strat.Swizzles() && !(om.lazyUponDereference && strat.Lazy()) {
+		return om.swizzleSlot(object.VarSlot(&v.ref), strat, v.ctx.score)
 	}
 	return nil
 }

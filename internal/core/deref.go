@@ -28,7 +28,7 @@ import (
 // it has not been discovered yet) is swizzled here; that is the paper's
 // m(st)·SW term, and for LDS it is exactly the re-swizzling the hot
 // Traversals of §6.3 suffer from under paging.
-func (om *OM) deref(slot object.Slot, strat swizzle.Strategy, score *metrics.Score) (*object.MemObject, error) {
+func (om *OM) deref(slot object.Slot, strat swizzle.Strategy, score *ctxScore) (*object.MemObject, error) {
 	r := slot.Ref()
 	if r.IsNil() {
 		return nil, ErrNilRef
@@ -59,12 +59,12 @@ func (om *OM) deref(slot object.Slot, strat swizzle.Strategy, score *metrics.Sco
 		return obj, nil
 
 	case object.RefIndirect:
-		om.obs.Inc(metrics.CtrDescriptorIndirection)
+		om.count(metrics.CtrDescriptorIndirection)
 		om.meter.Charge(costs.Indirection)
 		om.meter.Add(sim.CntResidencyCheck, 1)
 		d := r.Desc()
 		if !d.Valid() {
-			score.Inc(metrics.ScoreFault)
+			om.scoreInc(score, metrics.ScoreFault)
 			target, err := om.ensureResident(d.OID)
 			if err != nil {
 				return nil, err
@@ -85,12 +85,12 @@ func (om *OM) deref(slot object.Slot, strat swizzle.Strategy, score *metrics.Sco
 
 	case object.RefOID:
 		// No-swizzling: consult the ROT on every access (§3.1).
-		om.obs.Inc(metrics.CtrROTLookup)
+		om.count(metrics.CtrROTLookup)
 		om.meter.Event(sim.CntROTLookup, costs.ROTLookup)
 		obj := om.rot.Lookup(r.OID())
 		if obj == nil {
 			om.meter.Add(sim.CntROTMiss, 1)
-			score.Inc(metrics.ScoreFault)
+			om.scoreInc(score, metrics.ScoreFault)
 			return om.objectFault(r.OID())
 		}
 		om.meter.Add(sim.CntROTHit, 1)
@@ -153,6 +153,7 @@ func (om *OM) objectFault(id oid.OID) (*object.MemObject, error) {
 			sp.Finish()
 		}()
 	}
+	om.publish() // a monitor sees the reads that led here before the fault
 	om.obs.Inc(metrics.CtrObjectFault)
 	om.meter.Add(sim.CntObjectFault, 1)
 	if om.spec.PerObjectCall() {
@@ -364,7 +365,7 @@ func (om *OM) unpinResident(obj *object.MemObject) {
 // about — residency of the target, which for EDS granules is the eager
 // loading of the transitive closure (§3.2.2). Indirect swizzling installs
 // a descriptor and never loads.
-func (om *OM) swizzleSlot(slot object.Slot, strat swizzle.Strategy, score *metrics.Score) error {
+func (om *OM) swizzleSlot(slot object.Slot, strat swizzle.Strategy, score *ctxScore) error {
 	r := slot.Ref()
 	if r.State() != object.RefOID || !strat.Swizzles() {
 		return nil
@@ -383,7 +384,7 @@ func (om *OM) swizzleSlot(slot object.Slot, strat swizzle.Strategy, score *metri
 		if om.rot.Lookup(id) == nil {
 			// Direct swizzling forces residency: charge the fault to this
 			// context on the scoreboard.
-			score.Inc(metrics.ScoreFault)
+			om.scoreInc(score, metrics.ScoreFault)
 		}
 		target, err := om.ensureResident(id)
 		if err != nil {
@@ -395,17 +396,16 @@ func (om *OM) swizzleSlot(slot object.Slot, strat swizzle.Strategy, score *metri
 			return nil
 		}
 		om.obs.Inc(swizzleCounter(strat))
-		score.Inc(metrics.ScoreSwizzle)
+		om.scoreInc(score, metrics.ScoreSwizzle)
 		om.meter.Event(sim.CntSwizzleDirect, costs.SwizzleDirect)
 		om.registerDirect(slot, target)
 		*slot.Ref() = object.DirectRef(target)
 		return nil
 	}
 	// Indirect: find or allocate the descriptor.
-	d := om.descriptorFor(id)
-	d.FanIn++
+	d := om.descriptorRef(id, 0)
 	om.obs.Inc(swizzleCounter(strat))
-	score.Inc(metrics.ScoreSwizzle)
+	om.scoreInc(score, metrics.ScoreSwizzle)
 	om.meter.Event(sim.CntSwizzleIndirect, costs.SwizzleIndirect)
 	*slot.Ref() = object.IndirectRef(d)
 	return nil
@@ -416,7 +416,9 @@ func (om *OM) swizzleSlot(slot object.Slot, strat swizzle.Strategy, score *metri
 // slots are tracked but not charged: the paper's run-time model finds
 // local variables by scanning the stack when an object is displaced
 // (§5.3), so copying a direct reference into a variable costs nothing at
-// copy time — the registry here stands in for the stack scan.
+// copy time — the list entry here stands in for the stack scan. In
+// concurrent mode the list is the target's latch's to guard: variables of
+// several goroutines may come to point at one object on the hit path.
 func (om *OM) registerDirect(slot object.Slot, target *object.MemObject) {
 	if om.pagewise {
 		om.pageRegisterDirect(slot, target)
@@ -426,7 +428,9 @@ func (om *OM) registerDirect(slot object.Slot, target *object.MemObject) {
 		om.tableRegisterDirect(slot)
 		return
 	}
-	costs := om.meter.Costs()
+	if lt := om.wlatch(target); lt != nil {
+		defer lt.Unlock()
+	}
 	if target.RRL == nil {
 		target.RRL = &object.RRL{}
 	}
@@ -434,6 +438,7 @@ func (om *OM) registerDirect(slot object.Slot, target *object.MemObject) {
 	if slot.IsVar() {
 		return
 	}
+	costs := om.meter.Costs()
 	if newBlock {
 		om.meter.Event(sim.CntRRLAlloc, costs.RRLAlloc)
 	}
@@ -453,13 +458,19 @@ func (om *OM) unregisterDirect(slot object.Slot, target *object.MemObject) {
 		om.tableUnregisterDirect(slot)
 		return
 	}
+	if lt := om.wlatch(target); lt != nil {
+		defer lt.Unlock()
+	}
+	l := target.RRL
+	if l == nil {
+		return
+	}
 	costs := om.meter.Costs()
-	n := target.RRL.Len()
-	if target.RRL != nil && target.RRL.Remove(slot) && !slot.IsVar() {
+	if n := l.Len(); l.Remove(slot) && !slot.IsVar() {
 		// Charge proportionally to half the list scanned on average.
 		om.meter.Event(sim.CntRRLRemove, costs.RRLMaintain*(1+float64(n)/2))
 	}
-	if target.RRL != nil && target.RRL.Len() == 0 {
+	if l.Len() == 0 {
 		target.RRL = nil
 		if !slot.IsVar() {
 			om.meter.Event(sim.CntRRLFree, costs.RRLFree)
@@ -499,27 +510,47 @@ func (om *OM) dropDescriptor(d *object.Descriptor) {
 	}
 }
 
-// descriptorFor returns the descriptor for an OID, allocating one if none
-// exists. A resident target gets linked immediately.
-func (om *OM) descriptorFor(id oid.OID) *object.Descriptor {
+// descriptorRef returns the descriptor for an OID with one more fan-in
+// reference, allocating (and charging) one if none exists. A resident target
+// gets linked immediately. The descriptor table and the fan-in counts are
+// descMu's to guard in concurrent mode.
+func (om *OM) descriptorRef(id oid.OID, h int) *object.Descriptor {
+	if om.conc {
+		om.descMu.Lock()
+		defer om.descMu.Unlock()
+	}
 	d, target := om.findDescriptor(id)
 	if d == nil {
 		d = om.newDescriptor(id, target)
-		om.meter.Event(sim.CntDescAlloc, om.meter.Costs().DescAlloc)
+		om.event(h, sim.CntDescAlloc, om.pc.DescAlloc)
 	}
+	d.FanIn++
 	return d
+}
+
+// shareDescriptor adds a fan-in reference to a descriptor in hand.
+func (om *OM) shareDescriptor(d *object.Descriptor) {
+	if om.conc {
+		om.descMu.Lock()
+		defer om.descMu.Unlock()
+	}
+	d.FanIn++
 }
 
 // releaseDescriptor drops one fan-in reference; at zero the descriptor is
 // reclaimed (§3.2.2: "to reclaim unused descriptors, every descriptor
 // keeps a counter").
-func (om *OM) releaseDescriptor(d *object.Descriptor) {
+func (om *OM) releaseDescriptor(d *object.Descriptor, h int) {
+	if om.conc {
+		om.descMu.Lock()
+		defer om.descMu.Unlock()
+	}
 	d.FanIn--
 	if d.FanIn > 0 || om.retainDescriptors {
 		return
 	}
 	om.dropDescriptor(d)
-	om.meter.Event(sim.CntDescFree, om.meter.Costs().DescFree)
+	om.event(h, sim.CntDescFree, om.pc.DescFree)
 }
 
 // unswizzleSlot converts a swizzled slot back to an OID (the US cost
@@ -536,7 +567,7 @@ func (om *OM) unswizzleSlot(slot object.Slot) {
 		om.meter.Event(sim.CntUnswizzleDirect, costs.UnswizzleDirect)
 	case object.RefIndirect:
 		d := r.Desc()
-		om.releaseDescriptor(d)
+		om.releaseDescriptor(d, 0)
 		*slot.Ref() = object.OIDRef(d.OID)
 		om.obs.Inc(metrics.CtrUnswizzle)
 		om.meter.Event(sim.CntUnswizzleIndirect, costs.UnswizzleIndirect)
@@ -545,98 +576,32 @@ func (om *OM) unswizzleSlot(slot object.Slot) {
 
 // unregisterSlot removes the slot's swizzling bookkeeping without
 // rewriting the reference (used when the slot itself is going away: a
-// freed variable, a displaced home object).
-func (om *OM) unregisterSlot(slot object.Slot) {
+// freed variable, a displaced home object). h is the caller's meter stripe.
+func (om *OM) unregisterSlot(slot object.Slot, h int) {
 	r := slot.Ref()
 	switch r.State() {
 	case object.RefDirect:
 		om.unregisterDirect(slot, r.Ptr())
 	case object.RefIndirect:
-		om.releaseDescriptor(r.Desc())
+		om.releaseDescriptor(r.Desc(), h)
 	}
 }
 
 // assignRef stores a source reference into a destination slot, converting
 // between layouts as required (the translations of §4.2.3, Table 8) and
-// maintaining all bookkeeping. The source is not disturbed.
+// maintaining all bookkeeping. The source is not disturbed. target is the
+// resident object a direct destination will point at when the caller has
+// resolved it already (the hit path, which must not fault: planAssign);
+// with nil it is resolved here, faulting it in if need be. h is the
+// caller's meter stripe.
 //
 // Registration order matters: the new value is built and registered before
 // the old value is released, so that when source and destination share a
 // target (self-assignment, redirect-to-same), fan-in never transiently
 // reaches zero and reclaims a descriptor that is still referenced.
-func (om *OM) assignRef(dst object.Slot, dstStrat swizzle.Strategy, src *object.Ref) error {
-	costs := om.meter.Costs()
+func (om *OM) assignRef(dst object.Slot, dstStrat swizzle.Strategy, src *object.Ref, target *object.MemObject, h int) error {
 	old := *dst.Ref() // value copy; released at the end
-
-	install := func() error {
-		if src.IsNil() {
-			*dst.Ref() = object.NilRef
-			return nil
-		}
-		want := dstStrat.TargetState()
-		if dstStrat.Lazy() && src.State() == object.RefOID {
-			// Lazy destinations adopt an unswizzled source as-is;
-			// swizzling happens upon discovery.
-			want = object.RefOID
-		}
-		if want == object.RefDirect && !om.tableCanSwizzleDirect(dst) {
-			// Swizzle table full: degrade the destination to an OID.
-			want = object.RefOID
-		}
-		if src.State() == want {
-			// Same layout: copy, then register the new slot.
-			v := *src // copy first: src may alias dst
-			*dst.Ref() = v
-			switch want {
-			case object.RefDirect:
-				om.registerDirect(dst, v.Ptr())
-			case object.RefIndirect:
-				v.Desc().FanIn++
-			}
-			return nil
-		}
-		// Layout conversion.
-		switch want {
-		case object.RefOID:
-			om.meter.Event(sim.CntTranslate, costs.TranslateSwizzledToOID)
-			*dst.Ref() = object.OIDRef(src.TargetOID())
-		case object.RefDirect:
-			switch src.State() {
-			case object.RefOID:
-				om.meter.Event(sim.CntTranslate, costs.TranslateOIDToSwizzled)
-			default:
-				om.meter.Event(sim.CntTranslate, costs.TranslateSwizzled)
-			}
-			var target *object.MemObject
-			if src.State() == object.RefIndirect && src.Desc().Valid() {
-				target = src.Desc().Ptr
-			} else {
-				var err error
-				target, err = om.ensureResident(src.TargetOID())
-				if err != nil {
-					return err
-				}
-			}
-			if !om.tableCanSwizzleDirect(dst) {
-				// The fault may have filled the table; degrade to an OID.
-				*dst.Ref() = object.OIDRef(target.OID)
-				break
-			}
-			om.registerDirect(dst, target)
-			*dst.Ref() = object.DirectRef(target)
-		case object.RefIndirect:
-			if src.State() == object.RefOID {
-				om.meter.Event(sim.CntTranslate, costs.TranslateOIDToSwizzled)
-			} else {
-				om.meter.Event(sim.CntTranslate, costs.TranslateSwizzled)
-			}
-			d := om.descriptorFor(src.TargetOID())
-			d.FanIn++
-			*dst.Ref() = object.IndirectRef(d)
-		}
-		return nil
-	}
-	if err := install(); err != nil {
+	if err := om.installRef(dst, dstStrat, src, target, h); err != nil {
 		return err
 	}
 	// Release the old value's bookkeeping. The RRL entry is matched by the
@@ -646,7 +611,75 @@ func (om *OM) assignRef(dst object.Slot, dstStrat swizzle.Strategy, src *object.
 	case object.RefDirect:
 		om.unregisterDirect(dst, old.Ptr())
 	case object.RefIndirect:
-		om.releaseDescriptor(old.Desc())
+		om.releaseDescriptor(old.Desc(), h)
+	}
+	return nil
+}
+
+// installRef is the first half of assignRef: it writes the new value and
+// registers it.
+func (om *OM) installRef(dst object.Slot, dstStrat swizzle.Strategy, src *object.Ref, target *object.MemObject, h int) error {
+	if src.IsNil() {
+		*dst.Ref() = object.NilRef
+		return nil
+	}
+	want := dstStrat.TargetState()
+	if dstStrat.Lazy() && src.State() == object.RefOID {
+		// Lazy destinations adopt an unswizzled source as-is;
+		// swizzling happens upon discovery.
+		want = object.RefOID
+	}
+	if want == object.RefDirect && !om.tableCanSwizzleDirect(dst) {
+		// Swizzle table full: degrade the destination to an OID.
+		want = object.RefOID
+	}
+	if src.State() == want {
+		// Same layout: copy, then register the new slot.
+		v := *src // copy first: src may alias dst
+		*dst.Ref() = v
+		switch want {
+		case object.RefDirect:
+			om.registerDirect(dst, v.Ptr())
+		case object.RefIndirect:
+			om.shareDescriptor(v.Desc())
+		}
+		return nil
+	}
+	// Layout conversion.
+	switch want {
+	case object.RefOID:
+		om.event(h, sim.CntTranslate, om.pc.TranslateSwizzledToOID)
+		*dst.Ref() = object.OIDRef(src.TargetOID())
+	case object.RefDirect:
+		if src.State() == object.RefOID {
+			om.event(h, sim.CntTranslate, om.pc.TranslateOIDToSwizzled)
+		} else {
+			om.event(h, sim.CntTranslate, om.pc.TranslateSwizzled)
+		}
+		if target == nil {
+			if src.State() == object.RefIndirect && src.Desc().Valid() {
+				target = src.Desc().Ptr
+			} else {
+				var err error
+				if target, err = om.ensureResident(src.TargetOID()); err != nil {
+					return err
+				}
+			}
+		}
+		if !om.tableCanSwizzleDirect(dst) {
+			// The fault may have filled the table; degrade to an OID.
+			*dst.Ref() = object.OIDRef(target.OID)
+			break
+		}
+		om.registerDirect(dst, target)
+		*dst.Ref() = object.DirectRef(target)
+	case object.RefIndirect:
+		if src.State() == object.RefOID {
+			om.event(h, sim.CntTranslate, om.pc.TranslateOIDToSwizzled)
+		} else {
+			om.event(h, sim.CntTranslate, om.pc.TranslateSwizzled)
+		}
+		*dst.Ref() = object.IndirectRef(om.descriptorRef(src.TargetOID(), h))
 	}
 	return nil
 }

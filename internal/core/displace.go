@@ -128,7 +128,7 @@ func (om *OM) displace(obj *object.MemObject, fromHook bool) error {
 	for _, s := range out {
 		// Swizzling work in this context is being thrown away while the
 		// reference may still be live: the advisor's drift signal.
-		om.slotScore(s).Inc(metrics.ScoreDisplacedInUse)
+		om.scoreInc(om.slotScore(s), metrics.ScoreDisplacedInUse)
 		om.unswizzleSlot(s)
 	}
 
@@ -158,7 +158,7 @@ func (om *OM) displace(obj *object.MemObject, fromHook bool) error {
 			om.tableUnregisterDirect(s)
 		}
 		*r = object.OIDRef(obj.OID)
-		om.slotScore(s).Inc(metrics.ScoreDisplacedInUse)
+		om.scoreInc(om.slotScore(s), metrics.ScoreDisplacedInUse)
 		om.obs.Inc(metrics.CtrUnswizzle)
 		om.meter.Event(sim.CntUnswizzleDirect, costs.UnswizzleDirect)
 		if !s.IsVar() && om.spec.ForSlot(s) == swizzle.EDS {

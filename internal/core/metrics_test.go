@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gom/internal/metrics"
+	"gom/internal/sim"
 	"gom/internal/swizzle"
 	"gom/internal/trace"
 )
@@ -39,13 +40,13 @@ func TestStrategyMetricsSemantics(t *testing.T) {
 			if _, err := om.ReadInt(v, "x"); err != nil {
 				t.Fatal(err) // warm up: object fault plus any swizzling
 			}
-			warm := reg.Snapshot()
+			warm := om.Metrics().Snapshot()
 			for i := 0; i < derefs; i++ {
 				if _, err := om.ReadInt(v, "x"); err != nil {
 					t.Fatal(err)
 				}
 			}
-			d := reg.Snapshot().Delta(warm)
+			d := om.Metrics().Snapshot().Delta(warm)
 			if got, want := d.Count(metrics.CtrROTLookup), tc.rotPerDeref*derefs; got != want {
 				t.Errorf("steady-state rot_lookup = %d, want %d", got, want)
 			}
@@ -209,47 +210,106 @@ func benchDeref(b *testing.B, reg *metrics.Registry, tr *trace.Tracer) {
 	}
 }
 
-// TestVisitAllocs pins what one traversal visit — two NewVars, ReadElem,
-// ReadRef, three field reads, two FreeVars — may allocate with the
+// hotVisit builds an object manager as benchmark/stack.go does (registry
+// installed; tr may add a tracer), loads a root part and returns one
+// traversal visit over a resident working set — two NewVars, ReadElem,
+// ReadRef, three field reads, two FreeVars — with the first visit, which
+// faults and swizzles, already made.
+func hotVisit(tb testing.TB, strat swizzle.Strategy, conc bool, tr *trace.Tracer) (*OM, func()) {
+	b := buildBase(tb, 10)
+	om := b.om(tb, Options{Metrics: metrics.New(), Trace: tr, Concurrent: conc})
+	om.BeginApplication(appSpec(strat))
+	p := om.NewVar("p", b.part)
+	if err := om.Load(p, b.parts[0]); err != nil {
+		tb.Fatal(err)
+	}
+	visit := func() {
+		cv, pv := om.NewVar("tconn", b.conn), om.NewVar("tpart", b.part)
+		err := om.ReadElem(p, "connTo", 0, cv)
+		if err == nil {
+			err = om.ReadRef(cv, "to", pv)
+		}
+		if err == nil {
+			_, err = om.ReadInt(pv, "x")
+		}
+		if err == nil {
+			_, err = om.ReadInt(pv, "y")
+		}
+		if err == nil {
+			_, err = om.ReadStr(pv, "type")
+		}
+		om.FreeVar(pv)
+		om.FreeVar(cv)
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	visit()
+	return om, visit
+}
+
+// TestVisitAllocs pins what one traversal visit may allocate with the
 // always-on stack installed (scoreboard and an unsampled tracer), under the
-// swizzled and the unswizzled strategy the benchmark's hot_traverse runs.
-// The two Vars are the floor. NewVar used to add three allocations each
-// (the "$name" context, the scoreboard key, the boxed strategy label) and a
-// scoreboard shard lock; it now resolves them once per (name, type) per
-// spec. This is the per-layer metric core.allocs_per_visit.
+// strategies the benchmark's workloads run: none. The two variables come
+// out of a slab (one allocation per 32 visits), their contexts out of the
+// table NewVar resolved them into once. This is the per-layer metric
+// core.allocs_per_visit.
 func TestVisitAllocs(t *testing.T) {
-	for _, strat := range []swizzle.Strategy{swizzle.EDS, swizzle.NOS} {
-		b := buildBase(t, 10)
-		om := b.om(t, Options{Metrics: metrics.New(), Trace: trace.New(1<<30, 64)})
-		om.BeginApplication(appSpec(strat))
-		p := om.NewVar("p", b.part)
-		if err := om.Load(p, b.parts[0]); err != nil {
-			t.Fatal(err)
+	for _, strat := range []swizzle.Strategy{swizzle.EDS, swizzle.NOS, swizzle.LIS} {
+		_, visit := hotVisit(t, strat, false, trace.New(1<<30, 64))
+		if allocs := testing.AllocsPerRun(400, visit); allocs >= 0.1 {
+			t.Errorf("%v: a traversal visit allocates %.2f objects, want < 0.1 (slab refills)", strat, allocs)
 		}
-		visit := func() {
-			cv, pv := om.NewVar("tconn", b.conn), om.NewVar("tpart", b.part)
-			err := om.ReadElem(p, "connTo", 0, cv)
-			if err == nil {
-				err = om.ReadRef(cv, "to", pv)
+	}
+}
+
+// TestVisitTouchesNoTable: a resident visit under direct swizzling is a
+// pointer chase. It runs here with the manager's buffer pool and resident
+// object table taken away, so a single Pool.Pin or ROT probe on the way —
+// the structural path's withPinned made three of each per reference read —
+// is a nil dereference.
+func TestVisitTouchesNoTable(t *testing.T) {
+	for _, strat := range []swizzle.Strategy{swizzle.EDS, swizzle.LDS} {
+		for _, conc := range []bool{false, true} {
+			om, visit := hotVisit(t, strat, conc, nil)
+			before := om.Meter().Snapshot()
+			pool, table := om.pool, om.rot
+			om.pool, om.rot = nil, nil
+			func() {
+				defer func() {
+					om.pool, om.rot = pool, table
+					if r := recover(); r != nil {
+						t.Errorf("%v concurrent=%v: a resident visit reached the pool or the ROT: %v", strat, conc, r)
+					}
+				}()
+				for i := 0; i < 10; i++ {
+					visit()
+				}
+			}()
+			d := om.Meter().Since(before)
+			if d.Count(sim.CntLookupRef) != 20 || d.Count(sim.CntLookupInt) != 30 || d.Count(sim.CntObjectFault) != 0 {
+				t.Errorf("%v concurrent=%v: ten visits charged %v", strat, conc, d)
 			}
-			if err == nil {
-				_, err = om.ReadInt(pv, "x")
-			}
-			if err == nil {
-				_, err = om.ReadInt(pv, "y")
-			}
-			if err == nil {
-				_, err = om.ReadStr(pv, "type")
-			}
-			om.FreeVar(pv)
-			om.FreeVar(cv)
-			if err != nil {
-				t.Fatal(err)
-			}
+			mustVerify(t, om)
 		}
-		visit() // fault and swizzle
-		if allocs := testing.AllocsPerRun(200, visit); allocs > 2 {
-			t.Errorf("%v: a traversal visit allocates %.1f objects, want the 2 Vars", strat, allocs)
+	}
+}
+
+// BenchmarkHotVisit is the traversal visit of TestVisitAllocs under every
+// strategy, on a sequential and on a Concurrent manager driven by one
+// goroutine: what a resident dereference costs, and what Options.Concurrent
+// costs a client that does not need it.
+func BenchmarkHotVisit(b *testing.B) {
+	for _, strat := range []swizzle.Strategy{swizzle.EDS, swizzle.LDS, swizzle.EIS, swizzle.LIS, swizzle.NOS} {
+		for _, mode := range []string{"sequential", "concurrent"} {
+			b.Run(strat.String()+"/"+mode, func(b *testing.B) {
+				_, visit := hotVisit(b, strat, mode == "concurrent", nil)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					visit()
+				}
+			})
 		}
 	}
 }

@@ -88,7 +88,9 @@ type Options struct {
 	// counts (faults, swizzles, displacements, buffer hits) recorded
 	// alongside the simulated cost meter. Nil disables the hooks at the
 	// cost of one nil check each — the paper-reproduction hot paths stay
-	// allocation-free either way.
+	// allocation-free either way. A sequential manager publishes its
+	// per-dereference counts at faults and transaction boundaries, not per
+	// event (OM.Metrics).
 	Metrics *metrics.Registry
 	// ReadaheadPages, when > 0, enables sequential page readahead in the
 	// buffer pool with the given window: a run of consecutive page misses
@@ -106,13 +108,19 @@ type Options struct {
 	// branches per operation and never allocates.
 	Trace *trace.Tracer
 	// Concurrent makes the object manager safe for concurrent use by many
-	// goroutines (see concurrent.go and DESIGN.md "Concurrency
-	// architecture"). Hot dereference/read operations run under a
-	// distributed read lock and scale across cores; structural operations
-	// (faults, commits, displacement) serialize behind a writer lock. The
-	// simulated cost accounting stays exact: concurrent runs charge the
-	// same totals the same operations would charge sequentially. Off by
-	// default — a single-goroutine client pays nothing.
+	// goroutines (see hit.go and DESIGN.md "Concurrency architecture").
+	// Operations that find their objects resident run under a distributed
+	// read lock and scale across cores; structural operations (faults,
+	// commits, displacement) serialize behind a writer lock. The simulated
+	// cost accounting stays exact: concurrent runs charge the same totals
+	// the same operations would charge sequentially. Off by default, because
+	// it is not free: a single goroutine pays about twice per resident
+	// dereference for the reader slot, the object latch and the atomic
+	// meter and registry adds (BenchmarkHotVisit: 880 against 410 ns per
+	// traversal visit under EDS). What a sequential manager still pays for
+	// being shareable are two atomic loads per operation (deferred error,
+	// queued invalidations) and the ROT shard's read lock on each lookup
+	// no-swizzling makes.
 	Concurrent bool
 }
 
@@ -124,6 +132,7 @@ type OM struct {
 	srv    server.Server
 	schema *object.Schema
 	meter  *sim.Meter
+	pc     *sim.HitCosts     // the meter's resident-dereference charges
 	obs    *metrics.Registry // nil unless observability is installed
 	pool   *buffer.Pool
 	cache  *objcache.Cache // nil in the pure page-buffer architecture
@@ -155,17 +164,18 @@ type OM struct {
 	// dirty lists the objects whose Dirty bit was set since the last
 	// Commit, which drains it instead of searching the ROT. An entry goes
 	// out of date when its object is displaced and written back first.
-	// Appended under the writer lock, or under dirtyMu by fastWriteInt.
+	// Appended by markDirty.
 	dirty   []*object.MemObject
 	dirtyMu sync.Mutex
-	// vars is the registry of live program variables (the "run-time
-	// stack" the displacement logic must reach, §5.3), sharded so
-	// concurrent NewVar/FreeVar don't contend on one lock.
-	vars *varSet
+	// live is the registry of live program variables (the "run-time
+	// stack" the displacement logic must reach, §5.3). A sequential manager
+	// uses list 0 and no lock; concurrent NewVar/FreeVar spread over all of
+	// them by reader slot (vars.go).
+	live [varShards]varList
 	// varCtxs caches what NewVar resolves per (name, declared type) under
 	// the active spec and registry: read lock-free, replaced copy-on-write
 	// under varCtxMu, emptied when either changes.
-	varCtxs  atomic.Pointer[map[varKey]varCtx]
+	varCtxs  atomic.Pointer[varCtxTable]
 	varCtxMu sync.Mutex
 	// displacing guards displacement cascades against cycles.
 	displacing map[oid.OID]bool
@@ -179,11 +189,17 @@ type OM struct {
 
 	// spans is the request tracer (nil disables); curCtx is the ambient
 	// trace context of the operation currently executing, read by the
-	// buffer pool and the RPC layer to parent their spans. scoreTab is
-	// the precomputed per-type table of scoreboard handles (span.go).
-	spans    *trace.Tracer
-	curCtx   atomic.Pointer[trace.Context]
-	scoreTab map[*object.Type][]*metrics.Score
+	// buffer pool and the RPC layer to parent their spans.
+	spans  *trace.Tracer
+	curCtx atomic.Pointer[trace.Context]
+	// Scoreboard handles and the counts a sequential manager has not yet
+	// published to the registry (obs.go). scoreTab is indexed by type id,
+	// then field.
+	scoreTab []typeScores
+	scoreOf  map[*metrics.Score]*ctxScore
+	scores   []*ctxScore
+	pendCtr  [metrics.NumCounters]int64
+	pendN    int
 
 	recorder AccessRecorder
 	// lazyUponDereference switches lazy swizzling from the default
@@ -196,13 +212,13 @@ type OM struct {
 	// hooks, surfaced by the next API call.
 	deferredErr error
 
-	// Concurrent-mode state (see concurrent.go; all zero-cost when conc is
-	// false). mu is the distributed reader-writer lock: fast read paths
-	// take one reader slot, structural operations take all of them.
-	// latches serialize fast-path mutations per object (RRL entries, int
-	// writes); descMu guards the descriptor table against concurrent fast
-	// swizzles; hasDeferred mirrors deferredErr != nil so fast paths can
-	// bail without reading the unsynchronized error field.
+	// Concurrent-mode state (see hit.go; untouched when conc is false). mu
+	// is the distributed reader-writer lock: the hit path takes one reader
+	// slot, the structural path all of them. latches serialize hit-path
+	// mutations per object (RRL entries, int writes); descMu guards the
+	// descriptor table and fan-in counts; hasDeferred mirrors deferredErr !=
+	// nil so the hit path can tell without reading the unsynchronized error
+	// field.
 	conc        bool
 	mu          latch.DRW
 	latches     latch.OIDLatches
@@ -238,12 +254,12 @@ func New(opt Options) (*OM, error) {
 		srv:        opt.Server,
 		schema:     opt.Schema,
 		meter:      meter,
+		pc:         meter.Hit(),
 		pool:       buffer.New(opt.Server, pages, meter),
 		rot:        rot.New(),
 		spec:       swizzle.NewSpec("default", swizzle.NOS),
 		descs:      make(map[oid.OID]*object.Descriptor),
 		byPage:     make(map[page.PageID][]*object.MemObject),
-		vars:       newVarSet(),
 		displacing: make(map[oid.OID]bool),
 		addrHints:  make(map[oid.OID]storage.PAddr),
 
@@ -291,17 +307,25 @@ func New(opt Options) (*OM, error) {
 // Meter returns the client's cost meter.
 func (om *OM) Meter() *sim.Meter { return om.meter }
 
-// Metrics returns the installed observability registry, or nil.
-func (om *OM) Metrics() *metrics.Registry { return om.obs }
+// Metrics returns the installed observability registry, or nil, having
+// published what a sequential manager counted since its last boundary
+// (obs.go): read through here, on the manager's goroutine, the registry is
+// exact at any point of an application; read directly it may lag by up to
+// publishEvery events until the next fault or transaction boundary.
+func (om *OM) Metrics() *metrics.Registry {
+	om.publish()
+	return om.obs
+}
 
 // SetMetrics installs (or removes, with nil) the observability registry on
 // the object manager and its page buffer pool.
 func (om *OM) SetMetrics(r *metrics.Registry) {
+	om.publish() // what was counted so far belongs to the old registry
 	om.obs = r
 	om.pool.SetMetrics(r)
 	om.buildScoreTab()
 	om.labelScoreStrategies()
-	om.varCtxs.Store(new(map[varKey]varCtx))
+	om.varCtxs.Store(new(varCtxTable))
 }
 
 // Schema returns the schema.
@@ -348,13 +372,13 @@ func (om *OM) recordAccess(id oid.OID, attr string, write bool) {
 // marked stale and their representation is fixed lazily on first access
 // (§4.1.2) — pages and objects stay buffered hot across commits.
 func (om *OM) BeginApplication(spec *swizzle.Spec) {
-	sp, prev := om.startOp(spanBegin)
-	defer om.endOp(sp, prev)
+	defer om.endOp(om.startOp(spanBegin))
 	if om.conc {
 		om.mu.Lock()
 		defer om.mu.Unlock()
 	}
 	om.releaseVars()
+	om.publish()
 	if spec == nil {
 		spec = swizzle.NewSpec("default", swizzle.NOS)
 	}
@@ -371,29 +395,24 @@ func (om *OM) BeginApplication(spec *swizzle.Spec) {
 	})
 	om.spec = spec
 	om.labelScoreStrategies()
-	om.varCtxs.Store(new(map[varKey]varCtx))
-}
-
-// releaseVars unregisters every live variable's swizzling bookkeeping and
-// invalidates the variables (transient state does not survive the
-// application, §3.2.2).
-func (om *OM) releaseVars() {
-	for _, v := range om.vars.drain() {
-		om.unregisterSlot(object.VarSlot(&v.ref))
-		v.ref = object.NilRef
-		v.om = nil
-	}
+	om.varCtxs.Store(new(varCtxTable))
 }
 
 // markDirty sets the object's dirty bit and, on the clean→dirty
-// transition, enlists the object for the next Commit. The caller holds the
-// writer lock (or the manager is sequential); fastWriteInt does the same
-// under the object's latch and dirtyMu.
+// transition, enlists the object for the next Commit. In concurrent mode
+// the caller holds the writer lock or the object's latch, so one goroutine
+// sees the transition; dirtyMu orders it against the first writers of other
+// objects.
 func (om *OM) markDirty(obj *object.MemObject) {
-	if !obj.Dirty {
-		obj.Dirty = true
-		om.dirty = append(om.dirty, obj)
+	if obj.Dirty {
+		return
 	}
+	obj.Dirty = true
+	if om.conc {
+		om.dirtyMu.Lock()
+		defer om.dirtyMu.Unlock()
+	}
+	om.dirty = append(om.dirty, obj)
 }
 
 // Commit ends the current application: the objects written since the last
@@ -404,13 +423,13 @@ func (om *OM) markDirty(obj *object.MemObject) {
 // both list what is dirty. If a write-back fails, what has not been
 // shipped stays listed and a second Commit ships it.
 func (om *OM) Commit() error {
-	sp, prev := om.startOp(spanCommit)
-	defer om.endOp(sp, prev)
+	defer om.endOp(om.startOp(spanCommit))
 	if om.conc {
 		om.mu.Lock()
 		defer om.mu.Unlock()
 	}
 	om.releaseVars()
+	om.publish()
 	var relocated []*object.MemObject
 	for i, obj := range om.dirty {
 		if !obj.Dirty || om.rot.Lookup(obj.OID) != obj {
@@ -450,6 +469,7 @@ func (om *OM) Reset() error {
 		defer om.mu.Unlock()
 	}
 	om.releaseVars()
+	om.publish()
 	if om.cache != nil {
 		if err := om.cache.DropAll(); err != nil {
 			return err
@@ -488,10 +508,8 @@ func (om *OM) Discard() {
 		om.mu.Lock()
 		defer om.mu.Unlock()
 	}
-	for _, v := range om.vars.drain() {
-		v.ref = object.NilRef
-		v.om = nil
-	}
+	om.dropVars(false)
+	om.publish()
 	om.rot = rot.New()
 	om.dirty = nil
 	om.descs = make(map[oid.OID]*object.Descriptor)
@@ -515,151 +533,4 @@ func (om *OM) Discard() {
 	if om.cache != nil {
 		om.cache.Discard()
 	}
-}
-
-// Var is a program variable holding a reference — its own swizzling
-// context (§4.2.3). Variables are created per application and become
-// invalid at Commit/BeginApplication.
-type Var struct {
-	om       *OM
-	name     string
-	typ      *object.Type // declared type of the referenced objects
-	strategy swizzle.Strategy
-	ref      object.Ref
-	// score is the variable's swizzle-scoreboard handle (its own context,
-	// §4.2.3), resolved once here so hot paths pay one atomic add.
-	score *metrics.Score
-	// slot is a round-robin index assigned at creation; concurrent mode
-	// uses it to pick DRW reader slots and meter stripes so independent
-	// goroutines' variables spread across locks and cache lines.
-	slot uint32
-}
-
-// NewVar declares a program variable with a name and a declared target
-// type. Its strategy is resolved once, statically, from the active spec.
-func (om *OM) NewVar(name string, typ *object.Type) *Var {
-	v := &Var{om: om, name: name, typ: typ, slot: om.slotCtr.Next()}
-	if om.conc {
-		rs := om.mu.RLock(int(v.slot))
-		defer om.mu.RUnlock(rs)
-	}
-	c := om.varContext(varKey{name, typ})
-	v.strategy, v.score = c.strategy, c.score
-	om.vars.add(v)
-	return v
-}
-
-// varKey identifies a variable context: all its resolution depends on.
-type varKey struct {
-	name string
-	typ  *object.Type
-}
-
-// varCtx is what NewVar resolves for it: strategy and scoreboard handle.
-type varCtx struct {
-	strategy swizzle.Strategy
-	score    *metrics.Score
-}
-
-// varContext resolves a variable context, from the cache when it has been
-// resolved under the active spec before: NewVar runs twice per visited
-// object in a traversal, and building the scoreboard key and taking its
-// shard lock each time was most of its cost.
-func (om *OM) varContext(k varKey) varCtx {
-	if c, ok := (*om.varCtxs.Load())[k]; ok {
-		return c
-	}
-	c := varCtx{strategy: om.spec.ForVar(k.name, k.typ.Name)}
-	if om.obs != nil {
-		c.score = om.obs.Score(k.typ.Name, "$"+k.name)
-		c.score.SetStrategy(c.strategy.String())
-	}
-	om.varCtxMu.Lock()
-	defer om.varCtxMu.Unlock()
-	old := *om.varCtxs.Load()
-	next := make(map[varKey]varCtx, len(old)+1)
-	for ok, oc := range old {
-		next[ok] = oc
-	}
-	next[k] = c
-	om.varCtxs.Store(&next)
-	return c
-}
-
-// FreeVar releases a variable before the application ends (leaving a
-// scope). Its swizzling bookkeeping is unregistered.
-func (om *OM) FreeVar(v *Var) {
-	if v.om != om {
-		return
-	}
-	if om.conc {
-		if om.fastFreeVar(v) {
-			return
-		}
-		om.mu.Lock()
-		defer om.mu.Unlock()
-	}
-	om.unregisterSlot(object.VarSlot(&v.ref))
-	v.ref = object.NilRef
-	v.om = nil
-	om.vars.del(v)
-}
-
-// Name returns the variable's name.
-func (v *Var) Name() string { return v.name }
-
-// DeclaredType returns the variable's declared target type.
-func (v *Var) DeclaredType() *object.Type { return v.typ }
-
-// Strategy returns the variable's resolved swizzling strategy.
-func (v *Var) Strategy() swizzle.Strategy { return v.strategy }
-
-// IsNil reports whether the variable holds the null reference.
-func (v *Var) IsNil() bool { return v.ref.IsNil() }
-
-// Valid reports whether the variable still belongs to a live application
-// (variables are invalidated by Commit and BeginApplication).
-func (v *Var) Valid() bool { return v != nil && v.om != nil }
-
-func (v *Var) valid(om *OM) error {
-	if v == nil || v.om != om {
-		return ErrClosedVar
-	}
-	return nil
-}
-
-// OID translates the variable's reference to its unswizzled form (an index
-// key or an external handle, §3.4.2). The translation cost is charged when
-// the reference is swizzled (Table 8).
-func (om *OM) OID(v *Var) (oid.OID, error) {
-	if om.conc {
-		return om.fastOID(v)
-	}
-	if err := v.valid(om); err != nil {
-		return oid.Nil, err
-	}
-	if v.ref.Swizzled() {
-		om.meter.Event(sim.CntTranslate, om.meter.Costs().TranslateSwizzledToOID)
-	}
-	return v.ref.TargetOID(), nil
-}
-
-// Same evaluates the Boolean expression a == b over the referenced
-// objects, translating layouts as needed (§4.2.3).
-func (om *OM) Same(a, b *Var) (bool, error) {
-	if om.conc {
-		return om.fastSame(a, b)
-	}
-	if err := a.valid(om); err != nil {
-		return false, err
-	}
-	if err := b.valid(om); err != nil {
-		return false, err
-	}
-	costs := om.meter.Costs()
-	if a.ref.State() != b.ref.State() {
-		// One side must be translated to compare.
-		om.meter.Event(sim.CntTranslate, costs.TranslateSwizzledToOID)
-	}
-	return a.ref.SameTarget(&b.ref), nil
 }

@@ -11,21 +11,21 @@ import (
 
 // field resolves a field name of the variable's declared type on the
 // actual object, checking the kind.
-func (om *OM) field(obj *object.MemObject, name string, kinds ...object.FieldKind) (int, error) {
+func (om *OM) field(obj *object.MemObject, name string, kind object.FieldKind) (int, error) {
 	fi := obj.Type.FieldIndex(name)
 	if fi < 0 {
 		return -1, fmt.Errorf("%w: %s.%s", ErrNoField, obj.Type.Name, name)
 	}
-	got := obj.Type.FieldAt(fi).Kind
-	for _, k := range kinds {
-		if got == k {
-			return fi, nil
-		}
+	if got := obj.Type.Fields()[fi].Kind; got != kind {
+		return -1, fmt.Errorf("%w: %s.%s is %v", ErrWrongKind, obj.Type.Name, name, got)
 	}
-	return -1, fmt.Errorf("%w: %s.%s is %v", ErrWrongKind, obj.Type.Name, name, got)
+	return fi, nil
 }
 
-// home dereferences a variable to its resident object.
+// home dereferences a variable to its resident object on the structural
+// path: whatever it takes — surfacing deferred errors, applying queued
+// invalidations, swizzling the variable, fixing a stale representation,
+// faulting the object in.
 func (om *OM) home(v *Var) (*object.MemObject, error) {
 	if err := v.valid(om); err != nil {
 		return nil, err
@@ -33,8 +33,8 @@ func (om *OM) home(v *Var) (*object.MemObject, error) {
 	if err := om.takeDeferredErr(); err != nil {
 		return nil, err
 	}
-	v.score.Inc(metrics.ScoreDeref)
-	return om.deref(object.VarSlot(&v.ref), v.strategy, v.score)
+	om.scoreInc(v.ctx.score, metrics.ScoreDeref)
+	return om.deref(object.VarSlot(&v.ref), v.ctx.strategy, v.ctx.score)
 }
 
 // Load assigns an entry-point OID to a variable — how an application gets
@@ -42,8 +42,7 @@ func (om *OM) home(v *Var) (*object.MemObject, error) {
 // swizzling strategy, loading is a discovery: the variable's reference is
 // swizzled immediately (except in the upon-dereference ablation mode).
 func (om *OM) Load(v *Var, id oid.OID) error {
-	sp, prev := om.startOp(spanLoad)
-	defer om.endOp(sp, prev)
+	defer om.endOp(om.startOp(spanLoad))
 	if om.conc {
 		om.mu.Lock()
 		defer om.mu.Unlock()
@@ -54,7 +53,7 @@ func (om *OM) Load(v *Var, id oid.OID) error {
 	if err := om.takeDeferredErr(); err != nil {
 		return err
 	}
-	om.unregisterSlot(object.VarSlot(&v.ref))
+	om.unregisterSlot(object.VarSlot(&v.ref), 0)
 	v.ref = object.OIDRef(id)
 	if id.IsNil() {
 		return nil
@@ -62,8 +61,9 @@ func (om *OM) Load(v *Var, id oid.OID) error {
 	// An entry-point record with no attribute: monitoring counts these to
 	// model the per-entry swizzling of program variables (§7.1).
 	om.recordAccess(id, "", false)
-	if v.strategy.Swizzles() && !(om.lazyUponDereference && v.strategy.Lazy()) {
-		return om.swizzleSlot(object.VarSlot(&v.ref), v.strategy, v.score)
+	strat := v.ctx.strategy
+	if strat.Swizzles() && !(om.lazyUponDereference && strat.Lazy()) {
+		return om.swizzleSlot(object.VarSlot(&v.ref), strat, v.ctx.score)
 	}
 	return nil
 }
@@ -71,69 +71,89 @@ func (om *OM) Load(v *Var, id oid.OID) error {
 // Deref ensures the variable's target is resident and correctly
 // represented, swizzling the variable if its strategy calls for it.
 func (om *OM) Deref(v *Var) error {
-	sp, prev := om.startOp(spanDeref)
-	defer om.endOp(sp, prev)
+	defer om.endOp(om.startOp(spanDeref))
+	g := om.enter(v)
 	if om.conc {
-		if err, ok := om.fastDeref(v); ok {
-			return err
-		}
-		om.mu.Lock()
-		defer om.mu.Unlock()
+		defer om.leave(&g)
 	}
-	_, err := om.home(v)
-	om.meter.Add(sim.CntDeref, 1)
+	_, err := om.resolve(v, &g)
+	om.add(g.rs, sim.CntDeref, 1)
 	return err
 }
 
-// ReadInt reads an int field of the object the variable references (one
-// Lookup in the paper's cost model; Table 5, "int" row).
-func (om *OM) ReadInt(v *Var, field string) (int64, error) {
-	sp, prev := om.startOp(spanReadInt)
-	defer om.endOp(sp, prev)
-	if om.conc {
-		if val, err, ok := om.fastReadInt(v, field); ok {
-			return val, err
-		}
-		om.mu.Lock()
-		defer om.mu.Unlock()
-	}
-	obj, err := om.home(v)
+// read is ReadInt, ReadStr and Card up to the value: dereference, resolve
+// the field, count and charge one lookup (Table 5, "int" row).
+func (om *OM) read(v *Var, field string, kind object.FieldKind, g *grip) (*object.MemObject, int, error) {
+	obj, err := om.resolve(v, g)
 	if err != nil {
-		return 0, err
+		return nil, -1, err
 	}
-	fi, err := om.field(obj, field, object.KindInt)
+	fi, err := om.field(obj, field, kind)
 	if err != nil {
-		return 0, err
+		return nil, -1, err
 	}
-	om.obs.Inc(metrics.CtrRead)
-	om.meter.Event(sim.CntLookupInt, om.meter.Costs().FieldAccess)
+	om.count(metrics.CtrRead)
+	om.event(g.rs, sim.CntLookupInt, om.pc.FieldAccess)
 	om.recordAccess(obj.OID, field, false)
-	return obj.Int(fi), nil
+	return obj, fi, nil
+}
+
+// ReadInt reads an int field of the object the variable references (one
+// Lookup in the paper's cost model).
+func (om *OM) ReadInt(v *Var, field string) (int64, error) {
+	defer om.endOp(om.startOp(spanReadInt))
+	g := om.enter(v)
+	if om.conc {
+		defer om.leave(&g)
+	}
+	obj, fi, err := om.read(v, field, object.KindInt, &g)
+	if err != nil {
+		return 0, err
+	}
+	lt := om.rlatch(obj)
+	val := obj.Int(fi)
+	if lt != nil {
+		lt.RUnlock()
+	}
+	return val, nil
 }
 
 // ReadStr reads a string field.
 func (om *OM) ReadStr(v *Var, field string) (string, error) {
-	sp, prev := om.startOp(spanReadStr)
-	defer om.endOp(sp, prev)
+	defer om.endOp(om.startOp(spanReadStr))
+	g := om.enter(v)
 	if om.conc {
-		if val, err, ok := om.fastReadStr(v, field); ok {
-			return val, err
-		}
-		om.mu.Lock()
-		defer om.mu.Unlock()
+		defer om.leave(&g)
 	}
-	obj, err := om.home(v)
+	obj, fi, err := om.read(v, field, object.KindString, &g)
 	if err != nil {
 		return "", err
 	}
-	fi, err := om.field(obj, field, object.KindString)
-	if err != nil {
-		return "", err
+	lt := om.rlatch(obj)
+	val := obj.Str(fi)
+	if lt != nil {
+		lt.RUnlock()
 	}
-	om.obs.Inc(metrics.CtrRead)
-	om.meter.Event(sim.CntLookupInt, om.meter.Costs().FieldAccess)
-	om.recordAccess(obj.OID, field, false)
-	return obj.Str(fi), nil
+	return val, nil
+}
+
+// Card returns the cardinality of a set-valued field.
+func (om *OM) Card(v *Var, field string) (int, error) {
+	defer om.endOp(om.startOp(spanCard))
+	g := om.enter(v)
+	if om.conc {
+		defer om.leave(&g)
+	}
+	obj, fi, err := om.read(v, field, object.KindRefSet, &g)
+	if err != nil {
+		return 0, err
+	}
+	lt := om.rlatch(obj)
+	n := obj.SetLen(fi)
+	if lt != nil {
+		lt.RUnlock()
+	}
+	return n, nil
 }
 
 // ReadRef reads a reference field into a destination variable (Table 5,
@@ -141,79 +161,90 @@ func (om *OM) ReadStr(v *Var, field string) (string, error) {
 // (§3.2.1): the field's reference is swizzled per its granule before it is
 // copied, unless the manager runs in the upon-dereference ablation mode.
 func (om *OM) ReadRef(v *Var, field string, dst *Var) error {
-	sp, prev := om.startOp(spanReadRef)
-	defer om.endOp(sp, prev)
-	if om.conc {
-		if err, ok := om.fastReadRef(v, field, dst); ok {
-			return err
-		}
-		om.mu.Lock()
-		defer om.mu.Unlock()
-	}
-	obj, err := om.home(v)
-	if err != nil {
-		return err
-	}
-	if err := dst.valid(om); err != nil {
-		return err
-	}
-	fi, err := om.field(obj, field, object.KindRef)
-	if err != nil {
-		return err
-	}
-	costs := om.meter.Costs()
-	om.obs.Inc(metrics.CtrRead)
-	om.meter.Event(sim.CntLookupRef, costs.FieldAccess+costs.RefFieldExtra)
-	om.recordAccess(obj.OID, field, false)
-	return om.withPinned(obj, func() error {
-		slot := object.FieldSlot(obj, fi)
-		// The read is a use of the reference in its home context — the
-		// scoreboard row the advisor prices as LRef for "Type.field".
-		om.slotScore(slot).Inc(metrics.ScoreDeref)
-		if err := om.discover(slot); err != nil {
-			return err
-		}
-		return om.assignRef(object.VarSlot(&dst.ref), dst.strategy, slot.Ref())
-	})
+	defer om.endOp(om.startOp(spanReadRef))
+	return om.readRef(v, field, object.KindRef, -1, dst)
 }
 
 // ReadElem reads the i-th element of a set-valued field into a variable.
 func (om *OM) ReadElem(v *Var, field string, i int, dst *Var) error {
-	sp, prev := om.startOp(spanReadElem)
-	defer om.endOp(sp, prev)
+	defer om.endOp(om.startOp(spanReadElem))
+	return om.readRef(v, field, object.KindRefSet, i, dst)
+}
+
+// refSlot resolves the slot ReadRef (kind KindRef) or ReadElem (KindRefSet,
+// element i) reads, checking the destination first.
+func (om *OM) refSlot(obj *object.MemObject, field string, kind object.FieldKind, i int, dst *Var) (object.Slot, error) {
+	if err := dst.valid(om); err != nil {
+		return object.Slot{}, err
+	}
+	fi, err := om.field(obj, field, kind)
+	if err != nil {
+		return object.Slot{}, err
+	}
+	if kind == object.KindRef {
+		return object.FieldSlot(obj, fi), nil
+	}
+	if i < 0 || i >= obj.SetLen(fi) {
+		return object.Slot{}, fmt.Errorf("core: %s.%s[%d] out of range (%d elements)",
+			obj.Type.Name, field, i, obj.SetLen(fi))
+	}
+	return object.ElemSlot(obj, fi, i), nil
+}
+
+// countRefRead counts and charges the read of a reference slot: one lookup
+// of a reference field, and a use of the reference in its home context —
+// the scoreboard row the advisor prices as LRef for "Type.field".
+func (om *OM) countRefRead(slot object.Slot, h int) {
+	om.count(metrics.CtrRead)
+	om.event(h, sim.CntLookupRef, om.pc.RefRead)
+	om.scoreInc(om.slotScore(slot), metrics.ScoreDeref)
+}
+
+// readRef is ReadRef and ReadElem. On the hit path the home is resident,
+// the slot needs no discovery and the copy into dst no fault; otherwise
+// nothing has happened yet and the structural path does all of it, with the
+// home pinned while slots into it are manipulated.
+func (om *OM) readRef(v *Var, field string, kind object.FieldKind, i int, dst *Var) error {
+	g := om.enter(v)
 	if om.conc {
-		if err, ok := om.fastReadElem(v, field, i, dst); ok {
+		defer om.leave(&g)
+	}
+	if err := v.valid(om); err != nil {
+		return err
+	}
+	if obj, st, ok := om.peek(v); ok {
+		if obj == nil {
+			om.chargeHome(v, st, g.rs)
+			return ErrNilRef
+		}
+		slot, err := om.refSlot(obj, field, kind, i, dst)
+		if err != nil {
+			om.chargeHome(v, st, g.rs)
 			return err
 		}
-		om.mu.Lock()
-		defer om.mu.Unlock()
+		src := *slot.Ref()
+		if target, ok := om.planAssign(dst, &src); ok && !om.needsDiscovery(slot, &src) {
+			om.chargeHome(v, st, g.rs)
+			om.countRefRead(slot, g.rs)
+			return om.assignRef(object.VarSlot(&dst.ref), dst.ctx.strategy, &src, target, g.rs)
+		}
 	}
+	om.escalate(&g)
 	obj, err := om.home(v)
 	if err != nil {
 		return err
 	}
-	if err := dst.valid(om); err != nil {
-		return err
-	}
-	fi, err := om.field(obj, field, object.KindRefSet)
+	slot, err := om.refSlot(obj, field, kind, i, dst)
 	if err != nil {
 		return err
 	}
-	if i < 0 || i >= obj.SetLen(fi) {
-		return fmt.Errorf("core: %s.%s[%d] out of range (%d elements)",
-			obj.Type.Name, field, i, obj.SetLen(fi))
-	}
-	costs := om.meter.Costs()
-	om.obs.Inc(metrics.CtrRead)
-	om.meter.Event(sim.CntLookupRef, costs.FieldAccess+costs.RefFieldExtra)
+	om.countRefRead(slot, g.rs)
 	om.recordAccess(obj.OID, field, false)
 	return om.withPinned(obj, func() error {
-		slot := object.ElemSlot(obj, fi, i)
-		om.slotScore(slot).Inc(metrics.ScoreDeref)
 		if err := om.discover(slot); err != nil {
 			return err
 		}
-		return om.assignRef(object.VarSlot(&dst.ref), dst.strategy, slot.Ref())
+		return om.assignRef(object.VarSlot(&dst.ref), dst.ctx.strategy, slot.Ref(), nil, g.rs)
 	})
 }
 
@@ -230,43 +261,16 @@ func (om *OM) discover(slot object.Slot) error {
 	return om.swizzleSlot(slot, strat, om.slotScore(slot))
 }
 
-// Card returns the cardinality of a set-valued field.
-func (om *OM) Card(v *Var, field string) (int, error) {
-	sp, prev := om.startOp(spanCard)
-	defer om.endOp(sp, prev)
-	if om.conc {
-		if n, err, ok := om.fastCard(v, field); ok {
-			return n, err
-		}
-		om.mu.Lock()
-		defer om.mu.Unlock()
-	}
-	obj, err := om.home(v)
-	if err != nil {
-		return 0, err
-	}
-	fi, err := om.field(obj, field, object.KindRefSet)
-	if err != nil {
-		return 0, err
-	}
-	om.obs.Inc(metrics.CtrRead)
-	om.meter.Event(sim.CntLookupInt, om.meter.Costs().FieldAccess)
-	om.recordAccess(obj.OID, field, false)
-	return obj.SetLen(fi), nil
-}
-
-// WriteInt updates an int field (one Update; Fig. 11b).
+// WriteInt updates an int field (one Update; Fig. 11b). In concurrent
+// mode the store and the dirty mark run under the object's latch so
+// concurrent writers (and readers) of the same object serialize.
 func (om *OM) WriteInt(v *Var, field string, val int64) error {
-	sp, prev := om.startOp(spanWrite)
-	defer om.endOp(sp, prev)
+	defer om.endOp(om.startOp(spanWrite))
+	g := om.enter(v)
 	if om.conc {
-		if err, ok := om.fastWriteInt(v, field, val); ok {
-			return err
-		}
-		om.mu.Lock()
-		defer om.mu.Unlock()
+		defer om.leave(&g)
 	}
-	obj, err := om.home(v)
+	obj, err := om.resolve(v, &g)
 	if err != nil {
 		return err
 	}
@@ -274,19 +278,21 @@ func (om *OM) WriteInt(v *Var, field string, val int64) error {
 	if err != nil {
 		return err
 	}
-	costs := om.meter.Costs()
-	om.obs.Inc(metrics.CtrWrite)
-	om.meter.Event(sim.CntUpdateInt, costs.FieldAccess+costs.MarkDirty)
+	om.count(metrics.CtrWrite)
+	om.event(g.rs, sim.CntUpdateInt, om.pc.IntUpdate)
 	om.recordAccess(obj.OID, field, true)
+	lt := om.wlatch(obj)
 	obj.SetInt(fi, val)
 	om.markDirty(obj)
+	if lt != nil {
+		lt.Unlock()
+	}
 	return nil
 }
 
 // WriteStr updates a string field.
 func (om *OM) WriteStr(v *Var, field string, val string) error {
-	sp, prev := om.startOp(spanWrite)
-	defer om.endOp(sp, prev)
+	defer om.endOp(om.startOp(spanWrite))
 	if om.conc {
 		om.mu.Lock()
 		defer om.mu.Unlock()
@@ -300,7 +306,7 @@ func (om *OM) WriteStr(v *Var, field string, val string) error {
 		return err
 	}
 	costs := om.meter.Costs()
-	om.obs.Inc(metrics.CtrWrite)
+	om.count(metrics.CtrWrite)
 	om.meter.Event(sim.CntUpdateInt, costs.FieldAccess+costs.MarkDirty)
 	om.recordAccess(obj.OID, field, true)
 	obj.SetStr(fi, val)
@@ -313,8 +319,7 @@ func (om *OM) WriteStr(v *Var, field string, val string) error {
 // target's and the new target's — which is what makes the cost grow with
 // fan-in).
 func (om *OM) WriteRef(v *Var, field string, src *Var) error {
-	sp, prev := om.startOp(spanWrite)
-	defer om.endOp(sp, prev)
+	defer om.endOp(om.startOp(spanWrite))
 	if om.conc {
 		om.mu.Lock()
 		defer om.mu.Unlock()
@@ -331,12 +336,12 @@ func (om *OM) WriteRef(v *Var, field string, src *Var) error {
 		return err
 	}
 	costs := om.meter.Costs()
-	om.obs.Inc(metrics.CtrWrite)
+	om.count(metrics.CtrWrite)
 	om.meter.Event(sim.CntUpdateRef, costs.FieldAccess+costs.RefFieldExtra+costs.MarkDirty)
 	om.recordAccess(obj.OID, field, true)
 	if err := om.withPinned(obj, func() error {
 		slot := object.FieldSlot(obj, fi)
-		return om.assignRef(slot, om.spec.ForSlot(slot), &src.ref)
+		return om.assignRef(slot, om.spec.ForSlot(slot), &src.ref, nil, 0)
 	}); err != nil {
 		return err
 	}
@@ -347,30 +352,37 @@ func (om *OM) WriteRef(v *Var, field string, src *Var) error {
 // Assign copies one variable's reference into another (reference copies
 // between local variables).
 func (om *OM) Assign(dst, src *Var) error {
+	g := om.enter(dst)
 	if om.conc {
-		if err, ok := om.fastAssign(dst, src); ok {
+		defer om.leave(&g)
+	}
+	var target *object.MemObject
+	hit := om.hitViable() && dst.valid(om) == nil && src.valid(om) == nil
+	if hit {
+		target, hit = om.planAssign(dst, &src.ref)
+	}
+	if !hit {
+		// Deferred state to surface, or the copy needs a fault or a stale
+		// fix; nothing has happened yet.
+		om.escalate(&g)
+		if err := dst.valid(om); err != nil {
 			return err
 		}
-		om.mu.Lock()
-		defer om.mu.Unlock()
+		if err := src.valid(om); err != nil {
+			return err
+		}
+		if err := om.takeDeferredErr(); err != nil {
+			return err
+		}
+		target = nil
 	}
-	if err := dst.valid(om); err != nil {
-		return err
-	}
-	if err := src.valid(om); err != nil {
-		return err
-	}
-	if err := om.takeDeferredErr(); err != nil {
-		return err
-	}
-	om.meter.Charge(om.meter.Costs().RefFieldExtra)
-	return om.assignRef(object.VarSlot(&dst.ref), dst.strategy, &src.ref)
+	om.charge(g.rs, om.pc.RefFieldExtra)
+	return om.assignRef(object.VarSlot(&dst.ref), dst.ctx.strategy, &src.ref, target, g.rs)
 }
 
 // AppendElem adds the object referenced by src to a set-valued field.
 func (om *OM) AppendElem(v *Var, field string, src *Var) error {
-	sp, prev := om.startOp(spanWrite)
-	defer om.endOp(sp, prev)
+	defer om.endOp(om.startOp(spanWrite))
 	if om.conc {
 		om.mu.Lock()
 		defer om.mu.Unlock()
@@ -387,13 +399,13 @@ func (om *OM) AppendElem(v *Var, field string, src *Var) error {
 		return err
 	}
 	costs := om.meter.Costs()
-	om.obs.Inc(metrics.CtrWrite)
+	om.count(metrics.CtrWrite)
 	om.meter.Event(sim.CntUpdateRef, costs.FieldAccess+costs.RefFieldExtra+costs.MarkDirty)
 	om.recordAccess(obj.OID, field, true)
 	if err := om.withPinned(obj, func() error {
 		idx := obj.Append(fi, object.NilRef)
 		slot := object.ElemSlot(obj, fi, idx)
-		return om.assignRef(slot, om.spec.ForSlot(slot), &src.ref)
+		return om.assignRef(slot, om.spec.ForSlot(slot), &src.ref, nil, 0)
 	}); err != nil {
 		return err
 	}
@@ -404,8 +416,7 @@ func (om *OM) AppendElem(v *Var, field string, src *Var) error {
 // WriteElem overwrites the i-th element of a set-valued field with the
 // reference held by src, maintaining all swizzling bookkeeping.
 func (om *OM) WriteElem(v *Var, field string, i int, src *Var) error {
-	sp, prev := om.startOp(spanWrite)
-	defer om.endOp(sp, prev)
+	defer om.endOp(om.startOp(spanWrite))
 	if om.conc {
 		om.mu.Lock()
 		defer om.mu.Unlock()
@@ -425,12 +436,12 @@ func (om *OM) WriteElem(v *Var, field string, i int, src *Var) error {
 		return fmt.Errorf("core: %s.%s[%d] out of range", obj.Type.Name, field, i)
 	}
 	costs := om.meter.Costs()
-	om.obs.Inc(metrics.CtrWrite)
+	om.count(metrics.CtrWrite)
 	om.meter.Event(sim.CntUpdateRef, costs.FieldAccess+costs.RefFieldExtra+costs.MarkDirty)
 	om.recordAccess(obj.OID, field, true)
 	if err := om.withPinned(obj, func() error {
 		slot := object.ElemSlot(obj, fi, i)
-		return om.assignRef(slot, om.spec.ForSlot(slot), &src.ref)
+		return om.assignRef(slot, om.spec.ForSlot(slot), &src.ref, nil, 0)
 	}); err != nil {
 		return err
 	}
@@ -441,8 +452,7 @@ func (om *OM) WriteElem(v *Var, field string, i int, src *Var) error {
 // RemoveElem removes the i-th element of a set-valued field, maintaining
 // the RRL registrations of the element that is swapped into its place.
 func (om *OM) RemoveElem(v *Var, field string, i int) error {
-	sp, prev := om.startOp(spanWrite)
-	defer om.endOp(sp, prev)
+	defer om.endOp(om.startOp(spanWrite))
 	if om.conc {
 		om.mu.Lock()
 		defer om.mu.Unlock()
@@ -459,10 +469,10 @@ func (om *OM) RemoveElem(v *Var, field string, i int) error {
 		return fmt.Errorf("core: %s.%s[%d] out of range", obj.Type.Name, field, i)
 	}
 	costs := om.meter.Costs()
-	om.obs.Inc(metrics.CtrWrite)
+	om.count(metrics.CtrWrite)
 	om.meter.Event(sim.CntUpdateRef, costs.FieldAccess+costs.RefFieldExtra+costs.MarkDirty)
 	om.recordAccess(obj.OID, field, true)
-	om.unregisterSlot(object.ElemSlot(obj, fi, i))
+	om.unregisterSlot(object.ElemSlot(obj, fi, i), 0)
 	moved := obj.RemoveElem(fi, i)
 	if moved >= 0 {
 		// The moved element's registration names the old index; every
@@ -491,14 +501,11 @@ func (om *OM) reaccount(obj *object.MemObject) error {
 // TypeOf returns the dynamic type of the referenced object, dereferencing
 // it if needed.
 func (om *OM) TypeOf(v *Var) (*object.Type, error) {
+	g := om.enter(v)
 	if om.conc {
-		if t, err, ok := om.fastTypeOf(v); ok {
-			return t, err
-		}
-		om.mu.Lock()
-		defer om.mu.Unlock()
+		defer om.leave(&g)
 	}
-	obj, err := om.home(v)
+	obj, err := om.resolve(v, &g)
 	if err != nil {
 		return nil, err
 	}

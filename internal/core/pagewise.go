@@ -124,12 +124,12 @@ func (om *OM) pageIncomingSlots(obj *object.MemObject) []object.Slot {
 			}
 		}
 	}
-	for _, v := range om.vars.snapshot() {
+	om.liveVars(func(v *Var) {
 		scanned++
 		if v.ref.State() == object.RefDirect && v.ref.Ptr() == obj {
 			out = append(out, object.VarSlot(&v.ref))
 		}
-	}
+	})
 	om.obs.AddN(metrics.CtrPagewiseScan, int64(scanned))
 	om.meter.Charge(float64(scanned) * om.meter.Costs().FieldAccess / 4)
 	return out

@@ -62,7 +62,7 @@ func (om *OM) fixRepresentation(obj *object.MemObject) error {
 			if !desired.Direct() {
 				om.unswizzleSlot(s)
 				if desired.Eager() { // EIS
-					om.slotScore(s).Inc(metrics.ScoreReswizzle)
+					om.scoreInc(om.slotScore(s), metrics.ScoreReswizzle)
 					if err := om.swizzleSlot(s, desired, om.slotScore(s)); err != nil {
 						return err
 					}
@@ -72,7 +72,7 @@ func (om *OM) fixRepresentation(obj *object.MemObject) error {
 			if !desired.Indirect() {
 				om.unswizzleSlot(s)
 				if desired.Eager() { // EDS
-					om.slotScore(s).Inc(metrics.ScoreReswizzle)
+					om.scoreInc(om.slotScore(s), metrics.ScoreReswizzle)
 					if err := om.swizzleSlot(s, desired, om.slotScore(s)); err != nil {
 						return err
 					}

@@ -74,12 +74,12 @@ func (om *OM) tableIncomingSlots(obj *object.MemObject) []object.Slot {
 		}
 	}
 	nvars := 0
-	for _, v := range om.vars.snapshot() {
+	om.liveVars(func(v *Var) {
 		nvars++
 		if v.ref.State() == object.RefDirect && v.ref.Ptr() == obj {
 			out = append(out, object.VarSlot(&v.ref))
 		}
-	}
+	})
 	om.meter.Charge(float64(len(om.swizzleTable)+nvars) * om.meter.Costs().FieldAccess / 8)
 	return out
 }

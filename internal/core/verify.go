@@ -52,9 +52,9 @@ func (om *OM) Verify() error {
 		})
 		return true
 	})
-	for _, v := range om.vars.snapshot() {
+	om.liveVars(func(v *Var) {
 		slots = append(slots, slotInfo{object.VarSlot(&v.ref), &v.ref})
-	}
+	})
 
 	directCount := make(map[*object.MemObject][]object.Slot)
 	fanIn := make(map[*object.Descriptor]int32)

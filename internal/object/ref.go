@@ -222,9 +222,12 @@ func (l *RRL) Add(s Slot) (newBlock bool) {
 	return newBlock
 }
 
-// Remove unregisters a slot; it reports whether it was present.
+// Remove unregisters a slot; it reports whether it was present. The search
+// runs from the newest entry: the slots that come and go are program
+// variables, which leave in the reverse order of their coming (scopes
+// nest), so theirs is the last entry and the first compared.
 func (l *RRL) Remove(s Slot) bool {
-	for i := range l.entries {
+	for i := len(l.entries) - 1; i >= 0; i-- {
 		if l.entries[i].Equal(s) {
 			last := len(l.entries) - 1
 			l.entries[i] = l.entries[last]

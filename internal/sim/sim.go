@@ -191,11 +191,53 @@ const MeterStripes = 8
 // operations performed sequentially — float64 summation would not.
 const picosPerMicro = 1e6
 
-func toPicos(us float64) int64 {
+// Picos is a simulated duration in the meter's internal unit.
+type Picos int64
+
+func toPicos(us float64) Picos {
 	if us < 0 {
-		return -int64(-us*picosPerMicro + 0.5)
+		return -Picos(-us*picosPerMicro + 0.5)
 	}
-	return int64(us*picosPerMicro + 0.5)
+	return Picos(us*picosPerMicro + 0.5)
+}
+
+// HitCosts are the charges of a dereference that finds its object resident
+// (Table 5) and of a reference copied between variables (Table 8), converted
+// to Picos once by NewMeter. The object manager charges several of them per
+// operation, and converting a float per event was most of what an event
+// cost. The composite entries are rounded from the same float sums the
+// per-event conversion rounded, so the totals are bit-identical.
+type HitCosts struct {
+	FieldAccess   Picos // int/string/cardinality read
+	RefRead       Picos // FieldAccess + RefFieldExtra
+	IntUpdate     Picos // FieldAccess + MarkDirty
+	RefFieldExtra Picos // variable-to-variable copy
+	LazyCheck     Picos
+	Indirection   Picos
+	ROTLookup     Picos
+
+	TranslateSwizzledToOID Picos
+	TranslateOIDToSwizzled Picos
+	TranslateSwizzled      Picos
+	DescAlloc, DescFree    Picos
+}
+
+func hitCosts(c *CostTable) HitCosts {
+	return HitCosts{
+		FieldAccess:   toPicos(c.FieldAccess),
+		RefRead:       toPicos(c.FieldAccess + c.RefFieldExtra),
+		IntUpdate:     toPicos(c.FieldAccess + c.MarkDirty),
+		RefFieldExtra: toPicos(c.RefFieldExtra),
+		LazyCheck:     toPicos(c.LazyCheck),
+		Indirection:   toPicos(c.Indirection),
+		ROTLookup:     toPicos(c.ROTLookup),
+
+		TranslateSwizzledToOID: toPicos(c.TranslateSwizzledToOID),
+		TranslateOIDToSwizzled: toPicos(c.TranslateOIDToSwizzled),
+		TranslateSwizzled:      toPicos(c.TranslateSwizzled),
+		DescAlloc:              toPicos(c.DescAlloc),
+		DescFree:               toPicos(c.DescFree),
+	}
 }
 
 // meterStripe is one concurrency stripe. The leading pad keeps stripes on
@@ -221,6 +263,7 @@ type meterStripe struct {
 // charges.
 type Meter struct {
 	costs   CostTable
+	hit     HitCosts
 	picos   int64
 	counts  [NumCounters]int64
 	stripes [MeterStripes]meterStripe
@@ -228,11 +271,15 @@ type Meter struct {
 
 // NewMeter returns a meter charging against the given cost table.
 func NewMeter(costs CostTable) *Meter {
-	return &Meter{costs: costs}
+	return &Meter{costs: costs, hit: hitCosts(&costs)}
 }
 
 // Costs returns the meter's cost table.
 func (m *Meter) Costs() *CostTable { return &m.costs }
+
+// Hit returns the resident-dereference charges in the meter's own unit,
+// for ChargeP/EventP and their Shared variants.
+func (m *Meter) Hit() *HitCosts { return &m.hit }
 
 // Micros returns the simulated time accumulated so far, in microseconds.
 func (m *Meter) Micros() float64 {
@@ -256,12 +303,18 @@ func (m *Meter) Count(c Counter) int64 {
 func (m *Meter) Add(c Counter, n int64) { m.counts[c] += n }
 
 // Charge adds simulated microseconds without touching counters.
-func (m *Meter) Charge(us float64) { m.picos += toPicos(us) }
+func (m *Meter) Charge(us float64) { m.picos += int64(toPicos(us)) }
+
+// ChargeP is Charge for an amount already in the meter's unit.
+func (m *Meter) ChargeP(p Picos) { m.picos += int64(p) }
 
 // Event records one occurrence of c and charges us microseconds.
-func (m *Meter) Event(c Counter, us float64) {
+func (m *Meter) Event(c Counter, us float64) { m.EventP(c, toPicos(us)) }
+
+// EventP is Event for an amount already in the meter's unit.
+func (m *Meter) EventP(c Counter, p Picos) {
 	m.counts[c]++
-	m.picos += toPicos(us)
+	m.picos += int64(p)
 }
 
 // SharedAdd is the concurrency-safe Add: it accumulates into the stripe
@@ -271,15 +324,21 @@ func (m *Meter) SharedAdd(hint int, c Counter, n int64) {
 }
 
 // SharedCharge is the concurrency-safe Charge.
-func (m *Meter) SharedCharge(hint int, us float64) {
-	atomic.AddInt64(&m.stripes[hint&(MeterStripes-1)].picos, toPicos(us))
+func (m *Meter) SharedCharge(hint int, us float64) { m.SharedChargeP(hint, toPicos(us)) }
+
+// SharedChargeP is the concurrency-safe ChargeP.
+func (m *Meter) SharedChargeP(hint int, p Picos) {
+	atomic.AddInt64(&m.stripes[hint&(MeterStripes-1)].picos, int64(p))
 }
 
 // SharedEvent is the concurrency-safe Event.
-func (m *Meter) SharedEvent(hint int, c Counter, us float64) {
+func (m *Meter) SharedEvent(hint int, c Counter, us float64) { m.SharedEventP(hint, c, toPicos(us)) }
+
+// SharedEventP is the concurrency-safe EventP.
+func (m *Meter) SharedEventP(hint int, c Counter, p Picos) {
 	s := &m.stripes[hint&(MeterStripes-1)]
 	atomic.AddInt64(&s.counts[c], 1)
-	atomic.AddInt64(&s.picos, toPicos(us))
+	atomic.AddInt64(&s.picos, int64(p))
 }
 
 // Reset zeroes the meter. Not safe to call concurrently with charges.

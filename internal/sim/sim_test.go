@@ -103,3 +103,37 @@ func TestDefaultCostsMatchPaperTables(t *testing.T) {
 		t.Errorf("FC = %f", c.FetchCall)
 	}
 }
+
+// TestHitCostsMatchPerEventConversion: the charges NewMeter converts once
+// must be the amounts the per-event conversion produced, composites
+// included — a meter charged through EventP/ChargeP reads bit for bit what
+// one charged through Event/Charge with the same table reads.
+func TestHitCostsMatchPerEventConversion(t *testing.T) {
+	c := DefaultCosts()
+	perEvent, once := NewMeter(c), NewMeter(c)
+	h := once.Hit()
+	for i := 0; i < 1000; i++ {
+		perEvent.Event(CntLookupInt, c.FieldAccess)
+		perEvent.Event(CntLookupRef, c.FieldAccess+c.RefFieldExtra)
+		perEvent.Event(CntUpdateInt, c.FieldAccess+c.MarkDirty)
+		perEvent.Event(CntROTLookup, c.ROTLookup)
+		perEvent.Event(CntTranslate, c.TranslateSwizzled)
+		perEvent.Charge(c.LazyCheck)
+		perEvent.Charge(c.Indirection)
+		perEvent.SharedEvent(i, CntTranslate, c.TranslateOIDToSwizzled)
+		perEvent.SharedCharge(i, c.RefFieldExtra)
+
+		once.EventP(CntLookupInt, h.FieldAccess)
+		once.EventP(CntLookupRef, h.RefRead)
+		once.EventP(CntUpdateInt, h.IntUpdate)
+		once.EventP(CntROTLookup, h.ROTLookup)
+		once.EventP(CntTranslate, h.TranslateSwizzled)
+		once.ChargeP(h.LazyCheck)
+		once.ChargeP(h.Indirection)
+		once.SharedEventP(i, CntTranslate, h.TranslateOIDToSwizzled)
+		once.SharedChargeP(i, h.RefFieldExtra)
+	}
+	if a, b := perEvent.Snapshot(), once.Snapshot(); a != b {
+		t.Errorf("converted once: %v\nper event:     %v", b, a)
+	}
+}
