@@ -2,6 +2,7 @@ package core
 
 import (
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -362,6 +363,224 @@ func TestRelocationInvalidatesExtent(t *testing.T) {
 	if err := clientA.CommitTx(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDirectRelocationInvalidatesOldPage is the non-transactional half of
+// TestRelocationInvalidatesExtent: a raw client's UpdateObject grows x off
+// its page outside any transaction, so the invalidation comes from the
+// update itself, not from a commit's X-lock set. It must name the page x
+// left as well as the one x moved to: A buffers the old page, whose
+// directory still places x in the slot the relocation vacated, and would
+// otherwise resolve x's next fault from it.
+func TestDirectRelocationInvalidatesOldPage(t *testing.T) {
+	b := buildBase(t, 80)
+	_, clientA, raw := txBase(t, b)
+	x := b.parts[0]
+	mgr := b.srv.Manager()
+	oldAddr, _ := mgr.Lookup(x)
+
+	omA, err := New(Options{Server: clientA, Schema: b.schema})
+	if err != nil {
+		t.Fatal(err)
+	}
+	readCard := func(want int) {
+		t.Helper()
+		omA.BeginApplication(appSpec(swizzle.LIS))
+		p := omA.NewVar("p", b.part)
+		if err := omA.Load(p, x); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := omA.Card(p, "connTo"); err != nil || n != want {
+			t.Fatalf("A: card = %d, %v; want %d", n, err, want)
+		}
+		if err := omA.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readCard(3)
+	if pid, _, ok := omA.Pool().Resolve(x); !ok || pid != oldAddr.Page {
+		t.Fatalf("A's index places x on %v, %v; the server on %v", pid, ok, oldAddr.Page)
+	}
+
+	// 450 more references: x no longer fits next to its siblings.
+	rec, _, err := mgr.Read(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown, err := object.Decode(b.schema, x, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	connTo := grown.Type.FieldIndex("connTo")
+	for i := 0; i < 450; i++ {
+		grown.Append(connTo, object.OIDRef(b.conns[(i/3)%len(b.conns)][i%3]))
+	}
+	if rec, err = object.Encode(grown); err != nil {
+		t.Fatal(err)
+	}
+	newAddr, err := raw.UpdateObject(x, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if newAddr.Page == oldAddr.Page {
+		t.Fatal("the growing update did not relocate x")
+	}
+
+	// x out of A's object table — where the acknowledged invalidation has
+	// not taken it out already — so the next access faults it again.
+	if err := omA.DisplaceObject(x); err != nil && omA.IsResident(x) {
+		t.Fatal(err)
+	}
+	readCard(453)
+	if pid, _, ok := omA.Pool().Resolve(x); !ok || pid != newAddr.Page {
+		t.Errorf("A's index places x on %v, %v; the server on %v", pid, ok, newAddr.Page)
+	}
+	mustVerify(t, omA)
+}
+
+// TestResidentTransactionIsSilent: a transaction whose body touches only
+// resident objects asks the server for nothing, so neither its begin nor
+// its commit reaches the server; the first transaction, which faults, sends
+// exactly one of each.
+func TestResidentTransactionIsSilent(t *testing.T) {
+	b := buildBase(t, 80)
+	srv, client, _ := txBase(t, b)
+	srvReg := metrics.New()
+	srv.SetMetrics(srvReg)
+	om, err := New(Options{Server: client, Schema: b.schema})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lookupTx := func() {
+		t.Helper()
+		if _, err := client.BeginTx(); err != nil {
+			t.Fatal(err)
+		}
+		om.BeginApplication(appSpec(swizzle.LIS))
+		p := om.NewVar("p", b.part)
+		for _, id := range b.parts[:10] {
+			if err := om.Load(p, id); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := om.ReadInt(p, "x"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := om.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := client.CommitTx(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	boundaries := func() (begins, commits int64) {
+		snap := srvReg.Snapshot()
+		return snap.RPC[metrics.RPCTxBegin].Count, snap.RPC[metrics.RPCTxCommit].Count
+	}
+	lookupTx()
+	if begins, commits := boundaries(); begins != 1 || commits != 1 {
+		t.Fatalf("the faulting transaction: server_rpc{tx_begin} = %d, {tx_commit} = %d; want 1 and 1", begins, commits)
+	}
+	for i := 0; i < 20; i++ {
+		lookupTx()
+	}
+	if begins, commits := boundaries(); begins != 1 || commits != 1 {
+		t.Errorf("after 20 more transactions over resident objects: server_rpc{tx_begin} = %d, {tx_commit} = %d; want them still at 1", begins, commits)
+	}
+	mustVerify(t, om)
+}
+
+// TestConcurrentFaultsShareOneBegin: the goroutines of an
+// Options.Concurrent object manager fault at once inside a transaction
+// whose begin is still deferred. One begin reaches the server, ahead of
+// every fault: each page read took its S-lock in that transaction, so until
+// the commit nobody else can write any page a part came from.
+func TestConcurrentFaultsShareOneBegin(t *testing.T) {
+	const workers = 8
+	b := buildBase(t, 80)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := b.srv.Manager()
+	txs := server.NewTxServer(mgr, 50*time.Millisecond)
+	srv := server.ServeTx(ln, txs)
+	defer srv.Close()
+	srvReg := metrics.New()
+	srv.SetMetrics(srvReg)
+	dial := func() *server.Client {
+		c, err := server.Dial(srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	client, other := dial(), dial()
+	om, err := New(Options{Server: client, Schema: b.schema, Concurrent: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.BeginTx(); err != nil {
+		t.Fatal(err)
+	}
+	om.BeginApplication(appSpec(swizzle.LIS))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			p := om.NewVar("p", b.part)
+			for i := w; i < len(b.parts); i += workers {
+				if err := om.Load(p, b.parts[i]); err != nil {
+					t.Errorf("worker %d: %v", w, err)
+					return
+				}
+				if _, err := om.ReadInt(p, "x"); err != nil {
+					t.Errorf("worker %d: %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := om.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	snap := srvReg.Snapshot()
+	if begins := snap.RPC[metrics.RPCTxBegin].Count; begins != 1 {
+		t.Errorf("server_rpc{tx_begin} = %d, want 1", begins)
+	}
+	if live := txs.Live(); live != 1 {
+		t.Errorf("%d transactions live at the server, want 1", live)
+	}
+	pages := map[page.PageID]bool{}
+	for _, id := range b.parts {
+		addr, _ := mgr.Lookup(id)
+		pages[addr.Page] = true
+	}
+	if _, err := other.BeginTx(); err != nil {
+		t.Fatal(err)
+	}
+	for pid := range pages {
+		img, err := mgr.Disk().ReadPage(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := other.WritePage(pid, img); err == nil {
+			t.Errorf("page %v was written under the reader: its fault ran outside the transaction", pid)
+		}
+	}
+	if err := other.AbortTx(); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.CommitTx(); err != nil {
+		t.Fatal(err)
+	}
+	if live := txs.Live(); live != 0 {
+		t.Errorf("%d transactions live after the commit", live)
+	}
+	mustVerify(t, om)
 }
 
 // TestAbortedAllocationLeavesNoExtent: a transaction creates an object and

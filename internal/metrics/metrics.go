@@ -107,6 +107,15 @@ const (
 	CtrObjectFaultLocal
 	CtrObjectFaultRPC
 	CtrPageDirExtents
+	// Fewer round trips (DESIGN.md "Page-server wire protocol"), all
+	// client-side: pages that arrived behind a Lookup answer and were
+	// staged, staged pages a ReadPage took instead of a round trip (the
+	// difference was dropped: invalidated, lease-expired, outlived its
+	// transaction), and transactions that ended without a frame because
+	// their begin was still deferred.
+	CtrLookupPageStaged
+	CtrLookupPageTaken
+	CtrTxSilent
 	NumCounters
 )
 
@@ -169,6 +178,9 @@ var counterNames = [NumCounters]string{
 	"object_fault_resolved_local",
 	"object_fault_resolved_rpc",
 	"page_dir_extents",
+	"lookup_page_staged",
+	"lookup_page_taken",
+	"tx_silent",
 }
 
 // String returns the counter's snake_case event name.

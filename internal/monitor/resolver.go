@@ -41,13 +41,15 @@ func NewStorageResolver(srv *server.Local, schema *object.Schema) *StorageResolv
 	return &StorageResolver{srv: srv, schema: schema, objs: make(map[oid.OID]*object.MemObject)}
 }
 
-// PageOf implements Resolver.
+// PageOf implements Resolver. It wants the address and never the page, so
+// it resolves through LookupBatch: over a wire, a Lookup answer brings the
+// object's page with it.
 func (r *StorageResolver) PageOf(id oid.OID) (page.PageID, bool) {
-	addr, err := r.srv.Lookup(id)
-	if err != nil {
+	addrs, ok, err := r.srv.LookupBatch([]oid.OID{id})
+	if err != nil || !ok[0] {
 		return page.NilPage, false
 	}
-	return addr.Page, true
+	return addrs[0].Page, true
 }
 
 func (r *StorageResolver) load(id oid.OID) *object.MemObject {

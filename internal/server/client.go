@@ -60,6 +60,14 @@ type rpcResult struct {
 	err     error
 }
 
+// pendingCall is what the read loop knows of a request in flight: where its
+// response goes and, for the one response the loop acts on itself
+// (opLookup's page, client_tx.go), the opcode.
+type pendingCall struct {
+	ch chan rpcResult
+	op byte
+}
+
 // ErrIncompatiblePeer matches (via errors.Is) a dial refused at the hello
 // exchange: the peer answered the hello with an error, with an older
 // protocol version, or without one of the baseline features.
@@ -73,6 +81,11 @@ var ErrIncompatiblePeer = errors.New("server: peer does not speak the pipelined 
 // order) back to callers. Any number of goroutines may issue RPCs
 // concurrently over the one connection; their requests overlap in the
 // network and on the server instead of queueing behind each other.
+//
+// The client talks only when there is something to say (client_tx.go): a
+// transaction's begin travels with its first data request or not at all,
+// and the page an opLookup response brings is kept for the ReadPage that
+// follows.
 type Client struct {
 	conn    net.Conn
 	timeout time.Duration
@@ -81,9 +94,11 @@ type Client struct {
 	retries int
 	backoff time.Duration
 
-	// coherent: the hello agreed on invalidation callbacks — the one
-	// feature still negotiated (client_coherence.go).
-	coherent bool
+	// What the server's hello said of itself: coherent — it pushes
+	// invalidation callbacks (client_coherence.go); transactional — it was
+	// started with ServeTx (client_tx.go).
+	coherent      bool
+	transactional bool
 
 	// spans/spanCtx: client-side RPC tracing (see SetTrace in trace.go).
 	spans   *trace.Tracer
@@ -94,7 +109,7 @@ type Client struct {
 
 	nextID   atomic.Uint64
 	pendMu   sync.Mutex
-	pending  map[uint64]chan rpcResult
+	pending  map[uint64]pendingCall
 	sendCh   chan *[]byte
 	done     chan struct{} // closed when the reader exits
 	failOnce sync.Once
@@ -111,6 +126,14 @@ type Client struct {
 	lastRecv     atomic.Int64
 	leaseTimeout time.Duration
 	leaseFired   atomic.Bool
+
+	// Transaction state and the pages Lookup responses brought
+	// (client_tx.go).
+	txMu    sync.Mutex
+	tx      txPhase
+	txSeq   uint64
+	stageMu sync.Mutex
+	staged  []stagedPage
 }
 
 // Dial connects to a page server with default options: no timeouts, no
@@ -157,7 +180,7 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 		conn.Close()
 		return nil, err
 	}
-	c.pending = make(map[uint64]chan rpcResult)
+	c.pending = make(map[uint64]pendingCall)
 	c.sendCh = make(chan *[]byte, pipelineWorkers)
 	c.done = make(chan struct{})
 	c.wg.Add(2)
@@ -175,7 +198,7 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 }
 
 // clientFeatures is what this client offers in its hello.
-const clientFeatures = baselineFeatures | featureCoherence
+const clientFeatures = baselineFeatures | featureCoherence | featureTx
 
 // hello opens the connection: one exchange in the bare envelope (no
 // request ID yet), bounded by the dial timeout. A peer that refuses it,
@@ -208,6 +231,7 @@ func (c *Client) hello(timeout time.Duration) error {
 		return fmt.Errorf("%w: peer version %d, features %#x (baseline %#x)", ErrIncompatiblePeer, ver, features, baselineFeatures)
 	}
 	c.coherent = features&featureCoherence != 0
+	c.transactional = features&featureTx != 0
 	return nil
 }
 
@@ -217,6 +241,7 @@ func (c *Client) Close() error {
 	c.closed.Store(true)
 	err := c.conn.Close()
 	c.wg.Wait()
+	c.dropStaged()
 	// Both loops are done; release any frame a caller managed to enqueue
 	// after the write loop's own shutdown drain.
 	for {
@@ -337,21 +362,33 @@ func (c *Client) readLoop() {
 		}
 		id := binary.LittleEndian.Uint64(payload)
 		c.pendMu.Lock()
-		ch := c.pending[id]
+		p := c.pending[id]
 		delete(c.pending, id)
 		c.pendMu.Unlock()
-		if ch != nil {
-			ch <- rpcResult{status: status, payload: payload[8:]}
+		if p.ch == nil {
+			// An unknown ID is a caller that timed out and went away; the
+			// response is simply dropped.
+			continue
 		}
-		// An unknown ID is a caller that timed out and went away; the
-		// response is simply dropped.
+		res := rpcResult{status: status, payload: payload[8:]}
+		if status == statusOK {
+			if rpc := rpcOpOf(p.op); rpc >= 0 {
+				c.obs.RPCFrame(rpc, false, 4+1+len(payload))
+			}
+			if p.op == opLookup {
+				// Stage the page the answer brought here, in frame order:
+				// an invalidation behind it on the wire must find it staged.
+				res = c.stageLookup(res.payload)
+			}
+		}
+		p.ch <- res
 	}
 	close(c.done)
 	err := c.errOr(ErrClientClosed)
 	c.pendMu.Lock()
-	for id, ch := range c.pending {
+	for id, p := range c.pending {
 		delete(c.pending, id)
-		ch <- rpcResult{err: err}
+		p.ch <- rpcResult{err: err}
 	}
 	c.pendMu.Unlock()
 	if coherent {
@@ -379,77 +416,134 @@ func (c *Client) call(op byte, payload []byte) ([]byte, error) {
 	return resp, err
 }
 
-// callOnce issues one RPC attempt and waits for its response.
-func (c *Client) callOnce(op byte, payload []byte) ([]byte, error) {
-	// The rpc.send fault site drops (or delays) the request before it
-	// ships; a drop is a transient failure the retry loop above may redo.
+// outCall is one request attempt on its way: registered with the read
+// loop, its client-side span open.
+type outCall struct {
+	op byte
+	id uint64
+	ch chan rpcResult
+	sp trace.Span
+}
+
+// prepare starts one request attempt. The rpc.send fault site drops (or
+// delays) the request before it ships; a drop is a transient failure the
+// retry loop in call may redo. The attempt's client-side span nests under
+// the caller's ambient context; its own context goes onto the wire so
+// server-side spans nest under it. Every prepared call ends in settle.
+func (c *Client) prepare(op byte, payload []byte) (outCall, error) {
 	if err := faultpoint.Check(faultpoint.RPCSend); err != nil {
-		return nil, fmt.Errorf("%w: request dropped: %w", ErrTransient, err)
-	}
-	// Record a client-side span for the RPC, nested under the caller's
-	// ambient context; its own context goes onto the wire so server-side
-	// spans nest under it.
-	sp := c.spans.StartChild(spanName(&clientSpanNames, op), c.traceCtx())
-	if sp.Sampled() {
-		defer func() { sp.Finish() }()
+		return outCall{}, fmt.Errorf("%w: request dropped: %w", ErrTransient, err)
 	}
 	select {
 	case <-c.done:
-		return nil, c.errOr(ErrClientClosed)
+		return outCall{}, c.errOr(ErrClientClosed)
 	default:
 	}
-	id := c.nextID.Add(1)
-	ch := make(chan rpcResult, 1)
+	oc := outCall{op: op, id: c.nextID.Add(1), ch: make(chan rpcResult, 1)}
+	oc.sp = c.spans.StartChild(spanName(&clientSpanNames, op), c.traceCtx())
+	oc.sp.SetArgs(uint64(len(payload)), 0)
 	c.pendMu.Lock()
-	c.pending[id] = ch
+	c.pending[oc.id] = pendingCall{ch: oc.ch, op: op}
 	c.pendMu.Unlock()
 	c.obs.GaugeAdd(metrics.GaugeInFlightRPC, 1)
-	defer c.obs.GaugeAdd(metrics.GaugeInFlightRPC, -1)
+	return oc, nil
+}
 
-	unregister := func() {
-		c.pendMu.Lock()
-		delete(c.pending, id)
-		c.pendMu.Unlock()
+// settle ends a prepared call.
+func (c *Client) settle(oc outCall) {
+	c.obs.GaugeAdd(metrics.GaugeInFlightRPC, -1)
+	if oc.sp.Sampled() {
+		oc.sp.Finish()
 	}
+}
 
-	frame := encodeRequest(op, id, payload, sp.Context())
+// abandon ends a prepared call whose response was not (or will not be)
+// delivered: the read loop drops a response it finds no caller for.
+func (c *Client) abandon(oc outCall) {
+	c.pendMu.Lock()
+	delete(c.pending, oc.id)
+	c.pendMu.Unlock()
+	c.settle(oc)
+}
+
+// countSent books one request frame handed to the write loop.
+func (c *Client) countSent(op byte, payload []byte) {
 	if rpc := rpcOpOf(op); rpc >= 0 {
-		c.obs.RPCFrame(rpc, true, len(*frame))
+		c.obs.RPCFrame(rpc, true, requestLen(payload))
 	}
-	sp.SetArgs(uint64(len(payload)), 0)
+}
+
+// enqueue hands an encoded buffer to the write loop, which releases it.
+func (c *Client) enqueue(frame *[]byte) error {
 	select {
 	case c.sendCh <- frame:
+		return nil
 	case <-c.done:
 		putBuf(frame)
-		unregister()
-		return nil, c.errOr(ErrClientClosed)
+		return c.errOr(ErrClientClosed)
 	}
+}
 
+// deadline is when a response awaited from now on counts as timed out;
+// the zero time without a Timeout.
+func (c *Client) deadline() time.Time {
+	if c.timeout <= 0 {
+		return time.Time{}
+	}
+	return time.Now().Add(c.timeout)
+}
+
+// await waits for a prepared call's response and ends the call.
+func (c *Client) await(oc outCall, deadline time.Time) ([]byte, error) {
 	var timeoutCh <-chan time.Time
-	if c.timeout > 0 {
-		t := time.NewTimer(c.timeout)
+	if !deadline.IsZero() {
+		t := time.NewTimer(time.Until(deadline))
 		defer t.Stop()
 		timeoutCh = t.C
 	}
 	select {
-	case res := <-ch:
-		return c.finish(op, res)
+	case res := <-oc.ch:
+		c.settle(oc)
+		return c.finish(res)
 	case <-timeoutCh:
-		unregister()
-		return nil, &rpcTimeoutError{op: op, timeout: c.timeout}
+		c.abandon(oc)
+		return nil, &rpcTimeoutError{op: oc.op, timeout: c.timeout}
 	case <-c.done:
 		// The reader may have delivered the result just before exiting.
 		select {
-		case res := <-ch:
-			return c.finish(op, res)
+		case res := <-oc.ch:
+			c.settle(oc)
+			return c.finish(res)
 		default:
 		}
-		unregister()
+		c.abandon(oc)
 		return nil, c.errOr(ErrClientClosed)
 	}
 }
 
-func (c *Client) finish(op byte, res rpcResult) ([]byte, error) {
+// callOnce issues one RPC attempt and waits for its response. A data
+// request that finds a begin deferred takes it along (client_tx.go).
+func (c *Client) callOnce(op byte, payload []byte) ([]byte, error) {
+	if !isBoundary(op) {
+		c.txMu.Lock()
+		if c.tx == txDeferred {
+			return c.callWithBegin(op, payload) // unlocks txMu
+		}
+		c.txMu.Unlock()
+	}
+	oc, err := c.prepare(op, payload)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.enqueue(encodeRequest(op, oc.id, payload, oc.sp.Context())); err != nil {
+		c.abandon(oc)
+		return nil, err
+	}
+	c.countSent(op, payload)
+	return c.await(oc, c.deadline())
+}
+
+func (c *Client) finish(res rpcResult) ([]byte, error) {
 	if res.err != nil {
 		return nil, res.err
 	}
@@ -458,9 +552,6 @@ func (c *Client) finish(op byte, res rpcResult) ([]byte, error) {
 	}
 	if res.status != statusOK {
 		return nil, errors.New(string(res.payload))
-	}
-	if rpc := rpcOpOf(op); rpc >= 0 {
-		c.obs.RPCFrame(rpc, false, 4+1+8+len(res.payload))
 	}
 	return res.payload, nil
 }
@@ -475,7 +566,9 @@ func mapNetErr(op byte, timeout time.Duration, err error) error {
 	return err
 }
 
-// Lookup implements Server.
+// Lookup implements Server. The answer may bring the page the address is
+// on (stageLookup); a caller that wants addresses only resolves through
+// LookupBatch.
 func (c *Client) Lookup(id oid.OID) (storage.PAddr, error) {
 	req := make([]byte, 8)
 	putOID(req, id)
@@ -493,7 +586,12 @@ func (c *Client) Lookup(id oid.OID) (storage.PAddr, error) {
 // the page's directory (page.SplitImage takes them apart; a snapshot read
 // ships none): it travels inside the bytes, not through a side channel,
 // so it survives every wrapper around a Server that forwards ReadPage.
+// The page a Lookup answer brought is taken from where the read loop
+// staged it, without a round trip.
 func (c *Client) ReadPage(pid page.PageID) ([]byte, error) {
+	if staged := c.takeStaged(pid); staged != nil {
+		return staged, nil
+	}
 	req := make([]byte, 8)
 	binary.LittleEndian.PutUint64(req, uint64(pid))
 	resp, err := c.call(opReadPage, req)
@@ -515,6 +613,7 @@ func validPageRead(b []byte) bool {
 
 // WritePage implements Server.
 func (c *Client) WritePage(pid page.PageID, img []byte) error {
+	c.dropStaged() // a staged copy must not outlive this client's own write
 	req := make([]byte, 8+len(img))
 	binary.LittleEndian.PutUint64(req, uint64(pid))
 	copy(req[8:], img)
@@ -524,6 +623,7 @@ func (c *Client) WritePage(pid page.PageID, img []byte) error {
 
 // Allocate implements Server.
 func (c *Client) Allocate(seg uint16, rec []byte) (oid.OID, storage.PAddr, error) {
+	c.dropStaged()
 	req := make([]byte, 2+len(rec))
 	binary.LittleEndian.PutUint16(req, seg)
 	copy(req[2:], rec)
@@ -539,6 +639,7 @@ func (c *Client) Allocate(seg uint16, rec []byte) (oid.OID, storage.PAddr, error
 
 // AllocateNear implements Server.
 func (c *Client) AllocateNear(seg uint16, neighbor oid.OID, rec []byte) (oid.OID, storage.PAddr, error) {
+	c.dropStaged()
 	req := make([]byte, 10+len(rec))
 	binary.LittleEndian.PutUint16(req, seg)
 	putOID(req[2:], neighbor)
@@ -555,6 +656,7 @@ func (c *Client) AllocateNear(seg uint16, neighbor oid.OID, rec []byte) (oid.OID
 
 // UpdateObject implements Server.
 func (c *Client) UpdateObject(id oid.OID, rec []byte) (storage.PAddr, error) {
+	c.dropStaged()
 	req := make([]byte, 8+len(rec))
 	putOID(req, id)
 	copy(req[8:], rec)
@@ -662,47 +764,6 @@ func (c *Client) ReadPages(pid page.PageID, n int) ([][]byte, error) {
 		return nil, errProtocol
 	}
 	return imgs, nil
-}
-
-// BeginTx starts a transaction on this connection (the server must have
-// been started with ServeTx). The server orders the boundary after the
-// connection's outstanding data RPCs.
-func (c *Client) BeginTx() (TxID, error) {
-	resp, err := c.call(opTxBegin, nil)
-	if err != nil {
-		return 0, err
-	}
-	if len(resp) != 8 {
-		return 0, errProtocol
-	}
-	return TxID(binary.LittleEndian.Uint64(resp)), nil
-}
-
-// BeginSnapshotTx starts a read-only snapshot transaction on this
-// connection and returns its id and read-LSN: reads until CommitTx/
-// AbortTx observe the frozen, durable state at that LSN and never block
-// behind server-side writers.
-func (c *Client) BeginSnapshotTx() (TxID, uint64, error) {
-	resp, err := c.call(opTxBeginSnapshot, nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(resp) != 16 {
-		return 0, 0, errProtocol
-	}
-	return TxID(binary.LittleEndian.Uint64(resp)), binary.LittleEndian.Uint64(resp[8:]), nil
-}
-
-// CommitTx commits this connection's transaction.
-func (c *Client) CommitTx() error {
-	_, err := c.call(opTxCommit, nil)
-	return err
-}
-
-// AbortTx aborts this connection's transaction.
-func (c *Client) AbortTx() error {
-	_, err := c.call(opTxAbort, nil)
-	return err
 }
 
 var (

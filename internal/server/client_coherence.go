@@ -16,7 +16,8 @@ import (
 // On a connection that negotiated featureCoherence, the read loop
 // recognizes opInvalidate pushes (request ID 0), hands the page list to
 // the OnInvalidate handler installed by the cache above, and
-// acknowledges with an opCoherenceAck frame. The handler is called on
+// acknowledges with an opCoherenceAck frame — after dropping its own staged
+// copies of those pages (client_tx.go). The handler is called on
 // the read-loop goroutine and must not block or issue RPCs — the object
 // manager's handler just queues the pages and sets a flag its next
 // operation observes.
@@ -63,6 +64,7 @@ func (c *Client) handleInvalidate(body []byte) {
 	}
 	c.obs.Inc(metrics.CtrCoherenceInvalRecv)
 	c.obs.RPCFrame(metrics.RPCInvalidate, false, 4+1+8+len(body))
+	c.dropStagedPages(pids)
 	if fn := c.onInval.Load(); fn != nil {
 		(*fn)(epoch, pids)
 	}
@@ -115,6 +117,7 @@ func (c *Client) fireLease() {
 		return
 	}
 	c.obs.Inc(metrics.CtrCoherenceLeaseExpired)
+	c.dropStaged()
 	if fn := c.onLease.Load(); fn != nil {
 		(*fn)()
 	}

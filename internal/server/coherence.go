@@ -458,10 +458,8 @@ func writeSetOf(op byte, req, resp []byte) []page.PageID {
 		}
 	case opUpdateObject:
 		// The response carries the object's (possibly new) physical
-		// address; its page is the one whose image changed. An update
-		// that relocated the object also freed a slot on the old page —
-		// covered for transactional writers by the commit's X-lock set;
-		// accepted imprecision for raw non-transactional updates.
+		// address; the page it left, if it relocated, is the caller's to
+		// add (pushForWrite's before).
 		if len(resp) >= 10 {
 			return []page.PageID{getPAddr(resp).Page}
 		}
@@ -474,13 +472,18 @@ func writeSetOf(op byte, req, resp []byte) []page.PageID {
 }
 
 // pushForWrite runs an invalidation round for one successful
-// non-transactional write operation. No-op for non-write opcodes and
-// when coherence is off.
-func (s *TCPServer) pushForWrite(op byte, req, resp []byte, writer coherence.ClientID) {
-	if s.coh.Load() == nil {
+// non-transactional write operation: the page its request or response
+// names, and before — where an updated object lived ahead of the write —
+// when that is another page (a relocating update moved the object away
+// from it, and its shipped directory still names the object). No-op for
+// non-write opcodes.
+func (s *TCPServer) pushForWrite(op byte, req, resp []byte, before page.PageID, writer coherence.ClientID) {
+	pids := writeSetOf(op, req, resp)
+	if len(pids) == 0 {
 		return
 	}
-	if pids := writeSetOf(op, req, resp); len(pids) > 0 {
-		s.coherencePush(pids, writer, trace.Context{})
+	if before != page.NilPage && before != pids[0] {
+		pids = append(pids, before)
 	}
+	s.coherencePush(pids, writer, trace.Context{})
 }

@@ -50,6 +50,13 @@ func FuzzTCPFrame(f *testing.F) {
 	f.Add(resp(7, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 1, 0))
 	f.Add(frame(f, statusOK, append(append(make([]byte, 8), 2, 0, 0, 0, 12, 0, 0xff, 0xff), img...)))
 	f.Add(frame(f, opHello, []byte{protocolV2, 0, 0, 0, clientFeatures, 0, 0, 0}))
+	// Lookup answers: the address alone, the address with its page and a
+	// one-extent directory, and that answer cut short inside the address,
+	// inside the image and inside the extent.
+	withPage := append(append(make([]byte, 8+10), img...), 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0)
+	for _, n := range []int{8 + 10, len(withPage), 8 + 4, 8 + 10 + page.Size/2, len(withPage) - 5} {
+		f.Add(frame(f, statusOK, withPage[:n]))
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})                // zero length
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1}) // absurd length
@@ -85,6 +92,14 @@ func FuzzTCPFrame(f *testing.F) {
 			img, dir, _ := page.SplitImage(payload[8:])
 			if len(img) != page.Size || dir.Len() > page.MaxShippedExtents || dir.Check() != nil {
 				t.Fatalf("accepted a page read of %d bytes with %d extents", len(payload)-8, dir.Len())
+			}
+		}
+		// Read as a Lookup answer, it is refused, or it is ten address
+		// bytes and then nothing or one well-formed page read.
+		if len(payload) >= 8 {
+			addr, pg, err := splitLookup(payload[8:])
+			if err == nil && (len(addr) != 10 || len(addr)+len(pg) != len(payload)-8 || (pg != nil && !validPageRead(pg))) {
+				t.Fatalf("a lookup answer of %d bytes split into %d address and %d page bytes", len(payload)-8, len(addr), len(pg))
 			}
 		}
 	})

@@ -139,25 +139,33 @@ func TestPageDirectoriesOnTheWire(t *testing.T) {
 
 // TestShippedDirectoryIsCapped: a page more fragmented than the cap ships
 // the first MaxShippedExtents extents, a valid directory of its own.
-func TestShippedDirectoryIsCapped(t *testing.T) {
+// fragmentedMgr holds one page, 1:0, of MaxShippedExtents+4 extents of one
+// object each — every other object allocated was deleted, so no two
+// survivors join — and returns the survivors in slot order: the last four
+// lie past the shipping cap.
+func fragmentedMgr(t *testing.T) (*storage.Manager, []oid.OID) {
+	t.Helper()
 	mgr := storage.NewManager(1)
 	if err := mgr.CreateSegment(1); err != nil {
 		t.Fatal(err)
 	}
-	// Every other object deleted: no two survivors join into one extent.
-	var ids []oid.OID
+	var kept []oid.OID
 	for i := 0; i < 2*(page.MaxShippedExtents+4); i++ {
 		id, _, err := mgr.Allocate(1, make([]byte, 40))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
-	}
-	for i := 0; i < len(ids); i += 2 {
-		if err := mgr.Delete(ids[i]); err != nil {
+		if i%2 == 1 {
+			kept = append(kept, id)
+		} else if err := mgr.Delete(id); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return mgr, kept
+}
+
+func TestShippedDirectoryIsCapped(t *testing.T) {
+	mgr, _ := fragmentedMgr(t)
 	ln, _ := net.Listen("tcp", "127.0.0.1:0")
 	srv := Serve(ln, mgr)
 	defer srv.Close()

@@ -104,9 +104,10 @@ func statusOf(err error) byte {
 const protocolV2 = 2
 
 // Feature bits of the hello exchange. The numbers are frozen (they are on
-// the wire); every bit but featureCoherence is part of the baseline both
-// sides require, so only coherence is still negotiated — it follows
-// something the server can observe, whether EnableCoherence ran.
+// the wire); every bit but featureCoherence and featureTx is part of the
+// baseline both sides require. Those two are not options either: each says
+// something the server can observe about itself — whether EnableCoherence
+// ran, whether it was started with ServeTx.
 const (
 	// featureBatch: the batch opcodes opLookupBatch and opReadPages.
 	featureBatch = 1 << 0
@@ -137,8 +138,21 @@ const (
 	// image followed by its directory. A snapshot session reads past
 	// versions and ships empty directories.
 	featurePageDir = 1 << 4
+	// featureLookupPage: an opLookup response is the 10-byte address
+	// followed by nothing or by exactly what opReadPage of that address's
+	// page answers (image, then shipped directory) — DESIGN.md "Page
+	// directories", the one-call fault. A peer without the bit would read
+	// the longer response as a protocol error, so the bit joined the
+	// baseline when the format changed: an older peer is refused at the
+	// hello, in both directions.
+	featureLookupPage = 1 << 5
+	// featureTx: the server was started with ServeTx and answers the
+	// transaction-boundary opcodes. The client needs to know at the hello
+	// because its BeginTx sends nothing (client_tx.go), and
+	// against a plain Serve it must still fail at BeginTx.
+	featureTx = 1 << 6
 
-	baselineFeatures = featureBatch | featureTrace | featureSnapshot | featurePageDir
+	baselineFeatures = featureBatch | featureTrace | featureSnapshot | featurePageDir | featureLookupPage
 )
 
 const (
@@ -378,17 +392,26 @@ func readMsgPooled(r *bufio.Reader) (byte, *[]byte, error) {
 	return (*body)[0], body, nil
 }
 
-// encodeRequest builds a complete request frame — header, opcode, request
-// ID, payload, trace-context suffix (all zeros when ctx is untraced) — in
-// a pooled buffer; the writer releases it after the bytes are on the wire.
-func encodeRequest(op byte, id uint64, payload []byte, ctx trace.Context) *[]byte {
-	bp := getBuf(4 + 1 + 8 + len(payload) + trace.WireLen)
-	b := *bp
+// requestLen is the on-wire size of a request frame with this payload.
+func requestLen(payload []byte) int { return 4 + 1 + 8 + len(payload) + trace.WireLen }
+
+// putRequest writes one complete request frame — header, opcode, request
+// ID, payload, trace-context suffix (all zeros when ctx is untraced) — at
+// the start of b and returns the rest of b.
+func putRequest(b []byte, op byte, id uint64, payload []byte, ctx trace.Context) []byte {
 	binary.LittleEndian.PutUint32(b, uint32(1+8+len(payload)+trace.WireLen))
 	b[4] = op
 	binary.LittleEndian.PutUint64(b[5:], id)
 	copy(b[13:], payload)
 	trace.PutWire(b[13+len(payload):], ctx)
+	return b[requestLen(payload):]
+}
+
+// encodeRequest builds one request frame in a pooled buffer; the writer
+// releases it after the bytes are on the wire.
+func encodeRequest(op byte, id uint64, payload []byte, ctx trace.Context) *[]byte {
+	bp := getBuf(requestLen(payload))
+	putRequest(*bp, op, id, payload, ctx)
 	return bp
 }
 
@@ -569,7 +592,8 @@ type connState struct {
 
 // acceptHello checks the frame that opens a connection and returns the
 // feature bits agreed: the baseline, plus coherence when the client offers
-// it and EnableCoherence ran. Anything but a well-formed hello of version
+// it and EnableCoherence ran, plus featureTx when the client offers it and
+// the server is transactional. Anything but a well-formed hello of version
 // 2 or later offering the whole baseline is an error.
 func (s *TCPServer) acceptHello(op byte, payload []byte) (uint32, error) {
 	if op != opHello {
@@ -588,6 +612,9 @@ func (s *TCPServer) acceptHello(op byte, payload []byte) (uint32, error) {
 	agreed := uint32(baselineFeatures)
 	if s.coh.Load() != nil {
 		agreed |= offered & featureCoherence
+	}
+	if s.tx != nil {
+		agreed |= offered & featureTx
 	}
 	return agreed, nil
 }
@@ -861,10 +888,10 @@ func (s *TCPServer) handle(cs *connState, op byte, tctx trace.Context) ([]byte, 
 	switch op {
 	case opTxBegin:
 		if s.tx == nil {
-			return nil, errors.New("server: not a transactional server")
+			return nil, errNotTransactional
 		}
 		if cs.sess != nil {
-			return nil, errors.New("server: transaction already open on this connection")
+			return nil, errTxOpen
 		}
 		cs.tx = s.tx.Begin()
 		cs.sess = s.tx.Session(cs.tx)
@@ -873,10 +900,10 @@ func (s *TCPServer) handle(cs *connState, op byte, tctx trace.Context) ([]byte, 
 		return out, nil
 	case opTxBeginSnapshot:
 		if s.tx == nil {
-			return nil, errors.New("server: not a transactional server")
+			return nil, errNotTransactional
 		}
 		if cs.sess != nil {
-			return nil, errors.New("server: transaction already open on this connection")
+			return nil, errTxOpen
 		}
 		tx, readLSN, err := s.tx.BeginSnapshot()
 		if err != nil {
@@ -926,21 +953,10 @@ func (s *TCPServer) handle(cs *connState, op byte, tctx trace.Context) ([]byte, 
 }
 
 // handleData executes one data request whose response is small enough to
-// ride inline in the frame header; the page-shipping opcodes are
-// handleDataFrame's.
+// ride inline in the frame header; the page-shipping opcodes — opLookup
+// among them — are handleDataFrame's.
 func (s *TCPServer) handleData(backend Server, op byte, payload []byte) ([]byte, error) {
 	switch op {
-	case opLookup:
-		if len(payload) != 8 {
-			return nil, errProtocol
-		}
-		addr, err := backend.Lookup(getOID(payload))
-		if err != nil {
-			return nil, err
-		}
-		out := make([]byte, 10)
-		putPAddr(out, addr)
-		return out, nil
 	case opWritePage:
 		if len(payload) != 8+page.Size {
 			return nil, errProtocol
@@ -1046,6 +1062,24 @@ func (s *TCPServer) handleDataFrame(backend Server, cs *connState, op byte, payl
 		cc = nil
 	}
 	switch op {
+	case opLookup:
+		if len(payload) != 8 {
+			return errProtocol
+		}
+		id := getOID(payload)
+		addr, err := backend.Lookup(id)
+		if err != nil {
+			return err
+		}
+		// The answer brings the object's page where something covers the
+		// copy the client will hold (lookupPage); elsewhere this is the
+		// whole answer, one call deep.
+		if _, locked := backend.(*txSession); locked || cc != nil {
+			return s.lookupPage(backend, cc, id, addr, f)
+		}
+		putPAddr(f.scratch[:10], addr)
+		f.inline = f.scratch[:10]
+		return nil
 	case opReadPage:
 		if len(payload) != 8 {
 			return errProtocol
@@ -1055,10 +1089,7 @@ func (s *TCPServer) handleDataFrame(backend Server, cs *connState, op byte, payl
 		if err != nil {
 			return err
 		}
-		// The payload is the image, then the shipped directory: its
-		// length is what the frame holds past page.Size.
-		f.pages = append(f.pages, img)
-		s.obs.Load().AddN(metrics.CtrPageDirExtents, int64(f.attachDirectory(dir)/page.ExtentSize))
+		s.attachPage(f, img, dir)
 		return nil
 	case opReadPages:
 		if len(payload) != 12 {
@@ -1095,19 +1126,87 @@ func (s *TCPServer) handleDataFrame(backend Server, cs *connState, op byte, payl
 		s.obs.Load().AddN(metrics.CtrPageDirExtents, int64(shipped/page.ExtentSize))
 		return nil
 	default:
+		// A non-transactional write is immediately visible; call
+		// interested clients back right away (transactional writes are
+		// pushed at commit from the X-lock set instead).
+		direct := backend == Server(s.local) && s.coh.Load() != nil
+		before := page.NilPage
+		if direct && op == opUpdateObject && len(payload) >= 8 {
+			// An update that relocates changes two pages, and the old one
+			// still names the object in the directory a client holds:
+			// resolve where the object lives now, before it moves.
+			if addr, err := s.mgr.Lookup(getOID(payload)); err == nil {
+				before = addr.Page
+			}
+		}
 		resp, err := s.handleData(backend, op, payload)
 		if err != nil {
 			return err
 		}
-		if backend == Server(s.local) {
-			// A non-transactional write is immediately visible; call
-			// interested clients back right away (transactional writes are
-			// pushed at commit from the X-lock set instead).
-			s.pushForWrite(op, payload, resp, cc.clientID())
+		if direct {
+			s.pushForWrite(op, payload, resp, before, cc.clientID())
 		}
 		f.inline = resp
 		return nil
 	}
+}
+
+// attachPage makes one page the (rest of the) frame's payload: the image,
+// then the shipped directory, whose length is what the frame holds past
+// page.Size.
+func (s *TCPServer) attachPage(f *respFrame, img []byte, dir page.Directory) {
+	f.pages = append(f.pages, img)
+	s.obs.Load().AddN(metrics.CtrPageDirExtents, int64(f.attachDirectory(dir)/page.ExtentSize))
+}
+
+// lookupResolves bounds how often one opLookup re-resolves an object that
+// relocates while its page is being read.
+const lookupResolves = 3
+
+// lookupPage finishes the answer to opLookup for an object the POT has at
+// addr: the address and, behind it, the page at that address exactly as
+// opReadPage would ship it — read under the same interest registration and
+// S-lock — so an object fault is one conversation (DESIGN.md "Page
+// directories"). The client keeps the page until its ReadPage asks for it,
+// so the caller comes here only where something covers that copy: the
+// connection's interest registration or a 2PL session's S-lock. A snapshot
+// session (past versions, no directories) and a plain connection outside a
+// transaction have neither and get the address alone.
+//
+// The page rides along when its shipped directory names the object at the
+// slot the POT gave: a client that held this page would have resolved the
+// object from that directory and not asked. A directory cut by the shipping
+// cap may not name the object, and then the asking client may well hold the
+// page already: address only. A directory that contradicts the POT means
+// the object relocated between the two reads; the address is resolved again
+// (the two-call fault had the same window between its calls and no way to
+// notice).
+func (s *TCPServer) lookupPage(backend Server, cc *cohConn, id oid.OID, addr storage.PAddr, f *respFrame) error {
+	ship := false
+	var img []byte
+	var dir page.Directory
+	for attempt := 0; attempt < lookupResolves; attempt++ {
+		var err error
+		if img, dir, err = s.readPageCoherent(backend, cc, addr.Page); err != nil {
+			return err
+		}
+		if slot, named := dir.Shipped().Find(id); named && slot == int(addr.Slot) {
+			ship = true
+			break
+		}
+		if slot, named := dir.Find(id); named && slot == int(addr.Slot) {
+			break // named past the shipping cap
+		}
+		if addr, err = backend.Lookup(id); err != nil {
+			return err
+		}
+	}
+	putPAddr(f.scratch[:10], addr)
+	f.inline = f.scratch[:10]
+	if ship {
+		s.attachPage(f, img, dir)
+	}
+	return nil
 }
 
 // attachDirectory appends the shipped part of a page's directory to the

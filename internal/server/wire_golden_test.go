@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/hex"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"gom/internal/faultpoint"
 	"gom/internal/oid"
@@ -66,20 +68,29 @@ func checkGolden(t *testing.T, stream []byte, names ...string) {
 	}
 }
 
-// TestWireGolden pins the frame format: a real Client and a real
-// TCPServer hold one scripted conversation through a relay that records
-// both directions, and every byte that crossed — hello both ways, traced
-// Lookup, ReadPage and ReadPages requests, a transient error, a page with
-// a two-extent directory, a page run with per-page directory lengths, an
-// invalidation push and its acknowledgement — must be the golden file's.
-func TestWireGolden(t *testing.T) {
-	defer faultpoint.Reset()
+// goldenBytes is the named golden frame as bytes; it may not hold an
+// unpinned field.
+func goldenBytes(t *testing.T, name string) []byte {
+	t.Helper()
+	fields := goldenFrames(t)[name]
+	if fields == nil {
+		t.Fatalf("testdata/wire_v2.golden has no frame %q", name)
+	}
+	b, err := hex.DecodeString(strings.Join(fields, ""))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return b
+}
+
+// goldenMgr builds the object base of the golden conversations: page 1:0
+// gets objects 1 and 3..5 (2 is deleted: two extents), page 1:1 object 6.
+func goldenMgr(t *testing.T) *storage.Manager {
+	t.Helper()
 	mgr := storage.NewManager(1)
 	if err := mgr.CreateSegment(1); err != nil {
 		t.Fatal(err)
 	}
-	// Page 1:0 gets objects 1 and 3..5 (2 is deleted: two extents), page
-	// 1:1 object 6.
 	for i, n := range []int{16, 16, 16, 1500, 1500, 1500} {
 		id, _, err := mgr.Allocate(1, make([]byte, n))
 		if err != nil {
@@ -91,22 +102,21 @@ func TestWireGolden(t *testing.T) {
 			}
 		}
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := Serve(ln, mgr)
-	defer srv.Close()
-	srv.EnableCoherence(CoherenceOptions{})
+	return mgr
+}
 
-	// The relay records each direction before forwarding it; both
-	// records are complete once relayed is closed.
+// recordedDial dials the server through a relay that records each
+// direction before forwarding it; recorded returns both records once the
+// client has been closed. A fresh tracer numbers the client's spans 1, 2,
+// 3, so the trace suffixes are fixed.
+func recordedDial(t *testing.T, srv *TCPServer) (c *Client, recorded func() (toServer, toClient []byte)) {
+	t.Helper()
 	relay, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer relay.Close()
-	var toServer, toClient bytes.Buffer
+	t.Cleanup(func() { relay.Close() })
+	var up2, down2 bytes.Buffer
 	relayed := make(chan struct{})
 	go func() {
 		defer close(relayed)
@@ -122,20 +132,41 @@ func TestWireGolden(t *testing.T) {
 		sent := make(chan struct{})
 		go func() {
 			defer close(sent)
-			io.Copy(io.MultiWriter(&toServer, up), down)
+			io.Copy(io.MultiWriter(&up2, up), down)
 			up.Close()
 		}()
-		io.Copy(io.MultiWriter(&toClient, down), up)
+		io.Copy(io.MultiWriter(&down2, down), up)
 		down.Close()
 		<-sent
 	}()
-
-	c, err := Dial(relay.Addr().String())
+	c, err = Dial(relay.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A fresh tracer numbers its spans 1, 2, 3: the suffixes are fixed.
 	c.SetTrace(trace.New(1, 0), func() trace.Context { return trace.Context{TraceID: 0x1111, SpanID: 0x2222} })
+	return c, func() ([]byte, []byte) {
+		<-relayed
+		return up2.Bytes(), down2.Bytes()
+	}
+}
+
+// TestWireGolden pins the frame format: a real Client and a real
+// TCPServer hold one scripted conversation through a relay that records
+// both directions, and every byte that crossed — hello both ways, traced
+// Lookup, ReadPage and ReadPages requests, a transient error, a page with
+// a two-extent directory, a page run with per-page directory lengths, an
+// invalidation push and its acknowledgement — must be the golden file's.
+func TestWireGolden(t *testing.T) {
+	defer faultpoint.Reset()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := Serve(ln, goldenMgr(t))
+	defer srv.Close()
+	srv.EnableCoherence(CoherenceOptions{})
+
+	c, recorded := recordedDial(t, srv)
 	pushed := make(chan string, 1)
 	c.OnInvalidate(func(epoch uint64, pids []page.PageID) { pushed <- fmt.Sprint(epoch, pids) })
 
@@ -170,8 +201,103 @@ func TestWireGolden(t *testing.T) {
 		t.Error("the writer returned before the client saw a push")
 	}
 	c.Close()
-	<-relayed
+	toServer, toClient := recorded()
 
-	checkGolden(t, toServer.Bytes(), "hello_request", "lookup_request", "read_page_request", "read_pages_request", "coherence_ack")
-	checkGolden(t, toClient.Bytes(), "hello_response", "transient_error", "read_page_response", "read_pages_response", "invalidate_push")
+	checkGolden(t, toServer, "hello_request_lookup_page", "lookup_request", "read_page_request", "read_pages_request", "coherence_ack")
+	checkGolden(t, toClient, "hello_response_plain", "transient_error", "read_page_response", "read_pages_response", "invalidate_push")
+}
+
+// TestWireGoldenTransaction pins what a transaction puts on the wire
+// against a transactional server: the hello answer with the transactional
+// bit, a begin that leaves in one write with the transaction's first data
+// request, the Lookup answer that brings its page (so the ReadPage that
+// follows sends nothing), the commit — and nothing at all for a
+// transaction that ends before it has asked for anything.
+func TestWireGoldenTransaction(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ServeTx(ln, NewTxServer(goldenMgr(t), time.Second))
+	defer srv.Close()
+	srv.EnableCoherence(CoherenceOptions{})
+
+	c, recorded := recordedDial(t, srv)
+	for _, silent := range []func() error{c.CommitTx, c.AbortTx} {
+		if _, err := c.BeginTx(); err != nil {
+			t.Fatal(err)
+		}
+		if err := silent(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.BeginTx(); err != nil {
+		t.Fatal(err)
+	}
+	addr, err := c.Lookup(oid.MustNew(1, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (storage.PAddr{Page: page.NewPageID(1, 0), Slot: 2}); addr != want {
+		t.Fatalf("Lookup = %v, want %v", addr, want)
+	}
+	got, err := c.ReadPage(addr.Page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, dir, err := page.SplitImage(got); err != nil || dir.Len() != 2 {
+		t.Fatalf("the staged page splits into %d extents, %v; want 2", dir.Len(), err)
+	}
+	if err := c.CommitTx(); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	toServer, toClient := recorded()
+
+	checkGolden(t, toServer, "hello_request_lookup_page", "tx_begin_with_lookup", "tx_commit_request")
+	checkGolden(t, toClient, "hello_response_tx", "tx_begin_response", "lookup_response_with_page", "tx_commit_response")
+}
+
+// TestWireGoldenOldBaselineRefused: the hello frames of the baseline
+// before the page-carrying Lookup are still in the golden file, and each
+// side still refuses them — the server with one error frame and a closed
+// connection, the client with ErrIncompatiblePeer.
+func TestWireGoldenOldBaselineRefused(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := Serve(ln, goldenMgr(t))
+	defer srv.Close()
+	srv.EnableCoherence(CoherenceOptions{})
+	conn, r := sendRaw(t, srv, goldenBytes(t, "hello_request"))
+	defer conn.Close()
+	answer, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, answer, "old_baseline_refusal")
+
+	old, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	oldAnswer := goldenBytes(t, "hello_response")
+	go func() {
+		conn, err := old.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, _, err := readMsg(bufio.NewReader(conn)); err == nil {
+			conn.Write(oldAnswer)
+		}
+	}()
+	if cl, err := DialWith(old.Addr().String(), DialOptions{DialTimeout: 2 * time.Second}); !errors.Is(err, ErrIncompatiblePeer) {
+		if err == nil {
+			cl.Close()
+		}
+		t.Errorf("dialing a server of the old baseline = %v, want ErrIncompatiblePeer", err)
+	}
 }
