@@ -71,11 +71,6 @@ type Frame struct {
 	// needs it) but Get waits on gone and retries.
 	evicting bool
 	gone     chan struct{}
-	// epoch is the pool read epoch the frame's image is known fresh for
-	// (stamped at install and on refresh). When the pool epoch advances —
-	// a new snapshot read point — a hit on an older frame re-fetches the
-	// image before returning it.
-	epoch atomic.Uint64
 	// seq is the installation order (recency tiebreak); slot is the frame's
 	// position in the CLOCK ring. Both guarded by clockMu.
 	seq  uint64
@@ -134,11 +129,6 @@ type Pool struct {
 	capacity int
 	onEvict  EvictFn
 	ra       *readahead // nil unless EnableReadahead succeeded
-
-	// epoch is the pool-wide read epoch (see SetEpoch). Zero disables
-	// staleness checks entirely — the hit path then costs one atomic load.
-	epoch     atomic.Uint64
-	onRefresh EvictFn // fires before a stale frame's image is replaced
 
 	// spans/spanCtx: request tracing (see SetTrace in trace.go).
 	spans   *trace.Tracer
@@ -204,28 +194,6 @@ func (p *Pool) shard(pid page.PageID) *frameShard {
 
 // OnEvict installs the eviction hook.
 func (p *Pool) OnEvict(fn EvictFn) { p.onEvict = fn }
-
-// OnRefresh installs the stale-frame refresh hook: it fires after the
-// pool decides a hit frame's image predates the current read epoch and
-// before the image is replaced, so the object manager can displace the
-// objects materialized from the old image (the §3.2.2 "precautions",
-// applied to refresh instead of eviction). The hook may write dirty
-// objects into the outgoing image; the pool writes it back before
-// re-reading in that case.
-func (p *Pool) OnRefresh(fn EvictFn) { p.onRefresh = fn }
-
-// SetEpoch advances the pool's read epoch, marking every frame installed
-// under an earlier epoch stale: its next hit re-fetches the page image
-// from the server before returning. Clients serving snapshot reads call
-// this with the snapshot read-LSN when a new snapshot begins, so pages
-// swizzled under an older snapshot refresh against the new watermark
-// instead of serving frozen bytes forever. Zero (the initial state)
-// disables staleness checks; epochs must otherwise be monotonically
-// non-decreasing.
-func (p *Pool) SetEpoch(e uint64) { p.epoch.Store(e) }
-
-// Epoch returns the current pool read epoch.
-func (p *Pool) Epoch() uint64 { return p.epoch.Load() }
 
 // SetMetrics installs (or removes, with nil) the observability registry
 // recording buffer hits, misses, and evictions.
@@ -293,83 +261,9 @@ func (p *Pool) Get(pid page.PageID) (*Frame, error) {
 		} else {
 			p.obs.Inc(metrics.CtrBufferHit)
 		}
-		if e := p.epoch.Load(); e != 0 && f.epoch.Load() < e {
-			if err := p.refreshStale(pid, f, e); err != nil {
-				return nil, err
-			}
-		}
 		f.ref.Store(1)
 		return f, nil
 	}
-}
-
-// refreshStale re-fetches a frame whose image predates read epoch e.
-// Serialized under evictMu like eviction, so the refresh hook and the
-// eviction hook never run concurrently for one frame. A locally dirty
-// frame is not clobbered: the client's own writes take precedence and the
-// frame is simply stamped current. A pinned frame is not refreshed
-// either: the Pin contract is that the page stays put, so the refresh is
-// skipped — the stale image is served (its pinner is reading those same
-// bytes concurrently anyway) and the epoch is left old, so the first hit
-// after the pins drain retries the refresh. The decisive pins check
-// happens under the shard's write lock, which Pin's increment (under the
-// read lock) cannot cross, so a frame can never be pinned and have its
-// image swapped at the same time.
-func (p *Pool) refreshStale(pid page.PageID, f *Frame, e uint64) error {
-	p.evictMu.Lock()
-	defer p.evictMu.Unlock()
-	if f.epoch.Load() >= e {
-		return nil // another goroutine already refreshed it
-	}
-	if f.dirty.Load() {
-		f.epoch.Store(e)
-		return nil
-	}
-	if f.pins.Load() > 0 {
-		// Early out before the hook runs and the replacement image is
-		// fetched for nothing; the authoritative re-check is below.
-		return nil
-	}
-	if p.onRefresh != nil {
-		p.onRefresh(pid, f)
-		if f.dirty.Load() {
-			// The hook wrote displaced dirty objects into the old image;
-			// ship them before the image is replaced.
-			if err := p.writeBack(pid, f); err != nil {
-				return err
-			}
-		}
-	}
-	if p.ra != nil {
-		p.ra.invalidate(pid, p.obs)
-	}
-	img, err := p.srv.ReadPage(pid)
-	if err != nil {
-		return err
-	}
-	pg, dir, err := splitRead(img)
-	if err != nil {
-		return err
-	}
-	sh := p.shard(pid)
-	sh.mu.Lock()
-	if f.pins.Load() > 0 {
-		// Pinned while the fresh image was fetched: keep the old image
-		// (stale, but stable under the pin) and the old epoch so a later
-		// hit retries.
-		sh.mu.Unlock()
-		return nil
-	}
-	f.Page = pg
-	sh.mu.Unlock()
-	p.dirs.setDir(f, dir)
-	f.epoch.Store(e)
-	p.obs.Inc(metrics.CtrBufferStaleRefresh)
-	h := int(pid)
-	p.meter.SharedAdd(h, sim.CntPageRead, 1)
-	p.meter.SharedAdd(h, sim.CntServerRoundTrip, 1)
-	p.meter.SharedCharge(h, p.meter.Costs().PageIO)
-	return nil
 }
 
 // fault coalesces concurrent faults of one page: the first goroutine
@@ -485,7 +379,6 @@ func (p *Pool) unreserve() {
 func (p *Pool) install(pid page.PageID, pg *page.Page, dir page.Directory, prefetched bool) *Frame {
 	f := &Frame{Page: pg, pool: p, pid: pid, gone: make(chan struct{})}
 	f.prefetched.Store(prefetched)
-	f.epoch.Store(p.epoch.Load())
 	p.clockMu.Lock()
 	f.seq = p.nextSeq
 	p.nextSeq++
@@ -587,8 +480,7 @@ func (p *Pool) Evict(pid page.PageID) error {
 // the page is fully invalidated:
 //
 //   - A locally dirty frame is left alone (done=true): the client's own
-//     writes take precedence locally, exactly as the stale-refresh path
-//     treats dirty frames.
+//     writes take precedence locally.
 //   - A pinned frame cannot be dropped under the Pin contract
 //     (done=false): the caller must retry once the pins drain — the
 //     coherence machinery keeps such pages queued and re-applies at its

@@ -13,6 +13,15 @@ import (
 // naming its page number.
 func setup(t *testing.T, npages, capacity int) (*Pool, *sim.Meter, []page.PageID) {
 	t.Helper()
+	mgr, pids := newBase(t, npages)
+	meter := sim.NewMeter(sim.DefaultCosts())
+	return New(server.NewLocal(mgr), capacity, meter), meter, pids
+}
+
+// newBase is the storage under setup's pool: npages pages, page i holding
+// the one-byte record i in slot 0.
+func newBase(t *testing.T, npages int) (*storage.Manager, []page.PageID) {
+	t.Helper()
 	mgr := storage.NewManager(1)
 	if err := mgr.CreateSegment(0); err != nil {
 		t.Fatal(err)
@@ -29,8 +38,7 @@ func setup(t *testing.T, npages, capacity int) (*Pool, *sim.Meter, []page.PageID
 		mgr.Disk().WritePage(pid, pg.Image())
 		pids[i] = pid
 	}
-	meter := sim.NewMeter(sim.DefaultCosts())
-	return New(server.NewLocal(mgr), capacity, meter), meter, pids
+	return mgr, pids
 }
 
 func TestGetFaultsOnce(t *testing.T) {

@@ -16,7 +16,7 @@ import (
 // of asking the server.
 //
 // Lifetime: a directory is filed when its frame is installed or its image
-// replaced (Refresh, stale refresh), and dropped when the frame goes —
+// replaced (Refresh), and dropped when the frame goes —
 // eviction, coherence invalidation, DropAll, lease expiry, Discard. It is
 // therefore exactly as coherent as the image it arrived with. The index
 // only nominates a page; the slot is always read from the directory of

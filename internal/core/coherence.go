@@ -11,8 +11,9 @@ import (
 // lives in internal/server; DESIGN.md "Cache coherence").
 //
 // Invalidations arrive on the TCP client's read-loop goroutine, which
-// must never block on — or reenter — the object manager. So the handlers
-// here only queue: NoteInvalidated records the pages and sets an atomic
+// must never block on — or reenter — the object manager — and, for the
+// pages a snapshot begin names as changed since the last one, on the
+// goroutine that called BeginSnapshotTx. So the handlers here only queue: NoteInvalidated records the pages and sets an atomic
 // flag, exactly the shape of the existing hasDeferred mirror. Every OM
 // operation checks the flag on entry (hitViable sends it down the structural
 // path, to takeDeferredErr) and applies the queued invalidations before
@@ -45,7 +46,8 @@ func (om *OM) NoteInvalidated(_ uint64, pids []page.PageID) {
 }
 
 // NoteLeaseExpired queues a whole-cache invalidation: the connection has
-// been silent past its lease (or died), so no cached page can be trusted.
+// been silent past its lease (or died), or a snapshot begin could not name
+// what changed since the last one, so no cached page can be trusted.
 // Installed as the TCP client's OnLeaseExpired handler by New.
 func (om *OM) NoteLeaseExpired() {
 	om.cohMu.Lock()

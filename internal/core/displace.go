@@ -46,15 +46,6 @@ func (om *OM) dropHints(pid page.PageID) {
 	}
 }
 
-// onPageRefresh is the stale-frame refresh hook: the pool is about to
-// replace the frame's image with a newer snapshot's bytes, so every
-// object materialized from the old image is displaced first — the same
-// precautions as eviction, except the frame itself stays buffered and is
-// refilled from the server.
-func (om *OM) onPageRefresh(pid page.PageID, f *buffer.Frame) {
-	om.onPageEvict(pid, f)
-}
-
 // onCacheEvict is the object-cache eviction hook (copy architecture).
 func (om *OM) onCacheEvict(obj *object.MemObject) {
 	if err := om.displace(obj, true); err != nil {

@@ -229,11 +229,15 @@ type OM struct {
 	// Coherence state (coherence.go): pages queued by invalidation
 	// callbacks for application at the next operation boundary. cohFlag
 	// mirrors "queue non-empty" so idle hot paths pay one atomic load;
-	// cohAll marks a lease expiry (drop everything cached).
-	cohMu      sync.Mutex
-	cohPending []page.PageID
-	cohAll     bool
-	cohFlag    atomic.Bool
+	// cohAll marks a lease expiry (drop everything cached). beginValidates
+	// says the connection's snapshot begins name what changed; without it
+	// readEpoch, the newest read point SetReadEpoch has seen, decides.
+	cohMu          sync.Mutex
+	cohPending     []page.PageID
+	cohAll         bool
+	cohFlag        atomic.Bool
+	beginValidates bool
+	readEpoch      uint64
 }
 
 // New constructs an object manager.
@@ -272,13 +276,14 @@ func New(opt Options) (*OM, error) {
 		om.pool.EnableReadahead(opt.ReadaheadPages)
 	}
 	om.pool.OnEvict(om.onPageEvict)
-	om.pool.OnRefresh(om.onPageRefresh)
 	if coh, ok := opt.Server.(coherenceWirer); ok && coh.HasCoherence() {
-		// The server pushes invalidation callbacks on this connection:
-		// queue them for application at operation boundaries, and treat
-		// lease expiry as losing the whole cache.
+		// The server pushes invalidation callbacks on this connection, and
+		// its snapshot begins say what changed since the last one: queue
+		// both for application at operation boundaries, and treat lease
+		// expiry as losing the whole cache.
 		coh.OnInvalidate(om.NoteInvalidated)
 		coh.OnLeaseExpired(om.NoteLeaseExpired)
+		om.beginValidates = true
 	}
 	om.SetMetrics(opt.Metrics)
 	om.SetTrace(opt.Trace)
@@ -337,13 +342,29 @@ func (om *OM) Spec() *swizzle.Spec { return om.spec }
 // Pool exposes the page buffer pool (benchmarks inspect it).
 func (om *OM) Pool() *buffer.Pool { return om.pool }
 
-// SetReadEpoch marks every page buffered under an older read point stale:
-// its next access displaces the objects materialized from it and
-// re-fetches the image from the server. Sessions running snapshot
-// transactions call this with each new snapshot's read-LSN, so pages
-// swizzled under a previous snapshot refresh against the new watermark
-// instead of serving frozen bytes forever.
-func (om *OM) SetReadEpoch(e uint64) { om.pool.SetEpoch(e) }
+// SetReadEpoch tells the object manager that its reads are from now on at
+// read point e: sessions running snapshot transactions call it with each
+// new snapshot's read-LSN, so that nothing cached under an older snapshot
+// — buffered page or resident object — is served as the newer one's state.
+//
+// On a coherent connection there is nothing left to do: the snapshot begin
+// that gave out e has already handed the pages changed since the previous
+// read point to NoteInvalidated (or, unable to name them, called
+// NoteLeaseExpired), and everything else cached is current at e. Without
+// coherence nothing can say what changed, so a newer read point queues the
+// whole cache for invalidation at the next operation boundary.
+func (om *OM) SetReadEpoch(e uint64) {
+	if om.beginValidates {
+		return
+	}
+	om.cohMu.Lock()
+	if e > om.readEpoch {
+		om.readEpoch = e
+		om.cohAll = true
+		om.cohFlag.Store(true)
+	}
+	om.cohMu.Unlock()
+}
 
 // Cache exposes the object cache, or nil in the page architecture.
 func (om *OM) Cache() *objcache.Cache { return om.cache }

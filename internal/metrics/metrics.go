@@ -81,6 +81,11 @@ const (
 	CtrSnapshotRead
 	CtrVersionPublish
 	CtrVersionRetire
+	// CtrBufferStaleRefresh counted in-place re-reads of frames older than
+	// the pool's read epoch. The epoch is gone (a snapshot begin says what
+	// changed instead — DESIGN.md "Snapshot begin is a validation point"),
+	// nothing increments this, and it reads 0; it stays declared because the
+	// benchmark's buffer.stale_refresh_per_op row is computed from it.
 	CtrBufferStaleRefresh
 	CtrDiskReadBytes
 	CtrPageZeroCopyHit
@@ -116,6 +121,15 @@ const (
 	CtrLookupPageStaged
 	CtrLookupPageTaken
 	CtrTxSilent
+	// Snapshot begin as a validation point (DESIGN.md "Cache coherence"),
+	// client-side: snapshot begins whose answer listed the pages changed
+	// since the previous read point, the pages those lists named, and
+	// begins the server could not answer with a list (no previous read
+	// point, or one older than its change log), after which the client
+	// drops its whole cache.
+	CtrCoherenceBeginList
+	CtrCoherenceBeginPages
+	CtrCoherenceBeginAll
 	NumCounters
 )
 
@@ -181,6 +195,9 @@ var counterNames = [NumCounters]string{
 	"lookup_page_staged",
 	"lookup_page_taken",
 	"tx_silent",
+	"coherence_begin_lists",
+	"coherence_begin_pages",
+	"coherence_begin_whole_cache",
 }
 
 // String returns the counter's snake_case event name.
@@ -279,6 +296,10 @@ const (
 	// FIFO: live registrations plus the stale entries re-registration
 	// leaves behind until the next compaction (at most as many again).
 	GaugeCoherenceQueue
+	// GaugeCoherenceChangeLog is the number of writes the server's change
+	// log holds (it stops growing at its fixed capacity): how far back a
+	// snapshot begin can be told what changed.
+	GaugeCoherenceChangeLog
 	NumGauges
 )
 
@@ -290,6 +311,7 @@ var gaugeNames = [NumGauges]string{
 	"snapshot_lag",
 	"coherence_interest_entries",
 	"coherence_interest_queue",
+	"coherence_change_log_entries",
 }
 
 // String returns the gauge's snake_case name.

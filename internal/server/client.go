@@ -132,6 +132,7 @@ type Client struct {
 	txMu    sync.Mutex
 	tx      txPhase
 	txSeq   uint64
+	readLSN atomic.Uint64 // of the last snapshot begun on a coherent connection; 0 before the first
 	stageMu sync.Mutex
 	staged  []stagedPage
 }

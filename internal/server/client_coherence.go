@@ -32,9 +32,12 @@ func (c *Client) HasCoherence() bool { return c.coherent }
 
 // OnInvalidate installs the invalidation handler: called from the read
 // loop with each pushed (epoch, pages) batch, before the push is
-// acknowledged. The handler must be fast and must not call back into the
-// client. Install before sharing cached state; nil removes it (pushes
-// are then acknowledged and dropped, correct when nothing is cached).
+// acknowledged — and from BeginSnapshotTx, on its caller's goroutine and
+// with epoch 0, with the pages changed since the connection's previous
+// snapshot (client_tx.go). The handler must be fast and must not call back
+// into the client. Install before sharing cached state; nil removes it
+// (pushes are then acknowledged and dropped, correct when nothing is
+// cached).
 func (c *Client) OnInvalidate(fn func(epoch uint64, pids []page.PageID)) {
 	if fn == nil {
 		c.onInval.Store(nil)
@@ -44,8 +47,10 @@ func (c *Client) OnInvalidate(fn func(epoch uint64, pids []page.PageID)) {
 }
 
 // OnLeaseExpired installs the lease-expiry handler: called when the
-// connection has been silent past LeaseTimeout or has failed. May fire
-// more than once (once per silence episode). nil removes it.
+// connection has been silent past LeaseTimeout or has failed — and from
+// BeginSnapshotTx when the server cannot name what changed since the
+// connection's previous snapshot. Either way nothing cached can be trusted.
+// May fire more than once. nil removes it.
 func (c *Client) OnLeaseExpired(fn func()) {
 	if fn == nil {
 		c.onLease.Store(nil)

@@ -116,20 +116,62 @@ func (c *Client) BeginTx() (TxID, error) {
 // until CommitTx/AbortTx observe the frozen, durable state at that LSN and
 // never block behind server-side writers. It is sent at once — the
 // read-LSN is the server's to give.
+//
+// On a coherent connection the begin is also where the cache above is
+// validated (DESIGN.md "Snapshot begin is a validation point"): the request
+// names the read-LSN of this connection's previous snapshot and the answer
+// the pages changed since. They go to the OnInvalidate handler (epoch 0:
+// this is no push, and nothing is acknowledged) — or, when the server
+// cannot tell, the OnLeaseExpired handler is called to drop everything —
+// on the caller's goroutine, before BeginSnapshotTx returns. What the
+// handlers were not told to drop is current at the new read point.
 func (c *Client) BeginSnapshotTx() (TxID, uint64, error) {
 	id, err := c.enterTx(txOpen)
 	if err != nil {
 		return 0, 0, err
 	}
-	resp, err := c.call(opTxBeginSnapshot, nil)
-	if err == nil && len(resp) != 16 {
+	var req []byte
+	if c.coherent {
+		req = binary.LittleEndian.AppendUint64(nil, c.readLSN.Load())
+	}
+	var sb snapshotBegun
+	resp, err := c.call(opTxBeginSnapshot, req)
+	if err == nil {
+		sb, err = decodeSnapshotBegun(resp)
+	}
+	if err == nil && sb.validated != c.coherent {
 		err = errProtocol
 	}
 	if err != nil {
 		c.setTx(txNone)
 		return 0, 0, err
 	}
-	return id, binary.LittleEndian.Uint64(resp[8:]), nil
+	if sb.validated {
+		c.applyChanged(sb)
+		c.readLSN.Store(sb.readLSN)
+	}
+	return id, sb.readLSN, nil
+}
+
+// applyChanged hands what a snapshot begin said has changed to the cache
+// above, through the handlers coherence pushes use.
+func (c *Client) applyChanged(sb snapshotBegun) {
+	if sb.all {
+		// Not a lease expiry — the server is there, it just cannot name
+		// the pages — so coherence_lease_expired does not count it.
+		c.obs.Inc(metrics.CtrCoherenceBeginAll)
+		c.dropStaged()
+		if fn := c.onLease.Load(); fn != nil {
+			(*fn)()
+		}
+		return
+	}
+	c.obs.Inc(metrics.CtrCoherenceBeginList)
+	c.obs.AddN(metrics.CtrCoherenceBeginPages, int64(len(sb.changed)))
+	c.dropStagedPages(sb.changed)
+	if fn := c.onInval.Load(); fn != nil && len(sb.changed) > 0 {
+		(*fn)(0, sb.changed)
+	}
 }
 
 // CommitTx commits this connection's transaction. A transaction whose

@@ -27,6 +27,12 @@ import (
 // linearizability checker: by the time a writer's commit returns, every
 // subscribed cache has promised to re-fault the changed pages.
 //
+// A snapshot session reads a frozen past and registers nothing; what keeps
+// a cache filled under snapshots right from one read point to the next is
+// the change log (changelog.go): every write is logged before it can become
+// visible, and a snapshot begin answers with the pages changed since the
+// connection's previous read point.
+//
 // The lease is the degraded path: a client that cannot be reached within
 // the ack timeout has, by construction, received no frame for at least
 // that long — its client-side lease (clients must configure a lease no
@@ -59,6 +65,10 @@ type coherenceState struct {
 
 	mu    sync.Mutex
 	conns map[coherence.ClientID]*cohConn
+
+	// log remembers which pages recent writes changed, for the snapshot
+	// sessions that register no interest (changelog.go).
+	log changeLog
 }
 
 // cohConn is the push endpoint of one coherence-negotiated connection.
@@ -446,44 +456,93 @@ func (s *TCPServer) coherencePush(pages []page.PageID, writer coherence.ClientID
 	obs.RPCSinceTrace(metrics.RPCInvalidate, start, tctx.TraceID)
 }
 
-// writeSetOf derives the pages invalidated by a successful
-// non-transactional write operation from its request and response bytes.
-// Transactional writes are covered at commit time by the transaction's
-// X-locked page set instead.
-func writeSetOf(op byte, req, resp []byte) []page.PageID {
+// isWrite reports whether op is a data opcode that changes pages.
+func isWrite(op byte) bool {
 	switch op {
-	case opWritePage:
-		if len(req) >= 8 {
-			return []page.PageID{page.PageID(binary.LittleEndian.Uint64(req))}
-		}
-	case opUpdateObject:
-		// The response carries the object's (possibly new) physical
-		// address; the page it left, if it relocated, is the caller's to
-		// add (pushForWrite's before).
-		if len(resp) >= 10 {
-			return []page.PageID{getPAddr(resp).Page}
-		}
-	case opAllocate, opAllocateNear:
-		if len(resp) >= 18 {
-			return []page.PageID{getPAddr(resp[8:]).Page}
-		}
+	case opWritePage, opAllocate, opAllocateNear, opUpdateObject:
+		return true
 	}
-	return nil
+	return false
 }
 
-// pushForWrite runs an invalidation round for one successful
-// non-transactional write operation: the page its request or response
-// names, and before — where an updated object lived ahead of the write —
-// when that is another page (a relocating update moved the object away
-// from it, and its shipped directory still names the object). No-op for
-// non-write opcodes.
-func (s *TCPServer) pushForWrite(op byte, req, resp []byte, before page.PageID, writer coherence.ClientID) {
-	pids := writeSetOf(op, req, resp)
-	if len(pids) == 0 {
+// directWriteSet derives the pages changed by a successful
+// non-transactional write from its request and response bytes, and before —
+// where an updated object lived ahead of the write — when that is another
+// page: a relocating update moved the object away from it, and its shipped
+// directory still names the object. Transactional writes are covered at
+// commit time by the transaction's X-locked page set instead.
+func directWriteSet(op byte, req, resp []byte, before page.PageID) []page.PageID {
+	var pid page.PageID
+	switch {
+	case op == opWritePage && len(req) >= 8:
+		pid = page.PageID(binary.LittleEndian.Uint64(req))
+	case op == opUpdateObject && len(resp) >= 10:
+		// The response carries the object's (possibly new) physical address.
+		pid = getPAddr(resp).Page
+	case (op == opAllocate || op == opAllocateNear) && len(resp) >= 18:
+		pid = getPAddr(resp[8:]).Page
+	default:
+		return nil
+	}
+	if before != page.NilPage && before != pid {
+		return []page.PageID{pid, before}
+	}
+	return []page.PageID{pid}
+}
+
+// directWrite executes one non-transactional write on a coherent server. It
+// is logged before it is visible, like a commit — though which pages it
+// touches is known only once it has run (changelog.go) — and, once it has
+// happened, every other interested client is called back for its pages.
+func (s *TCPServer) directWrite(st *coherenceState, cc *cohConn, op byte, payload []byte) ([]byte, error) {
+	before := page.NilPage
+	if op == opUpdateObject && len(payload) >= 8 {
+		// An update that relocates changes two pages: resolve where the
+		// object lives now, before it moves.
+		if addr, err := s.mgr.Lookup(getOID(payload)); err == nil {
+			before = addr.Page
+		}
+	}
+	logged := s.logWrite(st, nil)
+	resp, err := s.handleData(s.local, op, payload)
+	pids := directWriteSet(op, payload, resp, before)
+	s.settleWrite(st, logged, pids, err == nil)
+	if err != nil {
+		return nil, err
+	}
+	s.coherencePush(pids, cc.clientID(), trace.Context{})
+	return resp, nil
+}
+
+// loggedWrite is a write between logWrite and settleWrite.
+type loggedWrite struct {
+	seq    uint64
+	stable uint64 // the stable point once the entry was in the log
+}
+
+// logWrite enters a write that is about to happen into the change log;
+// pages is its extent, nil when that is not known yet.
+func (s *TCPServer) logWrite(st *coherenceState, pages []page.PageID) loggedWrite {
+	seq := st.log.begin(pages)
+	if obs := s.obs.Load(); obs != nil && seq < changeLogCap {
+		// The ring is still filling: settle the gauge onto its occupancy,
+		// like the interest gauges.
+		obs.GaugeAdd(metrics.GaugeCoherenceChangeLog, int64(seq+1)-obs.GaugeValue(metrics.GaugeCoherenceChangeLog))
+	}
+	// Read after the append: a snapshot that began without seeing the entry
+	// has a read-LSN at or below this, and the stamp will be above it.
+	return loggedWrite{seq: seq, stable: s.mgr.Versions().StablePoint()}
+}
+
+// settleWrite ends a logged write: cancelled if it did not happen, else
+// stamped with a read-LSN from which it is certainly visible — the stable
+// point now, which a commit's own LSN cannot exceed, and above the stable
+// point it started from, for the writes that consume no LSN (direct writes,
+// aborts). pages is the extent of a write logged without one.
+func (s *TCPServer) settleWrite(st *coherenceState, w loggedWrite, pages []page.PageID, happened bool) {
+	if !happened {
+		st.log.cancel(w.seq)
 		return
 	}
-	if before != page.NilPage && before != pids[0] {
-		pids = append(pids, before)
-	}
-	s.coherencePush(pids, writer, trace.Context{})
+	st.log.stamp(w.seq, max(s.mgr.Versions().StablePoint(), w.stable+1), pages)
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 
 	"gom/internal/page"
@@ -135,6 +136,53 @@ func FuzzInvalidationFrame(f *testing.F) {
 		}
 		if !bytes.Equal(encodeInvalidation(nil, epoch, pids), data) {
 			t.Fatal("encode/decode round trip not byte-identical")
+		}
+	})
+}
+
+// FuzzSnapshotBegunFrame throws arbitrary bytes at the opTxBeginSnapshot
+// answer decoder. Invariants: decodeSnapshotBegun never panics, rejects
+// truncated, oversized and length-inconsistent payloads with errProtocol,
+// never admits more than maxInvalidationPages, and everything it accepts
+// round-trips byte-identically through appendChanged.
+func FuzzSnapshotBegunFrame(f *testing.F) {
+	head := make([]byte, 16)
+	binary.LittleEndian.PutUint64(head, 4)
+	binary.LittleEndian.PutUint64(head[8:], 2)
+	f.Add(head)                                          // a connection without coherence
+	f.Add(appendChanged(slices.Clone(head), nil, false)) // cannot tell
+	f.Add(appendChanged(slices.Clone(head), nil, true))  // nothing changed
+	f.Add(appendChanged(slices.Clone(head), []page.PageID{1, 2, page.PageID(^uint64(0))}, true))
+	f.Add([]byte{})
+	f.Add(head[:15])
+	f.Add(append(slices.Clone(head), 1, 0, 0))                                           // a cut count
+	f.Add(append(slices.Clone(head), 0xff, 0xff, 0, 0))                                  // count 65535, no pages
+	f.Add(append(appendChanged(slices.Clone(head), nil, false), 0, 0, 0, 0, 0, 0, 0, 0)) // cannot tell, and a page
+	f.Add(append(appendChanged(slices.Clone(head), []page.PageID{9}, true), 0))          // trailing garbage
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sb, err := decodeSnapshotBegun(data)
+		if err != nil {
+			if !errors.Is(err, errProtocol) {
+				t.Fatalf("rejection is not errProtocol: %v", err)
+			}
+			return
+		}
+		if len(sb.changed) > maxInvalidationPages {
+			t.Fatalf("decoded %d pages, above maxInvalidationPages %d", len(sb.changed), maxInvalidationPages)
+		}
+		if sb.all && (!sb.validated || sb.changed != nil) {
+			t.Fatalf("a cannot-tell answer decoded as %+v", sb)
+		}
+		again := slices.Clone(data[:16])
+		if sb.validated {
+			again = appendChanged(again, sb.changed, !sb.all)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatal("encode/decode round trip not byte-identical")
+		}
+		if got := binary.LittleEndian.Uint64(data[8:]); sb.readLSN != got {
+			t.Fatalf("read-LSN %d decoded as %d", got, sb.readLSN)
 		}
 	})
 }

@@ -151,8 +151,14 @@ const (
 	// because its BeginTx sends nothing (client_tx.go), and
 	// against a plain Serve it must still fail at BeginTx.
 	featureTx = 1 << 6
+	// featureBeginValidates: on a connection that also negotiated
+	// featureCoherence, an opTxBeginSnapshot request carries the client's
+	// previous read-LSN and the answer names, behind {tx, readLSN}, the
+	// pages changed since (changelog.go). The request and answer formats
+	// changed with it, so it joined the baseline like featureLookupPage did.
+	featureBeginValidates = 1 << 7
 
-	baselineFeatures = featureBatch | featureTrace | featureSnapshot | featurePageDir | featureLookupPage
+	baselineFeatures = featureBatch | featureTrace | featureSnapshot | featurePageDir | featureLookupPage | featureBeginValidates
 )
 
 const (
@@ -625,7 +631,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	defer func() {
 		// A dropped connection aborts its in-flight transaction.
 		if s.tx != nil && cs.sess != nil {
-			_ = s.tx.Abort(cs.tx)
+			_ = s.endTx(cs, false, trace.Context{}) // nobody is left to tell
 		}
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -799,7 +805,7 @@ func (s *TCPServer) servePipelined(conn net.Conn, r *bufio.Reader, cs *connState
 			obs := s.obs.Load()
 			start := obs.Now()
 			sp := s.tracer.Load().StartChild(spanName(&serverSpanNames, op), tctx)
-			resp, herr := s.handle(cs, op, sp.Context())
+			resp, herr := s.handle(cs, op, req, sp.Context())
 			sp.Finish()
 			if rpc := rpcOpOf(op); rpc >= 0 {
 				d := obs.RPCSinceTrace(rpc, start, tctx.TraceID)
@@ -880,11 +886,11 @@ func (s *TCPServer) noteSlow(obs *metrics.Registry, rpc metrics.RPCOp, d time.Du
 }
 
 // handle executes one transaction-boundary request: opTxBegin,
-// opTxBeginSnapshot, opTxCommit or opTxAbort. tctx is the server-side span
-// context of the enclosing RPC (zero when tracing is off); commit threads
-// it into the commit pipeline so per-phase spans nest under the server's
-// tx_commit span.
-func (s *TCPServer) handle(cs *connState, op byte, tctx trace.Context) ([]byte, error) {
+// opTxBeginSnapshot, opTxCommit or opTxAbort. Only opTxBeginSnapshot has a
+// payload. tctx is the server-side span context of the enclosing RPC (zero
+// when tracing is off); commit threads it into the commit pipeline so
+// per-phase spans nest under the server's tx_commit span.
+func (s *TCPServer) handle(cs *connState, op byte, payload []byte, tctx trace.Context) ([]byte, error) {
 	switch op {
 	case opTxBegin:
 		if s.tx == nil {
@@ -905,6 +911,12 @@ func (s *TCPServer) handle(cs *connState, op byte, tctx trace.Context) ([]byte, 
 		if cs.sess != nil {
 			return nil, errTxOpen
 		}
+		// A coherent connection names its previous read-LSN and is told
+		// what changed since; any other sends nothing and is told nothing.
+		validate := cs.coh != nil
+		if (validate && len(payload) != 8) || (!validate && len(payload) != 0) {
+			return nil, errProtocol
+		}
 		tx, readLSN, err := s.tx.BeginSnapshot()
 		if err != nil {
 			// Typically storage.ErrVersionCapExceeded: the version store
@@ -917,28 +929,18 @@ func (s *TCPServer) handle(cs *connState, op byte, tctx trace.Context) ([]byte, 
 		out := make([]byte, 16)
 		binary.LittleEndian.PutUint64(out, uint64(tx))
 		binary.LittleEndian.PutUint64(out[8:], readLSN)
+		if validate {
+			// Read point first, then the log (changelog.go): whatever this
+			// snapshot can see was logged before it became visible.
+			pages, ok := s.coh.Load().log.since(binary.LittleEndian.Uint64(payload))
+			out = appendChanged(out, pages, ok)
+		}
 		return out, nil
 	default: // opTxCommit, opTxAbort
 		if s.tx == nil || cs.sess == nil {
 			return nil, errors.New("server: no open transaction")
 		}
-		var err error
-		if op == opTxCommit {
-			// Capture the X-locked page set before CommitCtx releases the
-			// locks: these are the pages whose images this commit changed,
-			// and every other interested client is called back for them
-			// once the commit is durable.
-			var writeSet []page.PageID
-			if s.coh.Load() != nil {
-				writeSet = s.tx.WriteSet(cs.tx)
-			}
-			err = s.tx.CommitCtx(cs.tx, s.tracer.Load(), tctx)
-			if err == nil {
-				s.coherencePush(writeSet, cs.coh.clientID(), tctx)
-			}
-		} else {
-			err = s.tx.Abort(cs.tx)
-		}
+		err := s.endTx(cs, op == opTxCommit, tctx)
 		if err != nil && s.tx.Alive(cs.tx) {
 			// A failed commit (e.g. the group-commit flush errored) leaves
 			// the transaction live and lock-holding; keep it bound to the
@@ -950,6 +952,40 @@ func (s *TCPServer) handle(cs *connState, op byte, tctx trace.Context) ([]byte, 
 		cs.tx = 0
 		return nil, err
 	}
+}
+
+// endTx commits or aborts the connection's transaction and, on a coherent
+// server, tells the caches what it changed. The X-locked page set is taken
+// before the locks are released: these are the pages whose images the
+// transaction changed. It is logged before the commit can make them visible
+// to a snapshot (changelog.go), and once the commit is durable every other
+// interested client is called back for them. An abort changes no value, but
+// its undo may leave an object in another slot than it found it in, so its
+// pages are logged too.
+func (s *TCPServer) endTx(cs *connState, commit bool, tctx trace.Context) error {
+	st := s.coh.Load()
+	var writeSet []page.PageID
+	var logged loggedWrite
+	if st != nil {
+		if writeSet = s.tx.WriteSet(cs.tx); len(writeSet) > 0 {
+			logged = s.logWrite(st, writeSet)
+		}
+	}
+	var err error
+	if commit {
+		err = s.tx.CommitCtx(cs.tx, s.tracer.Load(), tctx)
+	} else {
+		err = s.tx.Abort(cs.tx)
+	}
+	if len(writeSet) > 0 {
+		// A transaction that failed to end and stays alive still holds its
+		// locks: nothing of it is visible, and its next attempt logs again.
+		s.settleWrite(st, logged, nil, err == nil || !s.tx.Alive(cs.tx))
+	}
+	if commit && err == nil {
+		s.coherencePush(writeSet, cs.coh.clientID(), tctx)
+	}
+	return err
 }
 
 // handleData executes one data request whose response is small enough to
@@ -1126,25 +1162,18 @@ func (s *TCPServer) handleDataFrame(backend Server, cs *connState, op byte, payl
 		s.obs.Load().AddN(metrics.CtrPageDirExtents, int64(shipped/page.ExtentSize))
 		return nil
 	default:
-		// A non-transactional write is immediately visible; call
-		// interested clients back right away (transactional writes are
-		// pushed at commit from the X-lock set instead).
-		direct := backend == Server(s.local) && s.coh.Load() != nil
-		before := page.NilPage
-		if direct && op == opUpdateObject && len(payload) >= 8 {
-			// An update that relocates changes two pages, and the old one
-			// still names the object in the directory a client holds:
-			// resolve where the object lives now, before it moves.
-			if addr, err := s.mgr.Lookup(getOID(payload)); err == nil {
-				before = addr.Page
-			}
+		// A non-transactional write is immediately visible: directWrite
+		// calls interested clients back right away (transactional writes
+		// are pushed at commit from the X-lock set instead).
+		var resp []byte
+		var err error
+		if st := s.coh.Load(); st != nil && backend == Server(s.local) && isWrite(op) {
+			resp, err = s.directWrite(st, cc, op, payload)
+		} else {
+			resp, err = s.handleData(backend, op, payload)
 		}
-		resp, err := s.handleData(backend, op, payload)
 		if err != nil {
 			return err
-		}
-		if direct {
-			s.pushForWrite(op, payload, resp, before, cc.clientID())
 		}
 		f.inline = resp
 		return nil

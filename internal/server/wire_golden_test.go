@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -203,8 +204,8 @@ func TestWireGolden(t *testing.T) {
 	c.Close()
 	toServer, toClient := recorded()
 
-	checkGolden(t, toServer, "hello_request_lookup_page", "lookup_request", "read_page_request", "read_pages_request", "coherence_ack")
-	checkGolden(t, toClient, "hello_response_plain", "transient_error", "read_page_response", "read_pages_response", "invalidate_push")
+	checkGolden(t, toServer, "hello_request_begin_validates", "lookup_request", "read_page_request", "read_pages_request", "coherence_ack")
+	checkGolden(t, toClient, "hello_response_plain_begin_validates", "transient_error", "read_page_response", "read_pages_response", "invalidate_push")
 }
 
 // TestWireGoldenTransaction pins what a transaction puts on the wire
@@ -254,13 +255,81 @@ func TestWireGoldenTransaction(t *testing.T) {
 	c.Close()
 	toServer, toClient := recorded()
 
-	checkGolden(t, toServer, "hello_request_lookup_page", "tx_begin_with_lookup", "tx_commit_request")
-	checkGolden(t, toClient, "hello_response_tx", "tx_begin_response", "lookup_response_with_page", "tx_commit_response")
+	checkGolden(t, toServer, "hello_request_begin_validates", "tx_begin_with_lookup", "tx_commit_request")
+	checkGolden(t, toClient, "hello_response_tx_begin_validates", "tx_begin_response", "lookup_response_with_page", "tx_commit_response")
+}
+
+// TestWireGoldenSnapshotBegin pins the snapshot begin of a coherent
+// connection: the request names the connection's previous read-LSN, and the
+// answer carries, behind {tx, readLSN}, "cannot tell" (the first begin has
+// no previous read point) or the pages changed since — here the one page
+// another connection's transaction wrote in between.
+func TestWireGoldenSnapshotBegin(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ServeTx(ln, NewTxServer(goldenMgr(t), time.Second))
+	defer srv.Close()
+	srv.EnableCoherence(CoherenceOptions{})
+
+	writer, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writer.Close()
+	pid := page.NewPageID(1, 0)
+	rewrite := func() {
+		t.Helper()
+		if _, err := writer.BeginTx(); err != nil {
+			t.Fatal(err)
+		}
+		img, err := writer.ReadPage(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writer.WritePage(pid, imageOf(t, img)); err != nil {
+			t.Fatal(err)
+		}
+		if err := writer.CommitTx(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	c, recorded := recordedDial(t, srv)
+	var named []string
+	c.OnInvalidate(func(epoch uint64, pids []page.PageID) { named = append(named, fmt.Sprint(epoch, pids)) })
+	c.OnLeaseExpired(func() { named = append(named, "all") })
+	rewrite() // the stable point leaves 0, which a request cannot tell from "no previous read point"
+	_, first, err := c.BeginSnapshotTx()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CommitTx(); err != nil {
+		t.Fatal(err)
+	}
+	rewrite()
+	_, second, err := c.BeginSnapshotTx()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != 1 || second != 2 {
+		t.Errorf("read-LSNs %d and %d, want 1 and 2", first, second)
+	}
+	c.OnLeaseExpired(nil) // closing the connection expires the lease, on the read loop
+	if want := []string{"all", fmt.Sprint(uint64(0), []page.PageID{pid})}; !slices.Equal(named, want) {
+		t.Errorf("the handlers were told %v, want %v", named, want)
+	}
+	c.Close()
+	toServer, toClient := recorded()
+
+	checkGolden(t, toServer, "hello_request_begin_validates", "snapshot_begin_request_first", "snapshot_commit_request", "snapshot_begin_request")
+	checkGolden(t, toClient, "hello_response_tx_begin_validates", "snapshot_begin_response_unknown", "snapshot_commit_response", "snapshot_begin_response_list")
 }
 
 // TestWireGoldenOldBaselineRefused: the hello frames of the baseline
-// before the page-carrying Lookup are still in the golden file, and each
-// side still refuses them — the server with one error frame and a closed
+// before the validating snapshot begin are still in the golden file, and
+// each side refuses them — the server with one error frame and a closed
 // connection, the client with ErrIncompatiblePeer.
 func TestWireGoldenOldBaselineRefused(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -270,20 +339,20 @@ func TestWireGoldenOldBaselineRefused(t *testing.T) {
 	srv := Serve(ln, goldenMgr(t))
 	defer srv.Close()
 	srv.EnableCoherence(CoherenceOptions{})
-	conn, r := sendRaw(t, srv, goldenBytes(t, "hello_request"))
+	conn, r := sendRaw(t, srv, goldenBytes(t, "hello_request_lookup_page"))
 	defer conn.Close()
 	answer, err := io.ReadAll(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, answer, "old_baseline_refusal")
+	checkGolden(t, answer, "lookup_page_baseline_refusal")
 
 	old, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer old.Close()
-	oldAnswer := goldenBytes(t, "hello_response")
+	oldAnswer := goldenBytes(t, "hello_response_tx")
 	go func() {
 		conn, err := old.Accept()
 		if err != nil {
