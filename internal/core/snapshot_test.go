@@ -14,6 +14,7 @@ import (
 	"gom/internal/oid"
 	"gom/internal/page"
 	"gom/internal/server"
+	"gom/internal/storage"
 	"gom/internal/swizzle"
 )
 
@@ -148,7 +149,10 @@ func snapshotSeesCommit(t *testing.T, coherent bool) {
 // from one snapshot to the next, and a third dials a fresh connection for
 // every snapshot — it caches nothing, so it is the specification. Every
 // snapshot of every reader must see the invariant sum, and two snapshots
-// with the same read-LSN the same values.
+// with the same read-LSN the same values. A third of the transfers also
+// grow or shrink their records, so parts relocate onto pages other parts
+// live on: the snapshot pages the readers fault carry their directories,
+// and a directory naming a part that moved after the read point must not.
 func TestSnapshotBeginDifferential(t *testing.T) {
 	const (
 		pages     = 8
@@ -172,6 +176,10 @@ func TestSnapshotBeginDifferential(t *testing.T) {
 		t.Fatalf("%d accounts on %d pages, want %d on %d", len(accounts), len(perPage), 2*pages, pages)
 	}
 	const sum = 2 * pages * 1993 // buildBase gives every part built = 1993
+	before := make([]storage.PAddr, len(accounts))
+	for i, id := range accounts {
+		before[i], _ = b.srv.Manager().Lookup(id)
+	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -206,10 +214,11 @@ func TestSnapshotBeginDifferential(t *testing.T) {
 
 	// transfer moves d from one account to another in one 2PL transaction
 	// on a bare client: the server's locks cover every read (an object
-	// manager would read from its cache, under no lock), and the record
-	// keeps its size, so nothing relocates.
-	const builtField = 4
-	transfer := func(c *server.Client, from, to oid.OID, d int64) error {
+	// manager would read from its cache, under no lock). With grow set each
+	// leg also switches its record's type string between the short one and
+	// 250 bytes: growing relocates a record whose page lacks the room.
+	const builtField, typeField = 4, 1
+	transfer := func(c *server.Client, from, to oid.OID, d int64, grow bool) error {
 		if _, err := c.BeginTx(); err != nil {
 			return err
 		}
@@ -239,6 +248,11 @@ func TestSnapshotBeginDifferential(t *testing.T) {
 					return err
 				}
 				obj.SetInt(builtField, obj.Int(builtField)+leg.d)
+				if typ := obj.Str(typeField); grow && len(typ) > 100 {
+					obj.SetStr(typeField, "part-type")
+				} else if grow {
+					obj.SetStr(typeField, strings.Repeat("r", 250))
+				}
 				if rec, err = object.Encode(obj); err != nil {
 					return err
 				}
@@ -318,7 +332,7 @@ func TestSnapshotBeginDifferential(t *testing.T) {
 				if to >= from {
 					to++
 				}
-				if err := transfer(c, accounts[from], accounts[to], 1+rng.Int63n(9)); err != nil {
+				if err := transfer(c, accounts[from], accounts[to], 1+rng.Int63n(9), rng.Intn(3) == 0); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}
@@ -371,4 +385,178 @@ func TestSnapshotBeginDifferential(t *testing.T) {
 	writers.Wait()
 	close(done)
 	readers.Wait()
+	moved := 0
+	for i, id := range accounts {
+		if addr, _ := b.srv.Manager().Lookup(id); addr.Page != before[i].Page {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Error("no part relocated")
+	}
+}
+
+// TestSnapshotRelocationTargetWithheld: a reader begins a snapshot, and a
+// writer then grows x past its page, so that x relocates to the segment's
+// fill page — where y, which the reader may see, already lives. The reader
+// faults y first: its Lookup answer may bring that page. Then it reads x.
+// The page's live directory names x at its new slot, so had it come with
+// the page, x would resolve from it to a record written after the read
+// point. The snapshot read withholds it instead (snapshot_dir_withheld), and
+// x comes from its page at the read point. Once with the writer's
+// transaction in flight, once after it committed.
+func TestSnapshotRelocationTargetWithheld(t *testing.T) {
+	for _, committed := range []bool{false, true} {
+		name := map[bool]string{false: "in_flight", true: "committed"}[committed]
+		t.Run(name, func(t *testing.T) { snapshotRelocationTarget(t, committed) })
+	}
+}
+
+func snapshotRelocationTarget(t *testing.T, committed bool) {
+	b := buildBase(t, 80)
+	mgr := b.srv.Manager()
+	y := allocPart(t, b)
+	x := b.parts[0]
+	xAddr, _ := mgr.Lookup(x)
+	yAddr, _ := mgr.Lookup(y)
+	grown := growBeyond(t, b, x, xAddr.Page, yAddr.Page)
+
+	srv, reader, writer := txBase(t, b)
+	srvReg := metrics.New()
+	srv.SetMetrics(srvReg)
+	om, err := New(Options{Server: reader, Schema: b.schema})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, readLSN, err := reader.BeginSnapshotTx()
+	if err != nil {
+		t.Fatal(err)
+	}
+	om.SetReadEpoch(readLSN)
+
+	if _, err := writer.BeginTx(); err != nil {
+		t.Fatal(err)
+	}
+	if moved, err := writer.UpdateObject(x, grown); err != nil {
+		t.Fatal(err)
+	} else if moved.Page != yAddr.Page {
+		t.Fatalf("setup: x moved to %v, not to y's page %v", moved, yAddr.Page)
+	}
+	if committed {
+		if err := writer.CommitTx(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	om.BeginApplication(appSpec(swizzle.EDS))
+	readBuilt := func(id oid.OID) int64 {
+		t.Helper()
+		v := om.NewVar("p", b.part)
+		if err := om.Load(v, id); err != nil {
+			t.Fatal(err)
+		}
+		built, err := om.ReadInt(v, "built")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return built
+	}
+	if got := readBuilt(y); got != 1993 {
+		t.Fatalf("y reads built = %d, want 1993", got)
+	}
+	if got := readBuilt(x); got != 1993 {
+		t.Errorf("x reads built = %d, its value at the read point is 1993", got)
+	}
+	mustVerify(t, om)
+	if got := srvReg.Count(metrics.CtrSnapshotDirWithheld); got == 0 {
+		t.Error("snapshot_dir_withheld stayed 0")
+	}
+	if err := om.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := reader.CommitTx(); err != nil {
+		t.Fatal(err)
+	}
+	if !committed {
+		if err := writer.CommitTx(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// With no snapshot left that reads before the relocation, nothing is
+	// withheld any more, and a new snapshot reads x as it is now.
+	withheld := srvReg.Count(metrics.CtrSnapshotDirWithheld)
+	if _, readLSN, err = reader.BeginSnapshotTx(); err != nil {
+		t.Fatal(err)
+	}
+	om.SetReadEpoch(readLSN)
+	om.BeginApplication(appSpec(swizzle.EDS))
+	if got := readBuilt(x); got != 2024 {
+		t.Errorf("a snapshot begun after the commit reads built = %d, want 2024", got)
+	}
+	mustVerify(t, om)
+	if got := srvReg.Count(metrics.CtrSnapshotDirWithheld); got != withheld {
+		t.Errorf("snapshot_dir_withheld moved from %d to %d with nothing versioned", withheld, got)
+	}
+	if err := om.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := reader.CommitTx(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// allocPart stores one more part, built 1993, on its segment's fill page.
+func allocPart(t *testing.T, b *testBase) oid.OID {
+	t.Helper()
+	p := object.New(b.part, oid.Nil)
+	p.SetInt(b.part.FieldIndex("built"), 1993)
+	rec, err := object.Encode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := b.srv.Manager().Allocate(0, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
+// growBeyond returns x's record with built 2024 and its type string grown
+// past the room left on x's page, yet within the room left on target.
+func growBeyond(t *testing.T, b *testBase, x oid.OID, from, target page.PageID) []byte {
+	t.Helper()
+	mgr := b.srv.Manager()
+	free := func(pid page.PageID) int {
+		img, err := mgr.Disk().ReadPage(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := page.FromImage(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.FreeSpace()
+	}
+	rec, _, err := mgr.Read(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := object.Decode(b.schema, x, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	growth := free(from) + 16
+	if from == target || len(rec)+growth > free(target) {
+		t.Fatalf("setup: x's page %v has %d bytes free, the target %v has %d; x's record is %d bytes",
+			from, free(from), target, free(target), len(rec))
+	}
+	typ := obj.Type.FieldIndex("type")
+	obj.SetStr(typ, obj.Str(typ)+strings.Repeat("+", growth))
+	obj.SetInt(obj.Type.FieldIndex("built"), 2024)
+	grown, err := object.Encode(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return grown
 }

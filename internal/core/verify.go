@@ -257,9 +257,11 @@ func (om *OM) Verify() error {
 
 // verifyDirectory holds a resident object's address to the directory its
 // page arrived with: the next fault of the object resolves from there, so
-// drift between the two is a wrong read waiting to happen. A page without
-// a directory (in-process server or snapshot read) is not checked, and
-// one more fragmented than the shipping cap may leave the object out.
+// drift between the two is a wrong read waiting to happen. That includes a
+// page read under a snapshot, which carries the directory published with
+// the image at its read point. A page without a directory (in-process
+// server, or a snapshot page whose directory was withheld) is not checked,
+// and one more fragmented than the shipping cap may leave the object out.
 func (om *OM) verifyDirectory(obj *object.MemObject, report func(string, ...any)) {
 	f := om.pool.Peek(obj.Page)
 	if f == nil {

@@ -108,10 +108,13 @@ const (
 	// resolved locally when a buffered page's directory names the object,
 	// and by RPC when the address came from the server (a Lookup, or a
 	// batched-lookup hint); the server counts the extents it ships with
-	// page reads.
+	// page reads, and the snapshot page reads that shipped the image without
+	// its directory because the directory names an object whose POT mapping
+	// changed after the read point (the snapshot-consistency rule).
 	CtrObjectFaultLocal
 	CtrObjectFaultRPC
 	CtrPageDirExtents
+	CtrSnapshotDirWithheld
 	// Fewer round trips (DESIGN.md "Page-server wire protocol"), all
 	// client-side: pages that arrived behind a Lookup answer and were
 	// staged, staged pages a ReadPage took instead of a round trip (the
@@ -192,6 +195,7 @@ var counterNames = [NumCounters]string{
 	"object_fault_resolved_local",
 	"object_fault_resolved_rpc",
 	"page_dir_extents",
+	"snapshot_dir_withheld",
 	"lookup_page_staged",
 	"lookup_page_taken",
 	"tx_silent",

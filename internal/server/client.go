@@ -585,7 +585,7 @@ func (c *Client) Lookup(id oid.OID) (storage.PAddr, error) {
 
 // ReadPage implements Server. The result is the page image followed by
 // the page's directory (page.SplitImage takes them apart; a snapshot read
-// ships none): it travels inside the bytes, not through a side channel,
+// may withhold it): it travels inside the bytes, not through a side channel,
 // so it survives every wrapper around a Server that forwards ReadPage.
 // The page a Lookup answer brought is taken from where the read loop
 // staged it, without a round trip.

@@ -34,10 +34,10 @@ import (
 // answer carries — in frame order, so an invalidation behind it on the wire
 // finds it — and the ReadPage that follows takes it instead of a round
 // trip. The server ships a page only where something covers a copy the
-// client holds: the connection's interest registration or the
-// transaction's S-lock. So a staged page is dropped when an invalidation
-// names it (before the ack), when the lease expires, when the transaction
-// ends, when this client writes, and at Close.
+// client holds: the connection's interest registration, the transaction's
+// S-lock, or a snapshot's read point. So a staged page is dropped when an
+// invalidation names it (before the ack), when the lease expires, when the
+// transaction ends, when this client writes, and at Close.
 
 // txPhase is the connection's transaction state.
 type txPhase uint8

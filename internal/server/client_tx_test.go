@@ -532,9 +532,10 @@ func TestStagedPageInvalidated(t *testing.T) {
 
 // TestStagedPageAddressOnly: where nothing would cover a staged copy, or
 // the client may hold the page already, the Lookup answer is the address
-// alone — a snapshot session, a connection without callbacks outside any
-// transaction, and an object the shipped part of the directory does not
-// name.
+// alone — a connection without callbacks outside any transaction, and an
+// object the shipped part of the directory does not name. A snapshot's read
+// point covers the copy as a 2PL session's S-lock does: its Lookup stages
+// the page.
 func TestStagedPageAddressOnly(t *testing.T) {
 	mgr, ids := fragmentedMgr(t)
 	named, capped := ids[0], ids[len(ids)-1]
@@ -590,8 +591,8 @@ func TestStagedPageAddressOnly(t *testing.T) {
 	if _, _, err := c.BeginSnapshotTx(); err != nil {
 		t.Fatal(err)
 	}
-	if staged(c, reg, named) {
-		t.Error("a snapshot session got a page")
+	if !staged(c, reg, named) {
+		t.Error("a snapshot Lookup brought no page")
 	}
 	if err := c.CommitTx(); err != nil {
 		t.Fatal(err)

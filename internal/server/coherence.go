@@ -304,14 +304,14 @@ func (s *TCPServer) register(st *coherenceState, cc *cohConn, pid page.PageID) {
 // The page's directory is read with the image — one published state of
 // the page, inside the same window — so the addresses a client takes from
 // it are invalidated exactly when the image is.
-func (s *TCPServer) readPageCoherent(backend Server, cc *cohConn, pid page.PageID) ([]byte, page.Directory, error) {
+func (s *TCPServer) readPageCoherent(backend dirPageReader, cc *cohConn, pid page.PageID) ([]byte, page.Directory, error) {
 	st := s.coh.Load()
 	if st == nil || cc == nil {
-		return readPage(backend, pid)
+		return backend.readPageDir(pid)
 	}
 	for attempt := 0; attempt < 8; attempt++ {
 		s.register(st, cc, pid)
-		img, dir, err := readPage(backend, pid)
+		img, dir, err := backend.readPageDir(pid)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -327,16 +327,16 @@ func (s *TCPServer) readPageCoherent(backend Server, cc *cohConn, pid page.PageI
 // path): every page of the run — including prefetched pages the client
 // may never deref — is registered before the run is read and validated
 // after, so prefetched frames honor invalidation like demand-read ones.
-func (s *TCPServer) readPagesCoherent(pr PageRunReader, cc *cohConn, pid page.PageID, n int) ([][]byte, []page.Directory, error) {
+func (s *TCPServer) readPagesCoherent(backend dirPageReader, cc *cohConn, pid page.PageID, n int) ([][]byte, []page.Directory, error) {
 	st := s.coh.Load()
 	if st == nil || cc == nil {
-		return readPages(pr, pid, n)
+		return backend.readPagesDir(pid, n)
 	}
 	for attempt := 0; attempt < 8; attempt++ {
 		for i := 0; i < n; i++ {
 			s.register(st, cc, pid+page.PageID(i))
 		}
-		imgs, dirs, err := readPages(pr, pid, n)
+		imgs, dirs, err := backend.readPagesDir(pid, n)
 		if err != nil {
 			return nil, nil, err
 		}

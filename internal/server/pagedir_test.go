@@ -43,9 +43,9 @@ func dirFixture(t *testing.T) (*TCPServer, *storage.Manager, []oid.OID, []storag
 }
 
 // checkPageRead holds one page read off the wire to the manager: the image
-// is the disk's, and the directory — required or forbidden — places every
-// object of the page where the POT does.
-func checkPageRead(t *testing.T, mgr *storage.Manager, pid page.PageID, got []byte, wantDir bool) {
+// is the disk's, and the directory places every object of the page where
+// the POT does.
+func checkPageRead(t *testing.T, mgr *storage.Manager, pid page.PageID, got []byte) {
 	t.Helper()
 	img, dir, err := page.SplitImage(got)
 	if err != nil {
@@ -58,20 +58,14 @@ func checkPageRead(t *testing.T, mgr *storage.Manager, pid page.PageID, got []by
 	if !bytes.Equal(img, want) {
 		t.Fatalf("page %v: image differs from the disk's", pid)
 	}
-	if !wantDir {
-		if len(got) != page.Size {
-			t.Fatalf("page %v: %d bytes on a connection without page directories, want %d", pid, len(got), page.Size)
-		}
-		return
-	}
 	if !bytes.Equal(dir, wantD.Shipped()) || dir.Len() == 0 {
 		t.Fatalf("page %v: shipped directory %v, the manager's is %v", pid, dir.Entries(), wantD.Entries())
 	}
 }
 
-// TestPageDirectoriesOnTheWire: a client gets every live page — single or
-// in a run, inside a transaction or outside — with its directory behind
-// the image; a snapshot session gets the bare 4,096 bytes.
+// TestPageDirectoriesOnTheWire: a client gets every page — single or in a
+// run, outside a transaction, inside a 2PL one or under a snapshot — with
+// its directory behind the image. One page answer for every backend.
 func TestPageDirectoriesOnTheWire(t *testing.T) {
 	srv, mgr, ids, addrs := dirFixture(t)
 	reg := metrics.New()
@@ -79,14 +73,14 @@ func TestPageDirectoriesOnTheWire(t *testing.T) {
 	first, last := addrs[0].Page, addrs[len(addrs)-1].Page
 	nPages := int(last.No()-first.No()) + 1
 
-	readAll := func(t *testing.T, c *Client, wantDir bool) {
+	readAll := func(t *testing.T, c *Client) {
 		t.Helper()
 		for pid := first; pid <= last; pid++ {
 			got, err := c.ReadPage(pid)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkPageRead(t, mgr, pid, got, wantDir)
+			checkPageRead(t, mgr, pid, got)
 		}
 		run, err := c.ReadPages(first, nPages+3) // over-ask: truncated at the segment end
 		if err != nil {
@@ -96,12 +90,12 @@ func TestPageDirectoriesOnTheWire(t *testing.T) {
 			t.Fatalf("run of %d pages, want %d", len(run), nPages)
 		}
 		for i, got := range run {
-			checkPageRead(t, mgr, first+page.PageID(i), got, wantDir)
+			checkPageRead(t, mgr, first+page.PageID(i), got)
 		}
 		// The addresses a directory gives are the POT's.
 		got, _ := c.ReadPage(addrs[7].Page)
 		_, dir, _ := page.SplitImage(got)
-		if slot, ok := dir.Find(ids[7]); ok != wantDir || (ok && slot != int(addrs[7].Slot)) {
+		if slot, ok := dir.Find(ids[7]); !ok || slot != int(addrs[7].Slot) {
 			t.Fatalf("directory places %v in slot %d, %v; the POT at %v", ids[7], slot, ok, addrs[7])
 		}
 	}
@@ -111,11 +105,11 @@ func TestPageDirectoriesOnTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer full.Close()
-	readAll(t, full, true)
+	readAll(t, full)
 	if _, err := full.BeginTx(); err != nil {
 		t.Fatal(err)
 	}
-	readAll(t, full, true) // a 2PL session ships them too
+	readAll(t, full) // a 2PL session ships them too
 	if err := full.CommitTx(); err != nil {
 		t.Fatal(err)
 	}
@@ -124,16 +118,19 @@ func TestPageDirectoriesOnTheWire(t *testing.T) {
 		t.Fatal("page_dir_extents stayed 0 while directories were shipped")
 	}
 
-	// A snapshot session reads past versions: no directory.
+	// And so does a snapshot session: the state at its read point.
 	if _, _, err := full.BeginSnapshotTx(); err != nil {
 		t.Fatal(err)
 	}
-	readAll(t, full, false)
+	readAll(t, full)
 	if err := full.CommitTx(); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Count(metrics.CtrPageDirExtents); got != shipped {
-		t.Fatalf("page_dir_extents moved from %d to %d on a session that gets no directories", shipped, got)
+	if got, want := reg.Count(metrics.CtrPageDirExtents), 3*shipped/2; got != want {
+		t.Fatalf("page_dir_extents = %d after the snapshot read what each session before it read, want %d", got, want)
+	}
+	if got := reg.Count(metrics.CtrSnapshotDirWithheld); got != 0 {
+		t.Fatalf("snapshot_dir_withheld = %d with no object versioned", got)
 	}
 }
 

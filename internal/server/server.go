@@ -67,14 +67,16 @@ type PageRunReader interface {
 	ReadPages(pid page.PageID, n int) ([][]byte, error)
 }
 
-// dirPageReader is how the pipelined TCP path reads pages from the live
-// backends (Local, a 2PL session): each image together with the extent
-// directory the storage manager published with it (DESIGN.md "Page
-// directories"), as separate borrowed pieces for the scatter-gather
-// response. It is deliberately not part of Server: an in-process client
-// gets bare images from ReadPage, and a snapshot session, whose images are
-// past versions, has no directory to give.
+// dirPageReader is what the pipelined TCP path serves a connection from —
+// Local, a 2PL session or a snapshot session — and how it reads their
+// pages: each image together with the extent directory published with it
+// (DESIGN.md "Page directories"), as separate borrowed pieces for the
+// scatter-gather response. A snapshot session answers with the state at
+// its read point, and leaves the directory out where the
+// snapshot-consistency rule withholds it. The page reads are deliberately
+// not part of Server: an in-process client gets bare images from ReadPage.
 type dirPageReader interface {
+	Server
 	readPageDir(pid page.PageID) ([]byte, page.Directory, error)
 	readPagesDir(pid page.PageID, n int) ([][]byte, []page.Directory, error)
 }

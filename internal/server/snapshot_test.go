@@ -452,11 +452,11 @@ func TestSnapshotOverTCP(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("snapshot read over TCP blocked behind the writer")
 	}
-	pg, err := page.FromImage(img)
+	img, _, err = page.SplitImage(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := pg.Read(int(addr.Slot))
+	rec, err := page.ReadRecordInImage(img, int(addr.Slot))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,16 +127,15 @@ const (
 	// EnableCoherence ran.
 	featureCoherence = 1 << 3
 	// featurePageDir: page directories (DESIGN.md "Page directories").
-	// Every opReadPage / opReadPages response of a live (non-snapshot)
-	// backend carries, behind each page image, the extent directory of
-	// that page — which OIDs live in which slots — so the client resolves
-	// the addresses of objects on pages it holds without an opLookup. An
-	// opReadPage payload is the image followed by the directory (whatever
-	// the frame holds past page.Size, a multiple of page.ExtentSize, at
-	// most page.MaxShippedExtents extents); an opReadPages payload is the
-	// page count, one uint16 directory byte length per page, then each
-	// image followed by its directory. A snapshot session reads past
-	// versions and ships empty directories.
+	// Every opReadPage / opReadPages response carries, behind each page
+	// image, the extent directory published with that image — which OIDs
+	// live in which slots — so the client resolves the addresses of objects
+	// on pages it holds without an opLookup. An opReadPage payload is the
+	// image followed by the directory (whatever the frame holds past
+	// page.Size, a multiple of page.ExtentSize, at most
+	// page.MaxShippedExtents extents); an opReadPages payload is the page
+	// count, one uint16 directory byte length per page, then each image
+	// followed by its directory.
 	featurePageDir = 1 << 4
 	// featureLookupPage: an opLookup response is the 10-byte address
 	// followed by nothing or by exactly what opReadPage of that address's
@@ -589,7 +588,7 @@ func (s *TCPServer) acceptLoop() {
 // their backend at dispatch time).
 type connState struct {
 	tx   TxID
-	sess Server // the transaction session, or nil outside a transaction
+	sess dirPageReader // the transaction session, or nil outside a transaction
 	// coh is the connection's coherence endpoint: non-nil only on a
 	// connection that negotiated featureCoherence. Set once before
 	// dispatch goroutines start, read-only afterwards.
@@ -864,7 +863,7 @@ func (s *TCPServer) servePipelined(conn net.Conn, r *bufio.Reader, cs *connState
 
 // backend selects the data-plane server for the connection: its live
 // transaction session, or the raw manager.
-func (s *TCPServer) backend(cs *connState) Server {
+func (s *TCPServer) backend(cs *connState) dirPageReader {
 	if cs.sess != nil {
 		return cs.sess
 	}
@@ -900,7 +899,7 @@ func (s *TCPServer) handle(cs *connState, op byte, payload []byte, tctx trace.Co
 			return nil, errTxOpen
 		}
 		cs.tx = s.tx.Begin()
-		cs.sess = s.tx.Session(cs.tx)
+		cs.sess = s.tx.session(cs.tx)
 		out := make([]byte, 8)
 		binary.LittleEndian.PutUint64(out, uint64(cs.tx))
 		return out, nil
@@ -925,7 +924,7 @@ func (s *TCPServer) handle(cs *connState, op byte, payload []byte, tctx trace.Co
 			return nil, err
 		}
 		cs.tx = tx
-		cs.sess = s.tx.Session(tx)
+		cs.sess = s.tx.session(tx)
 		out := make([]byte, 16)
 		binary.LittleEndian.PutUint64(out, uint64(tx))
 		binary.LittleEndian.PutUint64(out[8:], readLSN)
@@ -1090,7 +1089,7 @@ func (s *TCPServer) handleData(backend Server, op byte, payload []byte) ([]byte,
 // from the copy-on-write store instead of copying them into a contiguous
 // payload (the writer scatter-gathers the pieces); every other opcode
 // falls through to handleData and rides in the frame's inline payload.
-func (s *TCPServer) handleDataFrame(backend Server, cs *connState, op byte, payload []byte, f *respFrame) error {
+func (s *TCPServer) handleDataFrame(backend dirPageReader, cs *connState, op byte, payload []byte, f *respFrame) error {
 	cc := cs.coh
 	// Snapshot sessions read at a frozen LSN and are stale by design;
 	// their reads never register coherence interest.
@@ -1110,7 +1109,7 @@ func (s *TCPServer) handleDataFrame(backend Server, cs *connState, op byte, payl
 		// The answer brings the object's page where something covers the
 		// copy the client will hold (lookupPage); elsewhere this is the
 		// whole answer, one call deep.
-		if _, locked := backend.(*txSession); locked || cc != nil {
+		if backend != dirPageReader(s.local) || cc != nil {
 			return s.lookupPage(backend, cc, id, addr, f)
 		}
 		putPAddr(f.scratch[:10], addr)
@@ -1136,11 +1135,7 @@ func (s *TCPServer) handleDataFrame(backend Server, cs *connState, op byte, payl
 		if n == 0 || n > maxReadRun {
 			return errProtocol
 		}
-		pr, ok := backend.(PageRunReader)
-		if !ok {
-			return fmt.Errorf("%w: page runs unsupported", errProtocol)
-		}
-		imgs, dirs, err := s.readPagesCoherent(pr, cc, pid, int(n))
+		imgs, dirs, err := s.readPagesCoherent(backend, cc, pid, int(n))
 		if err != nil {
 			return err
 		}
@@ -1151,11 +1146,7 @@ func (s *TCPServer) handleDataFrame(backend Server, cs *connState, op byte, payl
 		shipped := 0
 		for i, img := range imgs {
 			f.pages = append(f.pages, img)
-			var dir page.Directory
-			if dirs != nil {
-				dir = dirs[i]
-			}
-			n := f.attachDirectory(dir)
+			n := f.attachDirectory(dirs[i])
 			binary.LittleEndian.PutUint16(f.inline[4+2*i:], uint16(n))
 			shipped += n
 		}
@@ -1167,7 +1158,7 @@ func (s *TCPServer) handleDataFrame(backend Server, cs *connState, op byte, payl
 		// are pushed at commit from the X-lock set instead).
 		var resp []byte
 		var err error
-		if st := s.coh.Load(); st != nil && backend == Server(s.local) && isWrite(op) {
+		if st := s.coh.Load(); st != nil && backend == dirPageReader(s.local) && isWrite(op) {
 			resp, err = s.directWrite(st, cc, op, payload)
 		} else {
 			resp, err = s.handleData(backend, op, payload)
@@ -1198,9 +1189,10 @@ const lookupResolves = 3
 // S-lock — so an object fault is one conversation (DESIGN.md "Page
 // directories"). The client keeps the page until its ReadPage asks for it,
 // so the caller comes here only where something covers that copy: the
-// connection's interest registration or a 2PL session's S-lock. A snapshot
-// session (past versions, no directories) and a plain connection outside a
-// transaction have neither and get the address alone.
+// connection's interest registration, a 2PL session's S-lock, or a
+// snapshot's read point — the version there is immutable, and the next
+// snapshot begin names the page if it changes. A plain connection outside a
+// transaction has none of them and gets the address alone.
 //
 // The page rides along when its shipped directory names the object at the
 // slot the POT gave: a client that held this page would have resolved the
@@ -1209,12 +1201,18 @@ const lookupResolves = 3
 // page already: address only. A directory that contradicts the POT means
 // the object relocated between the two reads; the address is resolved again
 // (the two-call fault had the same window between its calls and no way to
-// notice).
-func (s *TCPServer) lookupPage(backend Server, cc *cohConn, id oid.OID, addr storage.PAddr, f *respFrame) error {
+// notice). A snapshot's address is its read point's and reading again
+// cannot change it, so a snapshot page whose directory was withheld is
+// read once and the answer is the address alone.
+func (s *TCPServer) lookupPage(backend dirPageReader, cc *cohConn, id oid.OID, addr storage.PAddr, f *respFrame) error {
+	resolves := lookupResolves
+	if _, snap := backend.(*snapSession); snap {
+		resolves = 1
+	}
 	ship := false
 	var img []byte
 	var dir page.Directory
-	for attempt := 0; attempt < lookupResolves; attempt++ {
+	for attempt := 0; attempt < resolves; attempt++ {
 		var err error
 		if img, dir, err = s.readPageCoherent(backend, cc, addr.Page); err != nil {
 			return err
@@ -1248,35 +1246,16 @@ func (f *respFrame) attachDirectory(dir page.Directory) int {
 	return len(dir)
 }
 
-// readPage reads one page from the backend, with its directory when the
-// backend has one to give (a snapshot session has none).
-func readPage(backend Server, pid page.PageID) ([]byte, page.Directory, error) {
-	if dr, ok := backend.(dirPageReader); ok {
-		return dr.readPageDir(pid)
-	}
-	img, err := backend.ReadPage(pid)
-	return img, nil, err
-}
-
-// readPages is readPage over a page run; dirs is nil without directories.
-func readPages(pr PageRunReader, pid page.PageID, n int) ([][]byte, []page.Directory, error) {
-	if dr, ok := pr.(dirPageReader); ok {
-		return dr.readPagesDir(pid, n)
-	}
-	imgs, err := pr.ReadPages(pid, n)
-	return imgs, nil, err
-}
-
 // ServeReadPageFrame drives the server's ReadPage response path — request
 // decode, page read, frame assembly, release — without a socket,
 // returning the frame's on-wire size. req is the 8-byte ReadPage request
 // payload (the page ID). Benchmarks and the zero-alloc guard use it to
 // measure the hot read path in isolation.
-func ServeReadPageFrame(backend Server, req []byte) (int, error) {
+func ServeReadPageFrame(backend *Local, req []byte) (int, error) {
 	if len(req) != 8 {
 		return 0, errProtocol
 	}
-	img, dir, err := readPage(backend, page.PageID(binary.LittleEndian.Uint64(req)))
+	img, dir, err := backend.readPageDir(page.PageID(binary.LittleEndian.Uint64(req)))
 	if err != nil {
 		return 0, err
 	}

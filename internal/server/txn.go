@@ -535,7 +535,11 @@ func (s *TxServer) logUndo(tx TxID, fn undoFn) error {
 // transaction touches is locked under strict 2PL, and every modification
 // is undoable until Commit. For a snapshot transaction the session is a
 // lock-free read-only view at its read-LSN.
-func (s *TxServer) Session(tx TxID) Server {
+func (s *TxServer) Session(tx TxID) Server { return s.session(tx) }
+
+// session is Session as the TCP data plane serves it, page directories
+// included.
+func (s *TxServer) session(tx TxID) dirPageReader {
 	s.mu.Lock()
 	st := s.txs[tx]
 	s.mu.Unlock()
@@ -624,11 +628,13 @@ func (c *txSession) WritePage(pid page.PageID, img []byte) error {
 	}); err != nil {
 		return err
 	}
-	// Stage the before-image for snapshot readers before the dirty bytes
-	// hit the disk (writers mutate the disk at operation time here, so
-	// the pending image is the newest committed content until commit
-	// publishes it).
-	c.srv.mgr.Versions().StagePage(uint64(c.tx), pid, before)
+	// Stage the before-state (image and directory) for snapshot readers
+	// before the dirty bytes hit the disk (writers mutate the disk at
+	// operation time here, so the pending state is the newest committed
+	// content until commit publishes it).
+	if err := c.srv.mgr.Versions().StagePage(uint64(c.tx), pid); err != nil {
+		return err
+	}
 	if err := c.srv.mgr.Disk().WritePage(pid, img); err != nil {
 		return err
 	}
@@ -703,11 +709,14 @@ func (c *txSession) UpdateObject(id oid.OID, rec []byte) (storage.PAddr, error) 
 	if err := c.srv.acquire(c.tx, addr.Page, lockX); err != nil {
 		return storage.PAddr{}, err
 	}
-	// Register the undo and stage the snapshot before-images ahead of the
+	// Register the undo and stage the snapshot before-states ahead of the
 	// update: restoring `before` is correct whether or not the update
 	// lands, and the staged page/POT state must be the pre-update one. A
-	// relocation target page is deliberately not staged (its new slot is
-	// unreachable through the snapshot's versioned POT mapping below).
+	// relocation target page is deliberately not staged: its new slot is
+	// unreachable through the snapshot's versioned POT mapping below, and
+	// its live directory, which names that slot, is withheld from snapshot
+	// reads while the mapping is versioned — which is why StagePot must
+	// come before the update publishes that directory.
 	if err := c.srv.logUndo(c.tx, func(mgr *storage.Manager) error {
 		_, uerr := mgr.Update(id, before)
 		return uerr
@@ -715,11 +724,9 @@ func (c *txSession) UpdateObject(id oid.OID, rec []byte) (storage.PAddr, error) 
 		return storage.PAddr{}, err
 	}
 	vs := c.srv.mgr.Versions()
-	oldImg, err := c.srv.mgr.Disk().ReadPage(addr.Page)
-	if err != nil {
+	if err := vs.StagePage(uint64(c.tx), addr.Page); err != nil {
 		return storage.PAddr{}, err
 	}
-	vs.StagePage(uint64(c.tx), addr.Page, oldImg)
 	vs.StagePot(uint64(c.tx), id, addr, true)
 	newAddr, err := c.srv.mgr.Update(id, rec)
 	if err != nil {
@@ -834,12 +841,24 @@ func (c *snapSession) Lookup(id oid.OID) (storage.PAddr, error) {
 	return c.srv.mgr.SnapshotLookup(c.readLSN, id)
 }
 
-// ReadPage implements Server, lock-free (see VersionStore.ReadPage).
+// ReadPage implements Server, lock-free (see VersionStore.ReadPageDir).
 func (c *snapSession) ReadPage(pid page.PageID) ([]byte, error) {
+	img, _, err := c.readPageDir(pid)
+	return img, err
+}
+
+// readPageDir reads the page as of the read point with the directory
+// published with that image — or without it, where the snapshot-consistency
+// rule withholds it (counted as snapshot_dir_withheld).
+func (c *snapSession) readPageDir(pid page.PageID) ([]byte, page.Directory, error) {
 	if err := c.err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return c.srv.mgr.SnapshotReadPage(c.readLSN, pid)
+	img, dir, withheld, err := c.srv.mgr.SnapshotReadPageDir(c.readLSN, pid)
+	if withheld {
+		c.srv.obs.Load().Inc(metrics.CtrSnapshotDirWithheld)
+	}
+	return img, dir, err
 }
 
 // WritePage implements Server: snapshots are read-only.
@@ -889,34 +908,40 @@ func (c *snapSession) LookupBatch(ids []oid.OID) ([]storage.PAddr, []bool, error
 // is resolved through the version store independently — exactly as
 // consistent as the equivalent sequence of snapshot ReadPage calls.
 func (c *snapSession) ReadPages(pid page.PageID, n int) ([][]byte, error) {
+	imgs, _, err := c.readPagesDir(pid, n)
+	return imgs, err
+}
+
+func (c *snapSession) readPagesDir(pid page.PageID, n int) ([][]byte, []page.Directory, error) {
 	if err := c.err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if n < 1 {
-		return nil, fmt.Errorf("server: read run of %d pages", n)
+		return nil, nil, fmt.Errorf("server: read run of %d pages", n)
 	}
 	total, err := c.srv.mgr.Disk().NumPages(pid.Segment())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if pid.No() >= uint64(total) {
-		return nil, fmt.Errorf("%w: %v", storage.ErrNoPage, pid)
+		return nil, nil, fmt.Errorf("%w: %v", storage.ErrNoPage, pid)
 	}
 	if rest := uint64(total) - pid.No(); uint64(n) > rest {
 		n = int(rest)
 	}
-	out := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		out[i], err = c.srv.mgr.SnapshotReadPage(c.readLSN, page.NewPageID(pid.Segment(), pid.No()+uint64(i)))
-		if err != nil {
-			return nil, err
+	imgs := make([][]byte, n)
+	dirs := make([]page.Directory, n)
+	for i := range imgs {
+		if imgs[i], dirs[i], err = c.readPageDir(page.NewPageID(pid.Segment(), pid.No()+uint64(i))); err != nil {
+			return nil, nil, err
 		}
 	}
-	return out, nil
+	return imgs, dirs, nil
 }
 
 var (
 	_ Server        = (*snapSession)(nil)
 	_ BatchLookuper = (*snapSession)(nil)
 	_ PageRunReader = (*snapSession)(nil)
+	_ dirPageReader = (*snapSession)(nil)
 )

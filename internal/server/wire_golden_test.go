@@ -263,7 +263,8 @@ func TestWireGoldenTransaction(t *testing.T) {
 // connection: the request names the connection's previous read-LSN, and the
 // answer carries, behind {tx, readLSN}, "cannot tell" (the first begin has
 // no previous read point) or the pages changed since — here the one page
-// another connection's transaction wrote in between.
+// another connection's transaction wrote in between. A ReadPage under the
+// snapshot then answers as a live one does: the image and its directory.
 func TestWireGoldenSnapshotBegin(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -320,11 +321,18 @@ func TestWireGoldenSnapshotBegin(t *testing.T) {
 	if want := []string{"all", fmt.Sprint(uint64(0), []page.PageID{pid})}; !slices.Equal(named, want) {
 		t.Errorf("the handlers were told %v, want %v", named, want)
 	}
+	got, err := c.ReadPage(pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, dir, err := page.SplitImage(got); err != nil || dir.Len() != 2 {
+		t.Fatalf("the snapshot page splits into %d extents, %v; want 2", dir.Len(), err)
+	}
 	c.Close()
 	toServer, toClient := recorded()
 
-	checkGolden(t, toServer, "hello_request_begin_validates", "snapshot_begin_request_first", "snapshot_commit_request", "snapshot_begin_request")
-	checkGolden(t, toClient, "hello_response_tx_begin_validates", "snapshot_begin_response_unknown", "snapshot_commit_response", "snapshot_begin_response_list")
+	checkGolden(t, toServer, "hello_request_begin_validates", "snapshot_begin_request_first", "snapshot_commit_request", "snapshot_begin_request", "snapshot_read_page_request")
+	checkGolden(t, toClient, "hello_response_tx_begin_validates", "snapshot_begin_response_unknown", "snapshot_commit_response", "snapshot_begin_response_list", "snapshot_read_page_response")
 }
 
 // TestWireGoldenOldBaselineRefused: the hello frames of the baseline

@@ -240,6 +240,19 @@ func (v *pageState) sealed() ([]byte, page.Directory) {
 	return img, append(page.Directory(nil), v.dir...)
 }
 
+// size is the state's retained footprint in bytes.
+func (v *pageState) size() int64 { return int64(len(v.img) + len(v.dir)) }
+
+// state returns the page's current published state: one atomic load, no
+// counters, no copy. The version store stages it as it is.
+func (d *Disk) state(id page.PageID) (*pageState, error) {
+	slot, err := d.slot(id)
+	if err != nil {
+		return nil, err
+	}
+	return slot.cur.Load(), nil
+}
+
 // ReadRun returns up to n contiguous pages starting at id, truncated at the
 // end of the segment — the server-side half of a batched page fetch (one
 // round trip ships a clustered run, cf. the sequential page runs clustering

@@ -97,12 +97,13 @@ func (m *Manager) WAL() *WAL { return m.wal }
 // Versions returns the MVCC page-version store backing snapshot reads.
 func (m *Manager) Versions() *VersionStore { return m.versions }
 
-// SnapshotReadPage serves a page as of the snapshot read point readLSN,
-// without taking any page lock (see VersionStore.ReadPage).
-func (m *Manager) SnapshotReadPage(readLSN uint64, pid page.PageID) ([]byte, error) {
+// SnapshotReadPageDir serves a page and its directory as of the snapshot
+// read point readLSN, without taking any page lock; withheld reports a
+// directory left out (see VersionStore.ReadPageDir).
+func (m *Manager) SnapshotReadPageDir(readLSN uint64, pid page.PageID) (img []byte, dir page.Directory, withheld bool, err error) {
 	m.quiesce.RLock()
 	defer m.quiesce.RUnlock()
-	return m.versions.ReadPage(readLSN, pid)
+	return m.versions.ReadPageDir(readLSN, pid)
 }
 
 // SnapshotLookup resolves an OID as of the snapshot read point readLSN:

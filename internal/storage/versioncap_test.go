@@ -42,7 +42,9 @@ func TestVersionStoreCap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vs.StagePage(uint64(r), pid, img)
+		if err := vs.StagePage(uint64(r), pid); err != nil {
+			t.Fatal(err)
+		}
 		mutated := append([]byte(nil), img...)
 		mutated[len(mutated)-1] ^= byte(r)
 		if err := m.Disk().WritePage(pid, mutated); err != nil {
@@ -68,7 +70,7 @@ func TestVersionStoreCap(t *testing.T) {
 	// The pinned snapshot still reads its frozen state while refusals are
 	// happening — the cap sheds new admissions, not existing readers.
 	pinLSN := uint64(0) // snapshot pin's read-LSN was stable at acquire: 0 publishes then
-	if _, err := vs.ReadPage(pinLSN, pid); err != nil {
+	if _, _, _, err := vs.ReadPageDir(pinLSN, pid); err != nil {
 		t.Fatalf("pinned snapshot read during refusal window: %v", err)
 	}
 

@@ -53,11 +53,18 @@ var ErrVersionCapExceeded = errors.New("storage: version store over retained-byt
 // sets on a retire queue; releases and publishes drain the reachable
 // prefix.
 //
+// What is staged is the page's published state as Disk holds it: the image
+// and the directory published with that image (pageState), one immutable
+// pair, so a snapshot read answers what a live read answers — the image,
+// then the directory that describes it.
+//
 // Allocation fill pages and relocation target pages are deliberately NOT
 // staged: the slots a writer fills there are unreachable through the
 // snapshot's (versioned) POT, and existing slots on those pages keep their
 // offsets (page.Insert/Delete never move other slots' directory entries).
-// This mirrors the WAL-replay garbage-slot invariant.
+// This mirrors the WAL-replay garbage-slot invariant. Their live
+// directories may name such a slot, though, so a read withholds a
+// directory that names a versioned OID (ReadPageDir).
 type VersionStore struct {
 	disk *Disk
 	pot  *POT
@@ -88,19 +95,19 @@ type VersionStore struct {
 	lastLag  int64
 }
 
-// pageChain is the retained history of one page: published before-images
+// pageChain is the retained history of one page: published before-states
 // in ascending LSN order, plus at most one pending (uncommitted) staged
-// image — at most one because stagers hold the page X-lock until their
+// state — at most one because stagers hold the page X-lock until their
 // commit publishes (or abort discards) it.
 type pageChain struct {
 	published []pageVersion
 	pendingTx uint64 // 0 = no pending
-	pending   []byte
+	pending   *pageState
 }
 
 type pageVersion struct {
 	lsn uint64
-	img []byte
+	st  *pageState
 }
 
 // potChain versions one OID's POT mapping; val.present=false records "not
@@ -212,11 +219,16 @@ func (vs *VersionStore) Watermark() uint64 {
 	return vs.watermarkLocked()
 }
 
-// StagePage records page pid's before-image on behalf of uncommitted
-// transaction tx. First stage wins: only the image from the transaction's
-// first write is the committed content. The caller must hold the page
-// X-lock and must not mutate before afterwards.
-func (vs *VersionStore) StagePage(tx uint64, pid page.PageID, before []byte) {
+// StagePage records page pid's current published state — image and
+// directory — as its before-state on behalf of uncommitted transaction tx.
+// First stage wins: only the state before the transaction's first write is
+// the committed content. The caller must hold the page X-lock and call
+// this before it changes the page.
+func (vs *VersionStore) StagePage(tx uint64, pid page.PageID) error {
+	before, err := vs.disk.state(pid)
+	if err != nil {
+		return err
+	}
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
 	ch := vs.pages[pid]
@@ -225,12 +237,13 @@ func (vs *VersionStore) StagePage(tx uint64, pid page.PageID, before []byte) {
 		vs.pages[pid] = ch
 	}
 	if ch.pendingTx != 0 {
-		return // already staged (same tx: first write wins)
+		return nil // already staged (same tx: first write wins)
 	}
 	ch.pendingTx = tx
 	ch.pending = before
 	vs.txStagedLocked(tx).pages[pid] = struct{}{}
-	vs.addEntryLocked(int64(len(before)))
+	vs.addEntryLocked(before.size())
+	return nil
 }
 
 // StagePot records OID id's pre-transaction POT mapping (present=false
@@ -311,7 +324,7 @@ func (vs *VersionStore) Publish(txs []uint64) {
 			if ch == nil || ch.pendingTx != tx {
 				continue
 			}
-			ch.published = append(ch.published, pageVersion{lsn: rb.lsn, img: ch.pending})
+			ch.published = append(ch.published, pageVersion{lsn: rb.lsn, st: ch.pending})
 			ch.pendingTx, ch.pending = 0, nil
 			rb.pids = append(rb.pids, pid)
 			published++
@@ -368,16 +381,16 @@ func (vs *VersionStore) Discard(tx uint64) {
 		if ch == nil || ch.pendingTx != tx {
 			continue
 		}
-		live, err := vs.disk.ReadPage(pid)
-		if err == nil && bytes.Equal(live, ch.pending) {
-			vs.dropEntryLocked(int64(len(ch.pending)))
+		live, err := vs.disk.state(pid)
+		if err == nil && bytes.Equal(live.img, ch.pending.img) && bytes.Equal(live.dir, ch.pending.dir) {
+			vs.dropEntryLocked(ch.pending.size())
 			ch.pendingTx, ch.pending = 0, nil
 			if len(ch.published) == 0 {
 				delete(vs.pages, pid)
 			}
 			continue
 		}
-		ch.published = append(ch.published, pageVersion{lsn: claim(), img: ch.pending})
+		ch.published = append(ch.published, pageVersion{lsn: claim(), st: ch.pending})
 		ch.pendingTx, ch.pending = 0, nil
 		rb.pids = append(rb.pids, pid)
 	}
@@ -408,40 +421,80 @@ func (vs *VersionStore) Discard(tx uint64) {
 	vs.updateLagLocked()
 }
 
-// ReadPage serves page pid as of read point readLSN: the newest committed
-// content a snapshot at readLSN may see. Lock-free against writers — at
-// most the store's RWMutex read side is taken, never a page lock.
-func (vs *VersionStore) ReadPage(readLSN uint64, pid page.PageID) ([]byte, error) {
+// ReadPageDir serves page pid as of read point readLSN: the newest
+// committed state a snapshot at readLSN may see, the image and the
+// directory published with it. Lock-free against writers — at most the
+// store's RWMutex read side is taken, never a page lock — and under the
+// same borrow contract as Disk.ReadPageDir.
+//
+// The directory is withheld — nil, and withheld true — when it names an
+// OID whose POT mapping has a version that is pending or was published
+// after readLSN. Such an object may lie elsewhere at the read point than
+// where this directory puts it: a relocation target page is never staged,
+// and its live directory names the moved object at its new slot. The image
+// alone is still right for every slot the snapshot's Lookup reaches. The
+// check follows the read, and StagePot precedes the Manager.Update that
+// moves an object, so a directory that names the new slot is always seen
+// together with the version that makes it wrong.
+func (vs *VersionStore) ReadPageDir(readLSN uint64, pid page.PageID) (img []byte, dir page.Directory, withheld bool, err error) {
 	vs.reg().Inc(metrics.CtrSnapshotRead)
 	if vs.entries.Load() == 0 {
-		return vs.disk.ReadPage(pid)
+		img, dir, err = vs.disk.ReadPageDir(pid)
+		// Writers stage before they write, so a store still empty after the
+		// read means nothing the read saw is versioned.
+		if err != nil || vs.entries.Load() == 0 {
+			return img, dir, false, err
+		}
 	}
 	vs.mu.RLock()
-	ch := vs.pages[pid]
-	var img []byte
-	if ch != nil {
+	defer vs.mu.RUnlock()
+	var st *pageState
+	if ch := vs.pages[pid]; ch != nil {
 		if i := sort.Search(len(ch.published), func(i int) bool {
 			return ch.published[i].lsn > readLSN
 		}); i < len(ch.published) {
-			img = ch.published[i].img
+			st = ch.published[i].st
 		} else if ch.pendingTx != 0 {
-			img = ch.pending
+			st = ch.pending
 		}
 	}
-	vs.mu.RUnlock()
-	if img == nil {
-		return vs.disk.ReadPage(pid)
+	switch {
+	case st == nil:
+		// Read under the read lock: a stage of this page either happened
+		// before it (and was found above) or happens after the read.
+		if img, dir, err = vs.disk.ReadPageDir(pid); err != nil {
+			return nil, nil, false, err
+		}
+	case sealReads.Load():
+		img, dir = st.sealed()
+	default:
+		// Retained states are immutable once stored, so the references
+		// themselves are the answer.
+		vs.reg().Inc(metrics.CtrPageZeroCopyHit)
+		img, dir = st.img, st.dir
 	}
-	// Retained images are immutable once stored, so the reference itself is
-	// the answer — same borrow contract as Disk.ReadPage. Sealed reads (the
-	// `go test` default) still hand out a defensive copy.
-	if sealReads.Load() {
-		out := make([]byte, len(img))
-		copy(out, img)
-		return out, nil
+	if vs.namesVersionedLocked(readLSN, dir) {
+		return img, nil, true, nil
 	}
-	vs.reg().Inc(metrics.CtrPageZeroCopyHit)
-	return img, nil
+	return img, dir, false, nil
+}
+
+// namesVersionedLocked reports whether dir names an OID whose POT mapping
+// has a version pending or published after readLSN.
+func (vs *VersionStore) namesVersionedLocked(readLSN uint64, dir page.Directory) bool {
+	if len(vs.pots) == 0 {
+		return false
+	}
+	for i := 0; i < dir.Len(); i++ {
+		e := dir.At(i)
+		for k := uint16(0); k < e.Count; k++ {
+			ch := vs.pots[e.First+oid.OID(k)]
+			if ch != nil && (ch.hasPending || (len(ch.published) > 0 && ch.published[len(ch.published)-1].lsn > readLSN)) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Lookup resolves OID id's POT mapping as of readLSN. ok=false with
@@ -482,7 +535,7 @@ func (vs *VersionStore) retireLocked() {
 				continue
 			}
 			for len(ch.published) > 0 && ch.published[0].lsn <= wm {
-				vs.dropEntryLocked(int64(len(ch.published[0].img)))
+				vs.dropEntryLocked(ch.published[0].st.size())
 				ch.published = ch.published[1:]
 				retired++
 			}

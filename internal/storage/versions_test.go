@@ -68,7 +68,7 @@ func TestVersionStoreSnapshotProperty(t *testing.T) {
 		t.Helper()
 		for _, s := range active {
 			for _, pid := range pids {
-				got, err := vs.ReadPage(s.readLSN, pid)
+				got, _, _, err := vs.ReadPageDir(s.readLSN, pid)
 				if err != nil {
 					t.Fatalf("round %d: snapshot %d read %v: %v", round, s.id, pid, err)
 				}
@@ -98,7 +98,9 @@ func TestVersionStoreSnapshotProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vs.StagePage(tx, pid, img)
+			if err := vs.StagePage(tx, pid); err != nil {
+				t.Fatal(err)
+			}
 			mutated := append([]byte(nil), img...)
 			// Flip payload bytes well past the header; the image only has
 			// to differ, not to stay a parseable page.
@@ -151,14 +153,109 @@ func TestVersionStoreNoSnapshotStaysEmpty(t *testing.T) {
 	vs := m.Versions()
 	pid := page.NewPageID(1, 0)
 	for r := 1; r <= 10; r++ {
-		img, err := m.Disk().ReadPage(pid)
-		if err != nil {
+		if err := vs.StagePage(uint64(r), pid); err != nil {
 			t.Fatal(err)
 		}
-		vs.StagePage(uint64(r), pid, img)
 		vs.Publish([]uint64{uint64(r)})
 		if st := vs.Stats(); st.Entries != 0 {
 			t.Fatalf("round %d: %d entries retained with no snapshot active", r, st.Entries)
 		}
 	}
+}
+
+// TestVersionStoreReadsPairs: a snapshot read answers with an image and the
+// directory published with that image — the published, pending or live
+// pair its read point resolves to — and withholds the directory while it
+// names an object whose POT mapping is versioned past the read point.
+func TestVersionStoreReadsPairs(t *testing.T) {
+	m := NewManager(1)
+	if err := m.CreateSegment(1); err != nil {
+		t.Fatal(err)
+	}
+	a, addrA, err := m.Allocate(1, []byte("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid := addrA.Page
+	other, _, err := m.Allocate(1, make([]byte, page.MaxRecord)) // too big for a's page
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := m.Versions()
+	livePair := func() ([]byte, page.Directory) {
+		t.Helper()
+		img, dir, err := m.Disk().ReadPageDir(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img, dir
+	}
+	read := func(readLSN uint64, wantImg []byte, wantDir page.Directory, wantWithheld bool) {
+		t.Helper()
+		img, dir, withheld, err := vs.ReadPageDir(readLSN, pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(img, wantImg) {
+			t.Errorf("read-LSN %d: the image is not the one its read point resolves to", readLSN)
+		}
+		if withheld != wantWithheld || !bytes.Equal(dir, wantDir) || (withheld && dir != nil) {
+			t.Errorf("read-LSN %d: directory %v (withheld %v), want %v (withheld %v)", readLSN, dir.Entries(), withheld, wantDir.Entries(), wantWithheld)
+		}
+	}
+
+	// R0 pins the state before tx 1, which stages the page and then adds
+	// object b to it: image and directory both change.
+	snap0, r0, _ := vs.AcquireSnapshot()
+	img0, dir0 := livePair()
+	if err := vs.StagePage(1, pid); err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := m.AllocateNear(1, a, []byte("b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img1, dir1 := livePair()
+	if _, named := dir1.Find(b); !named || bytes.Equal(dir0, dir1) {
+		t.Fatalf("setup: b is not on page %v next to a", pid)
+	}
+	read(r0, img0, dir0, false) // pending
+	vs.Publish([]uint64{1})
+	snap1, r1, _ := vs.AcquireSnapshot()
+	read(r0, img0, dir0, false) // published
+	read(r1, img1, dir1, false) // live
+
+	// Sealed reads hand out copies of the directory as well as the image;
+	// borrowed ones the retained pair itself.
+	for _, sealed := range []bool{true, false} {
+		prev := SetSealReads(sealed)
+		_, d1, _, _ := vs.ReadPageDir(r0, pid)
+		_, d2, _, _ := vs.ReadPageDir(r0, pid)
+		SetSealReads(prev)
+		if shared := &d1[0] == &d2[0]; shared == sealed {
+			t.Errorf("sealed reads %v: two reads share the directory: %v", sealed, shared)
+		}
+	}
+
+	// A POT version of an object the page does not name changes nothing.
+	vs.StagePot(2, other, PAddr{}, true)
+	read(r1, img1, dir1, false)
+	// One of an object it names withholds the directory, pending and once
+	// published past the read point; the image still comes.
+	vs.StagePot(2, a, addrA, true)
+	read(r0, img0, nil, true)
+	read(r1, img1, nil, true)
+	vs.Publish([]uint64{2})
+	snap2, r2, _ := vs.AcquireSnapshot()
+	read(r1, img1, nil, true)
+	read(r2, img1, dir1, false) // published at or before the read point
+	// Retired with the snapshots that could see past it, it withholds
+	// nothing.
+	vs.ReleaseSnapshot(snap0)
+	vs.ReleaseSnapshot(snap1)
+	if st := vs.Stats(); st.POTs != 0 || st.Pages != 0 {
+		t.Fatalf("after retirement: %+v", st)
+	}
+	read(r2, img1, dir1, false)
+	vs.ReleaseSnapshot(snap2)
 }
