@@ -8,70 +8,29 @@
 //	oo1bench -exp fig13,fig14
 //	oo1bench -list           # list experiment ids
 //	oo1bench -quick          # shrunken object bases (seconds, CI-friendly)
-//	oo1bench -json BENCH_oo1.json   # also write results as JSON
-//	oo1bench -trace TRACE.json      # traced OO1 run against a live TCP
-//	                                # server; spans as Chrome trace_event
-//	                                # JSON (open in chrome://tracing)
+//
+// Every experiment is a deterministic model run; the end-to-end systems
+// benchmark, with its traces, is benchmark/run.sh.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
 	"gom/internal/bench"
-	"gom/internal/core"
-	"gom/internal/metrics"
-	"gom/internal/oo1"
-	"gom/internal/server"
-	"gom/internal/swizzle"
-	"gom/internal/trace"
 )
-
-// jsonReport is the machine-readable counterpart of the printed tables, so
-// CI can archive a run and diffs between runs stay greppable.
-type jsonReport struct {
-	Quick       bool             `json:"quick"`
-	Seed        int64            `json:"seed"`
-	Workers     int              `json:"workers"`
-	GOMAXPROCS  int              `json:"gomaxprocs"`
-	GeneratedAt string           `json:"generated_at"`
-	Experiments []jsonExperiment `json:"experiments"`
-}
-
-type jsonExperiment struct {
-	ID        string     `json:"id"`
-	Title     string     `json:"title"`
-	Header    []string   `json:"header"`
-	Rows      [][]string `json:"rows"`
-	Notes     []string   `json:"notes,omitempty"`
-	ElapsedMS int64      `json:"elapsed_ms"`
-}
 
 func main() {
 	var (
-		exp       = flag.String("exp", "", "comma-separated experiment ids (default: all)")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		quick     = flag.Bool("quick", false, "run with shrunken object bases")
-		seed      = flag.Int64("seed", 42, "generator and workload seed")
-		workers   = flag.Int("workers", 0, "goroutine count for the workers experiment (0 = sweep 1..16)")
-		jsonPath  = flag.String("json", "", "also write results as JSON to this file")
-		tracePath = flag.String("trace", "", "run a traced OO1 workload over TCP and write Chrome trace JSON to this file")
+		exp   = flag.String("exp", "", "comma-separated experiment ids (default: all)")
+		list  = flag.Bool("list", false, "list experiment ids and exit")
+		quick = flag.Bool("quick", false, "run with shrunken object bases")
+		seed  = flag.Int64("seed", 42, "generator and workload seed")
 	)
 	flag.Parse()
-
-	if *tracePath != "" {
-		if err := runTraced(*tracePath, *quick, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "oo1bench: trace: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		for _, e := range bench.Experiments() {
@@ -94,14 +53,7 @@ func main() {
 		}
 	}
 
-	opts := bench.Opts{Quick: *quick, Seed: *seed, Workers: *workers}
-	report := jsonReport{
-		Quick:       *quick,
-		Seed:        *seed,
-		Workers:     *workers,
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-	}
+	opts := bench.Opts{Quick: *quick, Seed: *seed}
 	for _, e := range todo {
 		start := time.Now()
 		res, err := e.Run(opts)
@@ -109,101 +61,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "oo1bench: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
-		elapsed := time.Since(start)
 		res.Print(os.Stdout)
-		fmt.Printf("  (%s in %v)\n\n", e.ID, elapsed.Round(time.Millisecond))
-		report.Experiments = append(report.Experiments, jsonExperiment{
-			ID:        res.ID,
-			Title:     res.Title,
-			Header:    res.Header,
-			Rows:      res.Rows,
-			Notes:     res.Notes,
-			ElapsedMS: elapsed.Milliseconds(),
-		})
+		fmt.Printf("  (%s in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
-	if *jsonPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "oo1bench: encoding JSON: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "oo1bench: writing %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-	}
-}
-
-// runTraced exercises the full client/server architecture with request
-// tracing on: an OO1 base served by the real TCP page server (protocol
-// v2, trace contexts negotiated and propagated on the wire), a traced
-// object manager running traversal + lookup workloads against it, and
-// the merged client/server span rings written as Chrome trace_event
-// JSON. Server-side storage spans nest under the client-side RPC spans
-// that caused them, which in turn nest under the OM entry-point spans.
-func runTraced(path string, quick bool, seed int64) error {
-	parts := 2000
-	if quick {
-		parts = 400
-	}
-	cfg := oo1.DefaultConfig().Scaled(parts)
-	cfg.Seed = seed
-	db, err := oo1.Generate(cfg)
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	srv := server.Serve(ln, db.Srv.Manager())
-	defer srv.Close()
-	serverTracer := trace.New(1, 4096)
-	srv.SetTracer(serverTracer)
-
-	cl, err := server.Dial(srv.Addr().String())
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-
-	clientTracer := trace.New(1, 4096) // sample every entry point
-	reg := metrics.New()
-	c, err := oo1.NewClient(db, core.Options{
-		Server:          cl,
-		PageBufferPages: 64, // small buffer so the workload actually faults over the wire
-		Metrics:         reg,
-		Trace:           clientTracer,
-	}, seed)
-	if err != nil {
-		return err
-	}
-	c.Begin(swizzle.NewSpec("trace", swizzle.LIS))
-	if _, err := c.Traversal(4); err != nil {
-		return err
-	}
-	if err := c.LookupN(200); err != nil {
-		return err
-	}
-	if err := c.OM.Commit(); err != nil {
-		return err
-	}
-
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := trace.WriteChrome(f,
-		trace.Source{Name: "client", Records: clientTracer.Records()},
-		trace.Source{Name: "server", Records: serverTracer.Records()},
-	)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return werr
-	}
-	fmt.Printf("traced OO1 run over %v: %d client spans, %d server spans -> %s\n",
-		srv.Addr(), clientTracer.Len(), serverTracer.Len(), path)
-	return nil
 }

@@ -3,8 +3,10 @@
 // the same rows/series the paper reports. Absolute numbers come from the
 // simulated cost meter (calibrated with the paper's constants), so the
 // comparisons — who wins, by what factor, where the crossovers fall — are
-// directly comparable to the original; wall-clock counterparts live in the
-// repository's testing.B benchmarks.
+// directly comparable to the original. The package reads no clock and opens
+// no socket (arch_test.go checks its imports); wall-clock counterparts live
+// in the repository's testing.B benchmarks and in the end-to-end benchmark
+// module under benchmark/.
 package bench
 
 import (
@@ -22,9 +24,6 @@ type Opts struct {
 	Quick bool
 	// Seed drives generators and operation streams.
 	Seed int64
-	// Workers, when positive, restricts the worker-scaling experiment to
-	// that single goroutine count (the default sweeps 1..16).
-	Workers int
 }
 
 // Result is a regenerated table or figure.

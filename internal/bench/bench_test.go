@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -44,24 +45,14 @@ func num(t *testing.T, cell string) float64 {
 	return v
 }
 
+// TestRegistryComplete holds the registry to the golden's list exactly: every
+// registered experiment is pinned by testdata/model_quick.golden, so one that
+// is not deterministic cannot be registered unnoticed.
 func TestRegistryComplete(t *testing.T) {
-	want := []string{
-		"table5", "table6", "fig11a", "fig11b", "table7", "table8", "eq45",
-		"fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-		"fig19", "fig20", "table9", "storage",
-		"ablation-discovery", "ablation-snowball", "ablation-rrl-blocks",
-		"ablation-desc-reclaim", "ablation-pagewise-rrl", "ablation-swizzle-table",
-		"workers", "snapshot",
-	}
-	ids := IDs()
-	have := map[string]bool{}
-	for _, id := range ids {
-		have[id] = true
-	}
-	for _, id := range want {
-		if !have[id] {
-			t.Errorf("experiment %q missing", id)
-		}
+	want := slices.Clone(modelExperiments)
+	slices.Sort(want)
+	if got := IDs(); !slices.Equal(got, want) {
+		t.Errorf("registered experiments\n got: %v\nwant: %v", got, want)
 	}
 	if _, ok := Find("nope"); ok {
 		t.Error("bogus id found")
@@ -393,62 +384,5 @@ func TestAblations(t *testing.T) {
 	}
 	if occ, cap := num(t, res.Rows[1][3]), 16.0; occ > cap {
 		t.Errorf("table occupancy %f over capacity %f", occ, cap)
-	}
-}
-
-func TestWorkersShape(t *testing.T) {
-	e, ok := Find("workers")
-	if !ok {
-		t.Fatal("workers experiment not registered")
-	}
-	res, err := e.Run(Opts{Quick: true, Seed: 42, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("Workers=2 should pin one row, got %d", len(res.Rows))
-	}
-	row := res.Rows[0]
-	if row[0] != "2" {
-		t.Errorf("workers column = %q, want 2", row[0])
-	}
-	// Quick mode: depth 3 → (3^4−1)/2 = 40 visits per traversal, 40
-	// traversals per worker, 2 workers.
-	if visits := num(t, row[2]); visits != 2*40*40 {
-		t.Errorf("visits = %f, want %d", visits, 2*40*40)
-	}
-	if agg := num(t, row[4]); agg <= 0 {
-		t.Errorf("aggregate throughput %f not positive", agg)
-	}
-}
-
-func TestSnapshotShape(t *testing.T) {
-	e, ok := Find("snapshot")
-	if !ok {
-		t.Fatal("snapshot experiment not registered")
-	}
-	res, err := e.Run(Opts{Quick: true, Seed: 42, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("Workers=2 should pin one row, got %d", len(res.Rows))
-	}
-	row := res.Rows[0]
-	if row[0] != "2" {
-		t.Errorf("readers column = %q, want 2", row[0])
-	}
-	// The contract, not a tuning target: snapshot readers take no locks,
-	// so they must lose zero transactions to lock-wait timeouts and must
-	// out-read the S-lock path under the same write mix.
-	if snapAborts := num(t, row[4]); snapAborts != 0 {
-		t.Errorf("snapshot aborts = %f, want 0", snapAborts)
-	}
-	tpl, snap := num(t, row[1]), num(t, row[3])
-	if tpl <= 0 || snap <= 0 {
-		t.Fatalf("non-positive read rates: 2PL %f, snapshot %f", tpl, snap)
-	}
-	if snap <= tpl {
-		t.Errorf("snapshot reads/s %f not above 2PL %f", snap, tpl)
 	}
 }

@@ -47,7 +47,7 @@ func TestServerReadPageHotZeroAlloc(t *testing.T) {
 	// Warm the pools so the measurement sees steady state. The frame
 	// measured is the one with the page's directory attached.
 	for i := 0; i < 16; i++ {
-		n, err := ServeReadPageFrame(backend, req)
+		n, err := serveReadPageFrame(backend, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestServerReadPageHotZeroAlloc(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := ServeReadPageFrame(backend, req); err != nil {
+		if _, err := serveReadPageFrame(backend, req); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -80,7 +80,7 @@ func BenchmarkServerReadPageHot(b *testing.B) {
 		b.SetBytes(page.Size)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ServeReadPageFrame(backend, req); err != nil {
+			if _, err := serveReadPageFrame(backend, req); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1246,12 +1246,13 @@ func (f *respFrame) attachDirectory(dir page.Directory) int {
 	return len(dir)
 }
 
-// ServeReadPageFrame drives the server's ReadPage response path — request
+// serveReadPageFrame drives the server's ReadPage response path — request
 // decode, page read, frame assembly, release — without a socket,
 // returning the frame's on-wire size. req is the 8-byte ReadPage request
-// payload (the page ID). Benchmarks and the zero-alloc guard use it to
-// measure the hot read path in isolation.
-func ServeReadPageFrame(backend *Local, req []byte) (int, error) {
+// payload (the page ID). BenchmarkServerReadPageHot and the zero-alloc
+// guard TestServerReadPageHotZeroAlloc use it to measure the hot read path
+// in isolation.
+func serveReadPageFrame(backend *Local, req []byte) (int, error) {
 	if len(req) != 8 {
 		return 0, errProtocol
 	}
