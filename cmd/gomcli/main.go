@@ -10,6 +10,7 @@
 //	gomcli serve -tx -addr :7070 base.gom     # transactional (2PL + abort)
 //	gomcli serve -tx -wal walDir base.gom     # durable: group-committed fsync-on-commit
 //	gomcli serve -tx -wal walDir -serial-commit base.gom  # one fsync per commit
+//	gomcli serve -tx -coherence base.gom      # callback/lease cache coherence
 //	gomcli serve -debug :7071 base.gom        # expose /debug/metrics + pprof
 //	gomcli traverse -depth 5 -strategy LIS base.gom
 //	gomcli traverse -addr 127.0.0.1:7070 -snapshot base.gom  # MVCC snapshot read over TCP
@@ -230,7 +231,7 @@ func cmdServe(args []string) error {
 	commitBatch := fs.Int("commit-batch", 0, "cap on commit records per group-commit fsync (0 = default 256; requires -wal)")
 	serialCommit := fs.Bool("serial-commit", false, "disable group commit: every transaction appends and fsyncs its own commit record (requires -wal)")
 	snapshotCap := fs.Int64("snapshot-cap", 0, "retained version-store bytes cap: new snapshot transactions are refused while more history is pinned (0 = unbounded; requires -tx)")
-	coherent := fs.Bool("coherence", false, "enable callback/lease cache coherence: reads register per-page interest and commits push invalidation callbacks to the other interested clients")
+	coherent := fs.Bool("coherence", false, "enable callback/lease cache coherence: reads register per-page interest and commits push invalidation callbacks to the other interested clients (requires -tx)")
 	coherenceCap := fs.Int("coherence-cap", 0, "interest-table bound in (page, client) registrations; oldest registrations past it are revoked (0 = default 64Ki; requires -coherence)")
 	ackTimeout := fs.Duration("ack-timeout", 0, "how long a commit waits for invalidation acknowledgements — also the lease horizon clients must stay under (0 = default 2s; requires -coherence)")
 	debug := fs.String("debug", "", "also serve /debug/metrics, /healthz, /debug/slow, /debug/vars and /debug/pprof on this address")
@@ -247,6 +248,9 @@ func cmdServe(args []string) error {
 	}
 	if *serialCommit && (*commitBudget != 0 || *commitBatch != 0) {
 		return fmt.Errorf("serve: -serial-commit excludes -commit-budget and -commit-batch")
+	}
+	if *coherent && !*tx {
+		return fmt.Errorf("serve: -coherence requires -tx (every write a coherent server pushes is a commit)")
 	}
 	if *snapshotCap != 0 && !*tx {
 		return fmt.Errorf("serve: -snapshot-cap requires -tx (snapshots are a property of the transaction layer)")
@@ -310,10 +314,13 @@ func cmdServe(args []string) error {
 		fmt.Printf("serving %v on %v (ctrl-c to stop)\n", db.Cfg, srv.Addr())
 	}
 	if *coherent {
-		srv.EnableCoherence(server.CoherenceOptions{
+		if err := srv.EnableCoherence(server.CoherenceOptions{
 			MaxEntries: *coherenceCap,
 			AckTimeout: *ackTimeout,
-		})
+		}); err != nil {
+			srv.Close()
+			return err
+		}
 		fmt.Printf("cache coherence enabled (interest cap %d, ack timeout %v)\n", *coherenceCap, *ackTimeout)
 	}
 	if *debug != "" {

@@ -35,8 +35,8 @@ func waitUntil(t *testing.T, d time.Duration, what string, pred func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// coherentTCP builds a coherence-enabled non-transactional server over a
-// fresh storage manager.
+// coherentTCP builds a coherence-enabled transactional server over a fresh
+// storage manager.
 func coherentTCP(t *testing.T, ackTimeout time.Duration) (*server.TCPServer, *storage.Manager) {
 	t.Helper()
 	mgr := storage.NewManager(1)
@@ -47,7 +47,7 @@ func coherentTCP(t *testing.T, ackTimeout time.Duration) (*server.TCPServer, *st
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.Serve(ln, mgr)
+	srv := server.ServeTx(ln, server.NewTxServer(mgr, 0))
 	srv.EnableCoherence(server.CoherenceOptions{AckTimeout: ackTimeout})
 	t.Cleanup(func() { srv.Close() })
 	return srv, mgr
@@ -220,7 +220,7 @@ func TestFaultMatrixServerCrashBetweenCommitAndCallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.Serve(ln, mgr)
+	srv := server.ServeTx(ln, server.NewTxServer(mgr, 0))
 	srv.EnableCoherence(server.CoherenceOptions{AckTimeout: 100 * time.Millisecond})
 	reg := setupRegister(t, mgr)
 
@@ -268,7 +268,7 @@ func TestFaultMatrixServerCrashBetweenCommitAndCallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := server.Serve(ln2, mgr)
+	srv2 := server.ServeTx(ln2, server.NewTxServer(mgr, 0))
 	srv2.EnableCoherence(server.CoherenceOptions{})
 	defer srv2.Close()
 	fresh := newCachingClient(t, srv2.Addr().String())

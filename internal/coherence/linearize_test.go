@@ -240,7 +240,7 @@ func (r *register) imageFor(v uint64) []byte {
 
 // runScenario drives writers×writes and readers×reads over the register
 // and returns the merged history. Each writer's op is provided by doWrite
-// (direct WritePage, or a begin/write/commit transaction).
+// (a WritePage outside a transaction, or a begin/write/commit transaction).
 func runScenario(t *testing.T, addr string, reg *register,
 	writers, writesEach, readers, readsEach int,
 	doWrite func(t *testing.T, cl *server.Client, img []byte) error) []regOp {
@@ -299,9 +299,10 @@ func runScenario(t *testing.T, addr string, reg *register,
 	return ops
 }
 
-// TestLinearizableDirectWrites: 4 writers (non-transactional WritePage) ×
-// 4 caching readers over one register on real TCP; the recorded history
-// must have a sequential witness.
+// TestLinearizableDirectWrites: 4 writers (WritePage outside a
+// transaction, so each write commits as a transaction of its own) × 4
+// caching readers over one register on real TCP; the recorded history must
+// have a sequential witness.
 func TestLinearizableDirectWrites(t *testing.T) {
 	mgr := storage.NewManager(1)
 	if err := mgr.CreateSegment(0); err != nil {
@@ -311,7 +312,7 @@ func TestLinearizableDirectWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.Serve(ln, mgr)
+	srv := server.ServeTx(ln, server.NewTxServer(mgr, 0))
 	srv.EnableCoherence(server.CoherenceOptions{})
 	defer srv.Close()
 	reg := setupRegister(t, mgr)
@@ -393,7 +394,7 @@ func TestCheckerConvictsWithoutCallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.Serve(ln, mgr)
+	srv := server.ServeTx(ln, server.NewTxServer(mgr, 0))
 	srv.EnableCoherence(server.CoherenceOptions{AckTimeout: 50 * time.Millisecond})
 	defer srv.Close()
 	reg := setupRegister(t, mgr)

@@ -22,7 +22,8 @@ import (
 
 // ClientID identifies one subscribed client (one coherence-negotiated
 // connection). IDs are allocated by the transport; 0 is reserved for "no
-// client" (a writer with no coherence connection, e.g. a v1 peer).
+// client" (a writer with no coherence connection, e.g. a connection
+// negotiated before EnableCoherence).
 type ClientID uint64
 
 // Eviction is one registration revoked by the capacity bound; the

@@ -19,7 +19,7 @@ func coherentClient(t *testing.T, b *testBase) (*server.TCPServer, *server.Clien
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.Serve(ln, b.srv.Manager())
+	srv := server.ServeTx(ln, server.NewTxServer(b.srv.Manager(), 0))
 	srv.EnableCoherence(server.CoherenceOptions{})
 	t.Cleanup(func() { srv.Close() })
 	client, err := server.Dial(srv.Addr().String())

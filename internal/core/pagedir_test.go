@@ -365,10 +365,11 @@ func TestRelocationInvalidatesExtent(t *testing.T) {
 	}
 }
 
-// TestDirectRelocationInvalidatesOldPage is the non-transactional half of
+// TestDirectRelocationInvalidatesOldPage is the raw-client half of
 // TestRelocationInvalidatesExtent: a raw client's UpdateObject grows x off
-// its page outside any transaction, so the invalidation comes from the
-// update itself, not from a commit's X-lock set. It must name the page x
+// its page outside any transaction, so it commits as a transaction of its
+// own and the invalidation comes from that commit's X-lock set. It must
+// name the page x
 // left as well as the one x moved to: A buffers the old page, whose
 // directory still places x in the slot the relocation vacated, and would
 // otherwise resolve x's next fault from it.

@@ -34,7 +34,7 @@ func TestColdTraversalWireCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.Serve(ln, db.Srv.Manager())
+	srv := server.ServeTx(ln, server.NewTxServer(db.Srv.Manager(), 0))
 	defer srv.Close()
 	// Callbacks are what covers a page the client keeps between the Lookup
 	// answer and its ReadPage; without them the answer is the address only.

@@ -33,9 +33,8 @@ import (
 //
 // Bounded, and honest at the bound. The ring keeps the last changeLogCap
 // entries and remembers the highest stamp it has dropped; a query it cannot
-// answer completely — from before that floor, across a pending entry of
-// unknown extent, without a previous read-LSN — says so, and the client
-// drops its whole cache.
+// answer completely — from before that floor, without a previous read-LSN
+// — says so, and the client drops its whole cache.
 
 // changeLogCap is the number of writes the log remembers. A reader that
 // begins a snapshot at least once per changeLogCap commits of everyone else
@@ -51,9 +50,7 @@ const (
 	entryCancelled
 )
 
-// changeEntry is one write: a transaction's X-locked page set, or the pages
-// of one direct write. pages is nil while a direct write is pending — its
-// extent is known only once it has run.
+// changeEntry is one write: a transaction's X-locked page set.
 type changeEntry struct {
 	state entryState
 	stamp uint64
@@ -73,8 +70,8 @@ type changeLog struct {
 	lost  int
 }
 
-// begin appends a pending entry and returns its sequence number. pages is
-// the write's extent, nil when it is not known yet.
+// begin appends a pending entry for a write of pages and returns its
+// sequence number.
 func (l *changeLog) begin(pages []page.PageID) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -94,9 +91,8 @@ func (l *changeLog) begin(pages []page.PageID) uint64 {
 }
 
 // stamp settles entry seq: the write is visible at every read point from
-// stamp on. pages, when non-nil, is the extent of an entry begun without
-// one.
-func (l *changeLog) stamp(seq, stamp uint64, pages []page.PageID) {
+// stamp on.
+func (l *changeLog) stamp(seq, stamp uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if seq+changeLogCap < l.next {
@@ -106,9 +102,6 @@ func (l *changeLog) stamp(seq, stamp uint64, pages []page.PageID) {
 	}
 	e := &l.ring[seq%changeLogCap]
 	e.state, e.stamp = entryStamped, stamp
-	if pages != nil {
-		e.pages = pages
-	}
 }
 
 // cancel settles entry seq as a write that did not happen.
@@ -126,8 +119,7 @@ func (l *changeLog) cancel(seq uint64) {
 // acquired before the call and was not visible at read point prev, each
 // page once, ascending. ok is false when the log cannot tell: prev is 0
 // (the caller has no previous read point), the ring has dropped entries
-// stamped above prev, a pending entry has no extent yet, or the list would
-// not fit one frame.
+// stamped above prev, or the list would not fit one frame.
 func (l *changeLog) since(prev uint64) (pages []page.PageID, ok bool) {
 	if prev == 0 {
 		return nil, false
@@ -140,11 +132,8 @@ func (l *changeLog) since(prev uint64) (pages []page.PageID, ok bool) {
 	n := min(l.next, changeLogCap)
 	for i := range l.ring[:n] {
 		e := &l.ring[i]
-		switch {
-		case e.state == entryCancelled, e.state == entryStamped && e.stamp <= prev:
+		if e.state == entryCancelled || e.state == entryStamped && e.stamp <= prev {
 			continue
-		case e.state == entryPending && e.pages == nil:
-			return nil, false
 		}
 		pages = append(pages, e.pages...)
 	}

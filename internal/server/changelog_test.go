@@ -43,11 +43,11 @@ func TestChangeLog(t *testing.T) {
 		c := l.begin([]page.PageID{9})
 		since(t, &l, 1, 1, 2, 3, 9)
 		since(t, &l, 1000, 1, 2, 3, 9) // pending: visible to anyone, for all the log knows
-		l.stamp(a, 5, nil)
+		l.stamp(a, 5)
 		l.cancel(c)
 		since(t, &l, 4, 1, 2, 3)
 		since(t, &l, 5, 2) // a was visible at read point 5 already
-		l.stamp(b, 7, nil)
+		l.stamp(b, 7)
 		since(t, &l, 5, 2)
 		since(t, &l, 7)
 		if l.len() != 3 {
@@ -57,8 +57,8 @@ func TestChangeLog(t *testing.T) {
 
 	t.Run("pages listed once, ascending", func(t *testing.T) {
 		var l changeLog
-		l.stamp(l.begin([]page.PageID{7, 4}), 2, nil)
-		l.stamp(l.begin([]page.PageID{4, 1, 7}), 3, nil)
+		l.stamp(l.begin([]page.PageID{7, 4}), 2)
+		l.stamp(l.begin([]page.PageID{4, 1, 7}), 3)
 		since(t, &l, 1, 1, 4, 7)
 	})
 
@@ -68,22 +68,10 @@ func TestChangeLog(t *testing.T) {
 		since(t, &l, 1)
 	})
 
-	t.Run("unknown extent", func(t *testing.T) {
-		var l changeLog
-		w := l.begin(nil)
-		cannotTell(t, &l, 1)
-		l.stamp(w, 2, []page.PageID{6, 5})
-		since(t, &l, 1, 5, 6)
-		w = l.begin(nil)
-		cannotTell(t, &l, 1)
-		l.cancel(w)
-		since(t, &l, 1, 5, 6)
-	})
-
 	t.Run("overflow", func(t *testing.T) {
 		var l changeLog
 		for i := uint64(1); i <= changeLogCap+10; i++ {
-			l.stamp(l.begin([]page.PageID{page.PageID(i)}), i, nil)
+			l.stamp(l.begin([]page.PageID{page.PageID(i)}), i)
 		}
 		if l.len() != changeLogCap {
 			t.Errorf("len = %d, want %d", l.len(), changeLogCap)
@@ -100,10 +88,10 @@ func TestChangeLog(t *testing.T) {
 		var l changeLog
 		slow := l.begin([]page.PageID{1})
 		for i := uint64(1); i <= changeLogCap; i++ {
-			l.stamp(l.begin([]page.PageID{2}), i, nil)
+			l.stamp(l.begin([]page.PageID{2}), i)
 		}
 		cannotTell(t, &l, changeLogCap) // slow's write may be visible and is no longer listed
-		l.stamp(slow, changeLogCap+1, nil)
+		l.stamp(slow, changeLogCap+1)
 		cannotTell(t, &l, changeLogCap) // now known to be above the asker's read point
 		since(t, &l, changeLogCap+1)
 	})
@@ -114,11 +102,11 @@ func TestChangeLog(t *testing.T) {
 		for i := range pids {
 			pids[i] = page.PageID(i)
 		}
-		l.stamp(l.begin(pids[:maxInvalidationPages]), 2, nil)
+		l.stamp(l.begin(pids[:maxInvalidationPages]), 2)
 		if got, ok := l.since(1); !ok || len(got) != maxInvalidationPages {
 			t.Fatalf("since(1) = %d pages, %v; want %d", len(got), ok, maxInvalidationPages)
 		}
-		l.stamp(l.begin(pids[maxInvalidationPages:]), 3, nil)
+		l.stamp(l.begin(pids[maxInvalidationPages:]), 3)
 		cannotTell(t, &l, 1)
 		since(t, &l, 2, pids[maxInvalidationPages])
 	})
@@ -280,11 +268,12 @@ func TestSnapshotBeginNamesCommitInFlight(t *testing.T) {
 	}
 }
 
-// TestSnapshotBeginNamesDirectWrite: a non-transactional write consumes no
-// LSN, so it is stamped above the stable point it started from — the next
-// begin of a reader still at that read point names its pages, both of them
-// when the update relocates the object.
-func TestSnapshotBeginNamesDirectWrite(t *testing.T) {
+// TestSnapshotBeginNamesAutoCommit: an update outside a transaction commits
+// as a transaction of its own and consumes an LSN like any other commit —
+// the next begin of a reader at the read point before it is at the next
+// one and names its pages, both of them when the update relocates the
+// object.
+func TestSnapshotBeginNamesAutoCommit(t *testing.T) {
 	ts, m, _ := durableSetup(t, t.TempDir())
 	setup := ts.Begin()
 	sess := ts.Session(setup)
@@ -321,12 +310,12 @@ func TestSnapshotBeginNamesDirectWrite(t *testing.T) {
 	if moved.Page == addr.Page {
 		t.Fatalf("the update did not relocate the object (still on %v)", addr.Page)
 	}
-	if got := m.Versions().StablePoint(); got != before {
-		t.Fatalf("the direct write moved the stable point from %d to %d", before, got)
+	if got := m.Versions().StablePoint(); got != before+1 {
+		t.Fatalf("the update moved the stable point from %d to %d, want %d", before, got, before+1)
 	}
 	want := []page.PageID{addr.Page, moved.Page}
 	slices.Sort(want)
-	if after, told := reader.snapshot(t); after != before || !slices.Equal(told, []string{fmt.Sprint(want)}) {
-		t.Errorf("after the direct write: read-LSN %d (before it %d), told %v; want the same read point and %v", after, before, told, want)
+	if after, told := reader.snapshot(t); after != before+1 || !slices.Equal(told, []string{fmt.Sprint(want)}) {
+		t.Errorf("after the update: read-LSN %d (before it %d), told %v; want the next read point and %v", after, before, told, want)
 	}
 }

@@ -20,9 +20,9 @@ import (
 // hello response. On a connection that negotiated it, every ReadPage /
 // ReadPages (demand or readahead) registers the connection's interest in
 // the pages served; a committed write — a transaction commit's X-locked
-// page set, or a direct non-transactional write — pushes an opInvalidate
-// frame to every other interested connection and waits (bounded by the
-// ack timeout) until each has acknowledged with opCoherenceAck. The
+// page set — pushes an opInvalidate frame to every other interested
+// connection and waits (bounded by the ack timeout) until each has
+// acknowledged with opCoherenceAck. The
 // synchronous ack-wait is what makes the protocol strong enough for the
 // linearizability checker: by the time a writer's commit returns, every
 // subscribed cache has promised to re-fault the changed pages.
@@ -102,8 +102,12 @@ func (w *ackWaiter) dec() {
 
 // EnableCoherence switches the callback/lease coherence protocol on. Call
 // before clients connect; connections negotiated earlier stay
-// non-coherent. Enabling is one-way.
-func (s *TCPServer) EnableCoherence(opt CoherenceOptions) {
+// non-coherent. Enabling is one-way, and only ServeTx's servers can: a
+// commit is what pushes.
+func (s *TCPServer) EnableCoherence(opt CoherenceOptions) error {
+	if s.tx == nil {
+		return errNotTransactional
+	}
 	to := opt.AckTimeout
 	if to <= 0 {
 		to = DefaultAckTimeout
@@ -114,6 +118,7 @@ func (s *TCPServer) EnableCoherence(opt CoherenceOptions) {
 		conns:      make(map[coherence.ClientID]*cohConn),
 	}
 	s.coh.Store(st)
+	return nil
 }
 
 // CoherenceEnabled reports whether the server offers featureCoherence.
@@ -456,72 +461,14 @@ func (s *TCPServer) coherencePush(pages []page.PageID, writer coherence.ClientID
 	obs.RPCSinceTrace(metrics.RPCInvalidate, start, tctx.TraceID)
 }
 
-// isWrite reports whether op is a data opcode that changes pages.
-func isWrite(op byte) bool {
-	switch op {
-	case opWritePage, opAllocate, opAllocateNear, opUpdateObject:
-		return true
-	}
-	return false
-}
-
-// directWriteSet derives the pages changed by a successful
-// non-transactional write from its request and response bytes, and before —
-// where an updated object lived ahead of the write — when that is another
-// page: a relocating update moved the object away from it, and its shipped
-// directory still names the object. Transactional writes are covered at
-// commit time by the transaction's X-locked page set instead.
-func directWriteSet(op byte, req, resp []byte, before page.PageID) []page.PageID {
-	var pid page.PageID
-	switch {
-	case op == opWritePage && len(req) >= 8:
-		pid = page.PageID(binary.LittleEndian.Uint64(req))
-	case op == opUpdateObject && len(resp) >= 10:
-		// The response carries the object's (possibly new) physical address.
-		pid = getPAddr(resp).Page
-	case (op == opAllocate || op == opAllocateNear) && len(resp) >= 18:
-		pid = getPAddr(resp[8:]).Page
-	default:
-		return nil
-	}
-	if before != page.NilPage && before != pid {
-		return []page.PageID{pid, before}
-	}
-	return []page.PageID{pid}
-}
-
-// directWrite executes one non-transactional write on a coherent server. It
-// is logged before it is visible, like a commit — though which pages it
-// touches is known only once it has run (changelog.go) — and, once it has
-// happened, every other interested client is called back for its pages.
-func (s *TCPServer) directWrite(st *coherenceState, cc *cohConn, op byte, payload []byte) ([]byte, error) {
-	before := page.NilPage
-	if op == opUpdateObject && len(payload) >= 8 {
-		// An update that relocates changes two pages: resolve where the
-		// object lives now, before it moves.
-		if addr, err := s.mgr.Lookup(getOID(payload)); err == nil {
-			before = addr.Page
-		}
-	}
-	logged := s.logWrite(st, nil)
-	resp, err := s.handleData(s.local, op, payload)
-	pids := directWriteSet(op, payload, resp, before)
-	s.settleWrite(st, logged, pids, err == nil)
-	if err != nil {
-		return nil, err
-	}
-	s.coherencePush(pids, cc.clientID(), trace.Context{})
-	return resp, nil
-}
-
 // loggedWrite is a write between logWrite and settleWrite.
 type loggedWrite struct {
 	seq    uint64
 	stable uint64 // the stable point once the entry was in the log
 }
 
-// logWrite enters a write that is about to happen into the change log;
-// pages is its extent, nil when that is not known yet.
+// logWrite enters a write of pages that is about to happen into the change
+// log.
 func (s *TCPServer) logWrite(st *coherenceState, pages []page.PageID) loggedWrite {
 	seq := st.log.begin(pages)
 	if obs := s.obs.Load(); obs != nil && seq < changeLogCap {
@@ -537,12 +484,11 @@ func (s *TCPServer) logWrite(st *coherenceState, pages []page.PageID) loggedWrit
 // settleWrite ends a logged write: cancelled if it did not happen, else
 // stamped with a read-LSN from which it is certainly visible — the stable
 // point now, which a commit's own LSN cannot exceed, and above the stable
-// point it started from, for the writes that consume no LSN (direct writes,
-// aborts). pages is the extent of a write logged without one.
-func (s *TCPServer) settleWrite(st *coherenceState, w loggedWrite, pages []page.PageID, happened bool) {
+// point it started from, for an abort, which consumes no LSN.
+func (s *TCPServer) settleWrite(st *coherenceState, w loggedWrite, happened bool) {
 	if !happened {
 		st.log.cancel(w.seq)
 		return
 	}
-	st.log.stamp(w.seq, max(s.mgr.Versions().StablePoint(), w.stable+1), pages)
+	st.log.stamp(w.seq, max(s.mgr.Versions().StablePoint(), w.stable+1))
 }

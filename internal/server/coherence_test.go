@@ -61,8 +61,8 @@ func waitFor(t *testing.T, d time.Duration, what string, pred func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// coherentServer builds a non-transactional coherence-enabled server with
-// a metrics registry.
+// coherentServer builds a coherence-enabled transactional server with a
+// metrics registry.
 func coherentServer(t *testing.T) (*TCPServer, *metrics.Registry) {
 	t.Helper()
 	mgr := newMgr(t)
@@ -70,7 +70,7 @@ func coherentServer(t *testing.T) (*TCPServer, *metrics.Registry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := Serve(ln, mgr)
+	srv := ServeTx(ln, NewTxServer(mgr, 0))
 	srv.EnableCoherence(CoherenceOptions{})
 	reg := metrics.New()
 	srv.SetMetrics(reg)
@@ -79,7 +79,8 @@ func coherentServer(t *testing.T) (*TCPServer, *metrics.Registry) {
 }
 
 // TestCoherenceDirectWritePush: two subscribed readers; a third client's
-// non-transactional WritePage calls both back — and not itself.
+// WritePage outside a transaction commits as a transaction of its own and
+// calls both back — and not itself.
 func TestCoherenceDirectWritePush(t *testing.T) {
 	srv, reg := coherentServer(t)
 
@@ -216,7 +217,7 @@ func TestCoherenceTxCommitPush(t *testing.T) {
 func TestCoherenceInterop(t *testing.T) {
 	mgr := newMgr(t)
 	ln, _ := net.Listen("tcp", "127.0.0.1:0")
-	srv := Serve(ln, mgr)
+	srv := ServeTx(ln, NewTxServer(mgr, 0))
 	defer srv.Close()
 	early, err := Dial(srv.Addr().String())
 	if err != nil {
@@ -258,7 +259,7 @@ func TestCoherenceInterop(t *testing.T) {
 func TestCoherenceFeatureGated(t *testing.T) {
 	mgr := newMgr(t)
 	ln, _ := net.Listen("tcp", "127.0.0.1:0")
-	srv := Serve(ln, mgr)
+	srv := ServeTx(ln, NewTxServer(mgr, 0))
 	defer srv.Close()
 
 	plain, err := Dial(srv.Addr().String())
@@ -289,7 +290,7 @@ func TestCoherenceFeatureGated(t *testing.T) {
 func TestCoherenceAckTimeout(t *testing.T) {
 	mgr := newMgr(t)
 	ln, _ := net.Listen("tcp", "127.0.0.1:0")
-	srv := Serve(ln, mgr)
+	srv := ServeTx(ln, NewTxServer(mgr, 0))
 	srv.EnableCoherence(CoherenceOptions{AckTimeout: 50 * time.Millisecond})
 	reg := metrics.New()
 	srv.SetMetrics(reg)
@@ -367,7 +368,7 @@ func TestCoherenceLeaseExpiry(t *testing.T) {
 func TestCoherenceRevocation(t *testing.T) {
 	mgr := newMgr(t)
 	ln, _ := net.Listen("tcp", "127.0.0.1:0")
-	srv := Serve(ln, mgr)
+	srv := ServeTx(ln, NewTxServer(mgr, 0))
 	srv.EnableCoherence(CoherenceOptions{MaxEntries: 2})
 	reg := metrics.New()
 	srv.SetMetrics(reg)

@@ -43,18 +43,26 @@ func sendRaw(t *testing.T, srv *TCPServer, b []byte) (net.Conn, *bufio.Reader) {
 }
 
 // TestPipelinedNegotiation holds the server's answer to a well-formed
-// hello: version 2, the baseline, coherence exactly when the server
-// enabled it and the client offered it, and no bit the server does not
-// know.
+// hello: version 2, the baseline, featureTx exactly from a transactional
+// server, coherence exactly when that server enabled it and the client
+// offered it, and no bit the server does not know. A plain server refuses
+// to enable coherence.
 func TestPipelinedNegotiation(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	serve := func(tx bool) *TCPServer {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tx {
+			return ServeTx(ln, NewTxServer(newMgr(t), 0))
+		}
+		return Serve(ln, newMgr(t))
 	}
-	srv := Serve(ln, newMgr(t))
+	plain, srv := serve(false), serve(true)
+	defer plain.Close()
 	defer srv.Close()
 
-	agreed := func(ver, offered uint32) uint32 {
+	agreed := func(srv *TCPServer, ver, offered uint32) uint32 {
 		t.Helper()
 		conn, r := sendRaw(t, srv, frame(t, opHello, helloPayload(ver, offered)))
 		defer conn.Close()
@@ -64,17 +72,25 @@ func TestPipelinedNegotiation(t *testing.T) {
 		}
 		return binary.LittleEndian.Uint32(resp[4:])
 	}
-	if got := agreed(protocolV2, clientFeatures); got != baselineFeatures {
-		t.Errorf("before EnableCoherence the server agreed to %#x, want the baseline %#x", got, baselineFeatures)
+	if err := plain.EnableCoherence(CoherenceOptions{}); !errors.Is(err, errNotTransactional) {
+		t.Errorf("EnableCoherence on a plain server = %v, want %v", err, errNotTransactional)
 	}
-	srv.EnableCoherence(CoherenceOptions{})
-	if got := agreed(protocolV2, clientFeatures); got != baselineFeatures|featureCoherence {
-		t.Errorf("after EnableCoherence the server agreed to %#x, want baseline and coherence", got)
+	if got := agreed(plain, protocolV2, clientFeatures); got != baselineFeatures {
+		t.Errorf("the plain server agreed to %#x, want the baseline %#x", got, baselineFeatures)
 	}
-	if got := agreed(protocolV2, baselineFeatures); got != baselineFeatures {
-		t.Errorf("a client that does not offer coherence got %#x, want the baseline", got)
+	if got := agreed(srv, protocolV2, clientFeatures); got != baselineFeatures|featureTx {
+		t.Errorf("before EnableCoherence the server agreed to %#x, want baseline and tx", got)
 	}
-	if got := agreed(protocolV2+1, 0xffff0000|clientFeatures); got != baselineFeatures|featureCoherence {
+	if err := srv.EnableCoherence(CoherenceOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := agreed(srv, protocolV2, clientFeatures); got != baselineFeatures|featureTx|featureCoherence {
+		t.Errorf("after EnableCoherence the server agreed to %#x, want baseline, tx and coherence", got)
+	}
+	if got := agreed(srv, protocolV2, baselineFeatures); got != baselineFeatures {
+		t.Errorf("a client that offers neither tx nor coherence got %#x, want the baseline", got)
+	}
+	if got := agreed(srv, protocolV2+1, 0xffff0000|clientFeatures); got != baselineFeatures|featureTx|featureCoherence {
 		t.Errorf("a newer client offering unknown bits got %#x, want only what this server knows", got)
 	}
 }

@@ -441,9 +441,9 @@ func getPAddr(b []byte) storage.PAddr {
 type TCPServer struct {
 	mgr *storage.Manager
 	tx  *TxServer // nil when serving non-transactionally
-	// local is the shared non-transactional backend for every connection.
-	// It is stateless (the manager carries all state), so one instance
-	// serves all goroutines and the dispatch path allocates nothing.
+	// local is the shared backend of a plain Serve's connections. It is
+	// stateless (the manager carries all state), so one instance serves all
+	// goroutines and the dispatch path allocates nothing.
 	local *Local
 
 	ln net.Listener
@@ -475,10 +475,11 @@ func Serve(ln net.Listener, mgr *storage.Manager) *TCPServer {
 }
 
 // ServeTx serves a transactional server: clients may bracket their work in
-// BeginTx/CommitTx/AbortTx. A connection that drops mid-transaction has
+// BeginTx/CommitTx/AbortTx, and a data request outside a transaction runs
+// as a transaction of its own. A connection that drops mid-transaction has
 // its transaction aborted.
 func ServeTx(ln net.Listener, tx *TxServer) *TCPServer {
-	s := &TCPServer{mgr: tx.Manager(), tx: tx, local: NewLocal(tx.Manager()), ln: ln, conns: make(map[net.Conn]struct{})}
+	s := &TCPServer{mgr: tx.Manager(), tx: tx, ln: ln, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
@@ -583,9 +584,9 @@ func (s *TCPServer) acceptLoop() {
 	}
 }
 
-// connState carries the per-connection transactional state. It is only
-// touched by the connection's reader goroutine (data operations receive
-// their backend at dispatch time).
+// connState carries the per-connection transactional state. Only the
+// connection's reader goroutine writes it, at transaction boundaries, which
+// wait for the connection's outstanding data operations.
 type connState struct {
 	tx   TxID
 	sess dirPageReader // the transaction session, or nil outside a transaction
@@ -630,7 +631,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	defer func() {
 		// A dropped connection aborts its in-flight transaction.
 		if s.tx != nil && cs.sess != nil {
-			_ = s.endTx(cs, false, trace.Context{}) // nobody is left to tell
+			_ = s.endTx(cs.tx, cs.coh, false, trace.Context{}) // nobody is left to tell
 		}
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -819,7 +820,8 @@ func (s *TCPServer) servePipelined(conn net.Conn, r *bufio.Reader, cs *connState
 		default:
 			// The backend is resolved at dispatch time on the reader
 			// goroutine, so a request pipelined inside a transaction uses
-			// that transaction's session even while other requests run.
+			// that transaction's session even while other requests run;
+			// nil is a request that runs as a transaction of its own.
 			backend := s.backend(cs)
 			sem <- struct{}{}
 			dataWG.Add(1)
@@ -834,7 +836,12 @@ func (s *TCPServer) servePipelined(conn net.Conn, r *bufio.Reader, cs *connState
 				start := obs.Now()
 				sp := s.tracer.Load().StartChild(spanName(&serverSpanNames, op), tctx)
 				f := getFrame()
-				herr := s.handleDataFrame(backend, cs, op, req, f)
+				var herr error
+				if backend == nil {
+					herr = s.autoTx(cs, op, req, f, sp.Context())
+				} else {
+					herr = s.handleDataFrame(backend, cs, op, req, f)
+				}
 				if sp.Sampled() {
 					sp.SetArgs(uint64(len(req)), uint64(f.payloadLen()))
 					sp.Finish()
@@ -861,13 +868,30 @@ func (s *TCPServer) servePipelined(conn net.Conn, r *bufio.Reader, cs *connState
 	writerWG.Wait()
 }
 
-// backend selects the data-plane server for the connection: its live
-// transaction session, or the raw manager.
+// backend selects the data-plane server for the connection: the raw
+// manager on a plain server; on a transactional one the live session, or
+// nil outside a transaction — the request then runs as one of its own.
 func (s *TCPServer) backend(cs *connState) dirPageReader {
-	if cs.sess != nil {
+	if s.tx != nil {
 		return cs.sess
 	}
 	return s.local
+}
+
+// autoTx serves a data request outside a transaction on a transactional
+// server as a transaction of one operation, served through its session and
+// ended through endTx like any other: committed, or aborted when the
+// operation fails or its commit fails and leaves it alive.
+func (s *TCPServer) autoTx(cs *connState, op byte, req []byte, f *respFrame, tctx trace.Context) error {
+	tx := s.tx.Begin()
+	err := s.handleDataFrame(s.tx.session(tx), cs, op, req, f)
+	if err == nil {
+		err = s.endTx(tx, cs.coh, true, tctx)
+	}
+	if err != nil && s.tx.Alive(tx) {
+		_ = s.endTx(tx, cs.coh, false, tctx) // the answer is err either way
+	}
+	return err
 }
 
 // noteSlow records an over-threshold RPC into the registry's slow-op
@@ -939,7 +963,7 @@ func (s *TCPServer) handle(cs *connState, op byte, payload []byte, tctx trace.Co
 		if s.tx == nil || cs.sess == nil {
 			return nil, errors.New("server: no open transaction")
 		}
-		err := s.endTx(cs, op == opTxCommit, tctx)
+		err := s.endTx(cs.tx, cs.coh, op == opTxCommit, tctx)
 		if err != nil && s.tx.Alive(cs.tx) {
 			// A failed commit (e.g. the group-commit flush errored) leaves
 			// the transaction live and lock-holding; keep it bound to the
@@ -953,36 +977,36 @@ func (s *TCPServer) handle(cs *connState, op byte, payload []byte, tctx trace.Co
 	}
 }
 
-// endTx commits or aborts the connection's transaction and, on a coherent
-// server, tells the caches what it changed. The X-locked page set is taken
-// before the locks are released: these are the pages whose images the
-// transaction changed. It is logged before the commit can make them visible
+// endTx commits or aborts a transaction of the connection with coherence
+// endpoint cc and, on a coherent server, tells the caches what it changed.
+// The X-locked page set is taken before the locks are released: these are
+// the pages whose images the transaction changed. It is logged before the commit can make them visible
 // to a snapshot (changelog.go), and once the commit is durable every other
 // interested client is called back for them. An abort changes no value, but
 // its undo may leave an object in another slot than it found it in, so its
 // pages are logged too.
-func (s *TCPServer) endTx(cs *connState, commit bool, tctx trace.Context) error {
+func (s *TCPServer) endTx(tx TxID, cc *cohConn, commit bool, tctx trace.Context) error {
 	st := s.coh.Load()
 	var writeSet []page.PageID
 	var logged loggedWrite
 	if st != nil {
-		if writeSet = s.tx.WriteSet(cs.tx); len(writeSet) > 0 {
+		if writeSet = s.tx.WriteSet(tx); len(writeSet) > 0 {
 			logged = s.logWrite(st, writeSet)
 		}
 	}
 	var err error
 	if commit {
-		err = s.tx.CommitCtx(cs.tx, s.tracer.Load(), tctx)
+		err = s.tx.CommitCtx(tx, s.tracer.Load(), tctx)
 	} else {
-		err = s.tx.Abort(cs.tx)
+		err = s.tx.Abort(tx)
 	}
 	if len(writeSet) > 0 {
 		// A transaction that failed to end and stays alive still holds its
 		// locks: nothing of it is visible, and its next attempt logs again.
-		s.settleWrite(st, logged, nil, err == nil || !s.tx.Alive(cs.tx))
+		s.settleWrite(st, logged, err == nil || !s.tx.Alive(tx))
 	}
 	if commit && err == nil {
-		s.coherencePush(writeSet, cs.coh.clientID(), tctx)
+		s.coherencePush(writeSet, cc.clientID(), tctx)
 	}
 	return err
 }
@@ -1108,8 +1132,9 @@ func (s *TCPServer) handleDataFrame(backend dirPageReader, cs *connState, op byt
 		}
 		// The answer brings the object's page where something covers the
 		// copy the client will hold (lookupPage); elsewhere this is the
-		// whole answer, one call deep.
-		if backend != dirPageReader(s.local) || cc != nil {
+		// whole answer, one call deep. A transaction of one operation is
+		// not such a cover: its S-lock ends with the operation.
+		if cs.sess != nil || cc != nil {
 			return s.lookupPage(backend, cc, id, addr, f)
 		}
 		putPAddr(f.scratch[:10], addr)
@@ -1153,16 +1178,7 @@ func (s *TCPServer) handleDataFrame(backend dirPageReader, cs *connState, op byt
 		s.obs.Load().AddN(metrics.CtrPageDirExtents, int64(shipped/page.ExtentSize))
 		return nil
 	default:
-		// A non-transactional write is immediately visible: directWrite
-		// calls interested clients back right away (transactional writes
-		// are pushed at commit from the X-lock set instead).
-		var resp []byte
-		var err error
-		if st := s.coh.Load(); st != nil && backend == dirPageReader(s.local) && isWrite(op) {
-			resp, err = s.directWrite(st, cc, op, payload)
-		} else {
-			resp, err = s.handleData(backend, op, payload)
-		}
+		resp, err := s.handleData(backend, op, payload)
 		if err != nil {
 			return err
 		}
@@ -1191,8 +1207,8 @@ const lookupResolves = 3
 // so the caller comes here only where something covers that copy: the
 // connection's interest registration, a 2PL session's S-lock, or a
 // snapshot's read point — the version there is immutable, and the next
-// snapshot begin names the page if it changes. A plain connection outside a
-// transaction has none of them and gets the address alone.
+// snapshot begin names the page if it changes. A connection without
+// callbacks outside a transaction has none of them: address alone.
 //
 // The page rides along when its shipped directory names the object at the
 // slot the POT gave: a client that held this page would have resolved the

@@ -108,4 +108,23 @@ func TestTCPTransientWithoutRetryOptIn(t *testing.T) {
 	if _, err := c2.Lookup(id); err == nil || errors.Is(err, ErrTransient) {
 		t.Fatalf("Lookup with a permanent fault = %v, want a non-transient error", err)
 	}
+	// A transaction's session checks the same sites.
+	addr, err := c.Lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.BeginTx(); err != nil {
+		t.Fatal(err)
+	}
+	faultpoint.Arm(faultpoint.Fault{
+		Site:  faultpoint.ServerReadPage,
+		Times: 1,
+		Err:   fmt.Errorf("%w: injected blip", ErrTransient),
+	})
+	if _, err := c.ReadPage(addr.Page); !errors.Is(err, ErrTransient) {
+		t.Fatalf("ReadPage inside a transaction = %v, want ErrTransient", err)
+	}
+	if err := c.AbortTx(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gom/internal/faultpoint"
 	"gom/internal/metrics"
 	"gom/internal/oid"
 	"gom/internal/page"
@@ -597,6 +598,9 @@ func (c *txSession) walLogAlloc(id oid.OID, addr storage.PAddr) error {
 // physical address of an object is protected by its page's lock once the
 // page is read).
 func (c *txSession) Lookup(id oid.OID) (storage.PAddr, error) {
+	if err := faultpoint.Check(faultpoint.ServerLookup); err != nil {
+		return storage.PAddr{}, err
+	}
 	return c.srv.mgr.Lookup(id)
 }
 
@@ -607,6 +611,9 @@ func (c *txSession) ReadPage(pid page.PageID) ([]byte, error) {
 }
 
 func (c *txSession) readPageDir(pid page.PageID) ([]byte, page.Directory, error) {
+	if err := faultpoint.Check(faultpoint.ServerReadPage); err != nil {
+		return nil, nil, err
+	}
 	if err := c.srv.acquire(c.tx, pid, lockS); err != nil {
 		return nil, nil, err
 	}
@@ -616,6 +623,9 @@ func (c *txSession) readPageDir(pid page.PageID) ([]byte, page.Directory, error)
 // WritePage implements Server under an exclusive lock, recording the page
 // before-image.
 func (c *txSession) WritePage(pid page.PageID, img []byte) error {
+	if err := faultpoint.Check(faultpoint.ServerWritePage); err != nil {
+		return err
+	}
 	if err := c.srv.acquire(c.tx, pid, lockX); err != nil {
 		return err
 	}
@@ -646,6 +656,9 @@ func (c *txSession) WritePage(pid page.PageID, img []byte) error {
 
 // Allocate implements Server; the undo deletes the object again.
 func (c *txSession) Allocate(seg uint16, rec []byte) (oid.OID, storage.PAddr, error) {
+	if err := faultpoint.Check(faultpoint.ServerAllocate); err != nil {
+		return oid.Nil, storage.PAddr{}, err
+	}
 	id, addr, err := c.srv.mgr.Allocate(seg, rec)
 	if err != nil {
 		return oid.Nil, storage.PAddr{}, err
@@ -658,6 +671,9 @@ func (c *txSession) Allocate(seg uint16, rec []byte) (oid.OID, storage.PAddr, er
 
 // AllocateNear implements Server.
 func (c *txSession) AllocateNear(seg uint16, neighbor oid.OID, rec []byte) (oid.OID, storage.PAddr, error) {
+	if err := faultpoint.Check(faultpoint.ServerAllocateNear); err != nil {
+		return oid.Nil, storage.PAddr{}, err
+	}
 	id, addr, err := c.srv.mgr.AllocateNear(seg, neighbor, rec)
 	if err != nil {
 		return oid.Nil, storage.PAddr{}, err
@@ -692,6 +708,9 @@ func (c *txSession) lockAllocation(id oid.OID, addr storage.PAddr) error {
 // UpdateObject implements Server, logging the object's before-image (an
 // object-level undo survives relocations in both directions).
 func (c *txSession) UpdateObject(id oid.OID, rec []byte) (storage.PAddr, error) {
+	if err := faultpoint.Check(faultpoint.ServerUpdateObject); err != nil {
+		return storage.PAddr{}, err
+	}
 	addr, err := c.srv.mgr.Lookup(id)
 	if err != nil {
 		return storage.PAddr{}, err
@@ -764,6 +783,9 @@ func (c *txSession) UpdateObject(id oid.OID, rec []byte) (storage.PAddr, error) 
 
 // NumPages implements Server.
 func (c *txSession) NumPages(seg uint16) (int, error) {
+	if err := faultpoint.Check(faultpoint.ServerNumPages); err != nil {
+		return 0, err
+	}
 	return c.srv.mgr.Disk().NumPages(seg)
 }
 
@@ -771,6 +793,9 @@ func (c *txSession) NumPages(seg uint16) (int, error) {
 // without page locks; each address is protected by its page's lock once
 // the page is read).
 func (c *txSession) LookupBatch(ids []oid.OID) ([]storage.PAddr, []bool, error) {
+	if err := faultpoint.Check(faultpoint.ServerLookupBatch); err != nil {
+		return nil, nil, err
+	}
 	addrs, ok := c.srv.mgr.LookupBatch(ids)
 	return addrs, ok, nil
 }
@@ -784,6 +809,9 @@ func (c *txSession) ReadPages(pid page.PageID, n int) ([][]byte, error) {
 }
 
 func (c *txSession) readPagesDir(pid page.PageID, n int) ([][]byte, []page.Directory, error) {
+	if err := faultpoint.Check(faultpoint.ServerReadPages); err != nil {
+		return nil, nil, err
+	}
 	if n < 1 {
 		return nil, nil, fmt.Errorf("server: read run of %d pages", n)
 	}

@@ -152,18 +152,21 @@ func recordedDial(t *testing.T, srv *TCPServer) (c *Client, recorded func() (toS
 }
 
 // TestWireGolden pins the frame format: a real Client and a real
-// TCPServer hold one scripted conversation through a relay that records
-// both directions, and every byte that crossed — hello both ways, traced
-// Lookup, ReadPage and ReadPages requests, a transient error, a page with
-// a two-extent directory, a page run with per-page directory lengths, an
-// invalidation push and its acknowledgement — must be the golden file's.
+// transactional TCPServer hold one scripted conversation outside a
+// transaction through a relay that records both directions, and every byte
+// that crossed — hello both ways, traced Lookup, ReadPage and ReadPages
+// requests, a transient error, a page with a two-extent directory, a page
+// run with per-page directory lengths, an invalidation push and its
+// acknowledgement — must be the golden file's. Each request runs as a
+// transaction of its own, and a transaction puts no frame of its own on
+// the wire.
 func TestWireGolden(t *testing.T) {
 	defer faultpoint.Reset()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := Serve(ln, goldenMgr(t))
+	srv := ServeTx(ln, NewTxServer(goldenMgr(t), time.Second))
 	defer srv.Close()
 	srv.EnableCoherence(CoherenceOptions{})
 
@@ -205,7 +208,7 @@ func TestWireGolden(t *testing.T) {
 	toServer, toClient := recorded()
 
 	checkGolden(t, toServer, "hello_request_begin_validates", "lookup_request", "read_page_request", "read_pages_request", "coherence_ack")
-	checkGolden(t, toClient, "hello_response_plain_begin_validates", "transient_error", "read_page_response", "read_pages_response", "invalidate_push")
+	checkGolden(t, toClient, "hello_response_tx_begin_validates", "transient_error", "read_page_response", "read_pages_response", "invalidate_push")
 }
 
 // TestWireGoldenTransaction pins what a transaction puts on the wire
@@ -344,7 +347,7 @@ func TestWireGoldenOldBaselineRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := Serve(ln, goldenMgr(t))
+	srv := ServeTx(ln, NewTxServer(goldenMgr(t), time.Second))
 	defer srv.Close()
 	srv.EnableCoherence(CoherenceOptions{})
 	conn, r := sendRaw(t, srv, goldenBytes(t, "hello_request_lookup_page"))
@@ -355,26 +358,54 @@ func TestWireGoldenOldBaselineRefused(t *testing.T) {
 	}
 	checkGolden(t, answer, "lookup_page_baseline_refusal")
 
-	old, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer old.Close()
-	oldAnswer := goldenBytes(t, "hello_response_tx")
-	go func() {
-		conn, err := old.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		if _, _, err := readMsg(bufio.NewReader(conn)); err == nil {
-			conn.Write(oldAnswer)
-		}
-	}()
-	if cl, err := DialWith(old.Addr().String(), DialOptions{DialTimeout: 2 * time.Second}); !errors.Is(err, ErrIncompatiblePeer) {
+	if cl, err := DialWith(helloReplay(t, "hello_response_tx"), DialOptions{DialTimeout: 2 * time.Second}); !errors.Is(err, ErrIncompatiblePeer) {
 		if err == nil {
 			cl.Close()
 		}
 		t.Errorf("dialing a server of the old baseline = %v, want ErrIncompatiblePeer", err)
 	}
+}
+
+// TestWireGoldenPlainHelloAccepted: a server that is not transactional
+// offers no coherence any more, but the client still accepts the golden
+// hello answer of one that did — the current baseline with coherence and
+// without tx — and reports coherence without transactions.
+func TestWireGoldenPlainHelloAccepted(t *testing.T) {
+	cl, err := DialWith(helloReplay(t, "hello_response_plain_begin_validates"), DialOptions{DialTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if !cl.HasCoherence() {
+		t.Error("the client does not report the coherence the hello agreed")
+	}
+	if _, err := cl.BeginTx(); !errors.Is(err, errNotTransactional) {
+		t.Errorf("BeginTx = %v, want %v", err, errNotTransactional)
+	}
+}
+
+// helloReplay listens for one connection, answers its hello with the named
+// golden frame and keeps the connection open until the client closes it;
+// it returns the address to dial.
+func helloReplay(t *testing.T, name string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	answer := goldenBytes(t, name)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		r := bufio.NewReader(conn)
+		if _, _, err := readMsg(r); err == nil {
+			conn.Write(answer)
+			io.Copy(io.Discard, r)
+		}
+	}()
+	return ln.Addr().String()
 }
