@@ -30,20 +30,22 @@ const (
 	// DiskRead / DiskWrite guard the simulated disk's page I/O.
 	DiskRead  = "disk.read"
 	DiskWrite = "disk.write"
-	// WALAppend and WALSync guard write-ahead-log appends (CheckWrite —
-	// torn writes tear the record at a byte offset) and fsyncs (CheckSync —
-	// a skipped sync silently loses everything after the last durable
-	// offset at the next crash).
+	// WALAppend guards write-ahead-log redo and system record appends
+	// (CheckWrite — a torn write tears the record at a byte offset and
+	// poisons the log, so the next commit gets ErrWALBroken). WALSync
+	// guards WAL.Sync's fsync (CheckSync — a skipped sync silently loses
+	// everything after the last durable offset at the next crash); commit
+	// records are fsynced under WALBatchSync instead.
 	WALAppend = "wal.append"
 	WALSync   = "wal.sync"
-	// Group-commit sites. WALBatchAppend guards the group committer's
-	// multi-record commit append (CheckWrite — a torn write can cut inside
-	// any record of the batch, a partial-batch torn write). WALBatchSync
-	// guards the batch's single fsync (CheckSync — an error fails every
-	// transaction in the batch, a Skip loses the whole batch at the next
-	// crash). WALWriterStall is checked by the dedicated log-writer
-	// goroutine before it flushes a batch — arm a Delay to stall the writer
-	// and force commit arrivals to pile into larger batches.
+	// Group-commit sites. WALBatchAppend guards a batch's multi-record
+	// commit append (CheckWrite — a torn write can cut inside any record of
+	// the batch, a partial-batch torn write). WALBatchSync guards the
+	// batch's single fsync (CheckSync — an error fails every transaction in
+	// the batch, a Skip loses the whole batch at the next crash).
+	// WALWriterStall is checked by the committer that leads a flush, before
+	// it takes the queue — arm a Delay to stall the log writer and force
+	// commit arrivals to pile into larger batches.
 	WALBatchAppend = "wal.batchappend"
 	WALBatchSync   = "wal.batchsync"
 	WALWriterStall = "wal.writerstall"

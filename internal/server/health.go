@@ -49,18 +49,16 @@ func (s *TCPServer) HealthChecks(stallAfter time.Duration) []health.Check {
 	}
 }
 
-// walWriterHealth judges the group-commit writer's liveness: a flush in
-// progress for longer than stallAfter, or enqueued commits with no
-// completed writer cycle for longer than stallAfter, is a stall. An idle
-// writer (nothing pending) is healthy no matter how old its last beat.
+// walWriterHealth judges the log writer's liveness — whichever committer
+// leads the current group-commit flush: a flush in progress for longer
+// than stallAfter, or queued commits with no finished flush for longer
+// than stallAfter, is a stall. An idle log (nothing pending) is healthy
+// no matter how old its last flush.
 func walWriterHealth(w *storage.WAL, stallAfter time.Duration, now time.Time) (health.Status, string) {
 	if w == nil {
 		return health.OK, "no WAL attached"
 	}
 	st := w.GroupCommitStatus()
-	if !st.Running {
-		return health.OK, "serial commit mode"
-	}
 	if !st.BusySince.IsZero() {
 		if busy := now.Sub(st.BusySince); busy > stallAfter {
 			return health.Stalled, fmt.Sprintf("flush in progress for %v (stall horizon %v)", busy.Round(time.Millisecond), stallAfter)
@@ -68,26 +66,23 @@ func walWriterHealth(w *storage.WAL, stallAfter time.Duration, now time.Time) (h
 	}
 	if st.Pending > 0 && !st.LastBeat.IsZero() {
 		if idle := now.Sub(st.LastBeat); idle > stallAfter {
-			return health.Stalled, fmt.Sprintf("%d commits pending, no writer cycle for %v", st.Pending, idle.Round(time.Millisecond))
+			return health.Stalled, fmt.Sprintf("%d commits pending, no flush for %v", st.Pending, idle.Round(time.Millisecond))
 		}
 	}
 	if st.LastBeat.IsZero() {
-		return health.OK, "writer started, no cycles yet"
+		return health.OK, "no flush yet"
 	}
-	return health.OK, fmt.Sprintf("last cycle %v ago, %d pending", now.Sub(st.LastBeat).Round(time.Millisecond), st.Pending)
+	return health.OK, fmt.Sprintf("last flush %v ago, %d pending", now.Sub(st.LastBeat).Round(time.Millisecond), st.Pending)
 }
 
 // commitQueueHealth degrades when the group-commit queue is at or above
-// half capacity — commits are arriving faster than the writer drains
-// them, the precursor of enqueue-wait tail latency.
+// half its nominal capacity — commits are arriving faster than flushes
+// drain them, the precursor of enqueue-wait tail latency.
 func commitQueueHealth(w *storage.WAL) (health.Status, string) {
 	if w == nil {
 		return health.OK, "no WAL attached"
 	}
 	st := w.GroupCommitStatus()
-	if !st.Running {
-		return health.OK, "serial commit mode"
-	}
 	detail := fmt.Sprintf("%d/%d pending", st.Pending, st.QueueCap)
 	if st.QueueCap > 0 && float64(st.Pending) >= commitQueueDegradedFrac*float64(st.QueueCap) {
 		return health.Degraded, detail

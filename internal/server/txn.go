@@ -382,24 +382,19 @@ const (
 // emitCommitSpans re-emits a durable commit's phase stamps as child
 // spans of parent. The stages already happened — timed in the storage
 // layer and carried back on the CommitPhases record — so the spans are
-// recorded after the fact. Arguments carry (tx, batch size). The serial
-// commit path stamps no stage boundaries; only lock release is emitted.
+// recorded after the fact. Arguments carry (tx, batch size).
 func emitCommitSpans(tr *trace.Tracer, parent trace.Context, tx TxID, ph storage.CommitPhases, lockStart time.Time, lockNS int64) {
 	if tr == nil || !parent.Traced() {
 		return
 	}
 	a, b := uint64(tx), uint64(ph.BatchSize)
 	at := func(ns int64) time.Time { return time.Unix(0, ns) }
-	if ph.EnqueuedAt != 0 {
-		tr.RecordSpan(spanCommitEnqueue, parent, at(ph.EnqueuedAt), time.Duration(ph.EnqueueWaitNS), a, b)
-	}
-	if ph.AppendAt != 0 {
-		// The linger interval ends where the flush (append) begins.
-		tr.RecordSpan(spanCommitLinger, parent, at(ph.AppendAt-ph.LingerNS), time.Duration(ph.LingerNS), a, b)
-		tr.RecordSpan(spanCommitAppend, parent, at(ph.AppendAt), time.Duration(ph.AppendNS), a, b)
-		tr.RecordSpan(spanCommitFsync, parent, at(ph.FsyncAt), time.Duration(ph.FsyncNS), a, b)
-		tr.RecordSpan(spanCommitPublish, parent, at(ph.PublishAt), time.Duration(ph.PublishNS), a, b)
-	}
+	tr.RecordSpan(spanCommitEnqueue, parent, at(ph.EnqueuedAt), time.Duration(ph.EnqueueWaitNS), a, b)
+	// The linger interval ends where the flush (append) begins.
+	tr.RecordSpan(spanCommitLinger, parent, at(ph.AppendAt-ph.LingerNS), time.Duration(ph.LingerNS), a, b)
+	tr.RecordSpan(spanCommitAppend, parent, at(ph.AppendAt), time.Duration(ph.AppendNS), a, b)
+	tr.RecordSpan(spanCommitFsync, parent, at(ph.FsyncAt), time.Duration(ph.FsyncNS), a, b)
+	tr.RecordSpan(spanCommitPublish, parent, at(ph.PublishAt), time.Duration(ph.PublishNS), a, b)
 	tr.RecordSpan(spanCommitLockRelease, parent, lockStart, time.Duration(lockNS), a, b)
 }
 

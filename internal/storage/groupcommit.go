@@ -1,62 +1,44 @@
 package storage
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gom/internal/faultpoint"
 	"gom/internal/metrics"
 )
 
-// Group commit (DESIGN.md "Durability"): a dedicated log-writer goroutine
-// owns the append+fsync of commit records. Committers enqueue a request
-// and block; the writer coalesces every request that arrived while the
-// previous fsync was running into one multi-record append followed by a
-// single fsync, then wakes all waiters with the shared durability result.
+// Group commit (DESIGN.md "Durability"), leader/follower style: a
+// committer appends its transaction to a mutex-guarded queue; if no flush
+// is in progress (and no test hold is set) it becomes the leader, takes
+// the whole queue and makes it durable with one append and one fsync,
+// then wakes the followers with the shared result. Commits that queue while a flush is on the device wait for it,
+// and one of them leads the next batch — so the fsync duration itself
+// gates batch growth, and a lone committer pays exactly one append+fsync
+// on its own stack.
 //
-// Batching starts "natural": while a flush is on the device, arriving
-// commits queue and the next drain picks them all up, so the fsync
-// duration itself gates batch growth. On top of that the writer lingers
-// adaptively: when the previous flush carried company (or commits are
-// already queued), it waits up to half the observed flush cost — capped
-// at 1ms — for stragglers, absorbing the arrival spread of committers
-// that woke from the last batch and are racing through their next
-// transaction. A lone committer never lingers and pays exactly one
-// append+fsync. An explicit Budget overrides the adaptive linger.
+// On top of that natural batching the leader waits for its cohort: when
+// the previous batch carried more than one commit, it waits until that
+// many commits are queued, at most half the EWMA flush cost (capped at
+// 1ms). That absorbs the arrival spread of the committers that woke from
+// the last batch and are racing through their next transaction; without
+// it concurrent committers split into ever smaller batches.
 //
-// Failure semantics match the serial path: when the batch's append or
-// fsync fails, every transaction in the batch gets the error, none is
-// reported durable, and the WAL is poisoned (ErrWALBroken) until
-// recovery — commit records already in the file must not be resurrected
-// by a later successful fsync after their commits were reported failed.
+// Failure semantics: when the batch's append or fsync fails, every
+// transaction in the batch gets the error, none is reported durable, and
+// the WAL is poisoned (ErrWALBroken) until recovery — commit records
+// already in the file must not be resurrected by a later successful fsync
+// after their commits were reported failed.
 
-// GroupCommitOptions configures the group-commit pipeline.
-type GroupCommitOptions struct {
-	// MaxBatch caps how many commit records one flush coalesces.
-	// 0 means the default (256).
-	MaxBatch int
-	// Budget is the linger: after the writer picks up the first commit
-	// of a batch it waits up to Budget for more to arrive before
-	// flushing. 0 (the default) means adaptive — the writer lingers up
-	// to half the EWMA flush cost, and only when the previous flush
-	// carried more than one commit or commits are already queued, so a
-	// lone committer never waits. An explicit Budget fixes the linger
-	// instead. Capped at 1ms either way.
-	Budget time.Duration
-}
+// GroupCommitOptions is kept, empty, for callers of EnableGroupCommit;
+// group commit has no settings.
+type GroupCommitOptions struct{}
 
 const (
-	defaultGroupMaxBatch = 256
-	maxGroupBudget       = time.Millisecond
-	groupQueueDepth      = 1024
-	// spinLingerMax bounds the busy-wait linger: up to this budget the
-	// writer spins with Gosched (runtime timers cannot resolve the
-	// microsecond gaps being waited out); above it the wait blocks on a
-	// timer so a sustained commit load does not pin a core for up to 1ms
-	// per flush.
-	spinLingerMax = 100 * time.Microsecond
+	maxCohortWait = time.Millisecond
+	// commitQueueCap is the queue depth the commit_queue health check
+	// judges against; the queue itself is unbounded.
+	commitQueueCap = 1024
 )
 
 // CommitPhases is one durable commit's flight record: where its time
@@ -66,9 +48,9 @@ const (
 // (linger, append, fsync, publish) carry the whole batch's timing,
 // identical for every member; enqueue wait is the member's own.
 type CommitPhases struct {
-	EnqueuedAt    int64 // when the commit entered the pipeline
+	EnqueuedAt    int64 // when the commit entered the queue
 	EnqueueWaitNS int64 // queued until its batch's flush began
-	LingerNS      int64 // how long the writer gathered the batch
+	LingerNS      int64 // the leader's writer stall plus its cohort wait
 	AppendAt      int64
 	AppendNS      int64 // WAL lock + frame build + buffered write
 	FsyncAt       int64
@@ -79,335 +61,110 @@ type CommitPhases struct {
 }
 
 // commitReq is one transaction waiting for its commit record to be
-// durable.
+// durable; the leader fills phases and err and sets done.
 type commitReq struct {
 	tx      uint64
 	traceID uint64 // exemplar candidate for the batch's histograms
 	enq     time.Time
-	done    chan commitResult
+	done    bool
+	phases  CommitPhases
+	err     error
 }
 
-// commitResult is the batch outcome delivered to each waiter.
-type commitResult struct {
-	phases CommitPhases
-	err    error
+// groupCommit is the WAL's commit queue. Every field is guarded by mu.
+type groupCommit struct {
+	mu       sync.Mutex
+	wake     sync.Cond // a flush finished or the hold was released; followers and Close wait on it
+	arrived  sync.Cond // a commit queued, or the cohort wait's deadline passed
+	queue    []*commitReq
+	spare    []*commitReq // the previous batch's backing array, reused
+	flushing bool         // a leader owns the log until it clears this
+	hold     bool         // test hook: nobody leads while set
+	pending  int          // commits queued or in the flush in progress
+
+	// Heartbeat for the health watchdog (GroupCommitStatus): beat is the
+	// Unix-ns time the last flush finished; busySince is nonzero while a
+	// leader owns the log, set before the WALWriterStall faultpoint so an
+	// injected stall reads as one overlong flush.
+	beat      int64
+	busySince int64
+
+	avgFlushNS int64 // EWMA of the flush duration
+	lastBatch  int   // size of the previous batch
 }
 
-// groupCommitter is the writer goroutine plus its queue. One per WAL,
-// created on first CommitDurable (or explicitly via EnableGroupCommit).
-type groupCommitter struct {
-	w    *WAL
-	opts GroupCommitOptions
-
-	reqs chan commitReq
-	stop chan struct{} // closed first: senders must stop entering
-	quit chan struct{} // closed once senders drained: writer exits
-	wg   sync.WaitGroup
-
-	enterMu sync.Mutex
-	closed  bool
-	senders sync.WaitGroup
-
-	pending  atomic.Int64
-	entrants atomic.Int64 // committers currently inside commit()
-	inline   atomic.Bool  // a lone committer is flushing on its own stack
-
-	// Heartbeat state for the health watchdog (GroupCommitStatus): beat
-	// is the Unix-ns time the writer last completed a cycle; busySince is
-	// nonzero while a flush (writer-goroutine or inline) is in progress,
-	// set before the WALWriterStall faultpoint so injected stalls are
-	// visible as a long-running busy flush.
-	beat      atomic.Int64
-	busySince atomic.Int64
-
-	// Adaptive-linger state, touched only by the writer goroutine.
-	avgFlushNS int64 // EWMA of flush duration
-	lastBatch  int   // size of the previous flush
-
-	holdMu sync.Mutex
-	hold   chan struct{} // test hook: non-nil while flushing is held
+// init ties both condition variables to mu; newWAL calls it.
+func (g *groupCommit) init() {
+	g.wake.L = &g.mu
+	g.arrived.L = &g.mu
 }
 
-// commit enqueues tx and waits for the batch result. ok=false means the
-// committer is shutting down and the caller must retry against the WAL's
-// current configuration (serial fallback or a replacement committer).
-// traceID, when nonzero, exemplar-stamps the phase histograms this
-// commit's batch observes.
-func (g *groupCommitter) commit(tx uint64, traceID uint64) (ok bool, ph CommitPhases, err error) {
-	enq := time.Now()
-	g.enterMu.Lock()
-	if g.closed {
-		g.enterMu.Unlock()
-		return false, ph, nil
-	}
-	g.senders.Add(1)
-	g.enterMu.Unlock()
-	g.entrants.Add(1)
-	if g.tryInline() {
-		// The inline committer is acting as the log writer, so writer
-		// faults (slow/descheduled log writer) apply here too: commits
-		// arriving during the stall enqueue — the entrants count keeps
-		// them out of the inline path — and coalesce behind the writer
-		// goroutine exactly as they would behind a stalled flush.
-		g.busySince.Store(enq.UnixNano())
-		_ = faultpoint.Check(faultpoint.WALWriterStall)
-		ph = CommitPhases{
-			EnqueuedAt:    enq.UnixNano(),
-			EnqueueWaitNS: time.Since(enq).Nanoseconds(),
+// EnableGroupCommit does nothing: every WAL group-commits, and group
+// commit has no settings.
+func (w *WAL) EnableGroupCommit(GroupCommitOptions) {}
+
+// CommitDurable makes tx's commit record durable. Commits arriving while
+// a flush is in progress coalesce into the next batch and share its
+// fsync.
+func (w *WAL) CommitDurable(tx uint64) error {
+	_, err := w.CommitDurablePhases(tx, 0)
+	return err
+}
+
+// CommitDurablePhases is CommitDurable with the flight record: it
+// returns where the commit's time went, stage by stage, and stamps the
+// phase histograms' exemplars with traceID when nonzero.
+func (w *WAL) CommitDurablePhases(tx uint64, traceID uint64) (CommitPhases, error) {
+	g := &w.group
+	r := &commitReq{tx: tx, traceID: traceID, enq: time.Now()}
+	g.mu.Lock()
+	g.queue = append(g.queue, r)
+	g.pending++
+	g.arrived.Signal()
+	for !r.done {
+		if !g.flushing && !g.hold {
+			w.lead()
+			continue
 		}
-		err := g.w.appendCommitBatch([]uint64{tx}, &ph, traceID)
-		if err == nil {
-			obs := g.w.Metrics()
-			obs.ObserveHistTrace(metrics.HistPhaseEnqueueWait, ph.EnqueueWaitNS, traceID)
-			obs.ObserveHistTrace(metrics.HistPhaseLinger, 0, traceID)
-		}
-		g.beat.Store(time.Now().UnixNano())
-		g.busySince.Store(0)
-		g.inline.Store(false)
-		g.entrants.Add(-1)
-		g.senders.Done()
-		return true, ph, err
+		g.wake.Wait()
 	}
-	req := commitReq{tx: tx, traceID: traceID, enq: enq, done: make(chan commitResult, 1)}
-	select {
-	case g.reqs <- req:
-	case <-g.stop:
-		g.entrants.Add(-1)
-		g.senders.Done()
-		return false, ph, nil
-	}
-	g.pending.Add(1)
-	g.senders.Done()
-	res := <-req.done
-	g.pending.Add(-1)
-	g.entrants.Add(-1)
-	return true, res.phases, res.err
+	g.mu.Unlock()
+	return r.phases, r.err
 }
 
-// tryInline decides whether a committer may flush on its own stack
-// instead of handing off to the writer goroutine. A lone committer —
-// adaptive mode, no other committer inside commit(), nothing pending or
-// queued, no test hold — pays one append+fsync directly, skipping the
-// channel round trip and the writer wake-up (the queue-handoff penalty
-// the single-committer benchmark row used to show). Any doubt sends it
-// through the queue: concurrent appendCommitBatch calls are safe (w.mu
-// serializes, synced advances by max), so a lost race costs only a
-// missed coalescing opportunity, never correctness. The entrants count
-// is the load-bearing signal — a committer blocked in its inline fsync
-// keeps it elevated, so arrivals during that fsync enqueue and coalesce
-// behind the writer instead of serializing through here one fsync each.
-// The caller holds a senders slot, so shutdown cannot pass it by.
-func (g *groupCommitter) tryInline() bool {
-	if g.opts.Budget != 0 {
-		return false // an explicit linger budget asks for coalescing
-	}
-	if g.entrants.Load() != 1 || g.pending.Load() != 0 || len(g.reqs) != 0 || g.holding() {
-		return false
-	}
-	if !g.inline.CompareAndSwap(false, true) {
-		return false
-	}
-	// Re-check under the flag: a committer may have arrived between the
-	// first look and the CAS; join the batch instead of racing it.
-	if g.entrants.Load() != 1 || g.pending.Load() != 0 || len(g.reqs) != 0 || g.holding() {
-		g.inline.Store(false)
-		return false
-	}
-	return true
-}
-
-// holding reports whether the test hold is armed.
-func (g *groupCommitter) holding() bool {
-	g.holdMu.Lock()
-	h := g.hold != nil
-	g.holdMu.Unlock()
-	return h
-}
-
-// shutdown stops the writer after flushing everything already queued.
-// Safe to call more than once.
-func (g *groupCommitter) shutdown() {
-	g.enterMu.Lock()
-	if g.closed {
-		g.enterMu.Unlock()
-		return
-	}
-	g.closed = true
-	g.enterMu.Unlock()
-	close(g.stop)
-	g.senders.Wait() // every in-flight enqueue has landed or aborted
-	close(g.quit)
-	g.wg.Wait()
-}
-
-// run is the writer loop: block for the first commit, gather the batch,
-// flush, repeat.
-func (g *groupCommitter) run() {
-	defer g.wg.Done()
-	for {
-		var first commitReq
-		// busy: a commit was already waiting when the previous flush
-		// finished — committers are arriving at least as fast as the
-		// writer flushes, so lingering for company is worthwhile even
-		// when the previous batch happened to carry only one.
-		busy := true
-		select {
-		case first = <-g.reqs:
-		default:
-			busy = false
-			select {
-			case first = <-g.reqs:
-			case <-g.quit:
-				if batch := g.drainQueued(nil); len(batch) > 0 {
-					g.flush(batch, 0)
-				}
-				return
+// lead makes the queue durable as one batch — one append, one fsync, one
+// commit-hook publish — and fills every member's result with the shared
+// outcome plus its own flight record. Called, and returns, with g.mu
+// held; the caller's own request is in the queue.
+func (w *WAL) lead() {
+	g := &w.group
+	g.flushing = true
+	lingerStart := time.Now()
+	g.busySince = lingerStart.UnixNano()
+	g.mu.Unlock()
+	// A stall here models a slow or descheduled log writer: commits keep
+	// queueing behind the leader and pile into one large batch.
+	_ = faultpoint.Check(faultpoint.WALWriterStall)
+	g.mu.Lock()
+	if cohort := g.lastBatch; cohort > 1 && len(g.queue) < cohort {
+		if wait := min(time.Duration(g.avgFlushNS/2), maxCohortWait); wait > 0 {
+			expired := false
+			t := time.AfterFunc(wait, func() {
+				g.mu.Lock()
+				expired = true
+				g.arrived.Signal()
+				g.mu.Unlock()
+			})
+			for !expired && len(g.queue) < cohort {
+				g.arrived.Wait()
 			}
+			t.Stop()
 		}
-		// A stall here models a slow or descheduled log writer: commits
-		// keep arriving and pile into one large batch (arm a Delay at
-		// faultpoint.WALWriterStall). busySince is already set, so the
-		// health watchdog sees the stall as an overlong busy cycle.
-		g.busySince.Store(time.Now().UnixNano())
-		_ = faultpoint.Check(faultpoint.WALWriterStall)
-		lingerStart := time.Now()
-		batch := g.gather([]commitReq{first}, busy)
-		g.flush(batch, time.Since(lingerStart))
-		g.beat.Store(time.Now().UnixNano())
-		g.busySince.Store(0)
 	}
-}
+	batch := g.queue
+	g.queue, g.spare = g.spare[:0], nil
+	g.mu.Unlock()
 
-// gather grows the batch: while the test hold is set it collects without
-// flushing; with a linger budget it waits for stragglers; finally it
-// drains whatever queued while the writer was busy, up to MaxBatch.
-func (g *groupCommitter) gather(batch []commitReq, busy bool) []commitReq {
-	for {
-		g.holdMu.Lock()
-		hold := g.hold
-		g.holdMu.Unlock()
-		if hold == nil {
-			break
-		}
-		select {
-		case r := <-g.reqs:
-			batch = append(batch, r)
-		case <-hold:
-			// Released; re-check (a test may hold again immediately).
-		case <-g.quit:
-			return g.drainQueued(batch)
-		}
-	}
-	if budget := g.lingerBudget(busy); budget > 0 {
-		// The linger is gap-based: each arrival proves more committers
-		// are in flight and extends the wait; the first pause in the
-		// stream ends it, and the total budget bounds the added latency
-		// even under a continuous trickle. Small budgets (under
-		// spinLingerMax) yield the processor rather than arming a timer —
-		// runtime timers cannot resolve the microsecond gaps being waited
-		// out — while larger budgets block on a timer so the writer does
-		// not burn a core for up to 1ms per flush under sustained load.
-		// Either way the wait exits immediately once the previous flush's
-		// cohort has fully re-arrived.
-		spin := budget <= spinLingerMax
-		gap := budget / 4
-		deadline := time.Now().Add(budget)
-		gapEnd := time.Now().Add(gap)
-	linger:
-		for len(batch) < g.opts.MaxBatch {
-			if g.lastBatch > 1 && len(batch) >= g.lastBatch {
-				// Cohort complete: everyone who shared the last flush
-				// is aboard; lingering further only adds latency.
-				break
-			}
-			if spin {
-				select {
-				case r := <-g.reqs:
-					batch = append(batch, r)
-					gapEnd = time.Now().Add(gap)
-				case <-g.quit:
-					return g.drainQueued(batch)
-				default:
-					now := time.Now()
-					if !now.Before(gapEnd) || !now.Before(deadline) {
-						break linger
-					}
-					runtime.Gosched()
-				}
-				continue
-			}
-			wake := gapEnd
-			if deadline.Before(wake) {
-				wake = deadline
-			}
-			wait := time.Until(wake)
-			if wait <= 0 {
-				break linger
-			}
-			t := time.NewTimer(wait)
-			select {
-			case r := <-g.reqs:
-				t.Stop()
-				batch = append(batch, r)
-				gapEnd = time.Now().Add(gap)
-			case <-t.C:
-				break linger
-			case <-g.quit:
-				t.Stop()
-				return g.drainQueued(batch)
-			}
-		}
-	}
-	for len(batch) < g.opts.MaxBatch {
-		select {
-		case r := <-g.reqs:
-			batch = append(batch, r)
-		default:
-			return batch
-		}
-	}
-	return batch
-}
-
-// lingerBudget sizes the wait for stragglers. An explicit opts.Budget
-// wins; otherwise the budget adapts to the log device: half the EWMA
-// flush cost (capped at maxGroupBudget), and only on evidence of
-// concurrent committers worth waiting for — the previous flush carried
-// more than one commit, a commit was already waiting when that flush
-// finished (busy), or commits are queued right now. A lone committer
-// sees budget 0 and flushes immediately.
-func (g *groupCommitter) lingerBudget(busy bool) time.Duration {
-	if g.opts.Budget > 0 {
-		return g.opts.Budget
-	}
-	if !busy && g.lastBatch <= 1 && len(g.reqs) == 0 {
-		return 0
-	}
-	b := time.Duration(g.avgFlushNS / 2)
-	if b > maxGroupBudget {
-		b = maxGroupBudget
-	}
-	return b
-}
-
-// drainQueued empties the queue without blocking (shutdown path: every
-// sender has finished enqueueing by the time quit closes).
-func (g *groupCommitter) drainQueued(batch []commitReq) []commitReq {
-	for {
-		select {
-		case r := <-g.reqs:
-			batch = append(batch, r)
-		default:
-			return batch
-		}
-	}
-}
-
-// flush writes the batch as one append+fsync and wakes every waiter with
-// the shared result plus its flight record. linger is how long gather
-// held the batch open (observed once per batch; a member's enqueue wait
-// is its own queued time, measured here against the flush start).
-func (g *groupCommitter) flush(batch []commitReq, linger time.Duration) {
 	txs := make([]uint64, len(batch))
 	exemplar := uint64(0)
 	for i, r := range batch {
@@ -417,195 +174,90 @@ func (g *groupCommitter) flush(batch []commitReq, linger time.Duration) {
 		}
 	}
 	start := time.Now()
-	ph := CommitPhases{LingerNS: linger.Nanoseconds()}
-	err := g.w.appendCommitBatch(txs, &ph, exemplar)
+	ph := CommitPhases{LingerNS: start.Sub(lingerStart).Nanoseconds()}
+	err := w.appendCommitBatch(txs, &ph, exemplar)
 	dur := time.Since(start).Nanoseconds()
-	// EWMA with alpha 1/4 feeds the adaptive linger.
-	g.avgFlushNS += (dur - g.avgFlushNS) / 4
-	g.lastBatch = len(batch)
-	obs := g.w.Metrics()
+	obs := w.Metrics()
 	if err == nil {
 		obs.ObserveHistTrace(metrics.HistPhaseLinger, ph.LingerNS, exemplar)
 	}
+
+	g.mu.Lock()
 	for _, r := range batch {
-		res := commitResult{phases: ph, err: err}
-		res.phases.EnqueuedAt = r.enq.UnixNano()
+		r.phases, r.err, r.done = ph, err, true
+		r.phases.EnqueuedAt = r.enq.UnixNano()
+		// A member's enqueue wait is its own queued time, up to the
+		// flush start; the leader's includes the linger.
 		if wait := start.Sub(r.enq).Nanoseconds(); wait > 0 {
-			res.phases.EnqueueWaitNS = wait
+			r.phases.EnqueueWaitNS = wait
 		}
 		if err == nil {
-			obs.ObserveHistTrace(metrics.HistPhaseEnqueueWait, res.phases.EnqueueWaitNS, r.traceID)
+			obs.ObserveHistTrace(metrics.HistPhaseEnqueueWait, r.phases.EnqueueWaitNS, r.traceID)
 		}
-		r.done <- res
 	}
+	// EWMA with alpha 1/4 sizes the next cohort wait.
+	g.avgFlushNS += (dur - g.avgFlushNS) / 4
+	g.lastBatch = len(batch)
+	g.pending -= len(batch)
+	clear(batch)
+	g.spare = batch[:0]
+	g.flushing = false
+	g.beat = time.Now().UnixNano()
+	g.busySince = 0
+	g.wake.Broadcast()
 }
 
-// EnableGroupCommit starts (or reconfigures) the group-commit pipeline.
-// An existing writer is drained and replaced.
-func (w *WAL) EnableGroupCommit(opts GroupCommitOptions) {
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = defaultGroupMaxBatch
-	}
-	if opts.Budget < 0 {
-		opts.Budget = 0
-	}
-	if opts.Budget > maxGroupBudget {
-		opts.Budget = maxGroupBudget
-	}
-	g := &groupCommitter{
-		w:    w,
-		opts: opts,
-		reqs: make(chan commitReq, groupQueueDepth),
-		stop: make(chan struct{}),
-		quit: make(chan struct{}),
-	}
-	g.beat.Store(time.Now().UnixNano())
-	g.wg.Add(1)
-	go g.run()
-
-	w.gcMu.Lock()
-	old := w.gc
-	w.gc = g
-	w.gcConfigured = true
-	w.gcMu.Unlock()
-	if old != nil {
-		old.shutdown()
-	}
-}
-
-// DisableGroupCommit drains and stops the pipeline; CommitDurable then
-// uses the serial append+fsync path. Sticky: CommitDurable will not
-// restart the writer until EnableGroupCommit is called again.
-func (w *WAL) DisableGroupCommit() {
-	w.gcMu.Lock()
-	old := w.gc
-	w.gc = nil
-	w.gcConfigured = true
-	w.gcMu.Unlock()
-	if old != nil {
-		old.shutdown()
-	}
-}
-
-// CommitDurable makes tx's commit record durable: through the
-// group-commit pipeline (started with default options on first use), or
-// via the serial AppendCommit path when group commit has been explicitly
-// disabled. This is the commit entry point for concurrent committers —
-// requests arriving while a flush is in progress coalesce into the next
-// batch and share its fsync.
-func (w *WAL) CommitDurable(tx uint64) error {
-	_, err := w.CommitDurablePhases(tx, 0)
-	return err
-}
-
-// CommitDurablePhases is CommitDurable with the flight record: it
-// returns where the commit's time went, stage by stage, and stamps the
-// phase histograms' exemplars with traceID when nonzero. The serial
-// (group-commit-disabled) path reports no stage decomposition beyond its
-// batch of one.
-func (w *WAL) CommitDurablePhases(tx uint64, traceID uint64) (CommitPhases, error) {
-	for {
-		w.gcMu.RLock()
-		g, configured := w.gc, w.gcConfigured
-		w.gcMu.RUnlock()
-		if g == nil {
-			if configured {
-				return CommitPhases{BatchSize: 1}, w.AppendCommit(tx)
-			}
-			w.EnableGroupCommit(GroupCommitOptions{})
-			continue
-		}
-		ok, ph, err := g.commit(tx, traceID)
-		if !ok {
-			// The committer shut down while we enqueued; retry against
-			// the WAL's current configuration.
-			continue
-		}
-		return ph, err
-	}
-}
-
-// GroupCommitStatus is a point-in-time view of the group-commit writer,
-// consumed by the health watchdog: a writer that has been busy on one
-// flush for much longer than a flush should take, or that has commits
-// pending but has not completed a cycle recently, is stalled.
+// GroupCommitStatus is a point-in-time view of the commit queue,
+// consumed by the health watchdog: a flush in progress for much longer
+// than a flush should take, or commits pending with no flush finished
+// recently, is a stall.
 type GroupCommitStatus struct {
-	Running   bool      // a group-commit writer is installed
-	Pending   int       // commits enqueued or being flushed
-	QueueCap  int       // capacity of the request queue
-	LastBeat  time.Time // last completed writer cycle (zero: never)
+	Pending   int       // commits queued or being flushed
+	QueueCap  int       // the depth commit_queue health judges against
+	LastBeat  time.Time // end of the last flush (zero: never)
 	BusySince time.Time // start of the in-progress flush (zero: idle)
 }
 
-// GroupCommitStatus reports the writer's heartbeat state.
+// GroupCommitStatus reports the commit queue's heartbeat state.
 func (w *WAL) GroupCommitStatus() GroupCommitStatus {
-	w.gcMu.RLock()
-	g := w.gc
-	w.gcMu.RUnlock()
-	st := GroupCommitStatus{QueueCap: groupQueueDepth}
-	if g == nil {
-		return st
+	g := &w.group
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	st := GroupCommitStatus{Pending: g.pending, QueueCap: commitQueueCap}
+	if g.beat != 0 {
+		st.LastBeat = time.Unix(0, g.beat)
 	}
-	st.Running = true
-	st.Pending = int(g.pending.Load())
-	if b := g.beat.Load(); b != 0 {
-		st.LastBeat = time.Unix(0, b)
-	}
-	if b := g.busySince.Load(); b != 0 {
-		st.BusySince = time.Unix(0, b)
+	if g.busySince != 0 {
+		st.BusySince = time.Unix(0, g.busySince)
 	}
 	return st
 }
 
-// HoldGroupCommit pauses the writer's flushing (test hook): commit
-// requests accumulate into one batch until ReleaseGroupCommit, giving
-// crash tests a deterministic multi-transaction batch.
+// HoldGroupCommit stops new flushes from starting (test hook): commits
+// accumulate into one batch until ReleaseGroupCommit, giving crash tests
+// a deterministic multi-transaction batch.
 func (w *WAL) HoldGroupCommit() {
-	w.gcMu.RLock()
-	configured := w.gcConfigured
-	w.gcMu.RUnlock()
-	if !configured {
-		w.EnableGroupCommit(GroupCommitOptions{})
-	}
-	w.gcMu.RLock()
-	g := w.gc
-	w.gcMu.RUnlock()
-	if g == nil {
-		return
-	}
-	g.holdMu.Lock()
-	if g.hold == nil {
-		g.hold = make(chan struct{})
-	}
-	g.holdMu.Unlock()
+	w.group.mu.Lock()
+	w.group.hold = true
+	w.group.mu.Unlock()
 }
 
-// ReleaseGroupCommit lets a held writer flush the accumulated batch.
+// ReleaseGroupCommit lets one of the held commits lead the accumulated
+// batch.
 func (w *WAL) ReleaseGroupCommit() {
-	w.gcMu.RLock()
-	g := w.gc
-	w.gcMu.RUnlock()
-	if g == nil {
-		return
-	}
-	g.holdMu.Lock()
-	if g.hold != nil {
-		close(g.hold)
-		g.hold = nil
-	}
-	g.holdMu.Unlock()
+	g := &w.group
+	g.mu.Lock()
+	g.hold = false
+	g.wake.Broadcast()
+	g.mu.Unlock()
 }
 
-// PendingCommits returns how many commit requests are enqueued or being
-// flushed — a test hook for building deterministic batches (enqueue
-// order is FIFO, so polling PendingCommits between sends fixes the
-// record order inside the batch).
+// PendingCommits returns how many commits are queued or being flushed —
+// a test hook for building deterministic batches (the queue is FIFO, so
+// polling PendingCommits between commits fixes the record order inside
+// the batch).
 func (w *WAL) PendingCommits() int {
-	w.gcMu.RLock()
-	g := w.gc
-	w.gcMu.RUnlock()
-	if g == nil {
-		return 0
-	}
-	return int(g.pending.Load())
+	w.group.mu.Lock()
+	defer w.group.mu.Unlock()
+	return w.group.pending
 }

@@ -12,9 +12,9 @@ import (
 	"gom/internal/metrics"
 )
 
-// waitPending polls until n commit requests are queued at the (held)
-// group committer — the deterministic way to build a batch with a known
-// record order.
+// waitPending polls until n commits are queued or being flushed — with
+// the group commit held, the deterministic way to build a batch with a
+// known record order.
 func waitPending(t *testing.T, w *WAL, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -26,7 +26,7 @@ func waitPending(t *testing.T, w *WAL, n int) {
 	}
 }
 
-// holdBatch enqueues txs 1..n against a held group committer and returns
+// holdBatch queues txs 1..n behind a held group commit and returns
 // a function that releases the batch and collects the per-commit results
 // (FIFO enqueue order = record order in the batch).
 func holdBatch(t *testing.T, w *WAL, n int) func() []error {
@@ -49,7 +49,7 @@ func holdBatch(t *testing.T, w *WAL, n int) func() []error {
 	}
 }
 
-// TestGroupCommitBatchesOneFsync holds the writer, queues five commits,
+// TestGroupCommitBatchesOneFsync holds group commit, queues five commits,
 // releases, and asserts the batch became one append+fsync carrying five
 // commit records in enqueue order.
 func TestGroupCommitBatchesOneFsync(t *testing.T) {
@@ -111,13 +111,10 @@ func TestGroupCommitBatchesOneFsync(t *testing.T) {
 // far fewer than 32 fsyncs. The start barrier makes the committers truly
 // concurrent — without it a scheduling hiccup can split the burst, and
 // commits that genuinely arrive one at a time are entitled to one fsync
-// each (the inline lone-committer path); that is not what this test is
-// about. The stall covers whichever committer acts as the log writer
-// first — the writer goroutine or an inline committer — and everyone
-// else piles into the next batch while it sleeps. Times is 2 because the
-// first fire may be consumed by an inline committer: the second then
-// catches the writer goroutine's first flush, and by the time either
-// 20ms stall ends every remaining committer has enqueued.
+// each; that is not what this test is about. The stall covers the first
+// leaders, and everyone else piles into the next batch while they sleep:
+// by the time either 20ms stall ends every remaining committer has
+// queued.
 func TestGroupCommitNaturalBatchingUnderStall(t *testing.T) {
 	defer faultpoint.Reset()
 	w, err := CreateWAL(t.TempDir())
@@ -127,7 +124,6 @@ func TestGroupCommitNaturalBatchingUnderStall(t *testing.T) {
 	defer w.Close()
 	reg := metrics.New()
 	w.SetMetrics(reg)
-	w.EnableGroupCommit(GroupCommitOptions{})
 
 	faultpoint.Arm(faultpoint.Fault{Site: faultpoint.WALWriterStall, Delay: 20 * time.Millisecond, Times: 2})
 	const n = 32
@@ -189,8 +185,8 @@ func TestGroupCommitBatchTornWriteSweep(t *testing.T) {
 					t.Fatalf("commit %d reported durable through a torn batch append", i+1)
 				}
 			}
-			if err := w.AppendCommit(99); !errors.Is(err, ErrWALBroken) {
-				t.Fatalf("append after torn batch = %v, want ErrWALBroken", err)
+			if err := w.CommitDurable(99); !errors.Is(err, ErrWALBroken) {
+				t.Fatalf("commit after torn batch = %v, want ErrWALBroken", err)
 			}
 			path := w.Path()
 			w.Close()
@@ -242,8 +238,8 @@ func TestGroupCommitSyncFailurePoisons(t *testing.T) {
 		t.Fatalf("durable prefix advanced across a failed fsync: %d != %d", w.SyncedOffset(), syncedAt)
 	}
 	// Poisoned: no later append or sync may quietly make the batch durable.
-	if err := w.AppendCommit(99); !errors.Is(err, ErrWALBroken) {
-		t.Fatalf("append after failed batch fsync = %v, want ErrWALBroken", err)
+	if err := w.CommitDurable(99); !errors.Is(err, ErrWALBroken) {
+		t.Fatalf("commit after failed batch fsync = %v, want ErrWALBroken", err)
 	}
 	if err := w.Sync(); !errors.Is(err, ErrWALBroken) {
 		t.Fatalf("Sync after failed batch fsync = %v, want ErrWALBroken", err)
@@ -266,7 +262,7 @@ func TestGroupCommitSyncFailurePoisons(t *testing.T) {
 }
 
 // TestGroupCommitLostFsyncLosesBatch: a *skipped* batch fsync (the device
-// lied) reports success, matching the serial path's lost-fsync contract —
+// lied) reports success, matching Sync's lost-fsync contract —
 // and a crash at the durable prefix then loses the whole batch at once.
 func TestGroupCommitLostFsyncLosesBatch(t *testing.T) {
 	defer faultpoint.Reset()
@@ -328,13 +324,13 @@ func waitOffsetPast(t *testing.T, w *WAL, off int64) {
 }
 
 // TestGroupCommitFailedFsyncCoveredByConcurrentSync: batch A's fsync
-// stalls and then fails, but while it is on the device a serial commit
-// appends after A's records and fsyncs successfully. fsync covers the
-// whole file, so that sync made A's commit records durable before A's own
-// failed verdict arrived — A must report success (failing it would be the
-// resurrection bug in reverse: a transaction reported failed whose commit
-// record recovery replays), the WAL stays healthy, and recovery sees both
-// transactions committed.
+// stalls and then fails, but while it is on the device a record is
+// appended after A's records and WAL.Sync fsyncs successfully. fsync
+// covers the whole file, so that sync made A's commit record durable
+// before A's own failed verdict arrived — A must report success (failing
+// it would be the resurrection bug in reverse: a transaction reported
+// failed whose commit record recovery replays), the WAL stays healthy,
+// and recovery sees A committed.
 func TestGroupCommitFailedFsyncCoveredByConcurrentSync(t *testing.T) {
 	defer faultpoint.Reset()
 	dir := t.TempDir()
@@ -349,10 +345,14 @@ func TestGroupCommitFailedFsyncCoveredByConcurrentSync(t *testing.T) {
 	go func() { aErr <- w.CommitDurable(1) }()
 	waitOffsetPast(t, w, start)
 
-	// A's record is in the file and A is stalled in its doomed fsync; the
-	// serial path now syncs the whole log — A's record included.
-	if err := w.AppendCommit(2); err != nil {
-		t.Fatalf("concurrent serial commit: %v", err)
+	// A's record is in the file and A is stalled in its doomed fsync; a
+	// record lands after it and Sync fsyncs the whole log — A's record
+	// included.
+	if err := w.AppendSegCreate(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatalf("concurrent sync: %v", err)
 	}
 	if err := <-aErr; err != nil {
 		t.Fatalf("batch covered by a concurrent successful fsync must report success, got %v", err)
@@ -367,15 +367,15 @@ func TestGroupCommitFailedFsyncCoveredByConcurrentSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if info.Committed != 2 {
-		t.Fatalf("recovered %d committed transactions, want 2", info.Committed)
+	if info.Committed != 1 {
+		t.Fatalf("recovered %d committed transactions, want 1", info.Committed)
 	}
 }
 
 // TestGroupCommitPoisonedWhileFsyncInFlight: batch A's fsync is in flight
-// (and will report success — a skip fault stands in for it) when a serial
-// commit's fsync fails, poisoning the WAL and truncating the unsynced
-// tail — A's commit record included. A must report ErrWALBroken despite
+// (and will report success — a skip fault stands in for it) when a
+// concurrent WAL.Sync fails, poisoning the WAL and truncating the
+// unsynced tail — A's commit record included. A must report ErrWALBroken despite
 // its own fsync verdict: its records are no longer in the file, so
 // reporting success would claim durability for bytes recovery will never
 // see.
@@ -393,11 +393,14 @@ func TestGroupCommitPoisonedWhileFsyncInFlight(t *testing.T) {
 	go func() { aErr <- w.CommitDurable(1) }()
 	waitOffsetPast(t, w, start)
 
-	// While A stalls, a serial commit's fsync fails: the WAL is poisoned
-	// and the unsynced tail — A's record and this one — is truncated.
+	// While A stalls, a Sync fails: the WAL is poisoned and the unsynced
+	// tail — A's record and the one after it — is truncated.
+	if err := w.AppendSegCreate(1); err != nil {
+		t.Fatal(err)
+	}
 	faultpoint.Arm(faultpoint.Fault{Site: faultpoint.WALSync, Times: 1})
-	if err := w.AppendCommit(2); !errors.Is(err, faultpoint.ErrInjected) {
-		t.Fatalf("serial commit under a failing fsync = %v, want injected error", err)
+	if err := w.Sync(); !errors.Is(err, faultpoint.ErrInjected) {
+		t.Fatalf("Sync under a failing fsync = %v, want injected error", err)
 	}
 	if err := <-aErr; !errors.Is(err, ErrWALBroken) {
 		t.Fatalf("batch whose records were truncated mid-fsync = %v, want ErrWALBroken", err)
@@ -417,35 +420,41 @@ func TestGroupCommitPoisonedWhileFsyncInFlight(t *testing.T) {
 	}
 }
 
-// TestGroupCommitDisable pins the serial fallback: with group commit
-// explicitly disabled, CommitDurable must behave exactly like
-// AppendCommit (one record, one fsync, no writer goroutine involved).
-func TestGroupCommitDisable(t *testing.T) {
+// TestWALCloseDrainsQueuedCommits: Close makes a commit that queued behind
+// an in-flight flush durable instead of failing it. A's flush stalls in
+// its fsync; B queues behind it; Close must wait for both flushes — A's
+// and the one B leads — before it closes the file.
+func TestWALCloseDrainsQueuedCommits(t *testing.T) {
+	defer faultpoint.Reset()
 	w, err := CreateWAL(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	reg := metrics.New()
-	w.SetMetrics(reg)
-	w.DisableGroupCommit()
+	start := w.Offset()
 
-	for tx := uint64(1); tx <= 3; tx++ {
-		if err := w.CommitDurable(tx); err != nil {
-			t.Fatal(err)
-		}
+	faultpoint.Arm(faultpoint.Fault{Site: faultpoint.WALBatchSync, Skip: true, Delay: 100 * time.Millisecond, Times: 1})
+	aErr, bErr := make(chan error, 1), make(chan error, 1)
+	go func() { aErr <- w.CommitDurable(1) }()
+	waitOffsetPast(t, w, start)
+	pending := w.PendingCommits()
+	go func() { bErr <- w.CommitDurable(2) }()
+	waitPending(t, w, pending+1)
+	path := w.Path()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if got := reg.Count(metrics.CtrWALGroupBatch); got != 0 {
-		t.Fatalf("disabled group commit still flushed %d batches", got)
+
+	if err := <-aErr; err != nil {
+		t.Fatalf("commit in flight at Close: %v", err)
 	}
-	if got := reg.Count(metrics.CtrWALFsync); got != 3 {
-		t.Fatalf("serial path took %d fsyncs for 3 commits, want 3", got)
+	if err := <-bErr; err != nil {
+		t.Fatalf("commit queued at Close: %v", err)
 	}
-	recs, _, err := ScanLogFile(w.Path())
+	recs, _, err := ScanLogFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 3 {
-		t.Fatalf("log holds %d records, want 3", len(recs))
+	if len(recs) != 2 || recs[0].Tx != 1 || recs[1].Tx != 2 {
+		t.Fatalf("log holds %+v, want the commit records of tx 1 and tx 2", recs)
 	}
 }

@@ -52,9 +52,12 @@ import (
 //     unreachable garbage (no POT entry resurrects them), never corruption.
 //
 // Commit durability is fsync-on-commit: TxServer appends each mutation at
-// operation time and appends-then-fsyncs a commit record at Commit. Faults
-// are injectable at faultpoint.WALAppend (torn writes) and
-// faultpoint.WALSync (lost fsyncs).
+// operation time, and at Commit CommitDurable group-commits its commit
+// record — appended and fsynced together with every commit queued beside
+// it (groupcommit.go). Faults are injectable at faultpoint.WALAppend (torn
+// redo appends), faultpoint.WALBatchAppend and faultpoint.WALBatchSync
+// (torn commit batches, failed or lost batch fsyncs) and faultpoint.WALSync
+// (Sync's fsync).
 
 // WAL record types.
 const (
@@ -86,7 +89,9 @@ var (
 )
 
 // WAL is an append-only write-ahead log over one directory. It is safe for
-// concurrent use; appends are serialized and the commit append fsyncs.
+// concurrent use: appends are serialized under mu, and commit records go
+// through the group-commit queue, whose leader appends and fsyncs a whole
+// batch at once.
 type WAL struct {
 	mu     sync.Mutex
 	dir    string
@@ -105,12 +110,13 @@ type WAL struct {
 	// never invoke it.
 	commitHook atomic.Pointer[func(txs []uint64)]
 
-	// Group-commit pipeline (groupcommit.go). gcConfigured distinguishes
-	// "never touched" (CommitDurable starts the writer with defaults) from
-	// "explicitly disabled" (CommitDurable stays on the serial path).
-	gcMu         sync.RWMutex
-	gc           *groupCommitter
-	gcConfigured bool
+	group groupCommit // the commit queue (groupcommit.go)
+}
+
+func newWAL(dir string) *WAL {
+	w := &WAL{dir: dir}
+	w.group.init()
+	return w
 }
 
 // CreateWAL creates a fresh epoch-0 log in dir (creating the directory if
@@ -122,7 +128,7 @@ func CreateWAL(dir string) (*WAL, error) {
 	if es := walEpochs(dir); len(es) > 0 {
 		return nil, fmt.Errorf("%w: %s", ErrWALExists, dir)
 	}
-	w := &WAL{dir: dir}
+	w := newWAL(dir)
 	if err := w.openFresh(0); err != nil {
 		return nil, err
 	}
@@ -231,10 +237,19 @@ func (w *WAL) Metrics() *metrics.Registry {
 	return w.obs
 }
 
-// Close stops the group-commit writer (draining queued commits) and
-// closes the log file (the WAL is unusable afterwards).
+// Close makes every commit already queued durable, then closes the log
+// file (the WAL is unusable afterwards: later commits fail).
 func (w *WAL) Close() error {
-	w.DisableGroupCommit()
+	// Wait out the queue and any flush in progress; holding group.mu from
+	// there on keeps a new flush from starting before the file is closed.
+	g := &w.group
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.hold = false
+	g.wake.Broadcast()
+	for g.flushing || len(g.queue) > 0 {
+		g.wake.Wait()
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
@@ -276,11 +291,12 @@ func walFrame(payload []byte) []byte {
 	return out
 }
 
-// append writes one framed record; sync additionally fsyncs (commit
-// durability). The faultpoint.WALAppend site can tear the write at a byte
-// offset — the torn bytes land in the file, the append fails, and the WAL
-// is poisoned until recovery, exactly like a crash mid-write.
-func (w *WAL) append(payload []byte, sync bool) error {
+// append writes one framed redo or system record without syncing it; the
+// next commit batch's fsync (or Sync) makes it durable. The
+// faultpoint.WALAppend site can tear the write at a byte offset — the torn
+// bytes land in the file, the append fails, and the WAL is poisoned until
+// recovery, exactly like a crash mid-write.
+func (w *WAL) append(payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
@@ -304,37 +320,26 @@ func (w *WAL) append(payload []byte, sync bool) error {
 	}
 	w.obs.Inc(metrics.CtrWALAppend)
 	w.obs.AddN(metrics.CtrWALAppendBytes, int64(len(frame)))
-	if !sync {
-		return nil
-	}
-	return w.syncLocked()
+	return nil
 }
 
-// Sync makes everything appended so far durable.
+// Sync makes everything appended so far durable, under the
+// faultpoint.WALSync site. A *failed* fsync (injected or real) poisons the
+// WAL: records already appended — commit records in particular — would
+// otherwise be silently made durable by the next successful sync, after
+// their commits were reported failed. A *skipped* fsync (faultpoint Skip,
+// or nosync mode) reports success without advancing the durable prefix: a
+// later crash loses the tail.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.syncLocked()
-}
-
-func (w *WAL) syncLocked() error {
-	return w.syncSiteLocked(faultpoint.WALSync)
-}
-
-// syncSiteLocked fsyncs under the named fault site. A *failed* fsync
-// (injected or real) poisons the WAL: records already appended — commit
-// records in particular — would otherwise be silently made durable by
-// the next successful sync, after their commits were reported failed. A
-// *skipped* fsync (faultpoint Skip, or nosync mode) reports success
-// without advancing the durable prefix: a later crash loses the tail.
-func (w *WAL) syncSiteLocked(site string) error {
 	if w.broken {
 		// The poisoned (and truncated) tail held records whose durability
 		// was already reported failed; nothing past the durable prefix
 		// may be synced into existence again.
 		return ErrWALBroken
 	}
-	skip, err := faultpoint.CheckSync(site)
+	skip, err := faultpoint.CheckSync(faultpoint.WALSync)
 	if err != nil {
 		w.poisonLocked()
 		return err
@@ -498,7 +503,7 @@ func (w *WAL) AppendSegCreate(seg uint16) error {
 	p := make([]byte, 3)
 	p[0] = walRecSegCreate
 	binary.LittleEndian.PutUint16(p[1:], seg)
-	return w.append(p, false)
+	return w.append(p)
 }
 
 // AppendEnsurePages logs "segment seg has at least count pages" (system
@@ -508,7 +513,7 @@ func (w *WAL) AppendEnsurePages(seg uint16, count int) error {
 	p[0] = walRecEnsurePages
 	binary.LittleEndian.PutUint16(p[1:], seg)
 	binary.LittleEndian.PutUint64(p[3:], uint64(count))
-	return w.append(p, false)
+	return w.append(p)
 }
 
 // AppendPageImage logs a full page image written under transaction tx.
@@ -521,7 +526,7 @@ func (w *WAL) AppendPageImage(tx uint64, pid page.PageID, img []byte) error {
 	binary.LittleEndian.PutUint64(p[1:], tx)
 	binary.LittleEndian.PutUint64(p[9:], uint64(pid))
 	copy(p[17:], img)
-	return w.append(p, false)
+	return w.append(p)
 }
 
 // AppendPotPut logs a POT insert/update under transaction tx.
@@ -532,7 +537,7 @@ func (w *WAL) AppendPotPut(tx uint64, id oid.OID, addr PAddr) error {
 	binary.LittleEndian.PutUint64(p[9:], uint64(id))
 	binary.LittleEndian.PutUint64(p[17:], uint64(addr.Page))
 	binary.LittleEndian.PutUint16(p[25:], addr.Slot)
-	return w.append(p, false)
+	return w.append(p)
 }
 
 // AppendPotDelete logs a POT removal under transaction tx.
@@ -541,21 +546,7 @@ func (w *WAL) AppendPotDelete(tx uint64, id oid.OID) error {
 	p[0] = walRecPotDelete
 	binary.LittleEndian.PutUint64(p[1:], tx)
 	binary.LittleEndian.PutUint64(p[9:], uint64(id))
-	return w.append(p, false)
-}
-
-// AppendCommit logs the transaction's commit record and fsyncs — the
-// durability point of fsync-on-commit.
-func (w *WAL) AppendCommit(tx uint64) error {
-	p := make([]byte, 9)
-	p[0] = walRecCommit
-	binary.LittleEndian.PutUint64(p[1:], tx)
-	if err := w.append(p, true); err != nil {
-		return err
-	}
-	w.obs.Inc(metrics.CtrWALCommit)
-	w.fireCommitHook([]uint64{tx})
-	return nil
+	return w.append(p)
 }
 
 // AppendAbort logs an abort marker (informational; replay skips
@@ -564,7 +555,7 @@ func (w *WAL) AppendAbort(tx uint64) error {
 	p := make([]byte, 9)
 	p[0] = walRecAbort
 	binary.LittleEndian.PutUint64(p[1:], tx)
-	return w.append(p, false)
+	return w.append(p)
 }
 
 // Checkpoint rotates the log: it writes a full manager snapshot for epoch
@@ -853,7 +844,7 @@ func RecoverManager(dir string, volume uint16) (*Manager, *WAL, RecoverInfo, err
 
 	epochs := walEpochs(dir)
 	var m *Manager
-	w := &WAL{dir: dir}
+	w := newWAL(dir)
 	if len(epochs) == 0 {
 		m = NewManager(volume)
 		if err := w.openFresh(0); err != nil {
