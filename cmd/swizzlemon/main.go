@@ -247,8 +247,7 @@ func runWorkload(c *oo1.Client, workload string, depth, ops int) error {
 }
 
 // printObsSnapshot prints the always-on observability counters, plus the
-// derived readahead/coalescing effectiveness ratios when those
-// subsystems saw any traffic.
+// derived fault-coalescing ratio when faults were merged.
 func printObsSnapshot(label string, s metrics.Snapshot) {
 	fmt.Printf("observability (%s): object_faults=%d page_faults=%d rot_lookups=%d "+
 		"swizzles{EDS/EIS/LDS/LIS}=%d/%d/%d/%d buffer hit/miss/evict=%d/%d/%d displacements=%d\n",
@@ -259,10 +258,6 @@ func printObsSnapshot(label string, s metrics.Snapshot) {
 		s.Count(metrics.CtrSwizzleLDS), s.Count(metrics.CtrSwizzleLIS),
 		s.Count(metrics.CtrBufferHit), s.Count(metrics.CtrBufferMiss),
 		s.Count(metrics.CtrBufferEvict), s.Count(metrics.CtrDisplacement))
-	if issued := s.Count(metrics.CtrReadaheadIssued); issued > 0 {
-		fmt.Printf("  readahead (%s): issued=%d hit_ratio=%.2f waste_ratio=%.2f\n",
-			label, issued, s.ReadaheadHitRatio(), s.ReadaheadWasteRatio())
-	}
 	if merged := s.Count(metrics.CtrFaultCoalesced); merged > 0 {
 		fmt.Printf("  fault coalescing (%s): merged=%d ratio=%.2f\n",
 			label, merged, s.CoalesceRatio())

@@ -61,11 +61,6 @@ type Frame struct {
 	// chance) by the sweep. Frames are installed with the bit clear, which
 	// reproduces LRU order for the no-rehit case.
 	ref atomic.Uint32
-	// prefetched marks a frame installed by readahead promotion that no
-	// demand access has claimed yet. The first Get clears it and accounts
-	// the access as a (cheap) page fault; the victim scan prefers such
-	// frames so prefetch can never starve demand faults.
-	prefetched atomic.Bool
 	// evicting and gone are guarded by the owning shard's mutex: while a
 	// frame is being evicted it stays visible to Peek (the eviction hook
 	// needs it) but Get waits on gone and retries.
@@ -128,7 +123,6 @@ type Pool struct {
 	obs      *metrics.Registry // nil unless observability is installed
 	capacity int
 	onEvict  EvictFn
-	ra       *readahead // nil unless EnableReadahead succeeded
 
 	// spans/spanCtx: request tracing (see SetTrace in trace.go).
 	spans   *trace.Tracer
@@ -145,9 +139,9 @@ type Pool struct {
 	free    []int
 	nextSeq uint64
 
-	// resMu guards reserved: capacity claimed by in-flight faults and
-	// promotions whose frames are not installed yet, so concurrent faults
-	// cannot collectively overshoot the pool size.
+	// resMu guards reserved: capacity claimed by in-flight faults whose
+	// frames are not installed yet, so concurrent faults cannot
+	// collectively overshoot the pool size.
 	resMu    sync.Mutex
 	reserved int
 
@@ -199,9 +193,6 @@ func (p *Pool) OnEvict(fn EvictFn) { p.onEvict = fn }
 // recording buffer hits, misses, and evictions.
 func (p *Pool) SetMetrics(r *metrics.Registry) { p.obs = r }
 
-// Capacity returns the pool capacity in frames.
-func (p *Pool) Capacity() int { return p.capacity }
-
 // Len returns the number of buffered pages.
 func (p *Pool) Len() int { return int(p.count.Load()) }
 
@@ -245,22 +236,7 @@ func (p *Pool) Get(pid page.PageID) (*Frame, error) {
 			<-gone
 			continue
 		}
-		if f.prefetched.CompareAndSwap(true, false) {
-			// First demand access of a promoted prefetch: account it like a
-			// staged-readahead fault — the page I/O happened in the
-			// background, no synchronous round-trip.
-			p.obs.Inc(metrics.CtrBufferMiss)
-			p.obs.Inc(metrics.CtrReadaheadHit)
-			p.obs.Inc(metrics.CtrPageFault)
-			h := int(pid)
-			p.meter.SharedEvent(h, sim.CntPageFault, p.meter.Costs().PageIO)
-			p.meter.SharedAdd(h, sim.CntPageRead, 1)
-			if p.ra != nil {
-				p.noteMiss(pid)
-			}
-		} else {
-			p.obs.Inc(metrics.CtrBufferHit)
-		}
+		p.obs.Inc(metrics.CtrBufferHit)
 		f.ref.Store(1)
 		return f, nil
 	}
@@ -295,62 +271,46 @@ func (p *Pool) fault(pid page.PageID) (f *Frame, err error, retry bool) {
 		return nil, err, false
 	}
 	if f == nil {
-		// A readahead promotion installed the page between our miss and our
-		// leadership; go claim it as a hit.
+		// Another leader installed the page between our miss and our
+		// leadership; go find it as a hit.
 		return nil, nil, true
 	}
 	return f, nil, false
 }
 
 // faultLeader performs the actual page fault: reserve a frame (evicting if
-// needed), read the image — from the readahead staging area when possible —
-// and install it.
+// needed), read the image from the server and install it.
 func (p *Pool) faultLeader(pid page.PageID) (*Frame, error) {
 	if sp := p.spans.StartChild(spanPageFault, p.traceCtx()); sp.Sampled() {
 		sp.SetArgs(uint64(pid), 0)
 		defer sp.Finish()
 	}
 	if p.Peek(pid) != nil {
-		return nil, nil // promoted while we acquired leadership
+		// A goroutine that missed the page can become leader only after an
+		// earlier leader installed it and left the in-flight table: the page
+		// is buffered now, and reading it again would install a second frame.
+		return nil, nil
 	}
 	p.obs.Inc(metrics.CtrBufferMiss)
 	if err := p.reserve(); err != nil {
 		return nil, err
 	}
-	var img []byte
-	if p.ra != nil {
-		img = p.ra.take(pid, p.obs)
+	img, err := p.srv.ReadPage(pid)
+	if err != nil {
+		p.unreserve()
+		return nil, err
 	}
 	h := int(pid)
-	if img != nil {
-		// Prefetched by readahead: no synchronous round-trip; the page I/O
-		// happened in the background, overlapped with client work.
-		p.obs.Inc(metrics.CtrReadaheadHit)
-		p.obs.Inc(metrics.CtrPageFault)
-		p.meter.SharedEvent(h, sim.CntPageFault, p.meter.Costs().PageIO)
-		p.meter.SharedAdd(h, sim.CntPageRead, 1)
-	} else {
-		var err error
-		img, err = p.srv.ReadPage(pid)
-		if err != nil {
-			p.unreserve()
-			return nil, err
-		}
-		p.obs.Inc(metrics.CtrPageFault)
-		p.meter.SharedEvent(h, sim.CntPageFault, p.meter.Costs().PageIO)
-		p.meter.SharedAdd(h, sim.CntPageRead, 1)
-		p.meter.SharedAdd(h, sim.CntServerRoundTrip, 1)
-	}
+	p.obs.Inc(metrics.CtrPageFault)
+	p.meter.SharedEvent(h, sim.CntPageFault, p.meter.Costs().PageIO)
+	p.meter.SharedAdd(h, sim.CntPageRead, 1)
+	p.meter.SharedAdd(h, sim.CntServerRoundTrip, 1)
 	pg, dir, err := splitRead(img)
 	if err != nil {
 		p.unreserve()
 		return nil, err
 	}
-	f := p.install(pid, pg, dir, false)
-	if p.ra != nil {
-		p.noteMiss(pid)
-	}
-	return f, nil
+	return p.install(pid, pg, dir), nil
 }
 
 // reserve claims one frame of capacity, evicting victims until it fits.
@@ -376,9 +336,8 @@ func (p *Pool) unreserve() {
 
 // install publishes a new frame, consuming one reservation, and files the
 // directory its image arrived with.
-func (p *Pool) install(pid page.PageID, pg *page.Page, dir page.Directory, prefetched bool) *Frame {
+func (p *Pool) install(pid page.PageID, pg *page.Page, dir page.Directory) *Frame {
 	f := &Frame{Page: pg, pool: p, pid: pid, gone: make(chan struct{})}
-	f.prefetched.Store(prefetched)
 	p.clockMu.Lock()
 	f.seq = p.nextSeq
 	p.nextSeq++
@@ -426,26 +385,15 @@ func (p *Pool) evictOne() error {
 	}
 }
 
-// victim selects the next replacement victim. Unclaimed prefetched frames
-// go first (oldest first) — prefetch must never starve demand faults — then
-// a CLOCK second-chance sweep over the ring. Returns nil if every frame is
-// pinned. Caller holds evictMu.
+// victim selects the next replacement victim by a CLOCK second-chance
+// sweep over the ring. Returns nil if every frame is pinned. Caller holds
+// evictMu.
 func (p *Pool) victim() *Frame {
 	p.clockMu.Lock()
 	defer p.clockMu.Unlock()
 	n := len(p.ring)
 	if n == 0 {
 		return nil
-	}
-	var pf *Frame
-	for _, f := range p.ring {
-		if f != nil && f.prefetched.Load() && f.pins.Load() == 0 &&
-			(pf == nil || f.seq < pf.seq) {
-			pf = f
-		}
-	}
-	if pf != nil {
-		return pf
 	}
 	for i := 0; i < 2*n; i++ {
 		f := p.ring[p.hand%n]
@@ -473,11 +421,10 @@ func (p *Pool) Evict(pid page.PageID) error {
 	return p.evictFrame(f)
 }
 
-// Invalidate drops every client-side copy of a remotely rewritten page: a
-// staged (or in-flight) readahead image is discarded/barred, and a resident
-// clean frame is evicted through the eviction hook so the object manager
-// displaces the objects swizzled out of the stale image. It reports whether
-// the page is fully invalidated:
+// Invalidate drops the client-side copy of a remotely rewritten page: a
+// resident clean frame is evicted through the eviction hook so the object
+// manager displaces the objects swizzled out of the stale image. It reports
+// whether the page is fully invalidated:
 //
 //   - A locally dirty frame is left alone (done=true): the client's own
 //     writes take precedence locally.
@@ -486,12 +433,6 @@ func (p *Pool) Evict(pid page.PageID) error {
 //     coherence machinery keeps such pages queued and re-applies at its
 //     next opportunity.
 func (p *Pool) Invalidate(pid page.PageID) (done bool, err error) {
-	if p.ra != nil {
-		// Fixes the prefetch-staleness hole: a page that was prefetched
-		// but never demanded lives in the readahead staging area, outside
-		// the frame table — it must not survive its invalidation.
-		p.ra.invalidate(pid, p.obs)
-	}
 	f := p.Peek(pid)
 	if f == nil {
 		return true, nil
@@ -506,15 +447,6 @@ func (p *Pool) Invalidate(pid page.PageID) (done bool, err error) {
 		return false, nil
 	}
 	return err == nil, err
-}
-
-// InvalidateAllPrefetch empties the readahead staging area and bars every
-// in-flight prefetch (lease expiry: nothing fetched before now can be
-// trusted). No-op without readahead.
-func (p *Pool) InvalidateAllPrefetch() {
-	if p.ra != nil {
-		p.ra.discardAll(p.obs)
-	}
 }
 
 // evictFrame evicts one frame: hook, write-back if dirty, removal. Caller
@@ -535,10 +467,6 @@ func (p *Pool) evictFrame(f *Frame) error {
 	f.evicting = true
 	sh.mu.Unlock()
 
-	if f.prefetched.Load() {
-		// Promoted but never demanded: the prefetch was wasted.
-		p.obs.Inc(metrics.CtrReadaheadWasted)
-	}
 	if p.onEvict != nil {
 		p.onEvict(f.pid, f)
 	}
@@ -572,10 +500,6 @@ func (p *Pool) evictFrame(f *Frame) error {
 func (p *Pool) writeBack(pid page.PageID, f *Frame) error {
 	if err := faultpoint.Check(faultpoint.BufferWriteBack); err != nil {
 		return err
-	}
-	if p.ra != nil {
-		// Any prefetched copy of this page is about to become stale.
-		p.ra.invalidate(pid, p.obs)
 	}
 	if err := p.srv.WritePage(pid, f.Page.Image()); err != nil {
 		return err
@@ -659,11 +583,6 @@ func (p *Pool) Refresh(pid page.PageID) error {
 		if err := p.writeBack(pid, f); err != nil {
 			return err
 		}
-	}
-	if p.ra != nil {
-		// The server-side page changed (that is why the caller refreshes);
-		// a staged prefetch of it is stale.
-		p.ra.invalidate(pid, p.obs)
 	}
 	img, err := p.srv.ReadPage(pid)
 	if err != nil {
@@ -771,11 +690,6 @@ func (p *Pool) DropAll() error {
 	}
 	p.evictMu.Unlock()
 	p.takeDirty() // every frame was shipped on its way out
-	// Cooling the buffer must also cool the readahead staging area, or a
-	// "cold" run would consume pages prefetched by the previous one.
-	if p.ra != nil {
-		p.ra.discardAll(p.obs)
-	}
 	return nil
 }
 
@@ -797,9 +711,6 @@ func (p *Pool) Discard() {
 	p.clockMu.Unlock()
 	p.dirs.reset()
 	p.takeDirty()
-	if p.ra != nil {
-		p.ra.discardAll(p.obs)
-	}
 }
 
 // Pages returns the ids of all buffered pages, approximately most recently

@@ -133,44 +133,32 @@ func TestConcurrentGetStress(t *testing.T) {
 	}
 }
 
-// TestPrefetchedVictimPreference: with both claimed (demand-faulted) and
-// unclaimed prefetched frames resident, the eviction scan must sacrifice an
-// unclaimed prefetched frame first.
-func TestPrefetchedVictimPreference(t *testing.T) {
-	pool, _, pids := setup(t, 4, 3)
-	obs := metrics.New()
-	pool.SetMetrics(obs)
-
-	// Two demand-faulted pages...
+// TestFaultAfterPeerInstallRetries: a goroutine that missed a page can
+// become fault leader after another leader has installed it. The leader's
+// presence re-check must send it back to the lookup instead of reading and
+// installing the page a second time.
+func TestFaultAfterPeerInstallRetries(t *testing.T) {
+	mgr, pids := newBase(t, 2)
+	gs := &gatedServer{Server: server.NewLocal(mgr)}
+	meter := sim.NewMeter(sim.DefaultCosts())
+	pool := New(gs, 2, meter)
 	if _, err := pool.Get(pids[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.Get(pids[1]); err != nil {
-		t.Fatal(err)
-	}
-	// ...and one promoted prefetch that no Get has claimed.
-	img, err := pool.srv.ReadPage(pids[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pool.tryPromote(pids[2], img) {
-		t.Fatal("promotion refused despite free capacity")
-	}
-	// Touch the demand pages so they are hotter than the prefetched frame.
-	pool.Get(pids[0])
-	pool.Get(pids[1])
 
-	// The pool is full; the next fault must evict the prefetched frame.
-	if _, err := pool.Get(pids[3]); err != nil {
-		t.Fatal(err)
+	// The late misser: its lookup found nothing, and the earlier leader has
+	// installed the page and left the in-flight table since.
+	f, err, retry := pool.fault(pids[0])
+	if f != nil || err != nil || !retry {
+		t.Fatalf("fault of an installed page = %v, %v, retry %v; want nil, nil, retry", f, err, retry)
 	}
-	if pool.Contains(pids[2]) {
-		t.Error("prefetched frame survived eviction")
+	if n := gs.reads.Load(); n != 1 {
+		t.Errorf("server reads = %d, want 1 (the page was read again)", n)
 	}
-	if !pool.Contains(pids[0]) || !pool.Contains(pids[1]) {
-		t.Error("demand-faulted frame evicted before unclaimed prefetched frame")
+	if n := pool.Len(); n != 1 {
+		t.Errorf("buffered frames = %d, want 1", n)
 	}
-	if n := obs.Count(metrics.CtrReadaheadWasted); n != 1 {
-		t.Errorf("wasted = %d, want 1", n)
+	if n := meter.Count(sim.CntPageFault); n != 1 {
+		t.Errorf("charged faults = %d, want 1", n)
 	}
 }

@@ -28,6 +28,15 @@ func TestFlushSinglePage(t *testing.T) {
 	if meter.Count(sim.CntPageWrite) != 1 {
 		t.Error("clean page rewritten")
 	}
+	// The next fault after a flush reads the flushed image.
+	if err := pool.Evict(pids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := pool.Get(pids[0]); err != nil {
+		t.Fatal(err)
+	} else if rec, _ := f.Page.Read(0); rec[0] != 42 {
+		t.Errorf("re-fault after flush reads %v, want the flushed 42", rec)
+	}
 	if err := pool.Flush(page.NewPageID(9, 9)); err == nil {
 		t.Error("flush of unbuffered page succeeded")
 	}

@@ -2,17 +2,14 @@ package buffer
 
 import "gom/internal/trace"
 
-// Span names used by the pool.
-const (
-	spanPageFault = "page_fault"
-	spanReadahead = "readahead"
-)
+// spanPageFault names the pool's one span, a page fault.
+const spanPageFault = "page_fault"
 
 // SetTrace installs (or removes, with nil) the request tracer. src
 // supplies the ambient trace context of the operation on whose behalf
 // the pool is working (the object manager's current entry-point span);
-// pool spans parent under it. Faults and readahead that run with no
-// traced operation above them record nothing.
+// pool spans parent under it. Faults that run with no traced operation
+// above them record nothing.
 func (p *Pool) SetTrace(t *trace.Tracer, src func() trace.Context) {
 	p.spans = t
 	p.spanCtx = src

@@ -21,9 +21,7 @@ import (
 // from the buffer pool through the eviction hook, which displaces the
 // objects materialized from the stale image — un-swizzling references,
 // draining RRLs, invalidating descriptors — so the next dereference
-// re-faults the fresh page from the server. Readahead staging is purged
-// through the same entry point, closing the prefetched-but-never-derefed
-// staleness hole.
+// re-faults the fresh page from the server.
 //
 // An operation that overlaps the invalidation's arrival may still see
 // the old value — that is a legal linearization (the read overlaps the
@@ -74,8 +72,7 @@ func (om *OM) applyInvalidations() {
 	if all {
 		// Lease expired: nothing fetched before now can be trusted.
 		// Locally dirty frames survive (they are newer than the server,
-		// not older); everything else — staged prefetches included — goes.
-		om.pool.InvalidateAllPrefetch()
+		// not older); everything else goes.
 		clear(om.addrHints)
 		pids = append(om.pool.Pages(), pids...)
 	}

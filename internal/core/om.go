@@ -58,8 +58,6 @@ type Options struct {
 	Server server.Server
 	// Schema describes the object base's types (required).
 	Schema *object.Schema
-	// Costs overrides the simulated cost table (nil = paper defaults).
-	Costs *sim.CostTable
 	// PageBufferPages is the page pool capacity in frames (default 1000,
 	// the paper's §6.1.1 setting).
 	PageBufferPages int
@@ -92,20 +90,11 @@ type Options struct {
 	// per-dereference counts at faults and transaction boundaries, not per
 	// event (OM.Metrics).
 	Metrics *metrics.Registry
-	// ReadaheadPages, when > 0, enables sequential page readahead in the
-	// buffer pool with the given window: a run of consecutive page misses
-	// prefetches the next window of pages asynchronously through the
-	// server's PageRunReader capability (no-op when the server lacks it).
-	// Purely a transport optimization — strategy semantics and the
-	// simulated cost model are unchanged except for the overlapped
-	// round-trips.
-	ReadaheadPages int
 	// Trace installs the request tracer: entry points open sampled spans
-	// that propagate through buffer faults, readahead, and — when the
-	// server is a TCP client — across the wire, so server-side storage
-	// spans parent under client operations. Nil
-	// disables tracing; an installed-but-unsampled tracer costs two
-	// branches per operation and never allocates.
+	// that propagate through buffer faults and — when the server is a TCP
+	// client — across the wire, so server-side storage spans parent under
+	// client operations. Nil disables tracing; an installed-but-unsampled
+	// tracer costs two branches per operation and never allocates.
 	Trace *trace.Tracer
 	// Concurrent makes the object manager safe for concurrent use by many
 	// goroutines (see hit.go and DESIGN.md "Concurrency architecture").
@@ -245,15 +234,11 @@ func New(opt Options) (*OM, error) {
 	if opt.Server == nil || opt.Schema == nil {
 		return nil, errors.New("core: Server and Schema are required")
 	}
-	costs := sim.DefaultCosts()
-	if opt.Costs != nil {
-		costs = *opt.Costs
-	}
 	pages := opt.PageBufferPages
 	if pages == 0 {
 		pages = 1000
 	}
-	meter := sim.NewMeter(costs)
+	meter := sim.NewMeter(sim.DefaultCosts())
 	om := &OM{
 		srv:        opt.Server,
 		schema:     opt.Schema,
@@ -272,9 +257,6 @@ func New(opt Options) (*OM, error) {
 		conc:                opt.Concurrent,
 	}
 	om.batcher, _ = opt.Server.(server.BatchLookuper)
-	if opt.ReadaheadPages > 0 {
-		om.pool.EnableReadahead(opt.ReadaheadPages)
-	}
 	om.pool.OnEvict(om.onPageEvict)
 	if coh, ok := opt.Server.(coherenceWirer); ok && coh.HasCoherence() {
 		// The server pushes invalidation callbacks on this connection, and

@@ -22,9 +22,9 @@ const (
 // SetTrace installs (or removes, with nil) the request tracer on the
 // object manager, its buffer pool, and — when the server transport
 // supports it (server.Client) — the RPC layer, so spans started at
-// entry points here parent the downstream fault, readahead, and RPC
-// spans. Call before issuing operations; it is not synchronized against
-// in-flight calls.
+// entry points here parent the downstream fault and RPC spans. Call
+// before issuing operations; it is not synchronized against in-flight
+// calls.
 func (om *OM) SetTrace(t *trace.Tracer) {
 	om.spans = t
 	om.pool.SetTrace(t, om.TraceContext)

@@ -63,9 +63,6 @@ const (
 	CtrBatchLookupOIDs
 	CtrReadRun
 	CtrReadRunPages
-	CtrReadaheadIssued
-	CtrReadaheadHit
-	CtrReadaheadWasted
 	CtrFaultCoalesced
 	CtrWALAppend
 	CtrWALAppendBytes
@@ -161,9 +158,6 @@ var counterNames = [NumCounters]string{
 	"batch_lookup_oids",
 	"read_run",
 	"read_run_pages",
-	"readahead_issued",
-	"readahead_hit",
-	"readahead_wasted",
 	"fault_coalesced",
 	"wal_append",
 	"wal_append_bytes",
@@ -279,9 +273,6 @@ const (
 	// work in flight across all connections; on a pipelined client it
 	// counts calls awaiting a response.
 	GaugeInFlightRPC Gauge = iota
-	// GaugeReadaheadStaged is the number of prefetched pages staged in the
-	// client readahead window, not yet consumed.
-	GaugeReadaheadStaged
 	// GaugeVersionPages is the number of page before-images (staged plus
 	// published) retained by the MVCC version store.
 	GaugeVersionPages
@@ -309,7 +300,6 @@ const (
 
 var gaugeNames = [NumGauges]string{
 	"inflight_rpcs",
-	"readahead_staged",
 	"version_store_pages",
 	"version_store_bytes",
 	"snapshot_lag",
@@ -820,18 +810,6 @@ func (r *Registry) DeltaSince(prev Snapshot) (cur, delta Snapshot) {
 	return cur, cur.Delta(prev)
 }
 
-// ReadaheadHitRatio returns the fraction of issued readahead pages that
-// were later claimed by a fault (0 with no readahead activity).
-func (s Snapshot) ReadaheadHitRatio() float64 {
-	return ratio(s.Counters[CtrReadaheadHit], s.Counters[CtrReadaheadIssued])
-}
-
-// ReadaheadWasteRatio returns the fraction of issued readahead pages
-// that were evicted unclaimed.
-func (s Snapshot) ReadaheadWasteRatio() float64 {
-	return ratio(s.Counters[CtrReadaheadWasted], s.Counters[CtrReadaheadIssued])
-}
-
 // CoalesceRatio returns the fraction of buffer faults absorbed by the
 // singleflight merge: merged / (merged + misses).
 func (s Snapshot) CoalesceRatio() float64 {
@@ -973,12 +951,8 @@ func (r *Registry) jsonValue() jsonSnapshot {
 		}
 		out.RPCIO[RPCOp(i).String()] = io
 	}
-	if s.Count(CtrReadaheadIssued) > 0 || s.Count(CtrFaultCoalesced) > 0 {
-		out.Derived = map[string]float64{
-			"readahead_hit_ratio":   s.ReadaheadHitRatio(),
-			"readahead_waste_ratio": s.ReadaheadWasteRatio(),
-			"fault_coalesce_ratio":  s.CoalesceRatio(),
-		}
+	if s.Count(CtrFaultCoalesced) > 0 {
+		out.Derived = map[string]float64{"fault_coalesce_ratio": s.CoalesceRatio()}
 	}
 	out.Scoreboard = r.ScoreRows()
 	out.Advisor = r.Drifts()

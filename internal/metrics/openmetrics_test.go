@@ -70,22 +70,13 @@ func TestRPCIOAndDelta(t *testing.T) {
 
 func TestDerivedRatios(t *testing.T) {
 	r := New()
-	r.AddN(CtrReadaheadIssued, 10)
-	r.AddN(CtrReadaheadHit, 6)
-	r.AddN(CtrReadaheadWasted, 2)
 	r.AddN(CtrBufferMiss, 5)
 	r.AddN(CtrFaultCoalesced, 5)
 	s := r.Snapshot()
-	if got := s.ReadaheadHitRatio(); got != 0.6 {
-		t.Fatalf("hit ratio %v", got)
-	}
-	if got := s.ReadaheadWasteRatio(); got != 0.2 {
-		t.Fatalf("waste ratio %v", got)
-	}
 	if got := s.CoalesceRatio(); got != 0.5 {
 		t.Fatalf("coalesce ratio %v", got)
 	}
-	if (Snapshot{}).ReadaheadHitRatio() != 0 {
+	if (Snapshot{}).CoalesceRatio() != 0 {
 		t.Fatal("empty snapshot ratio not 0")
 	}
 }

@@ -18,7 +18,7 @@ import (
 //
 // A server started with EnableCoherence advertises featureCoherence in its
 // hello response. On a connection that negotiated it, every ReadPage /
-// ReadPages (demand or readahead) registers the connection's interest in
+// ReadPages registers the connection's interest in
 // the pages served; a committed write — a transaction commit's X-locked
 // page set — pushes an opInvalidate frame to every other interested
 // connection and waits (bounded by the ack timeout) until each has
@@ -328,10 +328,10 @@ func (s *TCPServer) readPageCoherent(backend dirPageReader, cc *cohConn, pid pag
 	return nil, nil, fmt.Errorf("%w: coherence registration churned during read", ErrTransient)
 }
 
-// readPagesCoherent is readPageCoherent over a page run (the readahead
-// path): every page of the run — including prefetched pages the client
-// may never deref — is registered before the run is read and validated
-// after, so prefetched frames honor invalidation like demand-read ones.
+// readPagesCoherent is readPageCoherent over a page run: every page of the
+// run — including pages the client may never deref — is registered before
+// the run is read and validated after, so each honors invalidation like a
+// page read alone.
 func (s *TCPServer) readPagesCoherent(backend dirPageReader, cc *cohConn, pid page.PageID, n int) ([][]byte, []page.Directory, error) {
 	st := s.coh.Load()
 	if st == nil || cc == nil {

@@ -393,12 +393,15 @@ func (a *atomic64) add(d int64) { a.mu.Lock(); a.n += d; a.mu.Unlock() }
 func (a *atomic64) v() int64    { a.mu.Lock(); defer a.mu.Unlock(); return a.n }
 
 // TestPipelinedBatchOpcodes exercises LookupBatch and ReadPages over the
-// wire, including truncation at the segment end and unknown OIDs.
+// wire, including truncation at the segment end, unknown OIDs, and a page
+// run costing the server one request.
 func TestPipelinedBatchOpcodes(t *testing.T) {
 	mgr := newMgr(t)
 	ln, _ := net.Listen("tcp", "127.0.0.1:0")
 	srv := Serve(ln, mgr)
 	defer srv.Close()
+	reg := metrics.New()
+	srv.SetMetrics(reg)
 	cl, err := Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -446,6 +449,10 @@ func TestPipelinedBatchOpcodes(t *testing.T) {
 	}
 	if len(imgs) != limit {
 		t.Errorf("run of %d pages, want %d", len(imgs), limit)
+	}
+	if rpc := reg.Snapshot().RPC; rpc[metrics.RPCReadPages].Count != 1 || rpc[metrics.RPCReadPage].Count != 0 {
+		t.Errorf("a run of %d pages took %d ReadPages and %d ReadPage requests, want 1 and 0",
+			len(imgs), rpc[metrics.RPCReadPages].Count, rpc[metrics.RPCReadPage].Count)
 	}
 	for i, img := range imgs {
 		direct, err := cl.ReadPage(page.NewPageID(0, uint64(i)))

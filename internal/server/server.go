@@ -60,9 +60,8 @@ type BatchLookuper interface {
 // PageRunReader is an optional Server extension: ship up to n contiguous
 // pages starting at pid in one round trip, truncated at the end of the
 // segment (at least one page is returned, or an error). Each page is what
-// ReadPage would return for it, directory included. The client readahead
-// path type-asserts for it to overlap network/disk with swizzling on
-// sequential scans.
+// ReadPage would return for it, directory included. A caller that wants a
+// contiguous run in one round trip type-asserts for it.
 type PageRunReader interface {
 	ReadPages(pid page.PageID, n int) ([][]byte, error)
 }
@@ -87,7 +86,7 @@ type dirPageReader interface {
 // returned by ReadPage/ReadPages is a shared reference to the immutable
 // published page (under `go test` seal mode, a defensive copy) and must
 // not be mutated by the caller. Every in-tree consumer — the client
-// buffer pool, readahead, the TCP response path — either copies into its
+// buffer pool, the TCP response path — either copies into its
 // own frame (page.FromImage) or ships the bytes without touching them.
 type Local struct {
 	mgr *storage.Manager

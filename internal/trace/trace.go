@@ -2,8 +2,8 @@
 // manager and the page-server protocol. A span covers one timed operation
 // (a Deref, an object fault, an RPC, a server-side page read); spans form
 // a tree via (trace ID, span ID, parent span ID) triples that propagate
-// from object-manager entry points through buffer-pool faults, readahead,
-// and — in the suffix of every request frame — across the wire, so a
+// from object-manager entry points through buffer-pool faults and — in
+// the suffix of every request frame — across the wire, so a
 // server-side storage span parents correctly under the client-side
 // operation that caused it.
 //
