@@ -246,8 +246,8 @@ func runWorkload(c *oo1.Client, workload string, depth, ops int) error {
 	}
 }
 
-// printObsSnapshot prints the always-on observability counters, plus the
-// derived fault-coalescing ratio when faults were merged.
+// printObsSnapshot prints the always-on observability counters, plus a
+// line for each layer that saw activity.
 func printObsSnapshot(label string, s metrics.Snapshot) {
 	fmt.Printf("observability (%s): object_faults=%d page_faults=%d rot_lookups=%d "+
 		"swizzles{EDS/EIS/LDS/LIS}=%d/%d/%d/%d buffer hit/miss/evict=%d/%d/%d displacements=%d\n",
@@ -258,10 +258,6 @@ func printObsSnapshot(label string, s metrics.Snapshot) {
 		s.Count(metrics.CtrSwizzleLDS), s.Count(metrics.CtrSwizzleLIS),
 		s.Count(metrics.CtrBufferHit), s.Count(metrics.CtrBufferMiss),
 		s.Count(metrics.CtrBufferEvict), s.Count(metrics.CtrDisplacement))
-	if merged := s.Count(metrics.CtrFaultCoalesced); merged > 0 {
-		fmt.Printf("  fault coalescing (%s): merged=%d ratio=%.2f\n",
-			label, merged, s.CoalesceRatio())
-	}
 	if zc := s.Count(metrics.CtrPageZeroCopyHit); zc > 0 {
 		fmt.Printf("  read path (%s): zero_copy_hits=%d page_dir_extents=%d\n",
 			label, zc, s.Count(metrics.CtrPageDirExtents))

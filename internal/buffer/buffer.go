@@ -8,25 +8,16 @@
 // objects back into the page image and unswizzle or invalidate references
 // into the page (the "precautions" of §3.2.2).
 //
-// Concurrency: the pool is safe for concurrent use by many goroutines.
-// Presence lookups go through 64 frame shards (per-shard RWMutex), pin
-// counts and dirty/reference bits are atomic, and replacement is a CLOCK
-// ring under its own mutex — Get on a buffered page never takes a global
-// lock. Concurrent faults of the same page are coalesced: one goroutine
-// becomes the fault leader and issues the ReadPage RPC, the rest wait on
-// the in-flight call and retry the (now hitting) lookup. Evictions are
-// serialized by an eviction mutex so the hook — which reaches back into the
-// object manager — never runs twice for one frame. Page *content* is not
-// guarded here: the object layer owns image bytes and serializes its own
-// structural operations.
+// A pool belongs to one object manager and, like it, to one goroutine (the
+// paper's conflicting applications run in isolated buffers, §4.1.1): one
+// map of frames, one CLOCK ring and one dirty list, and no lock. A miss is
+// one ReadPage; a fault that needs room evicts first.
 package buffer
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"gom/internal/faultpoint"
 	"gom/internal/metrics"
@@ -49,25 +40,23 @@ type Frame struct {
 	Page *page.Page
 
 	// dir is the directory the server shipped with the image in Page
-	// (empty when it shipped none); guarded by the pool's dirs.mu and
-	// replaced, with Page, only through dirIndex.setDir (pagedir.go).
+	// (empty when it shipped none); replaced, with Page, only through
+	// dirIndex.setDir (pagedir.go).
 	dir page.Directory
 
 	pool  *Pool
 	pid   page.PageID
-	pins  atomic.Int32
-	dirty atomic.Bool
+	pins  int32
+	dirty bool
 	// ref is the CLOCK reference bit: set on every hit, cleared (second
 	// chance) by the sweep. Frames are installed with the bit clear, which
 	// reproduces LRU order for the no-rehit case.
-	ref atomic.Uint32
-	// evicting and gone are guarded by the owning shard's mutex: while a
-	// frame is being evicted it stays visible to Peek (the eviction hook
-	// needs it) but Get waits on gone and retries.
+	ref bool
+	// evicting is set while the eviction hook and the write-back run: the
+	// frame stays visible to Peek (the hook needs it) but cannot be pinned.
 	evicting bool
-	gone     chan struct{}
 	// seq is the installation order (recency tiebreak); slot is the frame's
-	// position in the CLOCK ring. Both guarded by clockMu.
+	// position in the CLOCK ring.
 	seq  uint64
 	slot int
 }
@@ -76,47 +65,28 @@ type Frame struct {
 func (f *Frame) PageID() page.PageID { return f.pid }
 
 // Dirty reports whether the frame has been marked dirty.
-func (f *Frame) Dirty() bool { return f.dirty.Load() }
+func (f *Frame) Dirty() bool { return f.dirty }
 
 // MarkDirty marks the frame to be written back on eviction or flush. The
 // clean→dirty transition puts the frame on its pool's dirty list, which is
 // all FlushAll looks at.
 func (f *Frame) MarkDirty() {
-	if f.dirty.Load() || !f.dirty.CompareAndSwap(false, true) {
+	if f.dirty {
 		return
 	}
-	f.pool.dirtyMu.Lock()
+	f.dirty = true
 	f.pool.dirtyFrames = append(f.pool.dirtyFrames, f)
-	f.pool.dirtyMu.Unlock()
 }
 
 // Pinned reports whether the frame is pinned.
-func (f *Frame) Pinned() bool { return f.pins.Load() > 0 }
+func (f *Frame) Pinned() bool { return f.pins > 0 }
 
 // EvictFn is called with a victim frame before it is written back and
 // dropped. The hook may mutate the page image and mark the frame dirty.
 type EvictFn func(pid page.PageID, f *Frame)
 
-// frameShards is the number of presence-map shards. Power of two.
-const frameShards = 64
-
-type frameShard struct {
-	mu sync.RWMutex
-	m  map[page.PageID]*Frame
-	_  [40]byte
-}
-
-// faultCall is one in-flight page fault; followers wait on done and then
-// either propagate err or retry their lookup.
-type faultCall struct {
-	done chan struct{}
-	err  error
-}
-
-// Pool is a page buffer pool, safe for concurrent use (see the package
-// comment for the locking design). One pool belongs to one client
-// application (the paper's conflicting applications run in isolated
-// buffers, §4.1.1).
+// Pool is a page buffer pool. One pool belongs to one client application
+// and is used from one goroutine (see the package comment).
 type Pool struct {
 	srv      server.Server
 	meter    *sim.Meter
@@ -128,36 +98,19 @@ type Pool struct {
 	spans   *trace.Tracer
 	spanCtx func() trace.Context
 
-	shards [frameShards]frameShard
-	count  atomic.Int64 // installed frames
+	frames map[page.PageID]*Frame
 
-	// clockMu guards the replacement state: the ring of frames, the sweep
-	// hand, the free-slot list, and the installation sequence.
-	clockMu sync.Mutex
+	// The replacement state: the ring of frames, the sweep hand, the
+	// free-slot list, and the installation sequence.
 	ring    []*Frame
 	hand    int
 	free    []int
 	nextSeq uint64
 
-	// resMu guards reserved: capacity claimed by in-flight faults whose
-	// frames are not installed yet, so concurrent faults cannot
-	// collectively overshoot the pool size.
-	resMu    sync.Mutex
-	reserved int
-
-	// evictMu serializes victim selection, the eviction hook, and
-	// write-back, so each frame's hook fires exactly once.
-	evictMu sync.Mutex
-
-	// faultMu guards the per-page singleflight table.
-	faultMu  sync.Mutex
-	inflight map[page.PageID]*faultCall
-
-	// dirtyMu (a leaf lock) guards dirtyFrames: the frames marked dirty
-	// since the last FlushAll. An entry goes out of date when something else
-	// ships the frame first (eviction, Flush, Refresh), and a frame dirtied
-	// again after that is listed twice; the dirty bit decides at flush time.
-	dirtyMu     sync.Mutex
+	// dirtyFrames are the frames marked dirty since the last FlushAll. An
+	// entry goes out of date when something else ships the frame first
+	// (eviction, Flush, Refresh), and a frame dirtied again after that is
+	// listed twice; the dirty bit decides at flush time.
 	dirtyFrames []*Frame
 
 	// dirs indexes the directories of the buffered frames (pagedir.go).
@@ -170,20 +123,12 @@ func New(srv server.Server, capacity int, meter *sim.Meter) *Pool {
 	if capacity < 1 {
 		panic(fmt.Sprintf("buffer: capacity %d", capacity))
 	}
-	p := &Pool{
+	return &Pool{
 		srv:      srv,
 		meter:    meter,
 		capacity: capacity,
-		inflight: make(map[page.PageID]*faultCall),
+		frames:   make(map[page.PageID]*Frame),
 	}
-	for i := range p.shards {
-		p.shards[i].m = make(map[page.PageID]*Frame)
-	}
-	return p
-}
-
-func (p *Pool) shard(pid page.PageID) *frameShard {
-	return &p.shards[uint64(pid)&(frameShards-1)]
 }
 
 // OnEvict installs the eviction hook.
@@ -194,152 +139,71 @@ func (p *Pool) OnEvict(fn EvictFn) { p.onEvict = fn }
 func (p *Pool) SetMetrics(r *metrics.Registry) { p.obs = r }
 
 // Len returns the number of buffered pages.
-func (p *Pool) Len() int { return int(p.count.Load()) }
+func (p *Pool) Len() int { return len(p.frames) }
 
 // Contains reports whether the page is buffered, without touching
 // replacement state.
-func (p *Pool) Contains(pid page.PageID) bool { return p.Peek(pid) != nil }
+func (p *Pool) Contains(pid page.PageID) bool { return p.frames[pid] != nil }
 
 // Peek returns the frame without touching replacement state, or nil. A
 // frame mid-eviction is still returned: the eviction hook relies on that to
 // write displaced objects into the outgoing image.
-func (p *Pool) Peek(pid page.PageID) *Frame {
-	sh := p.shard(pid)
-	sh.mu.RLock()
-	f := sh.m[pid]
-	sh.mu.RUnlock()
-	return f
-}
+func (p *Pool) Peek(pid page.PageID) *Frame { return p.frames[pid] }
 
 // Get returns the frame holding the page, faulting it from the server if
 // necessary and setting the frame's reference bit.
 func (p *Pool) Get(pid page.PageID) (*Frame, error) {
-	for {
-		sh := p.shard(pid)
-		sh.mu.RLock()
-		f := sh.m[pid]
-		var gone chan struct{}
-		if f != nil && f.evicting {
-			gone = f.gone
-		}
-		sh.mu.RUnlock()
-		if f == nil {
-			f, err, retry := p.fault(pid)
-			if retry {
-				continue
-			}
-			return f, err
-		}
-		if gone != nil {
-			// The frame is on its way out; wait for the eviction to finish
-			// (or fail) and look again.
-			<-gone
-			continue
-		}
+	if f := p.frames[pid]; f != nil {
 		p.obs.Inc(metrics.CtrBufferHit)
-		f.ref.Store(1)
+		f.ref = true
 		return f, nil
 	}
+	return p.fault(pid)
 }
 
-// fault coalesces concurrent faults of one page: the first goroutine
-// becomes the leader and issues the read; followers wait and retry the
-// lookup (retry=true) or propagate the leader's error.
-func (p *Pool) fault(pid page.PageID) (f *Frame, err error, retry bool) {
-	p.faultMu.Lock()
-	if c, ok := p.inflight[pid]; ok {
-		p.faultMu.Unlock()
-		p.obs.Inc(metrics.CtrFaultCoalesced)
-		<-c.done
-		if c.err != nil {
-			return nil, c.err, false
-		}
-		return nil, nil, true
-	}
-	c := &faultCall{done: make(chan struct{})}
-	p.inflight[pid] = c
-	p.faultMu.Unlock()
-
-	f, err = p.faultLeader(pid)
-	c.err = err
-
-	p.faultMu.Lock()
-	delete(p.inflight, pid)
-	p.faultMu.Unlock()
-	close(c.done)
-	if err != nil {
-		return nil, err, false
-	}
-	if f == nil {
-		// Another leader installed the page between our miss and our
-		// leadership; go find it as a hit.
-		return nil, nil, true
-	}
-	return f, nil, false
-}
-
-// faultLeader performs the actual page fault: reserve a frame (evicting if
-// needed), read the image from the server and install it.
-func (p *Pool) faultLeader(pid page.PageID) (*Frame, error) {
+// fault performs a page fault: make room (evicting if needed), read the
+// image from the server and install it.
+func (p *Pool) fault(pid page.PageID) (*Frame, error) {
 	if sp := p.spans.StartChild(spanPageFault, p.traceCtx()); sp.Sampled() {
 		sp.SetArgs(uint64(pid), 0)
 		defer sp.Finish()
 	}
-	if p.Peek(pid) != nil {
-		// A goroutine that missed the page can become leader only after an
-		// earlier leader installed it and left the in-flight table: the page
-		// is buffered now, and reading it again would install a second frame.
-		return nil, nil
-	}
 	p.obs.Inc(metrics.CtrBufferMiss)
-	if err := p.reserve(); err != nil {
+	if err := p.makeRoom(); err != nil {
 		return nil, err
 	}
 	img, err := p.srv.ReadPage(pid)
 	if err != nil {
-		p.unreserve()
 		return nil, err
 	}
-	h := int(pid)
 	p.obs.Inc(metrics.CtrPageFault)
-	p.meter.SharedEvent(h, sim.CntPageFault, p.meter.Costs().PageIO)
-	p.meter.SharedAdd(h, sim.CntPageRead, 1)
-	p.meter.SharedAdd(h, sim.CntServerRoundTrip, 1)
+	p.meter.Event(sim.CntPageFault, p.meter.Costs().PageIO)
+	p.meter.Add(sim.CntPageRead, 1)
+	p.meter.Add(sim.CntServerRoundTrip, 1)
 	pg, dir, err := splitRead(img)
 	if err != nil {
-		p.unreserve()
 		return nil, err
 	}
 	return p.install(pid, pg, dir), nil
 }
 
-// reserve claims one frame of capacity, evicting victims until it fits.
-func (p *Pool) reserve() error {
-	p.resMu.Lock()
-	for int(p.count.Load())+p.reserved >= p.capacity {
-		p.resMu.Unlock()
-		if err := p.evictOne(); err != nil {
+// makeRoom evicts victims until one more frame fits.
+func (p *Pool) makeRoom() error {
+	for len(p.frames) >= p.capacity {
+		f := p.victim()
+		if f == nil {
+			return ErrNoFrames
+		}
+		if err := p.evictFrame(f); err != nil {
 			return err
 		}
-		p.resMu.Lock()
 	}
-	p.reserved++
-	p.resMu.Unlock()
 	return nil
 }
 
-func (p *Pool) unreserve() {
-	p.resMu.Lock()
-	p.reserved--
-	p.resMu.Unlock()
-}
-
-// install publishes a new frame, consuming one reservation, and files the
-// directory its image arrived with.
+// install files a new frame and the directory its image arrived with.
 func (p *Pool) install(pid page.PageID, pg *page.Page, dir page.Directory) *Frame {
-	f := &Frame{Page: pg, pool: p, pid: pid, gone: make(chan struct{})}
-	p.clockMu.Lock()
-	f.seq = p.nextSeq
+	f := &Frame{Page: pg, pool: p, pid: pid, seq: p.nextSeq}
 	p.nextSeq++
 	if n := len(p.free); n > 0 {
 		f.slot = p.free[n-1]
@@ -349,48 +213,14 @@ func (p *Pool) install(pid page.PageID, pg *page.Page, dir page.Directory) *Fram
 		f.slot = len(p.ring)
 		p.ring = append(p.ring, f)
 	}
-	p.clockMu.Unlock()
-	sh := p.shard(pid)
-	sh.mu.Lock()
-	sh.m[pid] = f
-	sh.mu.Unlock()
+	p.frames[pid] = f
 	p.dirs.setDir(f, dir)
-	p.count.Add(1)
-	p.unreserve()
 	return f
 }
 
-// evictOne evicts one victim frame to make room, retrying if a victim gets
-// pinned between selection and eviction.
-func (p *Pool) evictOne() error {
-	p.evictMu.Lock()
-	defer p.evictMu.Unlock()
-	for {
-		// Someone may have freed capacity while we waited for evictMu.
-		p.resMu.Lock()
-		roomy := int(p.count.Load())+p.reserved < p.capacity
-		p.resMu.Unlock()
-		if roomy {
-			return nil
-		}
-		f := p.victim()
-		if f == nil {
-			return ErrNoFrames
-		}
-		err := p.evictFrame(f)
-		if errors.Is(err, errEvictPinned) {
-			continue
-		}
-		return err
-	}
-}
-
 // victim selects the next replacement victim by a CLOCK second-chance
-// sweep over the ring. Returns nil if every frame is pinned. Caller holds
-// evictMu.
+// sweep over the ring. Returns nil if every frame is pinned.
 func (p *Pool) victim() *Frame {
-	p.clockMu.Lock()
-	defer p.clockMu.Unlock()
 	n := len(p.ring)
 	if n == 0 {
 		return nil
@@ -398,11 +228,12 @@ func (p *Pool) victim() *Frame {
 	for i := 0; i < 2*n; i++ {
 		f := p.ring[p.hand%n]
 		p.hand = (p.hand + 1) % n
-		if f == nil || f.pins.Load() > 0 {
+		if f == nil || f.pins > 0 {
 			continue
 		}
-		if f.ref.Swap(0) == 1 {
-			continue // second chance
+		if f.ref {
+			f.ref = false // second chance
+			continue
 		}
 		return f
 	}
@@ -412,12 +243,10 @@ func (p *Pool) victim() *Frame {
 // Evict removes one page from the pool, firing the eviction hook and
 // writing the page back if dirty. Pinned pages cannot be evicted.
 func (p *Pool) Evict(pid page.PageID) error {
-	f := p.Peek(pid)
+	f := p.frames[pid]
 	if f == nil {
 		return fmt.Errorf("%w: %v", ErrNotHeld, pid)
 	}
-	p.evictMu.Lock()
-	defer p.evictMu.Unlock()
 	return p.evictFrame(f)
 }
 
@@ -433,13 +262,8 @@ func (p *Pool) Evict(pid page.PageID) error {
 //     coherence machinery keeps such pages queued and re-applies at its
 //     next opportunity.
 func (p *Pool) Invalidate(pid page.PageID) (done bool, err error) {
-	f := p.Peek(pid)
-	if f == nil {
-		return true, nil
-	}
-	p.evictMu.Lock()
-	defer p.evictMu.Unlock()
-	if f.dirty.Load() {
+	f := p.frames[pid]
+	if f == nil || f.dirty {
 		return true, nil
 	}
 	err = p.evictFrame(f)
@@ -449,51 +273,31 @@ func (p *Pool) Invalidate(pid page.PageID) (done bool, err error) {
 	return err == nil, err
 }
 
-// evictFrame evicts one frame: hook, write-back if dirty, removal. Caller
-// holds evictMu. A frame that is pinned (or already gone) when we get the
-// shard lock is reported via errEvictPinned / nil so callers can retry or
-// ignore.
+// evictFrame evicts one frame: hook, write-back if dirty, removal. A frame
+// that is pinned is reported via errEvictPinned, one already gone with nil.
 func (p *Pool) evictFrame(f *Frame) error {
-	sh := p.shard(f.pid)
-	sh.mu.Lock()
-	if sh.m[f.pid] != f {
-		sh.mu.Unlock()
+	if p.frames[f.pid] != f {
 		return nil // already evicted
 	}
-	if f.pins.Load() > 0 {
-		sh.mu.Unlock()
+	if f.pins > 0 {
 		return fmt.Errorf("buffer: %w %v", errEvictPinned, f.pid)
 	}
 	f.evicting = true
-	sh.mu.Unlock()
-
 	if p.onEvict != nil {
 		p.onEvict(f.pid, f)
 	}
-	if f.dirty.Load() {
+	if f.dirty {
 		if err := p.writeBack(f.pid, f); err != nil {
-			// The frame stays in the pool; wake waiters so they re-find it.
-			sh.mu.Lock()
-			f.evicting = false
-			old := f.gone
-			f.gone = make(chan struct{})
-			sh.mu.Unlock()
-			close(old)
+			f.evicting = false // the frame stays in the pool
 			return err
 		}
 	}
 	p.dirs.setDir(f, nil)
-	p.clockMu.Lock()
 	p.ring[f.slot] = nil
 	p.free = append(p.free, f.slot)
-	p.clockMu.Unlock()
-	sh.mu.Lock()
-	delete(sh.m, f.pid)
-	sh.mu.Unlock()
-	p.count.Add(-1)
-	p.meter.SharedAdd(int(f.pid), sim.CntPageEvict, 1)
+	delete(p.frames, f.pid)
+	p.meter.Add(sim.CntPageEvict, 1)
 	p.obs.Inc(metrics.CtrBufferEvict)
-	close(f.gone)
 	return nil
 }
 
@@ -504,49 +308,38 @@ func (p *Pool) writeBack(pid page.PageID, f *Frame) error {
 	if err := p.srv.WritePage(pid, f.Page.Image()); err != nil {
 		return err
 	}
-	f.dirty.Store(false)
-	h := int(pid)
-	p.meter.SharedEvent(h, sim.CntPageWrite, p.meter.Costs().PageIO)
-	p.meter.SharedAdd(h, sim.CntServerRoundTrip, 1)
+	f.dirty = false
+	p.meter.Event(sim.CntPageWrite, p.meter.Costs().PageIO)
+	p.meter.Add(sim.CntServerRoundTrip, 1)
 	return nil
 }
 
 // Pin pins a buffered page against eviction.
 func (p *Pool) Pin(pid page.PageID) error {
-	sh := p.shard(pid)
-	sh.mu.RLock()
-	f := sh.m[pid]
-	ok := f != nil && !f.evicting
-	if ok {
-		f.pins.Add(1)
-	}
-	sh.mu.RUnlock()
-	if !ok {
+	f := p.frames[pid]
+	if f == nil || f.evicting {
 		return fmt.Errorf("%w: %v", ErrNotHeld, pid)
 	}
+	f.pins++
 	return nil
 }
 
 // Unpin releases one pin.
 func (p *Pool) Unpin(pid page.PageID) error {
-	f := p.Peek(pid)
+	f := p.frames[pid]
 	if f == nil {
 		return fmt.Errorf("%w: %v", ErrNotHeld, pid)
 	}
-	for {
-		n := f.pins.Load()
-		if n == 0 {
-			return fmt.Errorf("buffer: unpin of unpinned page %v", pid)
-		}
-		if f.pins.CompareAndSwap(n, n-1) {
-			return nil
-		}
+	if f.pins == 0 {
+		return fmt.Errorf("buffer: unpin of unpinned page %v", pid)
 	}
+	f.pins--
+	return nil
 }
 
 // MarkDirty marks a buffered page dirty.
 func (p *Pool) MarkDirty(pid page.PageID) error {
-	f := p.Peek(pid)
+	f := p.frames[pid]
 	if f == nil {
 		return fmt.Errorf("%w: %v", ErrNotHeld, pid)
 	}
@@ -556,13 +349,11 @@ func (p *Pool) MarkDirty(pid page.PageID) error {
 
 // Flush writes one page back to the server if dirty, keeping it buffered.
 func (p *Pool) Flush(pid page.PageID) error {
-	f := p.Peek(pid)
+	f := p.frames[pid]
 	if f == nil {
 		return fmt.Errorf("%w: %v", ErrNotHeld, pid)
 	}
-	p.evictMu.Lock()
-	defer p.evictMu.Unlock()
-	if !f.dirty.Load() {
+	if !f.dirty {
 		return nil
 	}
 	return p.writeBack(pid, f)
@@ -573,13 +364,11 @@ func (p *Pool) Flush(pid page.PageID) error {
 // lost. Used after a server-side object relocation invalidated the
 // buffered copy.
 func (p *Pool) Refresh(pid page.PageID) error {
-	f := p.Peek(pid)
+	f := p.frames[pid]
 	if f == nil {
 		return fmt.Errorf("%w: %v", ErrNotHeld, pid)
 	}
-	p.evictMu.Lock()
-	defer p.evictMu.Unlock()
-	if f.dirty.Load() {
+	if f.dirty {
 		if err := p.writeBack(pid, f); err != nil {
 			return err
 		}
@@ -592,28 +381,19 @@ func (p *Pool) Refresh(pid page.PageID) error {
 	if err != nil {
 		return err
 	}
-	sh := p.shard(pid)
-	sh.mu.Lock()
 	f.Page = pg
-	sh.mu.Unlock()
 	p.dirs.setDir(f, dir)
-	h := int(pid)
-	p.meter.SharedAdd(h, sim.CntPageRead, 1)
-	p.meter.SharedAdd(h, sim.CntServerRoundTrip, 1)
-	p.meter.SharedCharge(h, p.meter.Costs().PageIO)
+	p.meter.Add(sim.CntPageRead, 1)
+	p.meter.Add(sim.CntServerRoundTrip, 1)
+	p.meter.Charge(p.meter.Costs().PageIO)
 	return nil
 }
 
 // allFrames snapshots the installed frames, oldest first.
 func (p *Pool) allFrames() []*Frame {
-	out := make([]*Frame, 0, p.Len())
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.RLock()
-		for _, f := range sh.m {
-			out = append(out, f)
-		}
-		sh.mu.RUnlock()
+	out := make([]*Frame, 0, len(p.frames))
+	for _, f := range p.frames {
+		out = append(out, f)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
 	return out
@@ -626,32 +406,25 @@ func (p *Pool) allFrames() []*Frame {
 // deterministic. If a write fails, the frames not yet shipped go back on
 // the list and the next FlushAll ships them.
 func (p *Pool) FlushAll() error {
-	p.evictMu.Lock()
-	defer p.evictMu.Unlock()
 	batch := p.takeDirty()
 	if len(batch) == 0 {
 		return nil
 	}
 	sort.Slice(batch, func(i, j int) bool { return batch[i].seq < batch[j].seq })
 	for i, f := range batch {
-		if !f.dirty.Load() {
+		if !f.dirty {
 			continue // shipped since it was listed, or listed twice
 		}
 		if err := p.writeBack(f.pid, f); err != nil {
-			p.dirtyMu.Lock()
 			p.dirtyFrames = append(p.dirtyFrames, batch[i:]...)
-			p.dirtyMu.Unlock()
 			return err
 		}
 	}
 	return nil
 }
 
-// takeDirty detaches the dirty list and hands it to the caller, so
-// MarkDirty can keep appending while the caller works through it.
+// takeDirty detaches the dirty list and hands it to the caller.
 func (p *Pool) takeDirty() []*Frame {
-	p.dirtyMu.Lock()
-	defer p.dirtyMu.Unlock()
 	batch := p.dirtyFrames
 	p.dirtyFrames = nil
 	return batch
@@ -662,15 +435,13 @@ func (p *Pool) takeDirty() []*Frame {
 // ship: none, unless a write path bypassed MarkDirty. It is the full scan
 // FlushAll used to make, kept as a check for core.OM.Verify and tests.
 func (p *Pool) UnlistedDirty() []page.PageID {
-	p.dirtyMu.Lock()
 	listed := make(map[*Frame]struct{}, len(p.dirtyFrames))
 	for _, f := range p.dirtyFrames {
 		listed[f] = struct{}{}
 	}
-	p.dirtyMu.Unlock()
 	var out []page.PageID
 	for _, f := range p.allFrames() {
-		if _, ok := listed[f]; f.dirty.Load() && !ok {
+		if _, ok := listed[f]; f.dirty && !ok {
 			out = append(out, f.pid)
 		}
 	}
@@ -681,34 +452,23 @@ func (p *Pool) UnlistedDirty() []page.PageID {
 // Used to cool the buffer between benchmark runs. Fails if any page is
 // pinned.
 func (p *Pool) DropAll() error {
-	p.evictMu.Lock()
 	for _, f := range p.allFrames() {
 		if err := p.evictFrame(f); err != nil {
-			p.evictMu.Unlock()
 			return err
 		}
 	}
-	p.evictMu.Unlock()
 	p.takeDirty() // every frame was shipped on its way out
 	return nil
 }
 
 // Discard drops every frame without firing hooks or writing anything back
 // — the client-side step of a transaction abort, whose buffered images
-// are invalid by definition. Not safe to call concurrently with faults.
+// are invalid by definition.
 func (p *Pool) Discard() {
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		sh.m = make(map[page.PageID]*Frame)
-		sh.mu.Unlock()
-	}
-	p.count.Store(0)
-	p.clockMu.Lock()
+	p.frames = make(map[page.PageID]*Frame)
 	p.ring = nil
 	p.free = nil
 	p.hand = 0
-	p.clockMu.Unlock()
 	p.dirs.reset()
 	p.takeDirty()
 }
@@ -719,9 +479,8 @@ func (p *Pool) Discard() {
 func (p *Pool) Pages() []page.PageID {
 	fs := p.allFrames()
 	sort.SliceStable(fs, func(i, j int) bool {
-		ri, rj := fs[i].ref.Load(), fs[j].ref.Load()
-		if ri != rj {
-			return ri > rj
+		if fs[i].ref != fs[j].ref {
+			return fs[i].ref
 		}
 		return fs[i].seq > fs[j].seq
 	})

@@ -166,7 +166,7 @@ func TestUnlistedDirtyConvictsBypass(t *testing.T) {
 	pool, _, pids := setupLogged(t, 2, 2)
 	dirty(t, pool, pids[0], 90)
 	f, _ := pool.Get(pids[1])
-	f.dirty.Store(true)
+	f.dirty = true
 	if got := pool.UnlistedDirty(); !reflect.DeepEqual(got, []page.PageID{pids[1]}) {
 		t.Fatalf("UnlistedDirty = %v, want [%v]", got, pids[1])
 	}

@@ -2,7 +2,6 @@ package buffer
 
 import (
 	"sort"
-	"sync"
 
 	"gom/internal/oid"
 	"gom/internal/page"
@@ -23,9 +22,8 @@ import (
 // the frame the caller ends up holding (Locate).
 
 // dirIndex is the OID-ordered index over the directories of the buffered
-// frames. mu also guards every Frame.dir.
+// frames.
 type dirIndex struct {
-	mu   sync.RWMutex
 	ents []dirIndexEntry // sorted by first
 }
 
@@ -56,15 +54,11 @@ func (x *dirIndex) search(id oid.OID) int {
 	return sort.Search(len(x.ents), func(i int) bool { return x.ents[i].first > id })
 }
 
-// setDir replaces f's directory and refiles its extents. Calls for one
-// frame never overlap (install precedes publication, every later one holds
-// evictMu), which is what makes the unlocked look at f.dir safe.
+// setDir replaces f's directory and refiles its extents.
 func (x *dirIndex) setDir(f *Frame, dir page.Directory) {
 	if len(f.dir) == 0 && len(dir) == 0 {
 		return // the common case wherever no directories are shipped
 	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	for i := 0; i < f.dir.Len(); i++ {
 		first := f.dir.At(i).First
 		for j := x.search(first) - 1; j >= 0 && x.ents[j].first == first; j-- {
@@ -85,17 +79,11 @@ func (x *dirIndex) setDir(f *Frame, dir page.Directory) {
 }
 
 // reset empties the index (Discard drops every frame wholesale).
-func (x *dirIndex) reset() {
-	x.mu.Lock()
-	x.ents = nil
-	x.mu.Unlock()
-}
+func (x *dirIndex) reset() { x.ents = nil }
 
 // candidate returns the buffered page whose directory names id, if the
 // index knows one.
 func (x *dirIndex) candidate(id oid.OID) (page.PageID, bool) {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
 	j := x.search(id) - 1
 	if j < 0 || uint64(id-x.ents[j].first) >= uint64(x.ents[j].count) {
 		return 0, false
@@ -118,7 +106,7 @@ func (p *Pool) Locate(id oid.OID) (f *Frame, slot int, ok bool, err error) {
 	// The frame Get returned may be newer than the one the index nominated
 	// (refreshed, or evicted and faulted again): only its own directory
 	// says where the object is in its image.
-	slot, ok = p.Directory(f).Find(id)
+	slot, ok = f.dir.Find(id)
 	return f, slot, ok, nil
 }
 
@@ -127,26 +115,18 @@ func (p *Pool) Resolve(id oid.OID) (pid page.PageID, slot int, ok bool) {
 	if pid, ok = p.dirs.candidate(id); !ok {
 		return 0, 0, false
 	}
-	f := p.Peek(pid)
+	f := p.frames[pid]
 	if f == nil {
 		return 0, 0, false
 	}
-	slot, ok = p.Directory(f).Find(id)
+	slot, ok = f.dir.Find(id)
 	return pid, slot, ok
 }
 
 // Directory returns the directory the frame's image arrived with, empty
 // when the server shipped none.
-func (p *Pool) Directory(f *Frame) page.Directory {
-	p.dirs.mu.RLock()
-	defer p.dirs.mu.RUnlock()
-	return f.dir
-}
+func (p *Pool) Directory(f *Frame) page.Directory { return f.dir }
 
 // DirectoryExtents returns the number of extents the index holds over all
 // buffered pages.
-func (p *Pool) DirectoryExtents() int {
-	p.dirs.mu.RLock()
-	defer p.dirs.mu.RUnlock()
-	return len(p.dirs.ents)
-}
+func (p *Pool) DirectoryExtents() int { return len(p.dirs.ents) }

@@ -46,10 +46,6 @@ func TestRefreshReplacesImage(t *testing.T) {
 	pool, _, pids := setup(t, 2, 2)
 	f, _ := pool.Get(pids[0])
 
-	// Server-side out-of-band modification (another client committed).
-	pool2, _, _ := setup(t, 0, 1) // unrelated pool; reuse server via new setup is separate mgr
-	_ = pool2
-
 	// Modify through the server directly: write a new image.
 	img := f.Page.CloneImage()
 	p2, _ := page.FromImage(img)

@@ -13,12 +13,13 @@ import (
 // Invalidations arrive on the TCP client's read-loop goroutine, which
 // must never block on — or reenter — the object manager — and, for the
 // pages a snapshot begin names as changed since the last one, on the
-// goroutine that called BeginSnapshotTx. So the handlers here only queue: NoteInvalidated records the pages and sets an atomic
-// flag, exactly the shape of the existing hasDeferred mirror. Every OM
-// operation checks the flag on entry (hitViable sends it down the structural
-// path, to takeDeferredErr) and applies the queued invalidations before
-// doing anything else: each page is dropped
-// from the buffer pool through the eviction hook, which displaces the
+// goroutine that called BeginSnapshotTx. They are the only entries of the
+// object manager another goroutine may call, so the handlers here only
+// queue: NoteInvalidated records the pages under cohMu and sets an atomic
+// flag. Every OM operation checks the flag on entry (hitViable sends it
+// down the structural path, to takeDeferredErr) and applies the queued
+// invalidations before doing anything else: each page is dropped from
+// the buffer pool through the eviction hook, which displaces the
 // objects materialized from the stale image — un-swizzling references,
 // draining RRLs, invalidating descriptors — so the next dereference
 // re-faults the fresh page from the server.
@@ -58,8 +59,8 @@ func (om *OM) NoteLeaseExpired() {
 // after lease expiry, every buffered page) is evicted through the
 // displacement machinery. Pinned frames cannot be dropped under the Pin
 // contract; they are requeued and retried at the next operation
-// boundary. Runs at operation start, under om.mu in concurrent mode —
-// the same context as any other eviction.
+// boundary. Runs at operation start, on the owner's goroutine — the same
+// context as any other eviction.
 func (om *OM) applyInvalidations() {
 	om.cohMu.Lock()
 	pids := om.cohPending
@@ -82,7 +83,6 @@ func (om *OM) applyInvalidations() {
 		done, err := om.pool.Invalidate(pid)
 		if err != nil {
 			om.deferredErr = errors.Join(om.deferredErr, err)
-			om.hasDeferred.Store(true)
 			continue
 		}
 		if !done {

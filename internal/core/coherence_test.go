@@ -6,7 +6,11 @@ import (
 	"time"
 
 	"gom/internal/metrics"
+	"gom/internal/object"
+	"gom/internal/oid"
+	"gom/internal/page"
 	"gom/internal/server"
+	"gom/internal/storage"
 	"gom/internal/swizzle"
 )
 
@@ -194,4 +198,135 @@ func TestCoherenceLeaseExpiryDropsCache(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+// TestInvalidationQueuedFromAnotherGoroutine pins the one entry to an
+// object manager that another goroutine may call. While the owner runs EDS
+// traversals, a second goroutine — standing in for the TCP read loop —
+// queues invalidations of the pages the traversals hold and, once, a lease
+// expiry. Run under -race: the queue is the only state the two share. Every
+// value the owner reads must be the server's, the invariants must hold, and
+// every queued page must be counted as applied.
+func TestInvalidationQueuedFromAnotherGoroutine(t *testing.T) {
+	const nParts, depth, rounds = 40, 3, 300
+	b := buildBase(t, nParts)
+	mgr := b.srv.Manager()
+	want := map[oid.OID]int64{} // part-id of every part, as the server has it
+	var pages []page.PageID
+	seen := map[page.PageID]bool{}
+	for i, id := range b.parts {
+		rec, addr, err := mgr.Read(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj, err := object.Decode(b.schema, id, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = obj.Int(0)
+		for _, pid := range []page.PageID{addr.Page, mustAddr(t, mgr, b.conns[i][0]).Page} {
+			if !seen[pid] {
+				seen[pid] = true
+				pages = append(pages, pid)
+			}
+		}
+	}
+	const capacity = 64
+	om := b.om(t, Options{PageBufferPages: capacity, Metrics: metrics.New()})
+	om.BeginApplication(appSpec(swizzle.EDS))
+
+	var traverse func(p *Var, d int)
+	traverse = func(p *Var, d int) {
+		id, err := om.OID(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := om.ReadInt(p, "part-id"); err != nil || got != want[id] {
+			t.Fatalf("part %v: part-id = %d, %v; the server has %d", id, got, err, want[id])
+		}
+		if d == 0 {
+			return
+		}
+		n, err := om.Card(p, "connTo")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, q := om.NewVar("c", b.conn), om.NewVar("q", b.part)
+		for j := 0; j < n; j++ {
+			if err := om.ReadElem(p, "connTo", j, c); err != nil {
+				t.Fatal(err)
+			}
+			if err := om.ReadRef(c, "to", q); err != nil {
+				t.Fatal(err)
+			}
+			traverse(q, d-1)
+		}
+		om.FreeVar(q)
+		om.FreeVar(c)
+	}
+
+	// Warm: every page is buffered and every object resident before the
+	// notes start.
+	p := om.NewVar("p", b.part)
+	if err := om.Load(p, b.parts[0]); err != nil {
+		t.Fatal(err)
+	}
+	traverse(p, depth)
+	om.FreeVar(p)
+	warmFaults := om.Metrics().Count(metrics.CtrObjectFault)
+
+	noted := make(chan int64)
+	go func() {
+		var n int64
+		for i := 0; i < rounds; i++ {
+			batch := pages[i%len(pages) : i%len(pages)+1]
+			om.NoteInvalidated(uint64(i), batch)
+			n += int64(len(batch))
+			if i == rounds/2 {
+				om.NoteLeaseExpired()
+			}
+			time.Sleep(20 * time.Microsecond)
+		}
+		noted <- n
+	}()
+	var total int64
+	for i, done := 0, false; !done; i++ {
+		select {
+		case total = <-noted:
+			done = true
+		default:
+		}
+		p := om.NewVar("p", b.part)
+		if err := om.Load(p, b.parts[i%nParts]); err != nil {
+			t.Fatal(err)
+		}
+		traverse(p, depth)
+		om.FreeVar(p)
+	}
+	// One more operation applies whatever the last notes queued.
+	p = om.NewVar("p", b.part)
+	if err := om.Load(p, b.parts[0]); err != nil {
+		t.Fatal(err)
+	}
+	traverse(p, depth)
+	mustVerify(t, om)
+	// The lease expiry alone displaced every object, and the traversals
+	// after it faulted them back.
+	if faults := om.Metrics().Count(metrics.CtrObjectFault); faults < 2*warmFaults {
+		t.Errorf("%d object faults after the %d of the warm traversal: the notes displaced nothing", faults-warmFaults, warmFaults)
+	}
+	// Each noted page is applied once; the lease expiry adds at most the
+	// pages buffered when it was applied.
+	if applied := om.Metrics().Count(metrics.CtrCoherenceInvalApplied); applied < total || applied > total+capacity {
+		t.Errorf("%d invalidations applied for %d pages noted and one lease expiry (at most %d frames)", applied, total, capacity)
+	}
+}
+
+func mustAddr(t *testing.T, mgr *storage.Manager, id oid.OID) storage.PAddr {
+	t.Helper()
+	addr, err := mgr.Lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return addr
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -313,55 +312,6 @@ func TestCommitRelocatingWriteBackShipsPageOnce(t *testing.T) {
 	if got, err := om2.ReadInt(p, "built"); err != nil || got != 9000 {
 		t.Fatalf("built = %d, %v", got, err)
 	}
-}
-
-// TestConcurrentWritersEnlistOnce: the concurrent fast path appends to the
-// dirty list from many goroutines at once; every object written, including
-// those several goroutines race to write first, is listed exactly once and
-// shipped by the commit.
-func TestConcurrentWritersEnlistOnce(t *testing.T) {
-	const workers = 8
-	b := buildBase(t, 400)
-	om := b.om(t, Options{Concurrent: true})
-	om.BeginApplication(appSpec(swizzle.NOS))
-	setBuilt(t, om, b, 400, 1993) // sequential path: part 0 is listed first
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v := om.NewVar("w", b.part)
-			defer om.FreeVar(v)
-			for i := 0; i < len(b.parts); i += 7 {
-				// Everyone writes the same value into the same parts.
-				err := om.Load(v, b.parts[i])
-				if err == nil {
-					err = om.WriteInt(v, "built", 4000+int64(i))
-				}
-				if err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	mustVerify(t, om)
-	listed := map[*object.MemObject]bool{}
-	for _, obj := range om.dirty {
-		if listed[obj] {
-			t.Errorf("object %v listed twice", obj.OID)
-		}
-		listed[obj] = true
-	}
-	if want := (len(b.parts) + 6) / 7; len(listed) != want {
-		t.Errorf("%d objects listed, %d written", len(listed), want)
-	}
-	if err := om.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	checkServerImage(t, b, 7, 4000)
-	mustVerify(t, om)
 }
 
 // TestVerifyConvictsUnlistedDirtyObject: a write site that sets the dirty

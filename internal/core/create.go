@@ -14,10 +14,6 @@ import (
 // ordinary Updates).
 func (om *OM) Create(typ *object.Type, seg uint16, v *Var) error {
 	defer om.endOp(om.startOp(spanCreate))
-	if om.conc {
-		om.mu.Lock()
-		defer om.mu.Unlock()
-	}
 	return om.create(typ, seg, v, nil)
 }
 
@@ -25,10 +21,6 @@ func (om *OM) Create(typ *object.Type, seg uint16, v *Var) error {
 // the neighbor's page when possible (§6.6.3).
 func (om *OM) CreateNear(typ *object.Type, seg uint16, v, neighbor *Var) error {
 	defer om.endOp(om.startOp(spanCreate))
-	if om.conc {
-		om.mu.Lock()
-		defer om.mu.Unlock()
-	}
 	return om.create(typ, seg, v, neighbor)
 }
 
@@ -89,7 +81,7 @@ func (om *OM) create(typ *object.Type, seg uint16, v, neighbor *Var) error {
 		om.byPage[addr.Page] = append(om.byPage[addr.Page], obj)
 	}
 
-	om.unregisterSlot(object.VarSlot(&v.ref), 0)
+	om.unregisterSlot(object.VarSlot(&v.ref))
 	v.ref = object.OIDRef(id)
 	strat := v.ctx.strategy
 	if strat.Swizzles() && !(om.lazyUponDereference && strat.Lazy()) {

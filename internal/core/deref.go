@@ -403,7 +403,7 @@ func (om *OM) swizzleSlot(slot object.Slot, strat swizzle.Strategy, score *ctxSc
 		return nil
 	}
 	// Indirect: find or allocate the descriptor.
-	d := om.descriptorRef(id, 0)
+	d := om.descriptorRef(id)
 	om.obs.Inc(swizzleCounter(strat))
 	om.scoreInc(score, metrics.ScoreSwizzle)
 	om.meter.Event(sim.CntSwizzleIndirect, costs.SwizzleIndirect)
@@ -416,9 +416,7 @@ func (om *OM) swizzleSlot(slot object.Slot, strat swizzle.Strategy, score *ctxSc
 // slots are tracked but not charged: the paper's run-time model finds
 // local variables by scanning the stack when an object is displaced
 // (§5.3), so copying a direct reference into a variable costs nothing at
-// copy time — the list entry here stands in for the stack scan. In
-// concurrent mode the list is the target's latch's to guard: variables of
-// several goroutines may come to point at one object on the hit path.
+// copy time — the list entry here stands in for the stack scan.
 func (om *OM) registerDirect(slot object.Slot, target *object.MemObject) {
 	if om.pagewise {
 		om.pageRegisterDirect(slot, target)
@@ -427,9 +425,6 @@ func (om *OM) registerDirect(slot object.Slot, target *object.MemObject) {
 	if om.swizzleTableCap > 0 {
 		om.tableRegisterDirect(slot)
 		return
-	}
-	if lt := om.wlatch(target); lt != nil {
-		defer lt.Unlock()
 	}
 	if target.RRL == nil {
 		target.RRL = &object.RRL{}
@@ -457,9 +452,6 @@ func (om *OM) unregisterDirect(slot object.Slot, target *object.MemObject) {
 	if om.swizzleTableCap > 0 {
 		om.tableUnregisterDirect(slot)
 		return
-	}
-	if lt := om.wlatch(target); lt != nil {
-		defer lt.Unlock()
 	}
 	l := target.RRL
 	if l == nil {
@@ -512,45 +504,27 @@ func (om *OM) dropDescriptor(d *object.Descriptor) {
 
 // descriptorRef returns the descriptor for an OID with one more fan-in
 // reference, allocating (and charging) one if none exists. A resident target
-// gets linked immediately. The descriptor table and the fan-in counts are
-// descMu's to guard in concurrent mode.
-func (om *OM) descriptorRef(id oid.OID, h int) *object.Descriptor {
-	if om.conc {
-		om.descMu.Lock()
-		defer om.descMu.Unlock()
-	}
+// gets linked immediately.
+func (om *OM) descriptorRef(id oid.OID) *object.Descriptor {
 	d, target := om.findDescriptor(id)
 	if d == nil {
 		d = om.newDescriptor(id, target)
-		om.event(h, sim.CntDescAlloc, om.pc.DescAlloc)
+		om.meter.EventP(sim.CntDescAlloc, om.pc.DescAlloc)
 	}
 	d.FanIn++
 	return d
 }
 
-// shareDescriptor adds a fan-in reference to a descriptor in hand.
-func (om *OM) shareDescriptor(d *object.Descriptor) {
-	if om.conc {
-		om.descMu.Lock()
-		defer om.descMu.Unlock()
-	}
-	d.FanIn++
-}
-
 // releaseDescriptor drops one fan-in reference; at zero the descriptor is
 // reclaimed (§3.2.2: "to reclaim unused descriptors, every descriptor
 // keeps a counter").
-func (om *OM) releaseDescriptor(d *object.Descriptor, h int) {
-	if om.conc {
-		om.descMu.Lock()
-		defer om.descMu.Unlock()
-	}
+func (om *OM) releaseDescriptor(d *object.Descriptor) {
 	d.FanIn--
 	if d.FanIn > 0 || om.retainDescriptors {
 		return
 	}
 	om.dropDescriptor(d)
-	om.event(h, sim.CntDescFree, om.pc.DescFree)
+	om.meter.EventP(sim.CntDescFree, om.pc.DescFree)
 }
 
 // unswizzleSlot converts a swizzled slot back to an OID (the US cost
@@ -567,7 +541,7 @@ func (om *OM) unswizzleSlot(slot object.Slot) {
 		om.meter.Event(sim.CntUnswizzleDirect, costs.UnswizzleDirect)
 	case object.RefIndirect:
 		d := r.Desc()
-		om.releaseDescriptor(d, 0)
+		om.releaseDescriptor(d)
 		*slot.Ref() = object.OIDRef(d.OID)
 		om.obs.Inc(metrics.CtrUnswizzle)
 		om.meter.Event(sim.CntUnswizzleIndirect, costs.UnswizzleIndirect)
@@ -576,14 +550,14 @@ func (om *OM) unswizzleSlot(slot object.Slot) {
 
 // unregisterSlot removes the slot's swizzling bookkeeping without
 // rewriting the reference (used when the slot itself is going away: a
-// freed variable, a displaced home object). h is the caller's meter stripe.
-func (om *OM) unregisterSlot(slot object.Slot, h int) {
+// freed variable, a displaced home object).
+func (om *OM) unregisterSlot(slot object.Slot) {
 	r := slot.Ref()
 	switch r.State() {
 	case object.RefDirect:
 		om.unregisterDirect(slot, r.Ptr())
 	case object.RefIndirect:
-		om.releaseDescriptor(r.Desc(), h)
+		om.releaseDescriptor(r.Desc())
 	}
 }
 
@@ -592,16 +566,15 @@ func (om *OM) unregisterSlot(slot object.Slot, h int) {
 // maintaining all bookkeeping. The source is not disturbed. target is the
 // resident object a direct destination will point at when the caller has
 // resolved it already (the hit path, which must not fault: planAssign);
-// with nil it is resolved here, faulting it in if need be. h is the
-// caller's meter stripe.
+// with nil it is resolved here, faulting it in if need be.
 //
 // Registration order matters: the new value is built and registered before
 // the old value is released, so that when source and destination share a
 // target (self-assignment, redirect-to-same), fan-in never transiently
 // reaches zero and reclaims a descriptor that is still referenced.
-func (om *OM) assignRef(dst object.Slot, dstStrat swizzle.Strategy, src *object.Ref, target *object.MemObject, h int) error {
+func (om *OM) assignRef(dst object.Slot, dstStrat swizzle.Strategy, src *object.Ref, target *object.MemObject) error {
 	old := *dst.Ref() // value copy; released at the end
-	if err := om.installRef(dst, dstStrat, src, target, h); err != nil {
+	if err := om.installRef(dst, dstStrat, src, target); err != nil {
 		return err
 	}
 	// Release the old value's bookkeeping. The RRL entry is matched by the
@@ -611,14 +584,14 @@ func (om *OM) assignRef(dst object.Slot, dstStrat swizzle.Strategy, src *object.
 	case object.RefDirect:
 		om.unregisterDirect(dst, old.Ptr())
 	case object.RefIndirect:
-		om.releaseDescriptor(old.Desc(), h)
+		om.releaseDescriptor(old.Desc())
 	}
 	return nil
 }
 
 // installRef is the first half of assignRef: it writes the new value and
 // registers it.
-func (om *OM) installRef(dst object.Slot, dstStrat swizzle.Strategy, src *object.Ref, target *object.MemObject, h int) error {
+func (om *OM) installRef(dst object.Slot, dstStrat swizzle.Strategy, src *object.Ref, target *object.MemObject) error {
 	if src.IsNil() {
 		*dst.Ref() = object.NilRef
 		return nil
@@ -641,20 +614,20 @@ func (om *OM) installRef(dst object.Slot, dstStrat swizzle.Strategy, src *object
 		case object.RefDirect:
 			om.registerDirect(dst, v.Ptr())
 		case object.RefIndirect:
-			om.shareDescriptor(v.Desc())
+			v.Desc().FanIn++
 		}
 		return nil
 	}
 	// Layout conversion.
 	switch want {
 	case object.RefOID:
-		om.event(h, sim.CntTranslate, om.pc.TranslateSwizzledToOID)
+		om.meter.EventP(sim.CntTranslate, om.pc.TranslateSwizzledToOID)
 		*dst.Ref() = object.OIDRef(src.TargetOID())
 	case object.RefDirect:
 		if src.State() == object.RefOID {
-			om.event(h, sim.CntTranslate, om.pc.TranslateOIDToSwizzled)
+			om.meter.EventP(sim.CntTranslate, om.pc.TranslateOIDToSwizzled)
 		} else {
-			om.event(h, sim.CntTranslate, om.pc.TranslateSwizzled)
+			om.meter.EventP(sim.CntTranslate, om.pc.TranslateSwizzled)
 		}
 		if target == nil {
 			if src.State() == object.RefIndirect && src.Desc().Valid() {
@@ -675,11 +648,11 @@ func (om *OM) installRef(dst object.Slot, dstStrat swizzle.Strategy, src *object
 		*dst.Ref() = object.DirectRef(target)
 	case object.RefIndirect:
 		if src.State() == object.RefOID {
-			om.event(h, sim.CntTranslate, om.pc.TranslateOIDToSwizzled)
+			om.meter.EventP(sim.CntTranslate, om.pc.TranslateOIDToSwizzled)
 		} else {
-			om.event(h, sim.CntTranslate, om.pc.TranslateSwizzled)
+			om.meter.EventP(sim.CntTranslate, om.pc.TranslateSwizzled)
 		}
-		*dst.Ref() = object.IndirectRef(om.descriptorRef(src.TargetOID(), h))
+		*dst.Ref() = object.IndirectRef(om.descriptorRef(src.TargetOID()))
 	}
 	return nil
 }

@@ -29,7 +29,6 @@ func (om *OM) onPageEvict(pid page.PageID, _ *buffer.Frame) {
 			// surfaced through the hook; record them for the next API
 			// call to report.
 			om.deferredErr = errors.Join(om.deferredErr, err)
-			om.hasDeferred.Store(true)
 		}
 	}
 }
@@ -50,14 +49,10 @@ func (om *OM) dropHints(pid page.PageID) {
 func (om *OM) onCacheEvict(obj *object.MemObject) {
 	if err := om.displace(obj, true); err != nil {
 		om.deferredErr = errors.Join(om.deferredErr, err)
-		om.hasDeferred.Store(true)
 	}
 }
 
 // takeDeferredErr surfaces errors that occurred inside eviction hooks.
-// The atomic mirror is only touched when there was something to clear —
-// this runs at the top of every sequential operation, and an unconditional
-// atomic store would tax the hot path for nothing.
 func (om *OM) takeDeferredErr() error {
 	if om.cohFlag.Load() {
 		// Apply queued coherence invalidations before the operation reads
@@ -68,10 +63,7 @@ func (om *OM) takeDeferredErr() error {
 		om.applyInvalidations()
 	}
 	err := om.deferredErr
-	if err != nil {
-		om.deferredErr = nil
-		om.hasDeferred.Store(false)
-	}
+	om.deferredErr = nil
 	return err
 }
 
@@ -319,10 +311,6 @@ func (om *OM) relocateResident(obj *object.MemObject, addr storage.PAddr) {
 // the long design transactions of §1 that periodically adjust their
 // working set).
 func (om *OM) DisplaceObject(id oid.OID) error {
-	if om.conc {
-		om.mu.Lock()
-		defer om.mu.Unlock()
-	}
 	if err := om.takeDeferredErr(); err != nil {
 		return err
 	}

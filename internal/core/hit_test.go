@@ -2,9 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
-	"sort"
-	"strings"
 	"testing"
 
 	"gom/internal/metrics"
@@ -14,56 +11,12 @@ import (
 	"gom/internal/swizzle"
 )
 
-// accounting renders everything an object manager has charged and counted —
-// the meter, its registry's counters and its scoreboard — so two managers
-// can be compared for equality.
-func accounting(om *OM) string {
-	var sb strings.Builder
-	snap := om.Meter().Snapshot()
-	fmt.Fprintf(&sb, "micros %.6f\n", snap.Micros)
-	for c := sim.Counter(0); int(c) < sim.NumCounters; c++ {
-		if n := snap.Count(c); n != 0 {
-			fmt.Fprintf(&sb, "sim %v=%d\n", c, n)
-		}
-	}
-	reg := om.Metrics()
-	rs := reg.Snapshot()
-	for c := metrics.Counter(0); c < metrics.NumCounters; c++ {
-		if n := rs.Count(c); n != 0 {
-			fmt.Fprintf(&sb, "reg %v=%d\n", c, n)
-		}
-	}
-	rows := reg.ScoreRows()
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Type != rows[j].Type {
-			return rows[i].Type < rows[j].Type
-		}
-		return rows[i].Context < rows[j].Context
-	})
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "score %s %s %s %v\n", r.Type, r.Context, r.Strategy, r.Counts)
-	}
-	return sb.String()
-}
-
-// diffLines names the first line two accountings differ in.
-func diffLines(a, b string) string {
-	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
-	for i := 0; i < len(al) && i < len(bl); i++ {
-		if al[i] != bl[i] {
-			return fmt.Sprintf("%q vs %q", al[i], bl[i])
-		}
-	}
-	return fmt.Sprintf("%d vs %d lines", len(al), len(bl))
-}
-
 // TestMissTakesStructuralPath convicts a hit path that believes it can
 // complete when it cannot. Each case puts a resident home in front of an
 // operation that still needs the structural path — a fault behind the copy
 // into the destination, a pending discovery, a stale or displaced target,
 // queued invalidations, a deferred error — and requires the right answer,
-// clean invariants, the evidence that the structural work happened, and the
-// same accounting from a sequential and a Concurrent manager.
+// clean invariants and the evidence that the structural work happened.
 func TestMissTakesStructuralPath(t *testing.T) {
 	pageOf := func(om *OM, id oid.OID) page.PageID {
 		obj := om.rot.Lookup(id)
@@ -252,7 +205,6 @@ func TestMissTakesStructuralPath(t *testing.T) {
 					func() error { return om.Deref(p) },
 				} {
 					om.deferredErr = boom
-					om.hasDeferred.Store(true)
 					if err := op(); !errors.Is(err, boom) {
 						t.Errorf("operation returned %v, want the deferred error", err)
 					}
@@ -265,102 +217,85 @@ func TestMissTakesStructuralPath(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var got [2]string
-			for k, conc := range []bool{false, true} {
-				b := buildBase(t, 120)
-				opt := tc.opt
-				opt.Concurrent, opt.Metrics = conc, metrics.New()
-				om := b.om(t, opt)
-				tc.run(t, b, om)
-				mustVerify(t, om)
-				got[k] = accounting(om)
-			}
-			if got[0] != got[1] {
-				t.Errorf("sequential and concurrent accounting differ: %s", diffLines(got[0], got[1]))
-			}
+			b := buildBase(t, 120)
+			opt := tc.opt
+			opt.Metrics = metrics.New()
+			om := b.om(t, opt)
+			tc.run(t, b, om)
+			mustVerify(t, om)
 		})
 	}
 }
 
 // TestRegistryExactAtBoundaries interleaves reads of the registry with
-// operations: what a sequential manager holds back (obs.go) must be in the
-// registry after every boundary, where it equals what a Concurrent manager —
-// which adds to the registry per event — has counted for the same calls,
-// and in between it may lag by less than publishEvery events and never run
-// ahead.
+// operations: what the manager holds back (obs.go) must be in the registry
+// after every boundary, where it equals what the calls made so far count —
+// each ReadInt is one read and one use of its variable's context — and in
+// between it may lag by less than publishEvery events and never run ahead.
 func TestRegistryExactAtBoundaries(t *testing.T) {
 	b := buildBase(t, 24)
-	regs := [2]*metrics.Registry{metrics.New(), metrics.New()}
-	oms := [2]*OM{b.om(t, Options{Metrics: regs[0]}), b.om(t, Options{Metrics: regs[1], Concurrent: true})}
-	totals := func(r *metrics.Registry) (reads, derefs int64) {
-		for _, row := range r.ScoreRows() {
+	reg := metrics.New()
+	om := b.om(t, Options{Metrics: reg})
+	var calls int64 // ReadInt calls so far
+	totals := func() (reads, derefs int64) {
+		for _, row := range reg.ScoreRows() {
 			derefs += row.Count(metrics.ScoreDeref)
 		}
-		return r.Count(metrics.CtrRead), derefs
+		return reg.Count(metrics.CtrRead), derefs
 	}
 	compare := func(at string) {
 		t.Helper()
-		sr, sd := totals(regs[0])
-		cr, cd := totals(regs[1])
-		if sr != cr || sd != cd {
-			t.Errorf("%s: sequential registry holds %d reads and %d context uses, per-event counting %d and %d", at, sr, sd, cr, cd)
+		if r, d := totals(); r != calls || d != calls {
+			t.Errorf("%s: registry holds %d reads and %d context uses, the calls made %d of each", at, r, d, calls)
 		}
 	}
-	for round := 0; round < 3; round++ {
-		for _, om := range oms {
-			om.BeginApplication(appSpec(swizzle.Strategies[round%len(swizzle.Strategies)]))
+	readInt := func(p *Var, field string) {
+		t.Helper()
+		if _, err := om.ReadInt(p, field); err != nil {
+			t.Fatal(err)
 		}
+		calls++
+	}
+	for round := 0; round < 3; round++ {
+		om.BeginApplication(appSpec(swizzle.Strategies[round%len(swizzle.Strategies)]))
 		compare("after BeginApplication")
 		for i := 0; i < 700; i++ { // 4,200 counted events a round: several bounded flushes
-			for _, om := range oms {
-				p := om.NewVar("p", b.part)
-				if err := om.Load(p, b.parts[i%len(b.parts)]); err != nil {
-					t.Fatal(err)
-				}
-				for j := 0; j < 3; j++ {
-					if _, err := om.ReadInt(p, "x"); err != nil {
-						t.Fatal(err)
-					}
-				}
-				om.FreeVar(p)
+			p := om.NewVar("p", b.part)
+			if err := om.Load(p, b.parts[i%len(b.parts)]); err != nil {
+				t.Fatal(err)
 			}
-			sr, sd := totals(regs[0])
-			cr, cd := totals(regs[1])
-			if sr > cr || sd > cd || (cr-sr)+(cd-sd) >= publishEvery {
-				t.Fatalf("mid-application: registry holds %d reads and %d context uses of %d and %d: not within %d events",
-					sr, sd, cr, cd, publishEvery)
+			for j := 0; j < 3; j++ {
+				readInt(p, "x")
+			}
+			om.FreeVar(p)
+			r, d := totals()
+			if r > calls || d > calls || (calls-r)+(calls-d) >= publishEvery {
+				t.Fatalf("mid-application: registry holds %d reads and %d context uses of %d: not within %d events",
+					r, d, calls, publishEvery)
 			}
 		}
 		// Read through the manager: exact at any point.
-		if got, want := oms[0].Metrics().Count(metrics.CtrRead), regs[1].Count(metrics.CtrRead); got != want {
-			t.Errorf("OM.Metrics: %d reads, want %d", got, want)
+		if got := om.Metrics().Count(metrics.CtrRead); got != calls {
+			t.Errorf("OM.Metrics: %d reads, want %d", got, calls)
 		}
 		compare("after OM.Metrics")
-		for _, om := range oms {
-			p := om.NewVar("p", b.part)
-			if err := om.Load(p, b.parts[0]); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := om.ReadInt(p, "y"); err != nil {
-				t.Fatal(err)
-			}
-			if err := om.Commit(); err != nil {
-				t.Fatal(err)
-			}
+		p := om.NewVar("p", b.part)
+		if err := om.Load(p, b.parts[0]); err != nil {
+			t.Fatal(err)
+		}
+		readInt(p, "y")
+		if err := om.Commit(); err != nil {
+			t.Fatal(err)
 		}
 		compare("after Commit")
 	}
-	for _, om := range oms {
-		om.BeginApplication(appSpec(swizzle.LIS))
-		p := om.NewVar("p", b.part)
-		if err := om.Load(p, b.parts[1]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := om.ReadInt(p, "y"); err != nil {
-			t.Fatal(err)
-		}
-		om.Discard()
+	om.BeginApplication(appSpec(swizzle.LIS))
+	p := om.NewVar("p", b.part)
+	if err := om.Load(p, b.parts[1]); err != nil {
+		t.Fatal(err)
 	}
+	readInt(p, "y")
+	om.Discard()
 	compare("after Discard")
 }
 
@@ -368,48 +303,46 @@ func TestRegistryExactAtBoundaries(t *testing.T) {
 // handed out twice — a variable freed, or ended by Commit, keeps failing with
 // ErrClosedVar however many variables are declared after it.
 func TestClosedVarStaysClosed(t *testing.T) {
-	for _, conc := range []bool{false, true} {
-		b := buildBase(t, 10)
-		om := b.om(t, Options{Concurrent: conc})
-		om.BeginApplication(appSpec(swizzle.EDS))
-		freed, kept := om.NewVar("p", b.part), om.NewVar("p", b.part)
-		if err := om.Load(freed, b.parts[0]); err != nil {
-			t.Fatal(err)
-		}
-		om.FreeVar(freed)
-		check := func(v *Var, when string) {
-			t.Helper()
-			if _, err := om.ReadInt(v, "x"); !errors.Is(err, ErrClosedVar) {
-				t.Errorf("concurrent=%v: ReadInt %s: %v, want ErrClosedVar", conc, when, err)
-			}
-			if err := om.Assign(v, kept); !errors.Is(err, ErrClosedVar) {
-				t.Errorf("concurrent=%v: Assign %s: %v, want ErrClosedVar", conc, when, err)
-			}
-			if v.Valid() || !v.IsNil() {
-				t.Errorf("concurrent=%v: variable %s is valid=%v nil=%v", conc, when, v.Valid(), v.IsNil())
-			}
-		}
-		check(freed, "after FreeVar")
-		for i := 0; i < 4*varSlab; i++ { // well past the slab the freed one came from
-			v := om.NewVar("p", b.part)
-			if v == freed || v == kept {
-				t.Fatalf("concurrent=%v: NewVar handed out a variable a caller holds", conc)
-			}
-			if i%2 == 0 {
-				om.FreeVar(v)
-			}
-		}
-		check(freed, "after more NewVars")
-		if err := om.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		check(kept, "after Commit")
-		om.BeginApplication(appSpec(swizzle.EDS))
-		for i := 0; i < 4*varSlab; i++ {
-			om.NewVar("p", b.part)
-		}
-		check(freed, "in the next application")
-		check(kept, "in the next application")
-		mustVerify(t, om)
+	b := buildBase(t, 10)
+	om := b.om(t, Options{})
+	om.BeginApplication(appSpec(swizzle.EDS))
+	freed, kept := om.NewVar("p", b.part), om.NewVar("p", b.part)
+	if err := om.Load(freed, b.parts[0]); err != nil {
+		t.Fatal(err)
 	}
+	om.FreeVar(freed)
+	check := func(v *Var, when string) {
+		t.Helper()
+		if _, err := om.ReadInt(v, "x"); !errors.Is(err, ErrClosedVar) {
+			t.Errorf("ReadInt %s: %v, want ErrClosedVar", when, err)
+		}
+		if err := om.Assign(v, kept); !errors.Is(err, ErrClosedVar) {
+			t.Errorf("Assign %s: %v, want ErrClosedVar", when, err)
+		}
+		if v.Valid() || !v.IsNil() {
+			t.Errorf("variable %s is valid=%v nil=%v", when, v.Valid(), v.IsNil())
+		}
+	}
+	check(freed, "after FreeVar")
+	for i := 0; i < 4*varSlab; i++ { // well past the slab the freed one came from
+		v := om.NewVar("p", b.part)
+		if v == freed || v == kept {
+			t.Fatal("NewVar handed out a variable a caller holds")
+		}
+		if i%2 == 0 {
+			om.FreeVar(v)
+		}
+	}
+	check(freed, "after more NewVars")
+	if err := om.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	check(kept, "after Commit")
+	om.BeginApplication(appSpec(swizzle.EDS))
+	for i := 0; i < 4*varSlab; i++ {
+		om.NewVar("p", b.part)
+	}
+	check(freed, "in the next application")
+	check(kept, "in the next application")
+	mustVerify(t, om)
 }

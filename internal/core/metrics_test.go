@@ -159,7 +159,8 @@ func TestDerefScoreboardZeroAlloc(t *testing.T) {
 	b := buildBase(t, 10)
 	// A huge sampling rate keeps every benchmark-loop root unsampled
 	// while still exercising the live sampling branch.
-	om := b.om(t, Options{Metrics: metrics.New(), Trace: trace.New(1<<30, 64)})
+	om := b.om(t, Options{Metrics: metrics.New()})
+	om.SetTrace(trace.New(1<<30, 64))
 	om.BeginApplication(appSpec(swizzle.EDS))
 	v := om.NewVar("p", b.part)
 	if err := om.Load(v, b.parts[0]); err != nil {
@@ -192,7 +193,8 @@ func BenchmarkDerefScoreboard(b *testing.B) {
 
 func benchDeref(b *testing.B, reg *metrics.Registry, tr *trace.Tracer) {
 	base := buildBase(b, 10)
-	om := base.om(b, Options{Metrics: reg, Trace: tr})
+	om := base.om(b, Options{Metrics: reg})
+	om.SetTrace(tr)
 	om.BeginApplication(appSpec(swizzle.EDS))
 	v := om.NewVar("p", base.part)
 	if err := om.Load(v, base.parts[0]); err != nil {
@@ -215,9 +217,10 @@ func benchDeref(b *testing.B, reg *metrics.Registry, tr *trace.Tracer) {
 // traversal visit over a resident working set — two NewVars, ReadElem,
 // ReadRef, three field reads, two FreeVars — with the first visit, which
 // faults and swizzles, already made.
-func hotVisit(tb testing.TB, strat swizzle.Strategy, conc bool, tr *trace.Tracer) (*OM, func()) {
+func hotVisit(tb testing.TB, strat swizzle.Strategy, tr *trace.Tracer) (*OM, func()) {
 	b := buildBase(tb, 10)
-	om := b.om(tb, Options{Metrics: metrics.New(), Trace: tr, Concurrent: conc})
+	om := b.om(tb, Options{Metrics: metrics.New()})
+	om.SetTrace(tr)
 	om.BeginApplication(appSpec(strat))
 	p := om.NewVar("p", b.part)
 	if err := om.Load(p, b.parts[0]); err != nil {
@@ -256,7 +259,7 @@ func hotVisit(tb testing.TB, strat swizzle.Strategy, conc bool, tr *trace.Tracer
 // core.allocs_per_visit.
 func TestVisitAllocs(t *testing.T) {
 	for _, strat := range []swizzle.Strategy{swizzle.EDS, swizzle.NOS, swizzle.LIS} {
-		_, visit := hotVisit(t, strat, false, trace.New(1<<30, 64))
+		_, visit := hotVisit(t, strat, trace.New(1<<30, 64))
 		if allocs := testing.AllocsPerRun(400, visit); allocs >= 0.1 {
 			t.Errorf("%v: a traversal visit allocates %.2f objects, want < 0.1 (slab refills)", strat, allocs)
 		}
@@ -270,47 +273,41 @@ func TestVisitAllocs(t *testing.T) {
 // is a nil dereference.
 func TestVisitTouchesNoTable(t *testing.T) {
 	for _, strat := range []swizzle.Strategy{swizzle.EDS, swizzle.LDS} {
-		for _, conc := range []bool{false, true} {
-			om, visit := hotVisit(t, strat, conc, nil)
-			before := om.Meter().Snapshot()
-			pool, table := om.pool, om.rot
-			om.pool, om.rot = nil, nil
-			func() {
-				defer func() {
-					om.pool, om.rot = pool, table
-					if r := recover(); r != nil {
-						t.Errorf("%v concurrent=%v: a resident visit reached the pool or the ROT: %v", strat, conc, r)
-					}
-				}()
-				for i := 0; i < 10; i++ {
-					visit()
+		om, visit := hotVisit(t, strat, nil)
+		before := om.Meter().Snapshot()
+		pool, table := om.pool, om.rot
+		om.pool, om.rot = nil, nil
+		func() {
+			defer func() {
+				om.pool, om.rot = pool, table
+				if r := recover(); r != nil {
+					t.Errorf("%v: a resident visit reached the pool or the ROT: %v", strat, r)
 				}
 			}()
-			d := om.Meter().Since(before)
-			if d.Count(sim.CntLookupRef) != 20 || d.Count(sim.CntLookupInt) != 30 || d.Count(sim.CntObjectFault) != 0 {
-				t.Errorf("%v concurrent=%v: ten visits charged %v", strat, conc, d)
+			for i := 0; i < 10; i++ {
+				visit()
 			}
-			mustVerify(t, om)
+		}()
+		d := om.Meter().Since(before)
+		if d.Count(sim.CntLookupRef) != 20 || d.Count(sim.CntLookupInt) != 30 || d.Count(sim.CntObjectFault) != 0 {
+			t.Errorf("%v: ten visits charged %v", strat, d)
 		}
+		mustVerify(t, om)
 	}
 }
 
 // BenchmarkHotVisit is the traversal visit of TestVisitAllocs under every
-// strategy, on a sequential and on a Concurrent manager driven by one
-// goroutine: what a resident dereference costs, and what Options.Concurrent
-// costs a client that does not need it.
+// strategy: what a resident dereference costs.
 func BenchmarkHotVisit(b *testing.B) {
 	for _, strat := range []swizzle.Strategy{swizzle.EDS, swizzle.LDS, swizzle.EIS, swizzle.LIS, swizzle.NOS} {
-		for _, mode := range []string{"sequential", "concurrent"} {
-			b.Run(strat.String()+"/"+mode, func(b *testing.B) {
-				_, visit := hotVisit(b, strat, mode == "concurrent", nil)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					visit()
-				}
-			})
-		}
+		b.Run(strat.String(), func(b *testing.B) {
+			_, visit := hotVisit(b, strat, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				visit()
+			}
+		})
 	}
 }
 

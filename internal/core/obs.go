@@ -9,18 +9,16 @@ import (
 // Publication of the observability counts. A resident dereference counts
 // two or three events — a read, a use of the variable's context, a use of
 // the field's — and as atomic adds on the shared registry they were a
-// fifth of what the dereference cost. A sequential manager therefore
-// counts into plain fields of its own and adds them to the registry at the
+// fifth of what the dereference cost. The manager therefore counts into
+// plain fields of its own and adds them to the registry at the
 // boundaries it already has: an object fault, Commit, BeginApplication,
 // Reset, Discard, a call of Metrics, and every publishEvery events, so a
 // monitor reading the registry from elsewhere lags the manager by no more
 // than that. Totals are exact: after any of the boundaries the registry
-// holds what per-event adds would have put there. A concurrent manager has
-// no single owner for such fields and keeps adding to the registry
-// directly.
+// holds what per-event adds would have put there.
 
-// publishEvery bounds how many counted events a sequential manager holds
-// back from the registry.
+// publishEvery bounds how many counted events the manager holds back from
+// the registry.
 const publishEvery = 1024
 
 // ctxScore is the manager's handle on one scoreboard entry: the shared
@@ -43,10 +41,6 @@ func (om *OM) count(c metrics.Counter) {
 	if om.obs == nil {
 		return
 	}
-	if om.conc {
-		om.obs.Inc(c)
-		return
-	}
 	om.pendCtr[c]++
 	om.counted()
 }
@@ -54,10 +48,6 @@ func (om *OM) count(c metrics.Counter) {
 // scoreInc records one scoreboard event in a context (nil: no registry).
 func (om *OM) scoreInc(sc *ctxScore, k metrics.ScoreKind) {
 	if sc == nil {
-		return
-	}
-	if om.conc {
-		sc.shared.Inc(k)
 		return
 	}
 	sc.pend[k]++
@@ -94,8 +84,7 @@ func (om *OM) publish() {
 }
 
 // scoreHandle returns the manager's handle on a scoreboard entry, one per
-// entry however many specs resolve to it. In concurrent mode the caller
-// holds varCtxMu.
+// entry however many specs resolve to it.
 func (om *OM) scoreHandle(shared *metrics.Score) *ctxScore {
 	sc := om.scoreOf[shared]
 	if sc == nil {
@@ -109,9 +98,8 @@ func (om *OM) scoreHandle(shared *metrics.Score) *ctxScore {
 // buildScoreTab precomputes the per-type slot handles of the swizzle
 // scoreboard: scoreTab[type id].fields[field] is the handle of the context
 // "Type.field" (nil for non-reference fields). Built when the registry is
-// installed, so the dereference hot path — including concurrent mode, which
-// reads the table lock-free — does two indexed loads per event, with no
-// map probe and no allocation.
+// installed, so the dereference hot path does two indexed loads per event,
+// with no map probe and no allocation.
 func (om *OM) buildScoreTab() {
 	om.scoreTab, om.scores = nil, nil
 	om.scoreOf = make(map[*metrics.Score]*ctxScore)

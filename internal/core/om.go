@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 
 	"gom/internal/buffer"
-	"gom/internal/latch"
 	"gom/internal/metrics"
 	"gom/internal/objcache"
 	"gom/internal/object"
@@ -86,37 +85,19 @@ type Options struct {
 	// counts (faults, swizzles, displacements, buffer hits) recorded
 	// alongside the simulated cost meter. Nil disables the hooks at the
 	// cost of one nil check each — the paper-reproduction hot paths stay
-	// allocation-free either way. A sequential manager publishes its
-	// per-dereference counts at faults and transaction boundaries, not per
-	// event (OM.Metrics).
+	// allocation-free either way. The manager publishes its per-dereference
+	// counts at faults and transaction boundaries, not per event
+	// (OM.Metrics).
 	Metrics *metrics.Registry
-	// Trace installs the request tracer: entry points open sampled spans
-	// that propagate through buffer faults and — when the server is a TCP
-	// client — across the wire, so server-side storage spans parent under
-	// client operations. Nil disables tracing; an installed-but-unsampled
-	// tracer costs two branches per operation and never allocates.
-	Trace *trace.Tracer
-	// Concurrent makes the object manager safe for concurrent use by many
-	// goroutines (see hit.go and DESIGN.md "Concurrency architecture").
-	// Operations that find their objects resident run under a distributed
-	// read lock and scale across cores; structural operations (faults,
-	// commits, displacement) serialize behind a writer lock. The simulated
-	// cost accounting stays exact: concurrent runs charge the same totals
-	// the same operations would charge sequentially. Off by default, because
-	// it is not free: a single goroutine pays about twice per resident
-	// dereference for the reader slot, the object latch and the atomic
-	// meter and registry adds (BenchmarkHotVisit: 880 against 410 ns per
-	// traversal visit under EDS). What a sequential manager still pays for
-	// being shareable are two atomic loads per operation (deferred error,
-	// queued invalidations) and the ROT shard's read lock on each lookup
-	// no-swizzling makes.
-	Concurrent bool
 }
 
 // OM is the adaptable object manager for one client application stream.
-// It is not safe for concurrent use: the paper's conflicting applications
-// run in isolated buffers (§4.1.1), and non-conflicting ones share one OM
-// sequentially.
+// One goroutine owns it, together with its ROT, buffer pool and meter: the
+// paper's conflicting applications run in isolated buffers (§4.1.1), and
+// non-conflicting ones share one OM sequentially. The only entries another
+// goroutine may call are NoteInvalidated and NoteLeaseExpired, which queue
+// under cohMu for the owner to apply (coherence.go; DESIGN.md "One owner
+// goroutine").
 type OM struct {
 	srv    server.Server
 	schema *object.Schema
@@ -154,18 +135,13 @@ type OM struct {
 	// Commit, which drains it instead of searching the ROT. An entry goes
 	// out of date when its object is displaced and written back first.
 	// Appended by markDirty.
-	dirty   []*object.MemObject
-	dirtyMu sync.Mutex
+	dirty []*object.MemObject
 	// live is the registry of live program variables (the "run-time
-	// stack" the displacement logic must reach, §5.3). A sequential manager
-	// uses list 0 and no lock; concurrent NewVar/FreeVar spread over all of
-	// them by reader slot (vars.go).
-	live [varShards]varList
+	// stack" the displacement logic must reach, §5.3; vars.go).
+	live varList
 	// varCtxs caches what NewVar resolves per (name, declared type) under
-	// the active spec and registry: read lock-free, replaced copy-on-write
-	// under varCtxMu, emptied when either changes.
-	varCtxs  atomic.Pointer[varCtxTable]
-	varCtxMu sync.Mutex
+	// the active spec and registry, emptied when either changes.
+	varCtxs varCtxTable
 	// displacing guards displacement cascades against cycles.
 	displacing map[oid.OID]bool
 	// pagewise selects page-level reverse references (§5.3); pageRRL maps
@@ -181,9 +157,8 @@ type OM struct {
 	// buffer pool and the RPC layer to parent their spans.
 	spans  *trace.Tracer
 	curCtx atomic.Pointer[trace.Context]
-	// Scoreboard handles and the counts a sequential manager has not yet
-	// published to the registry (obs.go). scoreTab is indexed by type id,
-	// then field.
+	// Scoreboard handles and the counts the manager has not yet published
+	// to the registry (obs.go). scoreTab is indexed by type id, then field.
 	scoreTab []typeScores
 	scoreOf  map[*metrics.Score]*ctxScore
 	scores   []*ctxScore
@@ -201,26 +176,13 @@ type OM struct {
 	// hooks, surfaced by the next API call.
 	deferredErr error
 
-	// Concurrent-mode state (see hit.go; untouched when conc is false). mu
-	// is the distributed reader-writer lock: the hit path takes one reader
-	// slot, the structural path all of them. latches serialize hit-path
-	// mutations per object (RRL entries, int writes); descMu guards the
-	// descriptor table and fan-in counts; hasDeferred mirrors deferredErr !=
-	// nil so the hit path can tell without reading the unsynchronized error
-	// field.
-	conc        bool
-	mu          latch.DRW
-	latches     latch.OIDLatches
-	descMu      sync.Mutex
-	hasDeferred atomic.Bool
-	slotCtr     latch.Counter
-
-	// Coherence state (coherence.go): pages queued by invalidation
-	// callbacks for application at the next operation boundary. cohFlag
-	// mirrors "queue non-empty" so idle hot paths pay one atomic load;
-	// cohAll marks a lease expiry (drop everything cached). beginValidates
-	// says the connection's snapshot begins name what changed; without it
-	// readEpoch, the newest read point SetReadEpoch has seen, decides.
+	// Coherence state (coherence.go), the only state another goroutine
+	// touches: pages queued by invalidation callbacks for application at
+	// the next operation boundary, under cohMu. cohFlag mirrors "queue
+	// non-empty" so idle hot paths pay one atomic load; cohAll marks a
+	// lease expiry (drop everything cached). beginValidates says the
+	// connection's snapshot begins name what changed; without it readEpoch,
+	// the newest read point SetReadEpoch has seen, decides.
 	cohMu          sync.Mutex
 	cohPending     []page.PageID
 	cohAll         bool
@@ -254,7 +216,6 @@ func New(opt Options) (*OM, error) {
 
 		lazyUponDereference: opt.LazyUponDereference,
 		retainDescriptors:   opt.RetainDescriptors,
-		conc:                opt.Concurrent,
 	}
 	om.batcher, _ = opt.Server.(server.BatchLookuper)
 	om.pool.OnEvict(om.onPageEvict)
@@ -268,7 +229,6 @@ func New(opt Options) (*OM, error) {
 		om.beginValidates = true
 	}
 	om.SetMetrics(opt.Metrics)
-	om.SetTrace(opt.Trace)
 	if opt.ObjectCache {
 		bytes := opt.ObjectCacheBytes
 		if bytes == 0 {
@@ -295,9 +255,9 @@ func New(opt Options) (*OM, error) {
 func (om *OM) Meter() *sim.Meter { return om.meter }
 
 // Metrics returns the installed observability registry, or nil, having
-// published what a sequential manager counted since its last boundary
-// (obs.go): read through here, on the manager's goroutine, the registry is
-// exact at any point of an application; read directly it may lag by up to
+// published what the manager counted since its last boundary (obs.go):
+// read through here, on the manager's goroutine, the registry is exact at
+// any point of an application; read directly it may lag by up to
 // publishEvery events until the next fault or transaction boundary.
 func (om *OM) Metrics() *metrics.Registry {
 	om.publish()
@@ -312,7 +272,7 @@ func (om *OM) SetMetrics(r *metrics.Registry) {
 	om.pool.SetMetrics(r)
 	om.buildScoreTab()
 	om.labelScoreStrategies()
-	om.varCtxs.Store(new(varCtxTable))
+	om.varCtxs = varCtxTable{}
 }
 
 // Schema returns the schema.
@@ -356,10 +316,6 @@ func (om *OM) Resident() int { return om.rot.Len() }
 
 // SetAccessRecorder installs (or removes, with nil) the monitoring hook.
 func (om *OM) SetAccessRecorder(r AccessRecorder) {
-	if om.conc {
-		om.mu.Lock()
-		defer om.mu.Unlock()
-	}
 	om.recorder = r
 }
 
@@ -376,10 +332,6 @@ func (om *OM) recordAccess(id oid.OID, attr string, write bool) {
 // (§4.1.2) — pages and objects stay buffered hot across commits.
 func (om *OM) BeginApplication(spec *swizzle.Spec) {
 	defer om.endOp(om.startOp(spanBegin))
-	if om.conc {
-		om.mu.Lock()
-		defer om.mu.Unlock()
-	}
 	om.releaseVars()
 	om.publish()
 	if spec == nil {
@@ -398,23 +350,16 @@ func (om *OM) BeginApplication(spec *swizzle.Spec) {
 	})
 	om.spec = spec
 	om.labelScoreStrategies()
-	om.varCtxs.Store(new(varCtxTable))
+	om.varCtxs = varCtxTable{}
 }
 
 // markDirty sets the object's dirty bit and, on the clean→dirty
-// transition, enlists the object for the next Commit. In concurrent mode
-// the caller holds the writer lock or the object's latch, so one goroutine
-// sees the transition; dirtyMu orders it against the first writers of other
-// objects.
+// transition, enlists the object for the next Commit.
 func (om *OM) markDirty(obj *object.MemObject) {
 	if obj.Dirty {
 		return
 	}
 	obj.Dirty = true
-	if om.conc {
-		om.dirtyMu.Lock()
-		defer om.dirtyMu.Unlock()
-	}
 	om.dirty = append(om.dirty, obj)
 }
 
@@ -427,10 +372,6 @@ func (om *OM) markDirty(obj *object.MemObject) {
 // shipped stays listed and a second Commit ships it.
 func (om *OM) Commit() error {
 	defer om.endOp(om.startOp(spanCommit))
-	if om.conc {
-		om.mu.Lock()
-		defer om.mu.Unlock()
-	}
 	om.releaseVars()
 	om.publish()
 	var relocated []*object.MemObject
@@ -467,10 +408,6 @@ func (om *OM) Commit() error {
 // holding swizzled references (call Commit first, or accept that the
 // variables are released).
 func (om *OM) Reset() error {
-	if om.conc {
-		om.mu.Lock()
-		defer om.mu.Unlock()
-	}
 	om.releaseVars()
 	om.publish()
 	if om.cache != nil {
@@ -507,10 +444,6 @@ func (om *OM) Reset() error {
 // (server.TxServer.Abort restores the durable state; the client's
 // buffered images are then invalid and must not be flushed).
 func (om *OM) Discard() {
-	if om.conc {
-		om.mu.Lock()
-		defer om.mu.Unlock()
-	}
 	om.dropVars(false)
 	om.publish()
 	om.rot = rot.New()
@@ -524,7 +457,6 @@ func (om *OM) Discard() {
 		om.pageRRL = make(map[page.PageID]map[page.PageID]int)
 	}
 	om.deferredErr = nil
-	om.hasDeferred.Store(false)
 	om.cohMu.Lock()
 	// Everything cached is being thrown away; pending invalidations have
 	// nothing left to apply against.

@@ -43,17 +43,13 @@ func (om *OM) home(v *Var) (*object.MemObject, error) {
 // swizzled immediately (except in the upon-dereference ablation mode).
 func (om *OM) Load(v *Var, id oid.OID) error {
 	defer om.endOp(om.startOp(spanLoad))
-	if om.conc {
-		om.mu.Lock()
-		defer om.mu.Unlock()
-	}
 	if err := v.valid(om); err != nil {
 		return err
 	}
 	if err := om.takeDeferredErr(); err != nil {
 		return err
 	}
-	om.unregisterSlot(object.VarSlot(&v.ref), 0)
+	om.unregisterSlot(object.VarSlot(&v.ref))
 	v.ref = object.OIDRef(id)
 	if id.IsNil() {
 		return nil
@@ -72,19 +68,15 @@ func (om *OM) Load(v *Var, id oid.OID) error {
 // represented, swizzling the variable if its strategy calls for it.
 func (om *OM) Deref(v *Var) error {
 	defer om.endOp(om.startOp(spanDeref))
-	g := om.enter(v)
-	if om.conc {
-		defer om.leave(&g)
-	}
-	_, err := om.resolve(v, &g)
-	om.add(g.rs, sim.CntDeref, 1)
+	_, err := om.resolve(v)
+	om.meter.Add(sim.CntDeref, 1)
 	return err
 }
 
 // read is ReadInt, ReadStr and Card up to the value: dereference, resolve
 // the field, count and charge one lookup (Table 5, "int" row).
-func (om *OM) read(v *Var, field string, kind object.FieldKind, g *grip) (*object.MemObject, int, error) {
-	obj, err := om.resolve(v, g)
+func (om *OM) read(v *Var, field string, kind object.FieldKind) (*object.MemObject, int, error) {
+	obj, err := om.resolve(v)
 	if err != nil {
 		return nil, -1, err
 	}
@@ -93,7 +85,7 @@ func (om *OM) read(v *Var, field string, kind object.FieldKind, g *grip) (*objec
 		return nil, -1, err
 	}
 	om.count(metrics.CtrRead)
-	om.event(g.rs, sim.CntLookupInt, om.pc.FieldAccess)
+	om.meter.EventP(sim.CntLookupInt, om.pc.FieldAccess)
 	om.recordAccess(obj.OID, field, false)
 	return obj, fi, nil
 }
@@ -102,58 +94,31 @@ func (om *OM) read(v *Var, field string, kind object.FieldKind, g *grip) (*objec
 // Lookup in the paper's cost model).
 func (om *OM) ReadInt(v *Var, field string) (int64, error) {
 	defer om.endOp(om.startOp(spanReadInt))
-	g := om.enter(v)
-	if om.conc {
-		defer om.leave(&g)
-	}
-	obj, fi, err := om.read(v, field, object.KindInt, &g)
+	obj, fi, err := om.read(v, field, object.KindInt)
 	if err != nil {
 		return 0, err
 	}
-	lt := om.rlatch(obj)
-	val := obj.Int(fi)
-	if lt != nil {
-		lt.RUnlock()
-	}
-	return val, nil
+	return obj.Int(fi), nil
 }
 
 // ReadStr reads a string field.
 func (om *OM) ReadStr(v *Var, field string) (string, error) {
 	defer om.endOp(om.startOp(spanReadStr))
-	g := om.enter(v)
-	if om.conc {
-		defer om.leave(&g)
-	}
-	obj, fi, err := om.read(v, field, object.KindString, &g)
+	obj, fi, err := om.read(v, field, object.KindString)
 	if err != nil {
 		return "", err
 	}
-	lt := om.rlatch(obj)
-	val := obj.Str(fi)
-	if lt != nil {
-		lt.RUnlock()
-	}
-	return val, nil
+	return obj.Str(fi), nil
 }
 
 // Card returns the cardinality of a set-valued field.
 func (om *OM) Card(v *Var, field string) (int, error) {
 	defer om.endOp(om.startOp(spanCard))
-	g := om.enter(v)
-	if om.conc {
-		defer om.leave(&g)
-	}
-	obj, fi, err := om.read(v, field, object.KindRefSet, &g)
+	obj, fi, err := om.read(v, field, object.KindRefSet)
 	if err != nil {
 		return 0, err
 	}
-	lt := om.rlatch(obj)
-	n := obj.SetLen(fi)
-	if lt != nil {
-		lt.RUnlock()
-	}
-	return n, nil
+	return obj.SetLen(fi), nil
 }
 
 // ReadRef reads a reference field into a destination variable (Table 5,
@@ -194,9 +159,9 @@ func (om *OM) refSlot(obj *object.MemObject, field string, kind object.FieldKind
 // countRefRead counts and charges the read of a reference slot: one lookup
 // of a reference field, and a use of the reference in its home context —
 // the scoreboard row the advisor prices as LRef for "Type.field".
-func (om *OM) countRefRead(slot object.Slot, h int) {
+func (om *OM) countRefRead(slot object.Slot) {
 	om.count(metrics.CtrRead)
-	om.event(h, sim.CntLookupRef, om.pc.RefRead)
+	om.meter.EventP(sim.CntLookupRef, om.pc.RefRead)
 	om.scoreInc(om.slotScore(slot), metrics.ScoreDeref)
 }
 
@@ -205,31 +170,26 @@ func (om *OM) countRefRead(slot object.Slot, h int) {
 // nothing has happened yet and the structural path does all of it, with the
 // home pinned while slots into it are manipulated.
 func (om *OM) readRef(v *Var, field string, kind object.FieldKind, i int, dst *Var) error {
-	g := om.enter(v)
-	if om.conc {
-		defer om.leave(&g)
-	}
 	if err := v.valid(om); err != nil {
 		return err
 	}
 	if obj, st, ok := om.peek(v); ok {
 		if obj == nil {
-			om.chargeHome(v, st, g.rs)
+			om.chargeHome(v, st)
 			return ErrNilRef
 		}
 		slot, err := om.refSlot(obj, field, kind, i, dst)
 		if err != nil {
-			om.chargeHome(v, st, g.rs)
+			om.chargeHome(v, st)
 			return err
 		}
 		src := *slot.Ref()
 		if target, ok := om.planAssign(dst, &src); ok && !om.needsDiscovery(slot, &src) {
-			om.chargeHome(v, st, g.rs)
-			om.countRefRead(slot, g.rs)
-			return om.assignRef(object.VarSlot(&dst.ref), dst.ctx.strategy, &src, target, g.rs)
+			om.chargeHome(v, st)
+			om.countRefRead(slot)
+			return om.assignRef(object.VarSlot(&dst.ref), dst.ctx.strategy, &src, target)
 		}
 	}
-	om.escalate(&g)
 	obj, err := om.home(v)
 	if err != nil {
 		return err
@@ -238,13 +198,13 @@ func (om *OM) readRef(v *Var, field string, kind object.FieldKind, i int, dst *V
 	if err != nil {
 		return err
 	}
-	om.countRefRead(slot, g.rs)
+	om.countRefRead(slot)
 	om.recordAccess(obj.OID, field, false)
 	return om.withPinned(obj, func() error {
 		if err := om.discover(slot); err != nil {
 			return err
 		}
-		return om.assignRef(object.VarSlot(&dst.ref), dst.ctx.strategy, slot.Ref(), nil, g.rs)
+		return om.assignRef(object.VarSlot(&dst.ref), dst.ctx.strategy, slot.Ref(), nil)
 	})
 }
 
@@ -261,16 +221,10 @@ func (om *OM) discover(slot object.Slot) error {
 	return om.swizzleSlot(slot, strat, om.slotScore(slot))
 }
 
-// WriteInt updates an int field (one Update; Fig. 11b). In concurrent
-// mode the store and the dirty mark run under the object's latch so
-// concurrent writers (and readers) of the same object serialize.
+// WriteInt updates an int field (one Update; Fig. 11b).
 func (om *OM) WriteInt(v *Var, field string, val int64) error {
 	defer om.endOp(om.startOp(spanWrite))
-	g := om.enter(v)
-	if om.conc {
-		defer om.leave(&g)
-	}
-	obj, err := om.resolve(v, &g)
+	obj, err := om.resolve(v)
 	if err != nil {
 		return err
 	}
@@ -279,24 +233,16 @@ func (om *OM) WriteInt(v *Var, field string, val int64) error {
 		return err
 	}
 	om.count(metrics.CtrWrite)
-	om.event(g.rs, sim.CntUpdateInt, om.pc.IntUpdate)
+	om.meter.EventP(sim.CntUpdateInt, om.pc.IntUpdate)
 	om.recordAccess(obj.OID, field, true)
-	lt := om.wlatch(obj)
 	obj.SetInt(fi, val)
 	om.markDirty(obj)
-	if lt != nil {
-		lt.Unlock()
-	}
 	return nil
 }
 
 // WriteStr updates a string field.
 func (om *OM) WriteStr(v *Var, field string, val string) error {
 	defer om.endOp(om.startOp(spanWrite))
-	if om.conc {
-		om.mu.Lock()
-		defer om.mu.Unlock()
-	}
 	obj, err := om.home(v)
 	if err != nil {
 		return err
@@ -320,10 +266,6 @@ func (om *OM) WriteStr(v *Var, field string, val string) error {
 // fan-in).
 func (om *OM) WriteRef(v *Var, field string, src *Var) error {
 	defer om.endOp(om.startOp(spanWrite))
-	if om.conc {
-		om.mu.Lock()
-		defer om.mu.Unlock()
-	}
 	obj, err := om.home(v)
 	if err != nil {
 		return err
@@ -341,7 +283,7 @@ func (om *OM) WriteRef(v *Var, field string, src *Var) error {
 	om.recordAccess(obj.OID, field, true)
 	if err := om.withPinned(obj, func() error {
 		slot := object.FieldSlot(obj, fi)
-		return om.assignRef(slot, om.spec.ForSlot(slot), &src.ref, nil, 0)
+		return om.assignRef(slot, om.spec.ForSlot(slot), &src.ref, nil)
 	}); err != nil {
 		return err
 	}
@@ -352,10 +294,6 @@ func (om *OM) WriteRef(v *Var, field string, src *Var) error {
 // Assign copies one variable's reference into another (reference copies
 // between local variables).
 func (om *OM) Assign(dst, src *Var) error {
-	g := om.enter(dst)
-	if om.conc {
-		defer om.leave(&g)
-	}
 	var target *object.MemObject
 	hit := om.hitViable() && dst.valid(om) == nil && src.valid(om) == nil
 	if hit {
@@ -364,7 +302,6 @@ func (om *OM) Assign(dst, src *Var) error {
 	if !hit {
 		// Deferred state to surface, or the copy needs a fault or a stale
 		// fix; nothing has happened yet.
-		om.escalate(&g)
 		if err := dst.valid(om); err != nil {
 			return err
 		}
@@ -376,17 +313,13 @@ func (om *OM) Assign(dst, src *Var) error {
 		}
 		target = nil
 	}
-	om.charge(g.rs, om.pc.RefFieldExtra)
-	return om.assignRef(object.VarSlot(&dst.ref), dst.ctx.strategy, &src.ref, target, g.rs)
+	om.meter.ChargeP(om.pc.RefFieldExtra)
+	return om.assignRef(object.VarSlot(&dst.ref), dst.ctx.strategy, &src.ref, target)
 }
 
 // AppendElem adds the object referenced by src to a set-valued field.
 func (om *OM) AppendElem(v *Var, field string, src *Var) error {
 	defer om.endOp(om.startOp(spanWrite))
-	if om.conc {
-		om.mu.Lock()
-		defer om.mu.Unlock()
-	}
 	obj, err := om.home(v)
 	if err != nil {
 		return err
@@ -405,7 +338,7 @@ func (om *OM) AppendElem(v *Var, field string, src *Var) error {
 	if err := om.withPinned(obj, func() error {
 		idx := obj.Append(fi, object.NilRef)
 		slot := object.ElemSlot(obj, fi, idx)
-		return om.assignRef(slot, om.spec.ForSlot(slot), &src.ref, nil, 0)
+		return om.assignRef(slot, om.spec.ForSlot(slot), &src.ref, nil)
 	}); err != nil {
 		return err
 	}
@@ -417,10 +350,6 @@ func (om *OM) AppendElem(v *Var, field string, src *Var) error {
 // reference held by src, maintaining all swizzling bookkeeping.
 func (om *OM) WriteElem(v *Var, field string, i int, src *Var) error {
 	defer om.endOp(om.startOp(spanWrite))
-	if om.conc {
-		om.mu.Lock()
-		defer om.mu.Unlock()
-	}
 	obj, err := om.home(v)
 	if err != nil {
 		return err
@@ -441,7 +370,7 @@ func (om *OM) WriteElem(v *Var, field string, i int, src *Var) error {
 	om.recordAccess(obj.OID, field, true)
 	if err := om.withPinned(obj, func() error {
 		slot := object.ElemSlot(obj, fi, i)
-		return om.assignRef(slot, om.spec.ForSlot(slot), &src.ref, nil, 0)
+		return om.assignRef(slot, om.spec.ForSlot(slot), &src.ref, nil)
 	}); err != nil {
 		return err
 	}
@@ -453,10 +382,6 @@ func (om *OM) WriteElem(v *Var, field string, i int, src *Var) error {
 // the RRL registrations of the element that is swapped into its place.
 func (om *OM) RemoveElem(v *Var, field string, i int) error {
 	defer om.endOp(om.startOp(spanWrite))
-	if om.conc {
-		om.mu.Lock()
-		defer om.mu.Unlock()
-	}
 	obj, err := om.home(v)
 	if err != nil {
 		return err
@@ -472,7 +397,7 @@ func (om *OM) RemoveElem(v *Var, field string, i int) error {
 	om.count(metrics.CtrWrite)
 	om.meter.Event(sim.CntUpdateRef, costs.FieldAccess+costs.RefFieldExtra+costs.MarkDirty)
 	om.recordAccess(obj.OID, field, true)
-	om.unregisterSlot(object.ElemSlot(obj, fi, i), 0)
+	om.unregisterSlot(object.ElemSlot(obj, fi, i))
 	moved := obj.RemoveElem(fi, i)
 	if moved >= 0 {
 		// The moved element's registration names the old index; every
@@ -501,11 +426,7 @@ func (om *OM) reaccount(obj *object.MemObject) error {
 // TypeOf returns the dynamic type of the referenced object, dereferencing
 // it if needed.
 func (om *OM) TypeOf(v *Var) (*object.Type, error) {
-	g := om.enter(v)
-	if om.conc {
-		defer om.leave(&g)
-	}
-	obj, err := om.resolve(v, &g)
+	obj, err := om.resolve(v)
 	if err != nil {
 		return nil, err
 	}

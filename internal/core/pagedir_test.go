@@ -2,7 +2,6 @@ package core
 
 import (
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -491,13 +490,13 @@ func TestResidentTransactionIsSilent(t *testing.T) {
 	mustVerify(t, om)
 }
 
-// TestConcurrentFaultsShareOneBegin: the goroutines of an
-// Options.Concurrent object manager fault at once inside a transaction
-// whose begin is still deferred. One begin reaches the server, ahead of
-// every fault: each page read took its S-lock in that transaction, so until
-// the commit nobody else can write any page a part came from.
+// TestConcurrentFaultsShareOneBegin: the object manager faults many pages
+// inside a transaction whose begin is still deferred. One begin reaches the
+// server, ahead of every fault: each page read took its S-lock in that
+// transaction, so until the commit nobody else can write any page a part
+// came from. (Goroutines sharing one connection's deferred begin are
+// server.TestLazyBeginSharedClient's.)
 func TestConcurrentFaultsShareOneBegin(t *testing.T) {
-	const workers = 8
 	b := buildBase(t, 80)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -518,7 +517,7 @@ func TestConcurrentFaultsShareOneBegin(t *testing.T) {
 		return c
 	}
 	client, other := dial(), dial()
-	om, err := New(Options{Server: client, Schema: b.schema, Concurrent: true})
+	om, err := New(Options{Server: client, Schema: b.schema})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,25 +525,15 @@ func TestConcurrentFaultsShareOneBegin(t *testing.T) {
 		t.Fatal(err)
 	}
 	om.BeginApplication(appSpec(swizzle.LIS))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			p := om.NewVar("p", b.part)
-			for i := w; i < len(b.parts); i += workers {
-				if err := om.Load(p, b.parts[i]); err != nil {
-					t.Errorf("worker %d: %v", w, err)
-					return
-				}
-				if _, err := om.ReadInt(p, "x"); err != nil {
-					t.Errorf("worker %d: %v", w, err)
-					return
-				}
-			}
-		}(w)
+	p := om.NewVar("p", b.part)
+	for _, id := range b.parts {
+		if err := om.Load(p, id); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := om.ReadInt(p, "x"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	wg.Wait()
 	if err := om.Commit(); err != nil {
 		t.Fatal(err)
 	}

@@ -36,10 +36,11 @@ func tcpBase(t *testing.T, b *testBase) (*server.Client, *trace.Tracer, *trace.T
 // (buffer of 4 pages, so dereferences miss continuously).
 func traceWorkload(t *testing.T, b *testBase, client *server.Client, clientTr *trace.Tracer) {
 	t.Helper()
-	om, err := New(Options{Server: client, Schema: b.schema, PageBufferPages: 4, Trace: clientTr})
+	om, err := New(Options{Server: client, Schema: b.schema, PageBufferPages: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	om.SetTrace(clientTr)
 	om.BeginApplication(appSpec(swizzle.LIS))
 	p := om.NewVar("p", b.part)
 	c := om.NewVar("c", b.conn)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"gom/internal/object"
 	"gom/internal/oid"
 	"gom/internal/sim"
@@ -19,17 +17,9 @@ type Var struct {
 	// variable declared alike (varContext).
 	ctx *varCtx
 	ref object.Ref
-	// idx is the variable's position in its list of live variables.
+	// idx is the variable's position in the list of live variables.
 	idx int32
-	// slot is a round-robin index assigned at creation in concurrent mode,
-	// which uses it to pick DRW reader slots, meter stripes and the list of
-	// live variables, so independent goroutines' variables spread across
-	// locks and cache lines. A sequential manager leaves it 0.
-	slot uint32
 }
-
-// varShards is the number of live-variable lists.
-const varShards = 16
 
 // varSlab is how many variables are allocated at a time. A traversal
 // declares two per visited object; handing them out of a slab makes that
@@ -38,38 +28,26 @@ const varShards = 16
 // goes back to the collector with the slab, once nothing points into it.
 const varSlab = 64
 
-// varList is one list of live variables with the slab new ones come from.
+// varList is the list of live variables with the slab new ones come from.
 // Each variable knows its position, so it leaves in O(1); the application
-// boundary walks the lists and finds them empty when every scope freed its
-// variables. The mutex is concurrent mode's.
+// boundary walks the list and finds it empty when every scope freed its
+// variables.
 type varList struct {
-	mu   sync.Mutex
 	vars []*Var
 	slab []Var
-	_    [8]byte // to a cache line
 }
 
 // NewVar declares a program variable with a name and a declared target
 // type. Its strategy is resolved once, statically, from the active spec.
 func (om *OM) NewVar(name string, typ *object.Type) *Var {
-	var slot uint32
-	if om.conc {
-		slot = om.slotCtr.Next()
-		rs := om.mu.RLock(int(slot))
-		defer om.mu.RUnlock(rs)
-	}
 	ctx := om.varContext(name, typ)
-	l := &om.live[slot&(varShards-1)]
-	if om.conc {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-	}
+	l := &om.live
 	if len(l.slab) == 0 {
 		l.slab = make([]Var, varSlab)
 	}
 	v := &l.slab[0] // zero: a slab is handed out once
 	l.slab = l.slab[1:]
-	v.om, v.ctx, v.idx, v.slot = om, ctx, int32(len(l.vars)), slot
+	v.om, v.ctx, v.idx = om, ctx, int32(len(l.vars))
 	l.vars = append(l.vars, v)
 	return v
 }
@@ -80,18 +58,10 @@ func (om *OM) FreeVar(v *Var) {
 	if v.om != om {
 		return
 	}
-	g := om.enter(v)
-	if om.conc {
-		defer om.leave(&g)
-	}
-	om.unregisterSlot(object.VarSlot(&v.ref), g.rs)
+	om.unregisterSlot(object.VarSlot(&v.ref))
 	v.ref = object.NilRef
 	v.om = nil
-	l := &om.live[v.slot&(varShards-1)]
-	if om.conc {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-	}
+	l := &om.live
 	last := len(l.vars) - 1
 	moved := l.vars[last]
 	l.vars[v.idx], moved.idx = moved, v.idx
@@ -102,20 +72,17 @@ func (om *OM) FreeVar(v *Var) {
 // dropVars invalidates every live variable and empties the registry
 // (transient state does not survive the application, §3.2.2); with
 // unregister, the variables' swizzling bookkeeping is unregistered first.
-// The caller has the manager to itself.
 func (om *OM) dropVars(unregister bool) {
-	for i := range om.live {
-		l := &om.live[i]
-		for j, v := range l.vars {
-			if unregister {
-				om.unregisterSlot(object.VarSlot(&v.ref), 0)
-			}
-			v.ref = object.NilRef
-			v.om = nil
-			l.vars[j] = nil
+	l := &om.live
+	for j, v := range l.vars {
+		if unregister {
+			om.unregisterSlot(object.VarSlot(&v.ref))
 		}
-		l.vars = l.vars[:0]
+		v.ref = object.NilRef
+		v.om = nil
+		l.vars[j] = nil
 	}
+	l.vars = l.vars[:0]
 }
 
 // releaseVars ends the variables' application.
@@ -123,12 +90,10 @@ func (om *OM) releaseVars() { om.dropVars(true) }
 
 // liveVars calls fn for every live variable: the stack scan that finds the
 // variables holding a direct reference to an object being displaced (§5.3),
-// and Verify. The caller has the manager to itself.
+// and Verify.
 func (om *OM) liveVars(fn func(*Var)) {
-	for i := range om.live {
-		for _, v := range om.live[i].vars {
-			fn(v)
-		}
+	for _, v := range om.live.vars {
+		fn(v)
 	}
 }
 
@@ -152,8 +117,8 @@ type varCtx struct {
 // pointer when the name is the same literal) beats the hash.
 const varCtxScan = 8
 
-// varCtxTable is the immutable table of contexts resolved under the active
-// spec: first the first varCtxScan of them, byKey holds all.
+// varCtxTable is the table of contexts resolved under the active spec:
+// first the first varCtxScan of them, byKey holds all.
 type varCtxTable struct {
 	first []*varCtx
 	byKey map[varKey]*varCtx
@@ -163,7 +128,7 @@ type varCtxTable struct {
 // resolved under the active spec before: NewVar runs twice per visited
 // object in a traversal.
 func (om *OM) varContext(name string, typ *object.Type) *varCtx {
-	t := om.varCtxs.Load()
+	t := &om.varCtxs
 	for _, c := range t.first {
 		if c.typ == typ && c.name == name {
 			return c
@@ -175,27 +140,19 @@ func (om *OM) varContext(name string, typ *object.Type) *varCtx {
 			return c
 		}
 	}
-	om.varCtxMu.Lock()
-	defer om.varCtxMu.Unlock()
-	t = om.varCtxs.Load()
-	if c := t.byKey[k]; c != nil {
-		return c
-	}
 	c := &varCtx{varKey: k, strategy: om.spec.ForVar(name, typ.Name)}
 	if om.obs != nil {
 		shared := om.obs.Score(typ.Name, "$"+name)
 		shared.SetStrategy(c.strategy.String())
 		c.score = om.scoreHandle(shared)
 	}
-	next := &varCtxTable{first: t.first, byKey: make(map[varKey]*varCtx, len(t.byKey)+1)}
-	for ok, oc := range t.byKey {
-		next.byKey[ok] = oc
+	if t.byKey == nil {
+		t.byKey = make(map[varKey]*varCtx)
 	}
-	next.byKey[k] = c
-	if len(next.first) < varCtxScan {
-		next.first = append(next.first[:len(next.first):len(next.first)], c)
+	t.byKey[k] = c
+	if len(t.first) < varCtxScan {
+		t.first = append(t.first, c)
 	}
-	om.varCtxs.Store(next)
 	return c
 }
 
@@ -226,15 +183,11 @@ func (v *Var) valid(om *OM) error {
 // key or an external handle, §3.4.2). The translation cost is charged when
 // the reference is swizzled (Table 8).
 func (om *OM) OID(v *Var) (oid.OID, error) {
-	g := om.enter(v)
-	if om.conc {
-		defer om.leave(&g)
-	}
 	if err := v.valid(om); err != nil {
 		return oid.Nil, err
 	}
 	if v.ref.Swizzled() {
-		om.event(g.rs, sim.CntTranslate, om.pc.TranslateSwizzledToOID)
+		om.meter.EventP(sim.CntTranslate, om.pc.TranslateSwizzledToOID)
 	}
 	return v.ref.TargetOID(), nil
 }
@@ -242,10 +195,6 @@ func (om *OM) OID(v *Var) (oid.OID, error) {
 // Same evaluates the Boolean expression a == b over the referenced
 // objects, translating layouts as needed (§4.2.3).
 func (om *OM) Same(a, b *Var) (bool, error) {
-	g := om.enter(a)
-	if om.conc {
-		defer om.leave(&g)
-	}
 	if err := a.valid(om); err != nil {
 		return false, err
 	}
@@ -254,7 +203,7 @@ func (om *OM) Same(a, b *Var) (bool, error) {
 	}
 	if a.ref.State() != b.ref.State() {
 		// One side must be translated to compare.
-		om.event(g.rs, sim.CntTranslate, om.pc.TranslateSwizzledToOID)
+		om.meter.EventP(sim.CntTranslate, om.pc.TranslateSwizzledToOID)
 	}
 	return a.ref.SameTarget(&b.ref), nil
 }

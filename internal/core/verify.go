@@ -30,10 +30,6 @@ import (
 // after a pinned home survived a displacement cascade; deref repairs them.
 // Verify therefore does not require eager slots to be swizzled.
 func (om *OM) Verify() error {
-	if om.conc {
-		om.mu.Lock()
-		defer om.mu.Unlock()
-	}
 	var errs []error
 	report := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf(format, args...))
@@ -311,10 +307,6 @@ func (om *OM) IsResident(id oid.OID) bool { return om.rot.Lookup(id) != nil }
 // DescriptorCount returns the number of live descriptors (storage-overhead
 // accounting, §5.3).
 func (om *OM) DescriptorCount() int {
-	if om.conc {
-		om.mu.Lock()
-		defer om.mu.Unlock()
-	}
 	n := len(om.descs)
 	om.rot.Range(func(obj *object.MemObject) bool {
 		if obj.Desc != nil {
@@ -328,10 +320,6 @@ func (om *OM) DescriptorCount() int {
 // RRLStats returns the total number of RRL entries and allocated blocks
 // over all resident objects (storage-overhead accounting, §5.3).
 func (om *OM) RRLStats() (entries, blocks int) {
-	if om.conc {
-		om.mu.Lock()
-		defer om.mu.Unlock()
-	}
 	om.rot.Range(func(obj *object.MemObject) bool {
 		entries += obj.RRL.Len()
 		blocks += obj.RRL.Blocks()

@@ -176,9 +176,7 @@ func (l *List) locate(i int) (*core.Var, int, error) {
 	if i < 0 || i >= size {
 		return nil, 0, fmt.Errorf("%w: %d of %d", ErrRange, i, size)
 	}
-	// SharedAdd: locate may run from concurrent goroutines (Concurrent
-	// object managers); the element index spreads the stripes.
-	l.om.Meter().SharedAdd(i, sim.CntLargeObjectAccess, 1)
+	l.om.Meter().Add(sim.CntLargeObjectAccess, 1)
 	ci := i / ChunkCap
 	dir := l.om.NewVar("__dir", l.dt)
 	defer l.om.FreeVar(dir)
@@ -262,7 +260,7 @@ func (l *List) Append(src *core.Var) error {
 			return err
 		}
 	}
-	l.om.Meter().SharedAdd(size, sim.CntLargeObjectAccess, 1)
+	l.om.Meter().Add(sim.CntLargeObjectAccess, 1)
 	if err := l.om.AppendElem(chunk, "elems", src); err != nil {
 		return err
 	}

@@ -63,7 +63,6 @@ const (
 	CtrBatchLookupOIDs
 	CtrReadRun
 	CtrReadRunPages
-	CtrFaultCoalesced
 	CtrWALAppend
 	CtrWALAppendBytes
 	CtrWALFsync
@@ -158,7 +157,6 @@ var counterNames = [NumCounters]string{
 	"batch_lookup_oids",
 	"read_run",
 	"read_run_pages",
-	"fault_coalesced",
 	"wal_append",
 	"wal_append_bytes",
 	"wal_fsync",
@@ -810,20 +808,6 @@ func (r *Registry) DeltaSince(prev Snapshot) (cur, delta Snapshot) {
 	return cur, cur.Delta(prev)
 }
 
-// CoalesceRatio returns the fraction of buffer faults absorbed by the
-// singleflight merge: merged / (merged + misses).
-func (s Snapshot) CoalesceRatio() float64 {
-	m := s.Counters[CtrFaultCoalesced]
-	return ratio(m, m+s.Counters[CtrBufferMiss])
-}
-
-func ratio(num, den int64) float64 {
-	if den <= 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
-}
-
 // String renders the snapshot's non-zero counters and RPC histograms on
 // one line, for live stats output.
 func (s Snapshot) String() string {
@@ -860,7 +844,6 @@ type jsonSnapshot struct {
 	RPC           map[string]jsonRPC   `json:"rpc"`
 	Hists         map[string]jsonRPC   `json:"hists,omitempty"`
 	RPCIO         map[string]jsonRPCIO `json:"rpc_io,omitempty"`
-	Derived       map[string]float64   `json:"derived,omitempty"`
 	Scoreboard    []ScoreRow           `json:"scoreboard,omitempty"`
 	Advisor       []Drift              `json:"advisor,omitempty"`
 }
@@ -950,9 +933,6 @@ func (r *Registry) jsonValue() jsonSnapshot {
 			out.RPCIO = make(map[string]jsonRPCIO)
 		}
 		out.RPCIO[RPCOp(i).String()] = io
-	}
-	if s.Count(CtrFaultCoalesced) > 0 {
-		out.Derived = map[string]float64{"fault_coalesce_ratio": s.CoalesceRatio()}
 	}
 	out.Scoreboard = r.ScoreRows()
 	out.Advisor = r.Drifts()

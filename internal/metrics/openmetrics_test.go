@@ -68,19 +68,6 @@ func TestRPCIOAndDelta(t *testing.T) {
 	}
 }
 
-func TestDerivedRatios(t *testing.T) {
-	r := New()
-	r.AddN(CtrBufferMiss, 5)
-	r.AddN(CtrFaultCoalesced, 5)
-	s := r.Snapshot()
-	if got := s.CoalesceRatio(); got != 0.5 {
-		t.Fatalf("coalesce ratio %v", got)
-	}
-	if (Snapshot{}).CoalesceRatio() != 0 {
-		t.Fatal("empty snapshot ratio not 0")
-	}
-}
-
 func TestOpenMetricsExposition(t *testing.T) {
 	r := New()
 	r.Inc(CtrObjectFault)

@@ -2,7 +2,6 @@ package oo1
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"gom/internal/core"
@@ -478,60 +477,6 @@ func TestTraversalHotColdShape(t *testing.T) {
 	// Hot: swizzling beats no-swizzling (§6.3 up to 70 % savings).
 	if hotLIS >= hotNOS {
 		t.Errorf("hot LIS (%.0f) not cheaper than hot NOS (%.0f)", hotLIS, hotNOS)
-	}
-}
-
-// TestForkConcurrentTraversals: forked clients share the parent's database
-// and object manager but keep independent operation streams, so under a
-// Concurrent object manager they may traverse from separate goroutines.
-// Run with -race to check the sharing.
-func TestForkConcurrentTraversals(t *testing.T) {
-	db, err := Generate(smallCfg(400))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewClient(db, core.Options{Concurrent: true}, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Begin(swizzle.NewSpec("fork", swizzle.EDS))
-
-	const workers = 4
-	const travs = 8
-	const depth = 4
-	want := (intPow(3, depth+1) - 1) / 2 // visits per traversal
-
-	var wg sync.WaitGroup
-	visits := make([]int, workers)
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			f := c.Fork(int64(100 + w))
-			for r := 0; r < travs; r++ {
-				v, err := f.Traversal(depth)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				visits[w] += v
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", w, err)
-		}
-	}
-	for w, v := range visits {
-		if v != travs*want {
-			t.Errorf("worker %d: visits = %d, want %d", w, v, travs*want)
-		}
-	}
-	if err := c.OM.Verify(); err != nil {
-		t.Fatal(err)
 	}
 }
 

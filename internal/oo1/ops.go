@@ -50,16 +50,6 @@ func (c *Client) Begin(spec *swizzle.Spec) {
 	c.parts, c.conns = nil, nil
 }
 
-// Fork returns a client sharing this client's database and object manager
-// but with its own operation stream and its own extent handles (opened
-// lazily on first use). Forked clients may run OO1 operations from
-// separate goroutines when the shared object manager was built with
-// Options.Concurrent; Begin/Commit remain the parent's job and must not
-// overlap running operations.
-func (c *Client) Fork(seed int64) *Client {
-	return &Client{DB: c.DB, OM: c.OM, rng: rand.New(rand.NewSource(seed))}
-}
-
 // extents opens the Part and Connection extent handles (Commit and
 // BeginApplication invalidate the previous application's variables, so
 // handles are reopened lazily).

@@ -183,9 +183,9 @@ func requestOps(t *testing.T, stream []byte) []byte {
 	return ops
 }
 
-// TestLazyBeginSharedClient: goroutines sharing one client — what an
-// Options.Concurrent object manager's are — fault at once inside a
-// transaction whose begin is still deferred. Exactly one begin frame goes
+// TestLazyBeginSharedClient: goroutines sharing one client — object
+// managers in goroutines of their own over one connection — fault at once
+// inside a transaction whose begin is still deferred. Exactly one begin frame goes
 // out, and it is the first frame of the transaction: nobody's data request
 // reaches the server outside it.
 func TestLazyBeginSharedClient(t *testing.T) {

@@ -13,10 +13,7 @@
 // time from testing.B benches (shape check on real hardware).
 package sim
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Counter enumerates the events the object manager records.
 type Counter int
@@ -180,15 +177,10 @@ func DefaultCosts() CostTable {
 	}
 }
 
-// MeterStripes is the number of contention-avoidance stripes behind the
-// Shared* methods. A power of two so callers can derive a stripe with a
-// cheap mask.
-const MeterStripes = 8
-
 // picosPerMicro converts the public microsecond interface to the internal
-// integer picosecond representation. Integer accumulation is associative,
-// so a concurrent run charges exactly the same simulated total as the same
-// operations performed sequentially — float64 summation would not.
+// integer picosecond representation. Integer accumulation is associative:
+// charges add up to the same total in any order and any grouping, which
+// float64 summation would not.
 const picosPerMicro = 1e6
 
 // Picos is a simulated duration in the meter's internal unit.
@@ -240,33 +232,14 @@ func hitCosts(c *CostTable) HitCosts {
 	}
 }
 
-// meterStripe is one concurrency stripe. The leading pad keeps stripes on
-// distinct cache lines so goroutines charging different stripes do not
-// false-share.
-type meterStripe struct {
-	_      [64]byte
+// Meter accumulates simulated time and event counts for one client /
+// application run. It is not safe for concurrent use: like the object
+// manager that charges it, it has one owner goroutine.
+type Meter struct {
+	costs  CostTable
+	hit    HitCosts
 	picos  int64
 	counts [NumCounters]int64
-}
-
-// Meter accumulates simulated time and event counts for one client /
-// application run.
-//
-// Concurrency: the plain methods (Charge, Add, Event, Reset) are for
-// single-threaded use, or for callers that hold an exclusive lock (the
-// object manager's structural operations). Goroutines running concurrently
-// must use the Shared* variants, which accumulate atomically into one of
-// MeterStripes stripes chosen by the caller-supplied hint; Micros, Count,
-// Snapshot and Since always merge the stripes into the base totals. Because
-// the internal unit is integer picoseconds, the merged result of a
-// concurrent run is bit-identical to the sequential sum of the same
-// charges.
-type Meter struct {
-	costs   CostTable
-	hit     HitCosts
-	picos   int64
-	counts  [NumCounters]int64
-	stripes [MeterStripes]meterStripe
 }
 
 // NewMeter returns a meter charging against the given cost table.
@@ -278,26 +251,14 @@ func NewMeter(costs CostTable) *Meter {
 func (m *Meter) Costs() *CostTable { return &m.costs }
 
 // Hit returns the resident-dereference charges in the meter's own unit,
-// for ChargeP/EventP and their Shared variants.
+// for ChargeP and EventP.
 func (m *Meter) Hit() *HitCosts { return &m.hit }
 
 // Micros returns the simulated time accumulated so far, in microseconds.
-func (m *Meter) Micros() float64 {
-	p := m.picos
-	for i := range m.stripes {
-		p += atomic.LoadInt64(&m.stripes[i].picos)
-	}
-	return float64(p) / picosPerMicro
-}
+func (m *Meter) Micros() float64 { return float64(m.picos) / picosPerMicro }
 
 // Count returns the current value of one counter.
-func (m *Meter) Count(c Counter) int64 {
-	n := m.counts[c]
-	for i := range m.stripes {
-		n += atomic.LoadInt64(&m.stripes[i].counts[c])
-	}
-	return n
-}
+func (m *Meter) Count(c Counter) int64 { return m.counts[c] }
 
 // Add records n occurrences of the counter without charging time.
 func (m *Meter) Add(c Counter, n int64) { m.counts[c] += n }
@@ -317,40 +278,10 @@ func (m *Meter) EventP(c Counter, p Picos) {
 	m.picos += int64(p)
 }
 
-// SharedAdd is the concurrency-safe Add: it accumulates into the stripe
-// selected by hint (any value; reduced modulo MeterStripes).
-func (m *Meter) SharedAdd(hint int, c Counter, n int64) {
-	atomic.AddInt64(&m.stripes[hint&(MeterStripes-1)].counts[c], n)
-}
-
-// SharedCharge is the concurrency-safe Charge.
-func (m *Meter) SharedCharge(hint int, us float64) { m.SharedChargeP(hint, toPicos(us)) }
-
-// SharedChargeP is the concurrency-safe ChargeP.
-func (m *Meter) SharedChargeP(hint int, p Picos) {
-	atomic.AddInt64(&m.stripes[hint&(MeterStripes-1)].picos, int64(p))
-}
-
-// SharedEvent is the concurrency-safe Event.
-func (m *Meter) SharedEvent(hint int, c Counter, us float64) { m.SharedEventP(hint, c, toPicos(us)) }
-
-// SharedEventP is the concurrency-safe EventP.
-func (m *Meter) SharedEventP(hint int, c Counter, p Picos) {
-	s := &m.stripes[hint&(MeterStripes-1)]
-	atomic.AddInt64(&s.counts[c], 1)
-	atomic.AddInt64(&s.picos, int64(p))
-}
-
-// Reset zeroes the meter. Not safe to call concurrently with charges.
+// Reset zeroes the meter.
 func (m *Meter) Reset() {
 	m.picos = 0
 	m.counts = [NumCounters]int64{}
-	for i := range m.stripes {
-		atomic.StoreInt64(&m.stripes[i].picos, 0)
-		for c := range m.stripes[i].counts {
-			atomic.StoreInt64(&m.stripes[i].counts[c], 0)
-		}
-	}
 }
 
 // Snapshot captures the meter state for later diffing.
@@ -359,13 +290,9 @@ type Snapshot struct {
 	Counts [NumCounters]int64
 }
 
-// Snapshot returns the current state (stripes merged in).
+// Snapshot returns the current state.
 func (m *Meter) Snapshot() Snapshot {
-	s := Snapshot{Micros: m.Micros()}
-	for c := range s.Counts {
-		s.Counts[c] = m.Count(Counter(c))
-	}
-	return s
+	return Snapshot{Micros: m.Micros(), Counts: m.counts}
 }
 
 // Since returns the delta between the current state and an earlier snapshot.

@@ -120,8 +120,8 @@ func TestHitCostsMatchPerEventConversion(t *testing.T) {
 		perEvent.Event(CntTranslate, c.TranslateSwizzled)
 		perEvent.Charge(c.LazyCheck)
 		perEvent.Charge(c.Indirection)
-		perEvent.SharedEvent(i, CntTranslate, c.TranslateOIDToSwizzled)
-		perEvent.SharedCharge(i, c.RefFieldExtra)
+		perEvent.Event(CntTranslate, c.TranslateOIDToSwizzled)
+		perEvent.Charge(c.RefFieldExtra)
 
 		once.EventP(CntLookupInt, h.FieldAccess)
 		once.EventP(CntLookupRef, h.RefRead)
@@ -130,8 +130,8 @@ func TestHitCostsMatchPerEventConversion(t *testing.T) {
 		once.EventP(CntTranslate, h.TranslateSwizzled)
 		once.ChargeP(h.LazyCheck)
 		once.ChargeP(h.Indirection)
-		once.SharedEventP(i, CntTranslate, h.TranslateOIDToSwizzled)
-		once.SharedChargeP(i, h.RefFieldExtra)
+		once.EventP(CntTranslate, h.TranslateOIDToSwizzled)
+		once.ChargeP(h.RefFieldExtra)
 	}
 	if a, b := perEvent.Snapshot(), once.Snapshot(); a != b {
 		t.Errorf("converted once: %v\nper event:     %v", b, a)
