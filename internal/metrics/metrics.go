@@ -266,10 +266,8 @@ type Gauge int
 
 // The gauges.
 const (
-	// GaugeInFlightRPC is the number of RPCs currently being processed —
-	// dispatched but not yet answered. On the server it counts per-request
-	// work in flight across all connections; on a pipelined client it
-	// counts calls awaiting a response.
+	// GaugeInFlightRPC is the number of data requests the server is
+	// running, across all connections (at most one per connection).
 	GaugeInFlightRPC Gauge = iota
 	// GaugeVersionPages is the number of page before-images (staged plus
 	// published) retained by the MVCC version store.

@@ -32,7 +32,9 @@ type DialOptions struct {
 	// DialTimeout bounds connection establishment — the TCP connect and
 	// the hello exchange — separately; when zero, Timeout applies.
 	DialTimeout time.Duration
-	// Metrics, when non-nil, records client-side gauges (in-flight RPCs).
+	// Metrics, when non-nil, records the client's counters: frames and
+	// bytes per opcode each way, retries, staged Lookup pages, coherence
+	// pushes received and lease expiries.
 	Metrics *metrics.Registry
 	// RetryAttempts bounds how often an RPC that fails transiently — a
 	// statusTransient response from the server, or a send dropped by the
@@ -55,32 +57,37 @@ type DialOptions struct {
 
 // rpcResult carries a matched response to its waiting caller.
 type rpcResult struct {
+	id      uint64
 	status  byte
 	payload []byte
 	err     error
 }
 
-// pendingCall is what the read loop knows of a request in flight: where its
-// response goes and, for the one response the loop acts on itself
-// (opLookup's page, client_tx.go), the opcode.
-type pendingCall struct {
-	ch chan rpcResult
-	op byte
+// awaited is the call in flight as the read loop sees it: the ID of its
+// request and that request's opcode — the loop acts itself on one
+// response, opLookup's page (client_tx.go) — and the ID of the deferred
+// begin sent ahead of it, if any. IDs are never 0, so the zero value
+// awaits nothing.
+type awaited struct {
+	begin uint64
+	id    uint64
+	op    byte
 }
 
 // ErrIncompatiblePeer matches (via errors.Is) a dial refused at the hello
 // exchange: the peer answered the hello with an error, with an older
 // protocol version, or without one of the baseline features.
-var ErrIncompatiblePeer = errors.New("server: peer does not speak the pipelined protocol")
+var ErrIncompatiblePeer = errors.New("server: peer does not speak this protocol")
 
 // Client is a TCP client for TCPServer.
 //
-// Dial opens the connection with a hello exchange; from then on requests
-// carry IDs, a writer goroutine streams frames without waiting for
-// responses, and a reader goroutine matches responses (possibly out of
-// order) back to callers. Any number of goroutines may issue RPCs
-// concurrently over the one connection; their requests overlap in the
-// network and on the server instead of queueing behind each other.
+// Dial opens the connection with a hello exchange; from then on the client
+// has one request in flight (two, for a deferred begin and the data
+// request it rides on). A call writes its own frame and waits for the one
+// answer it is owed; a reader goroutine hands over the answer that carries
+// the awaited request ID, drops any other — the late answer of a call that
+// timed out — and applies the server's invalidation pushes in between.
+// Goroutines that share a client take turns.
 //
 // The client talks only when there is something to say (client_tx.go): a
 // transaction's begin travels with its first data request or not at all,
@@ -105,12 +112,22 @@ type Client struct {
 	spanCtx func() trace.Context
 
 	r *bufio.Reader // owned by the read loop once the hello is done
-	w *bufio.Writer // owned by the write loop once the hello is done
 
-	nextID   atomic.Uint64
-	pendMu   sync.Mutex
-	pending  map[uint64]pendingCall
-	sendCh   chan *[]byte
+	// mu is the call mutex: it is held for the whole of a call, retries
+	// included, and guards the request IDs and the transaction state
+	// (client_tx.go).
+	mu     sync.Mutex
+	nextID uint64
+	// wmu keeps whole frames whole on the connection: a call's request
+	// frames and the read loop's coherence acks.
+	wmu sync.Mutex
+	// awaitMu guards what the read loop hands over: the awaited request
+	// IDs and resp, where their answers go (room for both answers of a
+	// deferred begin's call, so the loop never blocks on it).
+	awaitMu  sync.Mutex
+	awaiting awaited
+	resp     chan rpcResult
+
 	done     chan struct{} // closed when the reader exits
 	failOnce sync.Once
 	failErr  atomic.Pointer[error]
@@ -127,12 +144,11 @@ type Client struct {
 	leaseTimeout time.Duration
 	leaseFired   atomic.Bool
 
-	// Transaction state and the pages Lookup responses brought
+	// Transaction state, under mu, and the pages Lookup responses brought
 	// (client_tx.go).
-	txMu    sync.Mutex
 	tx      txPhase
 	txSeq   uint64
-	readLSN atomic.Uint64 // of the last snapshot begun on a coherent connection; 0 before the first
+	readLSN uint64 // of the last snapshot begun on a coherent connection; 0 before the first
 	stageMu sync.Mutex
 	staged  []stagedPage
 }
@@ -175,17 +191,14 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 		retries: opts.RetryAttempts,
 		backoff: backoff,
 		r:       bufio.NewReaderSize(conn, page.Size+1024),
-		w:       bufio.NewWriterSize(conn, page.Size+1024),
+		resp:    make(chan rpcResult, 2),
+		done:    make(chan struct{}),
 	}
 	if err := c.hello(dt); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	c.pending = make(map[uint64]pendingCall)
-	c.sendCh = make(chan *[]byte, pipelineWorkers)
-	c.done = make(chan struct{})
-	c.wg.Add(2)
-	go c.writeLoop()
+	c.wg.Add(1)
 	go c.readLoop()
 	if c.HasCoherence() {
 		c.leaseTimeout = opts.LeaseTimeout
@@ -214,7 +227,7 @@ func (c *Client) hello(timeout time.Duration) error {
 	var req [8]byte
 	binary.LittleEndian.PutUint32(req[:], protocolV2)
 	binary.LittleEndian.PutUint32(req[4:], clientFeatures)
-	if err := writeMsg(c.w, opHello, req[:]); err != nil {
+	if err := writeMsg(bufio.NewWriter(c.conn), opHello, req[:]); err != nil {
 		return mapNetErr(opHello, timeout, err)
 	}
 	status, resp, err := readMsg(c.r)
@@ -243,21 +256,11 @@ func (c *Client) Close() error {
 	err := c.conn.Close()
 	c.wg.Wait()
 	c.dropStaged()
-	// Both loops are done; release any frame a caller managed to enqueue
-	// after the write loop's own shutdown drain.
-	for {
-		select {
-		case frame := <-c.sendCh:
-			putBuf(frame)
-		default:
-			return err
-		}
-	}
+	return err
 }
 
-// fail records the first transport error and tears the connection down so
-// both loops exit; pending callers are failed by the reader on its way
-// out.
+// fail records the first transport error and tears the connection down;
+// the reader exits, and the call in flight fails when it sees it go.
 func (c *Client) fail(err error) {
 	c.failOnce.Do(func() {
 		c.failErr.Store(&err)
@@ -279,63 +282,8 @@ func (c *Client) errOr(fallback error) error {
 	return fallback
 }
 
-// writeLoop streams request frames, draining whatever callers have queued
-// before each flush so concurrent requests coalesce into fewer packets.
-func (c *Client) writeLoop() {
-	// On exit — transport error or shutdown — release whatever frames are
-	// still queued: nothing will ever write them, and pooled buffers must
-	// not be stranded in the channel.
-	defer func() {
-		for {
-			select {
-			case frame := <-c.sendCh:
-				putBuf(frame)
-			default:
-				c.wg.Done()
-				return
-			}
-		}
-	}()
-	for {
-		select {
-		case frame := <-c.sendCh:
-			if c.timeout > 0 {
-				c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
-			}
-			if err := c.writeBatch(frame); err != nil {
-				c.fail(err)
-				return
-			}
-		case <-c.done:
-			return
-		}
-	}
-}
-
-// writeBatch writes one frame plus everything else already queued, then
-// flushes once.
-func (c *Client) writeBatch(frame *[]byte) error {
-	if _, err := c.w.Write(*frame); err != nil {
-		putBuf(frame)
-		return err
-	}
-	putBuf(frame)
-	for {
-		select {
-		case next := <-c.sendCh:
-			if _, err := c.w.Write(*next); err != nil {
-				putBuf(next)
-				return err
-			}
-			putBuf(next)
-		default:
-			return c.w.Flush()
-		}
-	}
-}
-
-// readLoop matches responses to pending callers by request ID; on exit it
-// fails everything still pending.
+// readLoop hands each answer to the call awaiting it, applies the
+// server's pushes, and on exit closes done, which fails the call in flight.
 func (c *Client) readLoop() {
 	defer c.wg.Done()
 	coherent := c.HasCoherence()
@@ -356,42 +304,14 @@ func (c *Client) readLoop() {
 			break
 		}
 		if status == opInvalidate {
-			// Server push, not a response: apply and acknowledge without
-			// consulting the pending map (pushes carry request ID 0).
+			// Server push, not a response: apply and acknowledge (pushes
+			// carry request ID 0).
 			c.handleInvalidate(payload[8:])
 			continue
 		}
-		id := binary.LittleEndian.Uint64(payload)
-		c.pendMu.Lock()
-		p := c.pending[id]
-		delete(c.pending, id)
-		c.pendMu.Unlock()
-		if p.ch == nil {
-			// An unknown ID is a caller that timed out and went away; the
-			// response is simply dropped.
-			continue
-		}
-		res := rpcResult{status: status, payload: payload[8:]}
-		if status == statusOK {
-			if rpc := rpcOpOf(p.op); rpc >= 0 {
-				c.obs.RPCFrame(rpc, false, 4+1+len(payload))
-			}
-			if p.op == opLookup {
-				// Stage the page the answer brought here, in frame order:
-				// an invalidation behind it on the wire must find it staged.
-				res = c.stageLookup(res.payload)
-			}
-		}
-		p.ch <- res
+		c.deliver(binary.LittleEndian.Uint64(payload), status, payload[8:])
 	}
 	close(c.done)
-	err := c.errOr(ErrClientClosed)
-	c.pendMu.Lock()
-	for id, p := range c.pending {
-		delete(c.pending, id)
-		p.ch <- rpcResult{err: err}
-	}
-	c.pendMu.Unlock()
 	if coherent {
 		// A dead connection delivers no more invalidations; the cache
 		// above must stop trusting what it holds.
@@ -399,10 +319,54 @@ func (c *Client) readLoop() {
 	}
 }
 
+// deliver hands an answer to the call in flight if that call awaits its
+// ID; any other answer — one a timed-out call left behind — is dropped
+// unread.
+func (c *Client) deliver(id uint64, status byte, payload []byte) {
+	c.awaitMu.Lock()
+	defer c.awaitMu.Unlock()
+	a := c.awaiting
+	op := a.op
+	switch {
+	case id == 0:
+		return
+	case id == a.begin:
+		op = opTxBegin
+		c.awaiting.begin = 0
+	case id == a.id:
+		c.awaiting.id = 0
+	default:
+		return
+	}
+	// Each awaited ID is handed over once, so resp has room for whatever
+	// the server sends.
+	res := rpcResult{id: id, status: status, payload: payload}
+	if status == statusOK {
+		if rpc := rpcOpOf(op); rpc >= 0 {
+			c.obs.RPCFrame(rpc, false, 4+1+8+len(payload))
+		}
+		if op == opLookup {
+			// Stage the page the answer brought here, in frame order:
+			// an invalidation behind it on the wire must find it staged.
+			res = c.stageLookup(res.payload)
+			res.id = id
+		}
+	}
+	c.resp <- res
+}
+
 // call issues one RPC, retrying transient failures (a statusTransient
 // response, or a send dropped by the rpc.send fault site) with exponential
-// backoff up to the dial option's RetryAttempts.
+// backoff up to the dial option's RetryAttempts. Goroutines sharing the
+// client take turns here.
 func (c *Client) call(op byte, payload []byte) ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.callLocked(op, payload)
+}
+
+// callLocked is call with the call mutex held.
+func (c *Client) callLocked(op byte, payload []byte) ([]byte, error) {
 	resp, err := c.callOnce(op, payload)
 	if err == nil || c.retries == 0 {
 		return resp, err
@@ -417,134 +381,138 @@ func (c *Client) call(op byte, payload []byte) ([]byte, error) {
 	return resp, err
 }
 
-// outCall is one request attempt on its way: registered with the read
-// loop, its client-side span open.
-type outCall struct {
-	op byte
-	id uint64
-	ch chan rpcResult
-	sp trace.Span
+// callOnce issues one RPC attempt and waits for its answer. A data request
+// that finds a begin deferred takes it along (client_tx.go).
+func (c *Client) callOnce(op byte, payload []byte) ([]byte, error) {
+	if !isBoundary(op) && c.tx == txDeferred {
+		return c.callWithBegin(op, payload)
+	}
+	if err := c.ready(); err != nil {
+		return nil, err
+	}
+	sp := c.startSpan(op, payload)
+	defer finishSpan(sp)
+	c.nextID++
+	a := awaited{id: c.nextID, op: op}
+	if err := c.send(encodeRequest(op, a.id, payload, sp.Context()), a); err != nil {
+		return nil, err
+	}
+	c.countSent(op, payload)
+	var timeout <-chan time.Time
+	if c.timeout > 0 {
+		t := time.NewTimer(c.timeout)
+		defer t.Stop()
+		timeout = t.C
+	}
+	resp, err := c.await(op, a.id, timeout)
+	c.disarm()
+	return resp, err
 }
 
-// prepare starts one request attempt. The rpc.send fault site drops (or
-// delays) the request before it ships; a drop is a transient failure the
-// retry loop in call may redo. The attempt's client-side span nests under
-// the caller's ambient context; its own context goes onto the wire so
-// server-side spans nest under it. Every prepared call ends in settle.
-func (c *Client) prepare(op byte, payload []byte) (outCall, error) {
+// ready is the gate every request attempt passes before it ships. The
+// rpc.send fault site drops (or delays) it here; a drop is a transient
+// failure the retry loop in call may redo. A dead connection fails it.
+func (c *Client) ready() error {
 	if err := faultpoint.Check(faultpoint.RPCSend); err != nil {
-		return outCall{}, fmt.Errorf("%w: request dropped: %w", ErrTransient, err)
+		return fmt.Errorf("%w: request dropped: %w", ErrTransient, err)
 	}
 	select {
 	case <-c.done:
-		return outCall{}, c.errOr(ErrClientClosed)
+		return c.errOr(ErrClientClosed)
 	default:
-	}
-	oc := outCall{op: op, id: c.nextID.Add(1), ch: make(chan rpcResult, 1)}
-	oc.sp = c.spans.StartChild(spanName(&clientSpanNames, op), c.traceCtx())
-	oc.sp.SetArgs(uint64(len(payload)), 0)
-	c.pendMu.Lock()
-	c.pending[oc.id] = pendingCall{ch: oc.ch, op: op}
-	c.pendMu.Unlock()
-	c.obs.GaugeAdd(metrics.GaugeInFlightRPC, 1)
-	return oc, nil
-}
-
-// settle ends a prepared call.
-func (c *Client) settle(oc outCall) {
-	c.obs.GaugeAdd(metrics.GaugeInFlightRPC, -1)
-	if oc.sp.Sampled() {
-		oc.sp.Finish()
+		return nil
 	}
 }
 
-// abandon ends a prepared call whose response was not (or will not be)
-// delivered: the read loop drops a response it finds no caller for.
-func (c *Client) abandon(oc outCall) {
-	c.pendMu.Lock()
-	delete(c.pending, oc.id)
-	c.pendMu.Unlock()
-	c.settle(oc)
+// startSpan opens a request attempt's client-side span under the caller's
+// ambient context; its own context goes onto the wire so server-side
+// spans nest under it.
+func (c *Client) startSpan(op byte, payload []byte) trace.Span {
+	sp := c.spans.StartChild(spanName(&clientSpanNames, op), c.traceCtx())
+	sp.SetArgs(uint64(len(payload)), 0)
+	return sp
 }
 
-// countSent books one request frame handed to the write loop.
+func finishSpan(sp trace.Span) {
+	if sp.Sampled() {
+		sp.Finish()
+	}
+}
+
+// countSent books one request frame put on the wire.
 func (c *Client) countSent(op byte, payload []byte) {
 	if rpc := rpcOpOf(op); rpc >= 0 {
 		c.obs.RPCFrame(rpc, true, requestLen(payload))
 	}
 }
 
-// enqueue hands an encoded buffer to the write loop, which releases it.
-func (c *Client) enqueue(frame *[]byte) error {
-	select {
-	case c.sendCh <- frame:
-		return nil
-	case <-c.done:
-		putBuf(frame)
-		return c.errOr(ErrClientClosed)
+// send arms the read loop for a's answers, then writes the encoded request
+// frames and releases the buffer. A failed write fails the connection.
+func (c *Client) send(frame *[]byte, a awaited) error {
+	c.awaitMu.Lock()
+	c.awaiting = a
+	c.awaitMu.Unlock()
+	if err := c.write(frame); err != nil {
+		c.disarm()
+		return err
 	}
+	return nil
 }
 
-// deadline is when a response awaited from now on counts as timed out;
-// the zero time without a Timeout.
-func (c *Client) deadline() time.Time {
-	if c.timeout <= 0 {
-		return time.Time{}
+// write puts one encoded buffer on the wire under the write mutex and
+// releases it.
+func (c *Client) write(frame *[]byte) error {
+	c.wmu.Lock()
+	if c.timeout > 0 {
+		c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
 	}
-	return time.Now().Add(c.timeout)
+	_, err := c.conn.Write(*frame)
+	c.wmu.Unlock()
+	putBuf(frame)
+	if err != nil {
+		c.fail(err)
+		return c.errOr(err)
+	}
+	return nil
 }
 
-// await waits for a prepared call's response and ends the call.
-func (c *Client) await(oc outCall, deadline time.Time) ([]byte, error) {
-	var timeoutCh <-chan time.Time
-	if !deadline.IsZero() {
-		t := time.NewTimer(time.Until(deadline))
-		defer t.Stop()
-		timeoutCh = t.C
+// disarm ends the call in flight for the read loop: answers still owed to
+// it are dropped on arrival, and one already handed over but not taken is
+// dropped now.
+func (c *Client) disarm() {
+	c.awaitMu.Lock()
+	c.awaiting = awaited{}
+	for len(c.resp) > 0 {
+		<-c.resp
 	}
+	c.awaitMu.Unlock()
+}
+
+// await waits for the answer to request id of opcode op. The read loop
+// hands answers over in wire order, and the server answers in the order it
+// was asked.
+func (c *Client) await(op byte, id uint64, timeout <-chan time.Time) ([]byte, error) {
 	select {
-	case res := <-oc.ch:
-		c.settle(oc)
-		return c.finish(res)
-	case <-timeoutCh:
-		c.abandon(oc)
-		return nil, &rpcTimeoutError{op: oc.op, timeout: c.timeout}
+	case res := <-c.resp:
+		return c.finish(id, res)
+	case <-timeout:
+		return nil, &rpcTimeoutError{op: op, timeout: c.timeout}
 	case <-c.done:
-		// The reader may have delivered the result just before exiting.
+		// The reader may have handed the answer over just before exiting.
 		select {
-		case res := <-oc.ch:
-			c.settle(oc)
-			return c.finish(res)
+		case res := <-c.resp:
+			return c.finish(id, res)
 		default:
 		}
-		c.abandon(oc)
 		return nil, c.errOr(ErrClientClosed)
 	}
 }
 
-// callOnce issues one RPC attempt and waits for its response. A data
-// request that finds a begin deferred takes it along (client_tx.go).
-func (c *Client) callOnce(op byte, payload []byte) ([]byte, error) {
-	if !isBoundary(op) {
-		c.txMu.Lock()
-		if c.tx == txDeferred {
-			return c.callWithBegin(op, payload) // unlocks txMu
-		}
-		c.txMu.Unlock()
+// finish turns the answer to request id into the call's result.
+func (c *Client) finish(id uint64, res rpcResult) ([]byte, error) {
+	if res.id != id {
+		return nil, errProtocol
 	}
-	oc, err := c.prepare(op, payload)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.enqueue(encodeRequest(op, oc.id, payload, oc.sp.Context())); err != nil {
-		c.abandon(oc)
-		return nil, err
-	}
-	c.countSent(op, payload)
-	return c.await(oc, c.deadline())
-}
-
-func (c *Client) finish(res rpcResult) ([]byte, error) {
 	if res.err != nil {
 		return nil, res.err
 	}

@@ -83,12 +83,9 @@ func (c *Client) handleInvalidate(body []byte) {
 	var ack [8]byte
 	binary.LittleEndian.PutUint64(ack[:], epoch)
 	frame := encodeRequest(opCoherenceAck, 0, ack[:], trace.Context{})
-	n := len(*frame) // before the send: the write loop recycles the buffer
-	select {
-	case c.sendCh <- frame:
+	n := len(*frame) // before the write, which recycles the buffer
+	if c.write(frame) == nil {
 		c.obs.RPCFrame(metrics.RPCCoherenceAck, true, n)
-	case <-c.done:
-		putBuf(frame)
 	}
 }
 

@@ -16,19 +16,18 @@ import (
 // Lazy begin, silent commit. BeginTx sends nothing: the connection's
 // transaction goes from none to deferred. The first data request while
 // deferred puts opTxBegin and its own frame into one buffer — one write,
-// no wait in between; the server's read loop handles the boundary inline
-// and resolves the session when it dispatches the data frame behind it —
-// and the transaction is open. CommitTx or AbortTx of a transaction still
-// deferred resets the state and sends nothing either: the server-side
-// transaction it leaves out would have held no lock, written nothing,
-// logged no WAL record and pushed no invalidation, so no client can tell
-// that it never existed. What such a transaction read, it read from pages
+// no wait in between; the server's executor runs the begin, then the data
+// request in the session it opened — and the transaction is open. CommitTx
+// or AbortTx of a transaction still deferred resets the state and sends
+// nothing either: the server-side transaction it leaves out would have held
+// no lock, written nothing, logged no WAL record and pushed no
+// invalidation, so no client can tell that it never existed. What such a transaction read, it read from pages
 // cached under callbacks and the lease, exactly as a begun one reads them.
 //
-// txMu orders the deferred begin against the data requests of every
-// goroutine sharing the client: the goroutine that finds the state deferred
-// enqueues begin and data before it releases the mutex, so nobody's data
-// frame can reach the write loop ahead of the begin.
+// The call mutex orders the deferred begin against the data requests of
+// every goroutine sharing the client: the goroutine that finds the state
+// deferred holds it until both answers are in, so nobody's data frame can
+// reach the server ahead of the begin.
 //
 // A Lookup that brings its page. The read loop stages the page an opLookup
 // answer carries — in frame order, so an invalidation behind it on the wire
@@ -66,24 +65,17 @@ func isBoundary(op byte) bool {
 // enterTx moves the connection from no transaction to next, or fails the
 // way the server would. The TxID it returns is a handle local to this
 // client, not the server's transaction ID (a deferred begin has none yet).
+// Called with the call mutex held.
 func (c *Client) enterTx(next txPhase) (TxID, error) {
 	if !c.transactional {
 		return 0, errNotTransactional
 	}
-	c.txMu.Lock()
-	defer c.txMu.Unlock()
 	if c.tx != txNone {
 		return 0, errTxOpen
 	}
 	c.tx = next
 	c.txSeq++
 	return TxID(c.txSeq), nil
-}
-
-func (c *Client) setTx(p txPhase) {
-	c.txMu.Lock()
-	c.tx = p
-	c.txMu.Unlock()
 }
 
 // BeginTx starts a transaction on this connection (the server must have
@@ -97,6 +89,8 @@ func (c *Client) setTx(p txPhase) {
 // reader whose transactions all hit its cache still renews its lease.
 func (c *Client) BeginTx() (TxID, error) {
 	eager := c.leaseTimeout > 0 && time.Since(time.Unix(0, c.lastRecv.Load())) >= c.leaseTimeout/2
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if !eager {
 		return c.enterTx(txDeferred)
 	}
@@ -104,8 +98,8 @@ func (c *Client) BeginTx() (TxID, error) {
 	if err != nil {
 		return 0, err
 	}
-	if _, err := c.call(opTxBegin, nil); err != nil {
-		c.setTx(txNone)
+	if _, err := c.callLocked(opTxBegin, nil); err != nil {
+		c.tx = txNone
 		return 0, err
 	}
 	return id, nil
@@ -126,16 +120,18 @@ func (c *Client) BeginTx() (TxID, error) {
 // on the caller's goroutine, before BeginSnapshotTx returns. What the
 // handlers were not told to drop is current at the new read point.
 func (c *Client) BeginSnapshotTx() (TxID, uint64, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	id, err := c.enterTx(txOpen)
 	if err != nil {
 		return 0, 0, err
 	}
 	var req []byte
 	if c.coherent {
-		req = binary.LittleEndian.AppendUint64(nil, c.readLSN.Load())
+		req = binary.LittleEndian.AppendUint64(nil, c.readLSN)
 	}
 	var sb snapshotBegun
-	resp, err := c.call(opTxBeginSnapshot, req)
+	resp, err := c.callLocked(opTxBeginSnapshot, req)
 	if err == nil {
 		sb, err = decodeSnapshotBegun(resp)
 	}
@@ -143,12 +139,12 @@ func (c *Client) BeginSnapshotTx() (TxID, uint64, error) {
 		err = errProtocol
 	}
 	if err != nil {
-		c.setTx(txNone)
+		c.tx = txNone
 		return 0, 0, err
 	}
 	if sb.validated {
 		c.applyChanged(sb)
-		c.readLSN.Store(sb.readLSN)
+		c.readLSN = sb.readLSN
 	}
 	return id, sb.readLSN, nil
 }
@@ -186,62 +182,59 @@ func (c *Client) AbortTx() error { return c.endTx(opTxAbort) }
 
 func (c *Client) endTx(op byte) error {
 	c.dropStaged() // the S-locks that covered them end with the transaction
-	c.txMu.Lock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.tx == txDeferred {
 		c.tx = txNone
-		c.txMu.Unlock()
 		c.obs.Inc(metrics.CtrTxSilent)
 		return nil
 	}
-	c.txMu.Unlock()
-	_, err := c.call(op, nil)
+	_, err := c.callLocked(op, nil)
 	if err == nil || op == opTxAbort {
-		c.setTx(txNone)
+		c.tx = txNone
 	}
 	return err
 }
 
 // callWithBegin is the first data request of a deferred transaction: the
-// begin and the request leave in one buffer and the call returns after
-// both responses; a begin error wins, and leaves no transaction. A request
+// begin and the request leave in one write and the call returns after both
+// answers; a begin error wins, and leaves no transaction. A request
 // dropped before it shipped (the rpc.send fault site) leaves the begin
-// deferred. Called with txMu held; releases it once the frames are queued.
+// deferred. Called with the call mutex held.
 func (c *Client) callWithBegin(op byte, payload []byte) ([]byte, error) {
-	begin, err := c.prepare(opTxBegin, nil)
-	if err != nil {
-		c.txMu.Unlock()
+	// One pass of the gate for each frame: the begin's, then the request's.
+	if err := c.ready(); err != nil {
 		return nil, err
 	}
-	data, err := c.prepare(op, payload)
-	if err != nil {
-		c.txMu.Unlock()
-		c.abandon(begin)
+	if err := c.ready(); err != nil {
 		return nil, err
 	}
+	bsp, dsp := c.startSpan(opTxBegin, nil), c.startSpan(op, payload)
+	defer finishSpan(bsp)
+	defer finishSpan(dsp)
+	c.nextID += 2
+	a := awaited{begin: c.nextID - 1, id: c.nextID, op: op}
 	both := getBuf(requestLen(nil) + requestLen(payload))
-	putRequest(putRequest(*both, opTxBegin, begin.id, nil, begin.sp.Context()), op, data.id, payload, data.sp.Context())
-	// The send waits only for the write loop, or for the connection to
-	// die; holding txMu across it is what keeps every other goroutine's
-	// data frame behind this begin.
-	if err := c.enqueue(both); err != nil {
-		c.txMu.Unlock()
-		c.abandon(begin)
-		c.abandon(data)
+	putRequest(putRequest(*both, opTxBegin, a.begin, nil, bsp.Context()), op, a.id, payload, dsp.Context())
+	if err := c.send(both, a); err != nil {
 		return nil, err
 	}
 	c.tx = txOpen
-	c.txMu.Unlock()
 	c.countSent(opTxBegin, nil)
 	c.countSent(op, payload)
 
-	deadline := c.deadline()
-	_, berr := c.await(begin, deadline)
-	resp, err := c.await(data, deadline)
-	if berr != nil {
-		c.setTx(txNone)
-		return nil, fmt.Errorf("server: deferred begin: %w", berr)
+	var timeout <-chan time.Time
+	if c.timeout > 0 {
+		t := time.NewTimer(c.timeout)
+		defer t.Stop()
+		timeout = t.C
 	}
-	return resp, err
+	defer c.disarm()
+	if _, err := c.await(opTxBegin, a.begin, timeout); err != nil {
+		c.tx = txNone
+		return nil, fmt.Errorf("server: deferred begin: %w", err)
+	}
+	return c.await(op, a.id, timeout)
 }
 
 // stagedPage is one page a Lookup answer brought, kept until the ReadPage
@@ -251,9 +244,12 @@ type stagedPage struct {
 	data []byte // image ‖ shipped directory, as ReadPage returns it
 }
 
-// maxStaged bounds the staging area: no more pages than requests the
-// server works on at once for one connection. Past it the oldest goes.
-const maxStaged = pipelineWorkers
+// maxStaged bounds the staging area. The object manager reads the page a
+// Lookup brought with its next page read (core's object fault: Lookup, then
+// the buffer pool's ReadPage), and a client has one call in flight, so one
+// staged page is all a fault can take; on every benchmark workload a bound
+// of 32 took no more (DESIGN.md "Client staging"). Past it the oldest goes.
+const maxStaged = 1
 
 // splitLookup takes an opLookup answer apart: the 10-byte address, then
 // nothing or exactly one page as opReadPage ships it.

@@ -262,7 +262,9 @@ func TestLazyBeginFailureSurfacesOnData(t *testing.T) {
 	}
 	// The client forgets the transaction the server still holds, so the
 	// next deferred begin is one the server must refuse.
-	b.c.setTx(txNone)
+	b.c.mu.Lock()
+	b.c.tx = txNone
+	b.c.mu.Unlock()
 	if _, err := b.c.BeginTx(); err != nil {
 		t.Fatal(err)
 	}

@@ -51,9 +51,10 @@ type CoherenceOptions struct {
 	// registrations; 0 selects coherence.DefaultCap. Registrations past
 	// the bound are revoked with an immediate revocation push.
 	MaxEntries int
-	// AckTimeout bounds the synchronous wait for invalidation
-	// acknowledgements per commit; 0 selects DefaultAckTimeout. Clients
-	// must configure their lease at or below this value.
+	// AckTimeout bounds a commit's invalidation round — its pushes and
+	// the synchronous wait for their acknowledgements; 0 selects
+	// DefaultAckTimeout. Clients must configure their lease at or below
+	// this value.
 	AckTimeout time.Duration
 }
 
@@ -72,17 +73,17 @@ type coherenceState struct {
 }
 
 // cohConn is the push endpoint of one coherence-negotiated connection.
-// Pushes ride the connection's response channel, so they serialize with
-// ordinary responses into the writer goroutine's vectored writes (one
-// FIFO per connection — a response enqueued after an invalidation cannot
-// arrive before it).
+// Pushes take the connection's write lock, the one the executor takes to
+// write each answer, so frames leave in the order they took it — one FIFO
+// per connection: a push written after an answer is behind it on the wire,
+// and the client's read loop meets them in that order (the staged-page
+// drop rule, client_tx.go, depends on it).
 type cohConn struct {
-	id   coherence.ClientID
-	conn interface{ Close() error }
+	id coherence.ClientID
+	w  *connWriter
 
 	mu      sync.Mutex
 	closed  bool
-	respCh  chan<- *respFrame
 	acked   uint64 // highest acknowledged epoch
 	waiters []*ackWaiter
 }
@@ -135,12 +136,8 @@ func (s *TCPServer) CoherenceInterest() int {
 
 // attach registers a freshly negotiated connection and returns its push
 // endpoint.
-func (st *coherenceState) attach(conn interface{ Close() error }, respCh chan<- *respFrame) *cohConn {
-	cc := &cohConn{
-		id:     coherence.ClientID(st.nextID.Add(1)),
-		conn:   conn,
-		respCh: respCh,
-	}
+func (st *coherenceState) attach(w *connWriter) *cohConn {
+	cc := &cohConn{id: coherence.ClientID(st.nextID.Add(1)), w: w}
 	st.mu.Lock()
 	st.conns[cc.id] = cc
 	st.mu.Unlock()
@@ -197,40 +194,36 @@ func (cc *cohConn) ack(epoch uint64) {
 	}
 }
 
-// push enqueues one invalidation frame for this connection, registering
-// the round's waiter first so the ack cannot race past it. Returns false
-// when the connection is already closed (the waiter was not registered).
-// A full response channel means the peer has stopped draining while an
-// invalidation is owed; the connection is closed rather than allowing a
-// silently stale cache to live on.
-func (cc *cohConn) push(epoch uint64, pids []page.PageID, w *ackWaiter) bool {
+// push writes one invalidation frame to this connection and, when w is
+// not nil, makes w wait for its ack — unless the ack is already in.
+// Returns false when the connection is already closed, or when the frame
+// is not on the wire by deadline: the peer has stopped reading while an
+// invalidation is owed, and the connection is closed rather than allowing
+// a silently stale cache to live on.
+func (cc *cohConn) push(epoch uint64, pids []page.PageID, w *ackWaiter, deadline time.Time) bool {
 	cc.mu.Lock()
-	if cc.closed {
-		cc.mu.Unlock()
+	closed := cc.closed
+	cc.mu.Unlock()
+	if closed {
 		return false
-	}
-	if w != nil {
-		cc.waiters = append(cc.waiters, w)
 	}
 	f := getFrame()
 	f.inline = encodeInvalidation(f.scratch[:0], epoch, pids)
 	f.encode(opInvalidate, 0)
-	select {
-	case cc.respCh <- f:
-		cc.mu.Unlock()
-		return true
-	default:
-		// Slow consumer with a pending invalidation: drop the frame and
-		// the connection. The client's lease (no frames received) takes
-		// over; its conn-failure path drops the whole cache.
-		if w != nil {
-			cc.waiters = cc.waiters[:len(cc.waiters)-1]
-		}
-		cc.mu.Unlock()
-		putFrame(f)
-		cc.conn.Close()
+	if !cc.w.writeBy(f, deadline) {
+		// The client's lease (no frames received) takes over; its
+		// conn-failure path drops the whole cache.
 		return false
 	}
+	if w != nil {
+		cc.mu.Lock()
+		if !cc.closed && epoch > cc.acked {
+			w.remaining.Add(1)
+			cc.waiters = append(cc.waiters, w)
+		}
+		cc.mu.Unlock()
+	}
+	return true
 }
 
 // encodeInvalidation appends the opInvalidate payload — epoch, count,
@@ -373,19 +366,21 @@ func (s *TCPServer) revoke(st *coherenceState, evicted []coherence.Eviction) {
 	}
 	obs := s.obs.Load()
 	epoch := st.table.Epoch()
+	deadline := time.Now().Add(st.ackTimeout)
 	for _, ev := range evicted {
 		obs.Inc(metrics.CtrCoherenceRevoked)
 		if cc := st.lookupConn(ev.Client); cc != nil {
-			cc.push(epoch, []page.PageID{ev.Page}, nil)
+			cc.push(epoch, []page.PageID{ev.Page}, nil, deadline)
 		}
 	}
 }
 
 // coherencePush runs one invalidation round: consume the interest
 // registrations for the written pages, push an opInvalidate frame to each
-// other subscribed connection, and wait — bounded by the ack timeout —
-// until every reachable one acknowledged. writer is the writing
-// connection's coherence ID (0 for a writer that dialed before
+// other subscribed connection, and wait until every reachable one
+// acknowledged. The ack timeout bounds the whole round, pushes included:
+// a connection whose push is not on the wire by then is closed. writer is
+// the writing connection's coherence ID (0 for a writer that dialed before
 // EnableCoherence and so has no coherence endpoint).
 func (s *TCPServer) coherencePush(pages []page.PageID, writer coherence.ClientID, tctx trace.Context) {
 	st := s.coh.Load()
@@ -400,10 +395,11 @@ func (s *TCPServer) coherencePush(pages []page.PageID, writer coherence.ClientID
 	}
 	sp := s.tracer.Load().StartChild(spanName(&serverSpanNames, opInvalidate), tctx)
 	start := obs.Now()
+	deadline := time.Now().Add(st.ackTimeout)
 
 	w := &ackWaiter{epoch: epoch, done: make(chan struct{})}
 	// Pre-count with one slot held so a fast ack cannot close done while
-	// pushes are still being enqueued.
+	// pushes are still going out.
 	w.remaining.Store(1)
 	delivered := 0
 	for cid, pids := range targets {
@@ -419,23 +415,12 @@ func (s *TCPServer) coherencePush(pages []page.PageID, writer coherence.ClientID
 		}
 		sent := true
 		for off := 0; off < len(pids) && sent; off += maxInvalidationPages {
-			end := off + maxInvalidationPages
-			if end > len(pids) {
-				end = len(pids)
-			}
+			end := min(off+maxInvalidationPages, len(pids))
 			var roundWaiter *ackWaiter
 			if end == len(pids) {
 				roundWaiter = w // only the last chunk carries the waiter
 			}
-			if roundWaiter != nil {
-				w.remaining.Add(1)
-			}
-			if !cc.push(epoch, pids[off:end], roundWaiter) {
-				if roundWaiter != nil {
-					w.remaining.Add(-1)
-				}
-				sent = false
-			}
+			sent = cc.push(epoch, pids[off:end], roundWaiter, deadline)
 		}
 		if sent {
 			delivered++
@@ -444,9 +429,11 @@ func (s *TCPServer) coherencePush(pages []page.PageID, writer coherence.ClientID
 	}
 	if delivered > 0 {
 		w.dec() // release the pre-count slot
+		t := time.NewTimer(time.Until(deadline))
 		select {
 		case <-w.done:
-		case <-time.After(st.ackTimeout):
+			t.Stop()
+		case <-t.C:
 			// One or more subscribers missed the round within the lease
 			// horizon: they have received nothing for ackTimeout, so
 			// their client-side lease has expired and they must stop

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
@@ -9,7 +10,9 @@ import (
 
 	"gom/internal/faultpoint"
 	"gom/internal/metrics"
+	"gom/internal/oid"
 	"gom/internal/page"
+	"gom/internal/trace"
 )
 
 // invalLog collects a client's invalidation callbacks for assertions.
@@ -406,5 +409,186 @@ func TestCoherenceRevocation(t *testing.T) {
 	}
 	if n := srv.CoherenceInterest(); n > 2 {
 		t.Errorf("interest = %d, above the cap of 2", n)
+	}
+}
+
+// TestSharedInterestCommitsDoNotStall: two clients both read pages P and Q,
+// which registers their interest in each; then, released together, A writes
+// and commits P while B writes and commits Q. Each commit pushes to the
+// other client and waits for its ack, which arrives on the other client's
+// connection while that connection's own commit is waiting too. A server
+// that ran a commit on the loop reading the committer's connection could
+// not read the ack there, and both commits would wait out the ack timeout.
+// The disjoint case, where each client reads only the page it writes, is
+// the rate to compare with.
+func TestSharedInterestCommitsDoNotStall(t *testing.T) {
+	const rounds = 20
+	const ackTimeout = time.Second
+	for _, shared := range []bool{true, false} {
+		name := map[bool]string{true: "shared", false: "disjoint"}[shared]
+		t.Run(name, func(t *testing.T) {
+			mgr := newMgr(t)
+			local := NewLocal(mgr)
+			var ids [2]oid.OID
+			var pids [2]page.PageID
+			for i := range ids {
+				// A record of 3,000 bytes has a page to itself.
+				id, addr, err := local.Allocate(0, make([]byte, 3000))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids[i], pids[i] = id, addr.Page
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := ServeTx(ln, NewTxServer(mgr, 5*time.Second))
+			srv.EnableCoherence(CoherenceOptions{AckTimeout: ackTimeout})
+			reg := metrics.New()
+			srv.SetMetrics(reg)
+			defer srv.Close()
+			var clients [2]*Client
+			for i := range clients {
+				c, err := Dial(srv.Addr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				clients[i] = c
+			}
+
+			start := time.Now()
+			for round := 0; round < rounds; round++ {
+				for i, c := range clients {
+					for j, pid := range pids {
+						if shared || i == j {
+							if _, err := c.ReadPage(pid); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				}
+				var ready, wg sync.WaitGroup
+				release := make(chan struct{})
+				errs := make(chan error, len(clients))
+				for i, c := range clients {
+					ready.Add(1)
+					wg.Add(1)
+					go func(i int, c *Client) {
+						defer wg.Done()
+						ready.Done()
+						<-release
+						if _, err := c.BeginTx(); err != nil {
+							errs <- err
+							return
+						}
+						rec := make([]byte, 3000)
+						rec[0] = byte(round)
+						if _, err := c.UpdateObject(ids[i], rec); err != nil {
+							errs <- err
+							return
+						}
+						if err := c.CommitTx(); err != nil {
+							errs <- err
+						}
+					}(i, c)
+				}
+				ready.Wait()
+				close(release)
+				wg.Wait()
+				close(errs)
+				for err := range errs {
+					t.Fatalf("round %d: %v", round, err)
+				}
+			}
+			elapsed := time.Since(start)
+			t.Logf("%s interest: %d commits in %v, %.0f commits/s", name, 2*rounds, elapsed, float64(2*rounds)/elapsed.Seconds())
+			if n := reg.Count(metrics.CtrCoherenceAckTimeout); n != 0 {
+				t.Errorf("%d commits waited out the ack timeout", n)
+			}
+			if elapsed > ackTimeout/2 {
+				t.Errorf("%d rounds took %v, want well under one ack timeout (%v)", rounds, elapsed, ackTimeout)
+			}
+		})
+	}
+}
+
+// TestPushToStalledPeerClosesIt: a subscriber that stops reading while its
+// connection owes it answers — its executor is blocked writing one, and
+// holds the connection's write lock — cannot hold a committer past the
+// ack timeout. The push gives up on the lock at the round's deadline and
+// closes the stalled connection; the commit returns.
+func TestPushToStalledPeerClosesIt(t *testing.T) {
+	const ackTimeout = 200 * time.Millisecond
+	mgr := newMgr(t)
+	_, addr, err := NewLocal(mgr).Allocate(0, make([]byte, 3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ServeTx(ln, NewTxServer(mgr, 5*time.Second))
+	srv.EnableCoherence(CoherenceOptions{AckTimeout: ackTimeout})
+	reg := metrics.New()
+	srv.SetMetrics(reg)
+	defer srv.Close()
+
+	// The stalled peer: a raw connection that reads the page once, which
+	// registers its interest, then asks for it thousands of times and
+	// reads nothing more, until the answers fill the socket buffers.
+	peer, r := sendRaw(t, srv, frame(t, opHello, helloPayload(protocolV2, clientFeatures)))
+	defer peer.Close()
+	if status, _, err := readMsg(r); err != nil || status != statusOK {
+		t.Fatalf("hello answered %d, %v", status, err)
+	}
+	read := binary.LittleEndian.AppendUint64(nil, uint64(addr.Page))
+	one := encodeRequest(opReadPage, 1, read, trace.Context{})
+	defer putBuf(one)
+	if _, err := peer.Write(*one); err != nil {
+		t.Fatal(err)
+	}
+	if status, _, err := readMsg(r); err != nil || status != statusOK {
+		t.Fatalf("read answered %d, %v", status, err)
+	}
+	var flood []byte
+	for i := 0; i < 5000; i++ {
+		flood = append(flood, *one...)
+	}
+	go peer.Write(flood) // blocks once the server stops reading
+	waitFor(t, 5*time.Second, "the peer's executor to block", func() bool {
+		before := reg.Snapshot().RPCFrames[1][metrics.RPCReadPage]
+		time.Sleep(50 * time.Millisecond)
+		return reg.Snapshot().RPCFrames[1][metrics.RPCReadPage] == before
+	})
+
+	writer, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writer.Close()
+	img, err := writer.ReadPage(addr.Page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := writer.WritePage(addr.Page, imageOf(t, img)); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > ackTimeout+time.Second {
+		t.Errorf("the commit took %v; the ack timeout is %v", d, ackTimeout)
+	}
+	// The peer finds its connection closed once it drains what was sent.
+	peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for {
+		if _, _, err := readMsg(r); err != nil {
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				t.Fatal("the stalled peer's connection is still open")
+			}
+			break
+		}
 	}
 }

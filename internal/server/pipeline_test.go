@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"gom/internal/faultpoint"
 	"gom/internal/metrics"
 	"gom/internal/oid"
 	"gom/internal/page"
@@ -226,12 +227,13 @@ func TestOldServerRefused(t *testing.T) {
 	}
 }
 
-// TestPipelinedStress multiplexes many goroutines over ONE pipelined
-// connection — mixed Lookup/ReadPage/WritePage plus a concurrent
-// transactional connection — and verifies every response matched its
-// request (content round-trips intact) and the server's per-RPC metrics
-// account for exactly the issued work. Run with -race in CI.
-func TestPipelinedStress(t *testing.T) {
+// TestSharedClientStress shares ONE client among many goroutines — mixed
+// Lookup/ReadPage/WritePage, taking turns on the connection, plus a
+// concurrent transactional connection — and verifies every response
+// matched its request (content round-trips intact) and the server's
+// per-RPC metrics account for exactly the issued work. Run with -race in
+// CI.
+func TestSharedClientStress(t *testing.T) {
 	const workers = 8
 	const iters = 60
 
@@ -379,9 +381,6 @@ func TestPipelinedStress(t *testing.T) {
 	if snap.Count(metrics.CtrRPCError) != 0 {
 		t.Errorf("server counted %d rpc errors", snap.Count(metrics.CtrRPCError))
 	}
-	if peak := reg.GaugePeak(metrics.GaugeInFlightRPC); peak < 2 {
-		t.Errorf("in-flight RPC peak = %d; want concurrent execution (≥ 2)", peak)
-	}
 }
 
 type atomic64 struct {
@@ -508,25 +507,31 @@ func TestClientTimeout(t *testing.T) {
 	}
 }
 
-// TestPipelinedTimeoutLeavesConnectionUsable: a timed-out pipelined RPC
-// abandons its ID; later traffic on the same connection still works.
-func TestPipelinedTimeoutLeavesConnectionUsable(t *testing.T) {
-	mgr := newMgr(t)
-	ln, _ := net.Listen("tcp", "127.0.0.1:0")
-	srv := Serve(ln, mgr)
-	defer srv.Close()
-	cl, err := DialWith(srv.Addr().String(), DialOptions{Timeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
+// TestTimedOutCallLeavesConnectionUsable: a call whose answer comes too
+// late fails with ErrRPCTimeout and leaves the connection usable. The late
+// answer, a Lookup's that brings its page, is dropped when it arrives: the
+// next call gets its own answer, and the late one staged nothing.
+func TestTimedOutCallLeavesConnectionUsable(t *testing.T) {
+	b := newQuietBase(t, 2, DialOptions{Timeout: 100 * time.Millisecond})
+	defer faultpoint.Reset()
+	faultpoint.Arm(faultpoint.Fault{Site: faultpoint.ServerLookup, Times: 1, Delay: 300 * time.Millisecond, Skip: true})
+	if _, err := b.c.Lookup(b.ids[0]); !errors.Is(err, ErrRPCTimeout) {
+		t.Fatalf("Lookup stalled past the timeout = %v, want ErrRPCTimeout", err)
 	}
-	defer cl.Close()
-	id, addr, err := cl.Allocate(0, []byte("hello"))
-	if err != nil {
-		t.Fatal(err)
+	// The server has sent the late answer once it counts it; the answer to
+	// the next request is behind it on the wire.
+	waitFor(t, 2*time.Second, "the late answer", func() bool {
+		return b.srvReg.Snapshot().RPCFrames[1][metrics.RPCLookup] == 1
+	})
+	got, err := b.c.Lookup(b.ids[1])
+	if err != nil || got != b.addrs[1] {
+		t.Fatalf("the next Lookup = %v, %v; want %v", got, err, b.addrs[1])
 	}
-	got, err := cl.Lookup(id)
-	if err != nil || got != addr {
-		t.Fatalf("lookup = %v, %v", got, err)
+	if b.c.takeStaged(b.addrs[0].Page) != nil {
+		t.Error("the late answer staged its page")
+	}
+	if n := stagedCount(b.c); n != 1 {
+		t.Errorf("%d pages staged, want the next Lookup's one", n)
 	}
 }
 
@@ -556,8 +561,8 @@ func TestFrameCodecZeroAlloc(t *testing.T) {
 	}
 }
 
-// benchServer spins up a populated TCP server shared by the throughput
-// benchmarks: 64 objects spread over multiple pages.
+// benchServer spins up a populated TCP server for the lookup benchmark: 64
+// objects spread over multiple pages.
 func benchServer(b *testing.B) (*TCPServer, []oid.OID, []storage.PAddr) {
 	b.Helper()
 	mgr := storage.NewManager(1)
@@ -579,97 +584,6 @@ func benchServer(b *testing.B) (*TCPServer, []oid.OID, []storage.PAddr) {
 		b.Fatal(err)
 	}
 	return Serve(ln, mgr), ids, addrs
-}
-
-// latencyProxy relays bytes between client and server, charging a fixed
-// delay per transmission in each direction. Loopback on a small CI box has
-// no propagation delay — every microsecond of an RPC is CPU. The proxy
-// restores the per-message link latency of a real page-server deployment,
-// which is precisely the wait that pipelining overlaps and coalescing
-// amortizes.
-func latencyProxy(b *testing.B, target string, d time.Duration) string {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go func() {
-		for {
-			down, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			up, err := net.Dial("tcp", target)
-			if err != nil {
-				down.Close()
-				continue
-			}
-			pump := func(dst, src net.Conn) {
-				defer dst.Close()
-				defer src.Close()
-				buf := make([]byte, 256<<10)
-				for {
-					n, rerr := src.Read(buf)
-					if n > 0 {
-						time.Sleep(d)
-						if _, werr := dst.Write(buf[:n]); werr != nil {
-							return
-						}
-					}
-					if rerr != nil {
-						return
-					}
-				}
-			}
-			go pump(up, down)
-			go pump(down, up)
-		}
-	}()
-	b.Cleanup(func() { ln.Close() })
-	return ln.Addr().String()
-}
-
-// BenchmarkClientThroughput measures the client under concurrent load: ≥ 8
-// goroutines share ONE connection issuing a mixed Lookup/ReadPage load,
-// over raw loopback and over a simulated LAN link (200µs per
-// transmission).
-func BenchmarkClientThroughput(b *testing.B) {
-	for _, link := range []struct {
-		name  string
-		delay time.Duration
-	}{{"loopback", 0}, {"lan200us", 200 * time.Microsecond}} {
-		b.Run(link.name, func(b *testing.B) {
-			srv, ids, addrs := benchServer(b)
-			defer srv.Close()
-			addr := srv.Addr().String()
-			if link.delay > 0 {
-				addr = latencyProxy(b, addr, link.delay)
-			}
-			cl, err := Dial(addr)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cl.Close()
-			b.SetParallelism(8) // ≥ 8 goroutines over the one connection
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					if i%2 == 0 {
-						if _, err := cl.Lookup(ids[i%len(ids)]); err != nil {
-							b.Error(err)
-							return
-						}
-					} else {
-						if _, err := cl.ReadPage(addrs[i%len(addrs)].Page); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-					i++
-				}
-			})
-		})
-	}
 }
 
 // BenchmarkLookupBatchVsLoop measures the round-trip amortization of the

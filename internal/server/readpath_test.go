@@ -87,7 +87,7 @@ func BenchmarkServerReadPageHot(b *testing.B) {
 	})
 }
 
-// TestPipelinedPoolBalance runs real pipelined traffic — including error
+// TestPipelinedPoolBalance runs real traffic — including error
 // responses and page-shipping opcodes — through a TCP server, then checks
 // the pool leak accounting: every pooled message buffer and response
 // frame taken during the run must have been returned. This is the

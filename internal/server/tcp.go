@@ -30,11 +30,10 @@ import (
 // A connection opens with one hello exchange in exactly this envelope: the
 // client sends opHello with its protocol version and the feature bits it
 // offers, the server answers with its version and the bits agreed. From
-// then on the connection is pipelined: every request and response payload
-// begins with a uint64 request ID, every request ends in a trace-context
-// suffix, any number of requests may be in flight, the server processes
-// them concurrently per connection, and responses are matched to callers
-// by ID (they may arrive out of order).
+// then on every request and response payload begins with a uint64 request
+// ID and every request ends in a trace-context suffix. The server runs a
+// connection's requests one at a time, in the order they arrive, and
+// answers each with its ID; the client checks it.
 //
 // There is one protocol. A first frame that is not a hello of version 2
 // or later offering every baseline feature is answered with one statusErr
@@ -165,9 +164,10 @@ const (
 	maxReadRun = 16
 	// maxBatchLookup bounds the OIDs resolved by one opLookupBatch.
 	maxBatchLookup = 1024
-	// pipelineWorkers bounds the concurrently processed requests of one
-	// pipelined connection.
-	pipelineWorkers = 32
+	// requestQueue bounds the requests a connection's reader hands its
+	// executor ahead of the one running: room for the two frames a client
+	// sends at once, a deferred begin and the data request it rides on.
+	requestQueue = 2
 )
 
 // maxMessage bounds a message (a full read-run of pages, each with its
@@ -178,7 +178,7 @@ var errProtocol = errors.New("server: protocol error")
 
 // ErrRPCTimeout matches (via errors.Is) every timeout the client
 // surfaces, whether from a connection deadline or from waiting on a
-// pipelined response. The concrete errors also implement net.Error with
+// response. The concrete errors also implement net.Error with
 // Timeout() == true, so existing net-style checks see them too.
 var ErrRPCTimeout = errors.New("server: rpc timeout")
 
@@ -259,10 +259,10 @@ func putBuf(bp *[]byte) {
 	}
 }
 
-// respFrame is a pipelined response assembled for scatter-gather writing:
+// respFrame is a response (or push) assembled for scatter-gather writing:
 // a pooled header buffer (length word, status, request ID, and any small
 // inline payload) followed by zero or more page images borrowed straight
-// from the copy-on-write page store. The writer hands the pieces to
+// from the copy-on-write page store. connWriter hands the pieces to
 // net.Buffers, so a page read is shipped without ever being copied into a
 // contiguous response buffer.
 type respFrame struct {
@@ -584,15 +584,14 @@ func (s *TCPServer) acceptLoop() {
 	}
 }
 
-// connState carries the per-connection transactional state. Only the
-// connection's reader goroutine writes it, at transaction boundaries, which
-// wait for the connection's outstanding data operations.
+// connState carries the per-connection transactional state. While the
+// connection serves, only its executor goroutine touches tx and sess.
 type connState struct {
 	tx   TxID
 	sess dirPageReader // the transaction session, or nil outside a transaction
 	// coh is the connection's coherence endpoint: non-nil only on a
-	// connection that negotiated featureCoherence. Set once before
-	// dispatch goroutines start, read-only afterwards.
+	// connection that negotiated featureCoherence. Set once before the
+	// executor starts, read-only afterwards.
 	coh *cohConn
 }
 
@@ -661,101 +660,94 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	if err := writeMsg(w, statusOK, resp[:]); err != nil {
 		return
 	}
-	// writeMsg flushed the bufio writer, so the pipelined writer can take
-	// over the raw connection for vectored writes.
-	s.servePipelined(conn, r, cs, agreed&featureCoherence != 0)
+	// writeMsg flushed the bufio writer, so connWriter can take over the
+	// raw connection for vectored writes.
+	s.serveRequests(conn, r, cs, agreed&featureCoherence != 0)
 }
 
-// servePipelined serves a connection after its hello: the reader
-// dispatches each data request to its own goroutine (bounded by
-// pipelineWorkers), a writer goroutine streams responses back as they
-// complete, and transaction boundaries wait for the connection's
-// outstanding data operations so 2PL session routing stays well defined.
-//
-// Responses travel as respFrames: a pooled header plus page images
-// borrowed from the copy-on-write page store. The writer gathers every
-// frame already queued into one net.Buffers vectored write (writev), so a
-// burst of pipelined responses reaches the socket in a single syscall
-// without ever being re-buffered into a contiguous stream.
-func (s *TCPServer) servePipelined(conn net.Conn, r *bufio.Reader, cs *connState, coherent bool) {
-	respCh := make(chan *respFrame, pipelineWorkers*2)
-	if coherent {
-		cs.coh = s.coh.Load().attach(conn, respCh)
+// connWriter is the one way onto a connection after its hello: the
+// executor's answers and the invalidation pushes of other connections'
+// commits take its lock, so frames never interleave and leave in the order
+// they took it. Each frame is one net.Buffers vectored write (writev) of
+// its header and borrowed page images, straight to the socket.
+type connWriter struct {
+	conn net.Conn
+	lock chan struct{} // a mutex whose wait a push can bound
+	vecs [][]byte      // the writev vector, reused under lock
+}
+
+// write writes f and releases it.
+func (w *connWriter) write(f *respFrame) {
+	w.lock <- struct{}{}
+	w.writeLocked(f)
+	<-w.lock
+}
+
+// writeBy writes f and releases it, unless the lock or the write is not
+// done by deadline: the connection is then closed, and writeBy reports
+// false.
+func (w *connWriter) writeBy(f *respFrame, deadline time.Time) bool {
+	t := time.NewTimer(time.Until(deadline))
+	defer t.Stop()
+	select {
+	case w.lock <- struct{}{}:
+	case <-t.C:
+		putFrame(f)
+		w.conn.Close()
+		return false
 	}
-	var writerWG sync.WaitGroup
-	writerWG.Add(1)
+	w.conn.SetWriteDeadline(deadline)
+	ok := w.writeLocked(f)
+	w.conn.SetWriteDeadline(time.Time{})
+	<-w.lock
+	return ok
+}
+
+// writeLocked writes f and releases it, and reports whether the write
+// succeeded; a failed one closes the connection, which also unblocks its
+// reader.
+func (w *connWriter) writeLocked(f *respFrame) bool {
+	w.vecs = append(w.vecs[:0], *f.head)
+	w.vecs = append(w.vecs, f.pages...)
+	// net.Buffers.WriteTo advances its receiver as it consumes the
+	// vectors; vecs is rebuilt for every frame, so that is harmless.
+	nb := net.Buffers(w.vecs)
+	_, err := nb.WriteTo(w.conn)
+	putFrame(f)
+	if err != nil {
+		w.conn.Close()
+		return false
+	}
+	return true
+}
+
+// request is one frame the reader hands the executor.
+type request struct {
+	op   byte
+	id   uint64
+	body *[]byte // pooled; released once the request has run
+	req  []byte  // the payload inside body, without ID and trace suffix
+	tctx trace.Context
+}
+
+// serveRequests serves a connection after its hello. The reader handles
+// opCoherenceAck itself and hands every other request to one executor
+// goroutine, which runs them in arrival order and writes each answer. A
+// commit waiting on a peer's ack therefore blocks only its own executor,
+// never a loop that reads acks.
+func (s *TCPServer) serveRequests(conn net.Conn, r *bufio.Reader, cs *connState, coherent bool) {
+	w := &connWriter{conn: conn, lock: make(chan struct{}, 1)}
+	if coherent {
+		cs.coh = s.coh.Load().attach(w)
+	}
+	reqs := make(chan request, requestQueue)
+	executed := make(chan struct{})
 	go func() {
-		defer writerWG.Done()
-		var werr error
-		batch := make([]*respFrame, 0, pipelineWorkers)
-		vecs := make([][]byte, 0, 2*pipelineWorkers)
-		for frame := range respCh {
-			if werr != nil {
-				putFrame(frame) // drain so dispatchers never block
-				continue
-			}
-			batch = append(batch[:0], frame)
-			// Coalesce: gather whatever is already queued so the burst
-			// goes out in one vectored write.
-		coalesce:
-			for {
-				select {
-				case next, ok := <-respCh:
-					if !ok {
-						break coalesce
-					}
-					batch = append(batch, next)
-				default:
-					break coalesce
-				}
-			}
-			vecs = vecs[:0]
-			for _, f := range batch {
-				vecs = append(vecs, *f.head)
-				vecs = append(vecs, f.pages...)
-			}
-			// net.Buffers.WriteTo advances its receiver as it consumes the
-			// vectors; vecs itself is rebuilt each round, so the mutation
-			// is harmless.
-			nb := net.Buffers(vecs)
-			if _, werr = nb.WriteTo(conn); werr != nil {
-				conn.Close() // unblocks the reader
-			}
-			for _, f := range batch {
-				putFrame(f)
-			}
+		defer close(executed)
+		for rq := range reqs {
+			s.execute(cs, w, rq)
 		}
 	}()
-
-	// respond finalizes the frame with the outcome and queues it for the
-	// writer, which releases it after the bytes are on the wire.
-	respond := func(op byte, id uint64, f *respFrame, err error) {
-		if err != nil {
-			obs := s.obs.Load()
-			obs.Inc(metrics.CtrRPCError)
-			// Drop any partial payload: an error response carries only
-			// the message.
-			for i := range f.pages {
-				f.pages[i] = nil
-			}
-			f.pages = f.pages[:0]
-			f.inline = []byte(err.Error())
-			f.encode(statusOf(err), id)
-			if rpc := rpcOpOf(op); rpc >= 0 {
-				obs.RPCFrame(rpc, true, f.wireLen())
-			}
-			respCh <- f
-			return
-		}
-		f.encode(statusOK, id)
-		if rpc := rpcOpOf(op); rpc >= 0 {
-			s.obs.Load().RPCFrame(rpc, true, f.wireLen())
-		}
-		respCh <- f
-	}
-
-	sem := make(chan struct{}, pipelineWorkers)
-	var dataWG sync.WaitGroup
 	for {
 		op, body, err := readMsgPooled(r)
 		if err != nil {
@@ -764,7 +756,7 @@ func (s *TCPServer) servePipelined(conn net.Conn, r *bufio.Reader, cs *connState
 		payload := (*body)[1:]
 		if len(payload) < 8 {
 			putBuf(body)
-			break // pipelined frames always carry a request ID
+			break // every frame after the hello carries a request ID
 		}
 		id := binary.LittleEndian.Uint64(payload)
 		req := payload[8:]
@@ -779,16 +771,7 @@ func (s *TCPServer) servePipelined(conn net.Conn, r *bufio.Reader, cs *connState
 		if rpc := rpcOpOf(op); rpc >= 0 {
 			s.obs.Load().RPCFrame(rpc, false, len(*body)+4)
 		}
-		if op == opHello {
-			// A connection has one hello. A second is refused like a bad
-			// first frame: one error frame (the writer drains it below),
-			// then the connection closes.
-			putBuf(body)
-			respond(op, id, getFrame(), fmt.Errorf("%w: hello on an established connection", errProtocol))
-			break
-		}
-		switch op {
-		case opCoherenceAck:
+		if op == opCoherenceAck {
 			// Fire-and-forget acknowledgement of an applied invalidation
 			// round: record the epoch and release any commit waiting on
 			// it. No response frame — the ack is the response.
@@ -797,75 +780,83 @@ func (s *TCPServer) servePipelined(conn net.Conn, r *bufio.Reader, cs *connState
 				cs.coh.ack(binary.LittleEndian.Uint64(req))
 			}
 			putBuf(body)
-		case opTxBegin, opTxBeginSnapshot, opTxCommit, opTxAbort:
-			// Transaction boundaries order after the connection's
-			// outstanding data operations: a pipelined commit must not
-			// overtake the writes it is meant to commit.
-			dataWG.Wait()
-			obs := s.obs.Load()
-			start := obs.Now()
-			sp := s.tracer.Load().StartChild(spanName(&serverSpanNames, op), tctx)
-			resp, herr := s.handle(cs, op, req, sp.Context())
-			sp.Finish()
-			if rpc := rpcOpOf(op); rpc >= 0 {
-				d := obs.RPCSinceTrace(rpc, start, tctx.TraceID)
-				if op != opTxCommit {
-					s.noteSlow(obs, rpc, d, tctx)
-				}
-			}
-			putBuf(body)
-			f := getFrame()
-			f.inline = resp
-			respond(op, id, f, herr)
-		default:
-			// The backend is resolved at dispatch time on the reader
-			// goroutine, so a request pipelined inside a transaction uses
-			// that transaction's session even while other requests run;
-			// nil is a request that runs as a transaction of its own.
-			backend := s.backend(cs)
-			sem <- struct{}{}
-			dataWG.Add(1)
-			obs := s.obs.Load()
-			obs.GaugeAdd(metrics.GaugeInFlightRPC, 1)
-			go func(op byte, id uint64, body *[]byte, req []byte, tctx trace.Context) {
-				defer func() {
-					obs.GaugeAdd(metrics.GaugeInFlightRPC, -1)
-					dataWG.Done()
-					<-sem
-				}()
-				start := obs.Now()
-				sp := s.tracer.Load().StartChild(spanName(&serverSpanNames, op), tctx)
-				f := getFrame()
-				var herr error
-				if backend == nil {
-					herr = s.autoTx(cs, op, req, f, sp.Context())
-				} else {
-					herr = s.handleDataFrame(backend, cs, op, req, f)
-				}
-				if sp.Sampled() {
-					sp.SetArgs(uint64(len(req)), uint64(f.payloadLen()))
-					sp.Finish()
-				}
-				if rpc := rpcOpOf(op); rpc >= 0 {
-					d := obs.RPCSinceTrace(rpc, start, tctx.TraceID)
-					s.noteSlow(obs, rpc, d, tctx)
-				}
-				putBuf(body)
-				respond(op, id, f, herr)
-			}(op, id, body, req, tctx)
+			continue
+		}
+		reqs <- request{op: op, id: id, body: body, req: req, tctx: tctx}
+		if op == opHello {
+			// A connection has one hello. A second is refused like a bad
+			// first frame: one error frame (the executor writes it), then
+			// the connection closes.
+			break
 		}
 	}
-	dataWG.Wait()
+	close(reqs)
+	<-executed
 	if cs.coh != nil {
-		// Detach before respCh closes: detach marks the endpoint closed
-		// under its lock, so no invalidation push from another
-		// connection's commit can race onto the closing channel, and
-		// every commit still waiting on this connection's ack is
+		// The executor is done, so nothing registers interest for this
+		// connection any more; every commit still waiting on its ack is
 		// released.
 		s.coh.Load().detach(cs.coh, s.obs.Load())
 	}
-	close(respCh)
-	writerWG.Wait()
+}
+
+// execute runs one request on the connection's executor and writes its
+// answer.
+func (s *TCPServer) execute(cs *connState, w *connWriter, rq request) {
+	obs := s.obs.Load()
+	f := getFrame()
+	var err error
+	switch rq.op {
+	case opHello:
+		err = fmt.Errorf("%w: hello on an established connection", errProtocol)
+	case opTxBegin, opTxBeginSnapshot, opTxCommit, opTxAbort:
+		start := obs.Now()
+		sp := s.tracer.Load().StartChild(spanName(&serverSpanNames, rq.op), rq.tctx)
+		f.inline, err = s.handle(cs, rq.op, rq.req, sp.Context())
+		sp.Finish()
+		if rpc := rpcOpOf(rq.op); rpc >= 0 {
+			d := obs.RPCSinceTrace(rpc, start, rq.tctx.TraceID)
+			if rq.op != opTxCommit {
+				s.noteSlow(obs, rpc, d, rq.tctx)
+			}
+		}
+	default:
+		obs.GaugeAdd(metrics.GaugeInFlightRPC, 1)
+		start := obs.Now()
+		sp := s.tracer.Load().StartChild(spanName(&serverSpanNames, rq.op), rq.tctx)
+		// Inside a transaction the request runs in its session; nil is a
+		// request that runs as a transaction of its own.
+		if backend := s.backend(cs); backend == nil {
+			err = s.autoTx(cs, rq.op, rq.req, f, sp.Context())
+		} else {
+			err = s.handleDataFrame(backend, cs, rq.op, rq.req, f)
+		}
+		if sp.Sampled() {
+			sp.SetArgs(uint64(len(rq.req)), uint64(f.payloadLen()))
+			sp.Finish()
+		}
+		if rpc := rpcOpOf(rq.op); rpc >= 0 {
+			d := obs.RPCSinceTrace(rpc, start, rq.tctx.TraceID)
+			s.noteSlow(obs, rpc, d, rq.tctx)
+		}
+		obs.GaugeAdd(metrics.GaugeInFlightRPC, -1)
+	}
+	putBuf(rq.body)
+	if err != nil {
+		obs.Inc(metrics.CtrRPCError)
+		// Drop any partial payload: an error response carries only the
+		// message.
+		clear(f.pages)
+		f.pages = f.pages[:0]
+		f.inline = []byte(err.Error())
+		f.encode(statusOf(err), rq.id)
+	} else {
+		f.encode(statusOK, rq.id)
+	}
+	if rpc := rpcOpOf(rq.op); rpc >= 0 {
+		obs.RPCFrame(rpc, true, f.wireLen())
+	}
+	w.write(f)
 }
 
 // backend selects the data-plane server for the connection: the raw
@@ -1111,7 +1102,7 @@ func (s *TCPServer) handleData(backend Server, op byte, payload []byte) ([]byte,
 // handleDataFrame executes one data request into its response frame. The
 // page-shipping opcodes attach the page images and directories borrowed
 // from the copy-on-write store instead of copying them into a contiguous
-// payload (the writer scatter-gathers the pieces); every other opcode
+// payload (connWriter scatter-gathers the pieces); every other opcode
 // falls through to handleData and rides in the frame's inline payload.
 func (s *TCPServer) handleDataFrame(backend dirPageReader, cs *connState, op byte, payload []byte, f *respFrame) error {
 	cc := cs.coh
